@@ -45,27 +45,25 @@ def _instance_functions(inst: Instance):
             yield from fns
 
 
-def _check_involution(idoc: InstanceDoc, args) -> Dict:
+def _check_sampled(idoc: InstanceDoc, args, fails) -> Dict:
+    """Count the instance's integrands and --count random ones where fails(fn)."""
     rng = random.Random(args.seed)
     fns = list(_instance_functions(idoc.instance))
     fns += [generators.rand_plconvex(rng) for _ in range(args.count)]
-    failures = [i for i, fn in enumerate(fns) if fn.conjugate().conjugate() != fn]
+    failures = [i for i, fn in enumerate(fns) if fails(fn)]
     return {"lhs": len(fns), "rhs": len(fns) - len(failures),
             "gap": len(failures), "bound": 0,
             "assumptions": [], "pass": not failures,
             "details": {"failures": failures}}
+
+
+def _check_involution(idoc: InstanceDoc, args) -> Dict:
+    return _check_sampled(idoc, args, lambda fn: fn.conjugate().conjugate() != fn)
 
 
 def _check_recession_support(idoc: InstanceDoc, args) -> Dict:
-    rng = random.Random(args.seed)
-    fns = list(_instance_functions(idoc.instance))
-    fns += [generators.rand_plconvex(rng) for _ in range(args.count)]
-    failures = [i for i, fn in enumerate(fns)
-                if support_fn(fn.conjugate().domain) != fn.recession()]
-    return {"lhs": len(fns), "rhs": len(fns) - len(failures),
-            "gap": len(failures), "bound": 0,
-            "assumptions": [], "pass": not failures,
-            "details": {"failures": failures}}
+    return _check_sampled(
+        idoc, args, lambda fn: support_fn(fn.conjugate().domain) != fn.recession())
 
 
 def _assumption_list(rep: Dict) -> List[Dict]:
@@ -99,41 +97,62 @@ def _check_interchange_stoch(idoc: InstanceDoc, args) -> Dict:
                         "witness_found": witness is not None}}
 
 
-def _default_B(inst: Instance, arg: Optional[str]) -> Fraction:
-    if arg is not None:
-        return rat(arg)
+def _default_B(inst: Instance, B: Optional[Fraction]) -> Fraction:
+    if B is not None:
+        return B
     return 2 * inst.magnitude_bound()
 
 
-def _check_conjugate(idoc: InstanceDoc, args) -> Dict:
+def _check_against_oracle(idoc: InstanceDoc, args, formula, oracle_of, key: str) -> Dict:
+    """Compare formula(instance, dual) with the lattice oracle on oracle_of(instance).
+
+    An entry verifies when 0 <= formula - oracle <= the lattice gap bound, or
+    when both sides are the -inf sentinel of an empty selection set
+    (conj_pointwise is never -inf, so that case only arises for support-ds).
+    """
     inst = idoc.instance
     if not idoc.duals:
-        raise SchemaError("conjugate check needs at least one dual pair")
-    rep = assumption_report(inst)
+        raise SchemaError(f"{args.theorem} check needs at least one dual pair")
+    oracle = oracle_of(inst)
+    rep = assumption_report(oracle)
     B = _default_B(inst, args.B)
-    delta = rat(args.delta)
+    delta = args.delta
     entries, ok = [], True
     for k, d in enumerate(idoc.duals):
-        pointwise = conj_pointwise(inst, d)
-        brute = conj_bruteforce(inst, d, B, delta, budget=args.budget)
+        value = formula(inst, d)
+        brute = conj_bruteforce(oracle, d, B, delta, budget=args.budget)
         bound = bruteforce_gap_bound(d, delta)
-        if pointwise == INF or brute == NEG_INF:
-            verified = False
+        if value in (INF, NEG_INF) or brute == NEG_INF:
+            verified = value == NEG_INF and brute == NEG_INF
             gap = None
         else:
-            gap = pointwise - brute
+            gap = value - brute
             verified = 0 <= gap <= bound
         ok = ok and verified
-        entries.append({"dual": k, "pointwise": pointwise, "bruteforce": brute,
+        entries.append({"dual": k, key: value, "bruteforce": brute,
                         "gap": gap, "bound": bound, "verified": verified})
-    agg_gap = max((e["gap"] for e in entries if e["gap"] is not None),
-                  default=Fraction(0))
-    agg_bound = max((e["bound"] for e in entries), default=Fraction(0))
-    return {"lhs": entries[0]["pointwise"], "rhs": entries[0]["bruteforce"],
-            "gap": agg_gap, "bound": agg_bound,
-            "assumptions": _assumption_list(rep),
-            "assumptions_ok": rep["all_ok"],
+    return {"lhs": entries[0][key], "rhs": entries[0]["bruteforce"],
+            "gap": max((e["gap"] for e in entries if e["gap"] is not None),
+                       default=Fraction(0)),
+            "bound": max((e["bound"] for e in entries), default=Fraction(0)),
+            "assumptions": _assumption_list(rep), "assumptions_ok": rep["all_ok"],
             "pass": ok, "details": {"B": B, "delta": delta, "duals": entries}}
+
+
+def _check_conjugate(idoc: InstanceDoc, args) -> Dict:
+    return _check_against_oracle(idoc, args, conj_pointwise, lambda inst: inst, "pointwise")
+
+
+def _constraint_indicator(inst: Instance) -> Instance:
+    """The instance with h replaced by the indicator of S and htilde defaulted."""
+    return make_instance(inst.tree, inst.grid, indicator_integrand(inst.S, "optional"),
+                         inst.mu, inst.mutilde, None, inst.S, inst.Stilde)
+
+
+def _check_support_ds(idoc: InstanceDoc, args) -> Dict:
+    report = _check_against_oracle(idoc, args, support_DS, _constraint_indicator, "formula")
+    report["details"] = {"duals": report["details"]["duals"]}
+    return report
 
 
 def _check_subdiff(idoc: InstanceDoc, args) -> Dict:
@@ -157,38 +176,6 @@ def _check_subdiff(idoc: InstanceDoc, args) -> Dict:
             "gap": None, "bound": 0,
             "assumptions": _assumption_list(rep0), "assumptions_ok": rep0["all_ok"],
             "pass": ok, "details": {"pairs": entries}}
-
-
-def _check_support_ds(idoc: InstanceDoc, args) -> Dict:
-    inst = idoc.instance
-    if not idoc.duals:
-        raise SchemaError("support-ds check needs at least one dual pair")
-    stripped = make_instance(inst.tree, inst.grid,
-                             indicator_integrand(inst.S, "optional"),
-                             inst.mu, inst.mutilde, None, inst.S, inst.Stilde)
-    rep = assumption_report(stripped)
-    B = _default_B(inst, args.B)
-    delta = rat(args.delta)
-    entries, ok = [], True
-    for k, d in enumerate(idoc.duals):
-        formula = support_DS(inst, d)
-        brute = conj_bruteforce(stripped, d, B, delta, budget=args.budget)
-        bound = bruteforce_gap_bound(d, delta)
-        if formula in (INF, NEG_INF) or brute == NEG_INF:
-            verified = formula == NEG_INF and brute == NEG_INF
-            gap = None
-        else:
-            gap = formula - brute
-            verified = 0 <= gap <= bound
-        ok = ok and verified
-        entries.append({"dual": k, "formula": formula, "bruteforce": brute,
-                        "gap": gap, "bound": bound, "verified": verified})
-    return {"lhs": entries[0]["formula"], "rhs": entries[0]["bruteforce"],
-            "gap": max((e["gap"] for e in entries if e["gap"] is not None),
-                       default=Fraction(0)),
-            "bound": max((e["bound"] for e in entries), default=Fraction(0)),
-            "assumptions": _assumption_list(rep), "assumptions_ok": rep["all_ok"],
-            "pass": ok, "details": {"duals": entries}}
 
 
 def _check_jensen(idoc: InstanceDoc, args) -> Dict:
@@ -224,7 +211,7 @@ def _check_michael(idoc: InstanceDoc, args) -> Dict:
 
 def _check_projection(idoc: InstanceDoc, args) -> Dict:
     inst = idoc.instance
-    x = rat(args.x)
+    x = args.x
     entries, ok = [], True
     for s in inst.tree.scenarios:
         sm = inst.s_map(s)
@@ -309,7 +296,26 @@ _CHECKS = {
 }
 
 
+def _rational_arg(name: str, text: str, positive: bool = False) -> Fraction:
+    try:
+        value = rat(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or (positive and value <= 0):
+        kind = "a positive rational" if positive else "a rational"
+        raise ValueError(f"--{name} must be {kind}, got {text!r}")
+    return value
+
+
 def cmd_verify(args) -> int:
+    try:
+        if args.B is not None:
+            args.B = _rational_arg("B", args.B, positive=True)
+        args.delta = _rational_arg("delta", args.delta, positive=True)
+        args.x = _rational_arg("x", args.x)
+    except ValueError as exc:
+        print(f"bad argument: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     try:
         idoc = load_instance(args.file)
         report = _CHECKS[args.theorem](idoc, args)

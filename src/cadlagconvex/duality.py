@@ -14,19 +14,28 @@ path on the instance's own grid, where the left limit at t_i is the previous
 slot's value.  The sup/inf underlying conjugates and interchange rules ranges
 over paths on *refinements* of the grid, where a path may jump inside a cell,
 making the value at t_i and the left limit at t_i independent coordinates.
-All such computations route through the once-refined instance (midpoints
-carry zero mass), which keeps the oracle an honest path search while matching
-the pointwise formulas exactly.
+All such computations route through the once-refined instance
+``Instance.refined`` (midpoints carry zero mass), which is built once per
+instance and keeps the oracle an honest path search while matching the
+pointwise formulas exactly.
+
+On that grid the objective separates across (partition cell, slot), so the
+oracle and both interchange rules optimize one coordinate at a time.  The
+generator ``_coordinates`` is the single place that decides how coordinates
+decouple: it yields each (slot, cell) with the feasible interval shared by
+the cell's scenarios, and the callers differ only in the per-slot sets and
+the bounding interval they pass.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .plconvex import RInterval, indicator
+from .plconvex import PLConvex, RInterval, indicator
 from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
@@ -113,6 +122,11 @@ class Instance:
                         self.h.refine(factor), self.mu.refine(factor),
                         self.mutilde.refine(factor), self.htilde.refine(factor),
                         self.S.refine(factor), self.Stilde.refine(factor))
+
+    @functools.cached_property
+    def refined(self) -> "Instance":
+        """The once-refined instance, built on first use and kept."""
+        return self.refine(2)
 
     def magnitude_bound(self) -> Q:
         """Largest |breakpoint|, |slope knot| or finite constraint endpoint."""
@@ -270,10 +284,9 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
     atoms; homogeneity makes the result independent of any reference measure.
     Returns the -inf sentinel when no selection exists.
     """
-    for s in inst.tree.scenarios:
-        sets = _decoupled_sets(inst, s)
-        if any(v.is_empty for v in sets):
-            return NEG_INF
+    r = inst.refined
+    if any(v.is_empty for s in r.tree.scenarios for v in _fixed_value_sets(r, s)):
+        return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
         smap, stmap = inst.s_map(s), inst.st_map(s)
@@ -308,9 +321,30 @@ def _zero_start_ok(inst: Instance, scenario: str) -> bool:
     return inst.st_map(scenario).point_vals[0].contains(Fraction(0))
 
 
-def _decoupled_sets(inst: Instance, scenario: str) -> List[RInterval]:
-    """Feasible sets of the refined coordinates (values and left limits)."""
-    return _fixed_value_sets(inst.refine(2), scenario)
+def _zero_start_cost(inst: Instance) -> Ext:
+    """E[mutilde_0 htilde_0(0)]: the charge on the forced left limit 0 at time 0."""
+    terms = []
+    for s in inst.tree.scenarios:
+        m0 = inst.mutilde.measures[s].atoms[0]
+        if m0 > 0:
+            h0 = inst.htilde.functions[s][0].eval(Fraction(0))
+            terms.append(xmul(inst.tree.prob(s), xmul(m0, h0)))
+    return xsum(terms)
+
+
+def _coordinates(tree: ScenarioTree, n_slots: int,
+                 sets: Dict[str, List[RInterval]], bound: RInterval):
+    """Yield (slot, cell, feasible interval) for every decoupled coordinate.
+
+    A coordinate is one partition cell at one slot; its feasible interval is
+    ``bound`` intersected with the slot's set of every scenario in the cell.
+    """
+    for i in range(n_slots):
+        for cell in tree.cells(i):
+            feasible = bound
+            for s in cell:
+                feasible = feasible.intersect(sets[s][i])
+            yield i, cell, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +390,7 @@ def assumption_report(inst: Instance) -> Dict:
         cross_st = not bad["cross_Stilde_in_S_cells"]
         s_contains_dom = all(hfns[i].domain.issubset(smap.point_vals[i])
                              for i in range(n))
-        sets = _decoupled_sets(inst, s)
+        sets = _fixed_value_sets(inst.refined, s)
         mu_atoms = inst.mu.measures[s].atoms
         mut_atoms = inst.mutilde.measures[s].atoms
         proper = _zero_start_ok(inst, s) and not any(v.is_empty for v in sets)
@@ -412,7 +446,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
     budget = resolve_budget(budget)
-    r = inst.refine(2)
+    r = inst.refined
     rd = d.refine(2)
     tree, n = r.tree, r.grid.n_slots
     steps = int((2 * B) / delta)
@@ -420,33 +454,22 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     needed = 0
     coords: List[Tuple[int, Tuple[str, ...], List[Q]]] = []
     sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
-    for i in range(n):
-        for cell in tree.cells(i):
-            box = RInterval(-B, B)
-            constraint = box
-            for s in cell:
-                constraint = constraint.intersect(sets[s][i])
-            if constraint.is_empty:
-                pts: List[Q] = []
-            else:
-                pts = [v for v in lattice if constraint.contains(v)]
-            needed += len(pts)
-            coords.append((i, cell, pts))
+    for i, cell, constraint in _coordinates(tree, n, sets, RInterval(-B, B)):
+        if constraint.is_empty:
+            pts: List[Q] = []
+        else:
+            pts = [v for v in lattice if constraint.contains(v)]
+        needed += len(pts)
+        coords.append((i, cell, pts))
     if needed > budget:
         raise BudgetExceededError(needed, budget)
 
     # constant part: the forced left limit 0 at time 0
-    const_terms = []
-    for s in tree.scenarios:
-        if not _zero_start_ok(r, s):
-            return NEG_INF
-        m0 = r.mutilde.measures[s].atoms[0]
-        if m0 > 0:
-            h0 = r.htilde.functions[s][0].eval(Fraction(0))
-            if h0 == INF:
-                return NEG_INF
-            const_terms.append(xmul(tree.prob(s), xmul(m0, -h0)))
-    total: Ext = xsum(const_terms)
+    if not all(_zero_start_ok(r, s) for s in tree.scenarios):
+        return NEG_INF
+    total: Ext = xneg(_zero_start_cost(r))
+    if total == NEG_INF:
+        return NEG_INF
 
     for i, cell, pts in coords:
         best: Ext = NEG_INF
@@ -634,6 +657,18 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
     }
 
 
+def _cell_argmin(fn: PLConvex, mass: Q, feas: RInterval, weight: Q,
+                 terms: List[Ext]) -> Optional[Q]:
+    """Append weight * mass * inf of fn over feas to terms.
+
+    Returns the minimizer nearest to 0, or None when the infimum is not
+    attained.
+    """
+    val, argmin = fn.inf_over(feas)
+    terms.append(xmul(weight, xmul(mass, val)))
+    return None if argmin.is_empty else argmin.nearest_to(Fraction(0))
+
+
 def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     """Interchange over adapted paths, with the pasting witness.
 
@@ -646,129 +681,54 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
-    report = assumption_report(inst)
-    if form == "F":
-        return _interchange_stoch_F(inst, report)
-    return _interchange_stoch_Fhat(inst, report)
-
-
-def _interchange_stoch_F(inst: Instance, assumptions: Dict) -> Dict:
-    tree, n = inst.tree, inst.grid.n_slots
-    lhs_terms: List[Ext] = []
-    infeasible = False
-    witness_vals: Dict[str, List[Optional[Q]]] = {s: [None] * n for s in tree.scenarios}
-    attained = True
-    for i in range(n):
-        for cell in tree.cells(i):
-            rep = cell[0]
-            feas = inst.s_map(rep).attainable_at(i)
-            for s in cell[1:]:
-                feas = feas.intersect(inst.s_map(s).attainable_at(i))
-            if feas.is_empty:
-                infeasible = True
-                continue
-            mu_i = inst.mu.measures[rep].atoms[i]
-            p_cell = sum((tree.prob(s) for s in cell), Fraction(0))
-            if mu_i > 0:
-                val, argmin = inst.h.functions[rep][i].inf_over(feas)
-                lhs_terms.append(xmul(p_cell, xmul(mu_i, val)))
-            else:
-                argmin = feas
-            if argmin.is_empty:
-                attained = False
-                point = None
-            else:
-                point = argmin.nearest_to(Fraction(0))
-            for s in cell:
-                witness_vals[s][i] = point
-    lhs = INF if infeasible else xsum(lhs_terms)
-    rhs_vals = {
-        s: xsum(xmul(inst.mu.measures[s].atoms[i],
-                     inst.h.functions[s][i].min_on_line())
-                for i in range(n) if inst.mu.measures[s].atoms[i] > 0)
-        for s in tree.scenarios
-    }
-    rhs = tree.expectation(rhs_vals)
-    out = {
-        "form": "F",
-        "lhs": lhs,
-        "rhs": rhs,
-        "vacuous": lhs == INF,
-        "ok": lhs == INF or lhs == rhs,
-        "assumptions": assumptions["summary"],
-        "assumptions_ok": assumptions["all_ok"],
-        "witness": None,
-    }
-    if not infeasible and attained:
-        paths = {s: StepPath(inst.grid, tuple(witness_vals[s]))
-                 for s in tree.scenarios}
-        witness = RandomPath(tree, inst.grid, paths)
-        achieved = eval_F(inst, witness)
-        assert achieved == lhs, "witness must achieve the infimum exactly"
-        out["witness"] = witness
-        out["witness_value"] = achieved
-    return out
-
-
-def _interchange_stoch_Fhat(inst: Instance, assumptions: Dict) -> Dict:
-    r = inst.refine(2)
+    assumptions = assumption_report(inst)
+    hatted = form == "Fhat"
+    r = inst.refined if hatted else inst
     tree, n = r.tree, r.grid.n_slots
-    sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
-    infeasible = any(not _zero_start_ok(r, s) for s in tree.scenarios)
-    lhs_terms: List[Ext] = []
-    for s in tree.scenarios:
-        m0 = r.mutilde.measures[s].atoms[0]
-        if m0 > 0:
-            lhs_terms.append(xmul(tree.prob(s),
-                                  xmul(m0, r.htilde.functions[s][0].eval(Fraction(0)))))
+    if hatted:
+        sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
+        infeasible = not all(_zero_start_ok(r, s) for s in tree.scenarios)
+        lhs_terms: List[Ext] = [_zero_start_cost(r)]
+    else:
+        sets = {s: [r.s_map(s).attainable_at(i) for i in range(n)]
+                for s in tree.scenarios}
+        infeasible, lhs_terms = False, []
     y_vals: Dict[str, List[Optional[Q]]] = {s: [None] * n for s in tree.scenarios}
     yt_vals: Dict[str, List[Optional[Q]]] = {s: [None] * n for s in tree.scenarios}
     attained = True
-    for i in range(n):
-        for cell in tree.cells(i):
-            rep = cell[0]
-            feas = RInterval.whole_line()
-            for s in cell:
-                feas = feas.intersect(sets[s][i])
-            if feas.is_empty:
-                infeasible = True
-                continue
-            mu_i = r.mu.measures[rep].atoms[i]
-            mut_next = r.mutilde.measures[rep].atoms[i + 1] if i + 1 < n else Fraction(0)
-            p_cell = sum((tree.prob(s) for s in cell), Fraction(0))
-            # h-side optimum defines y; the htilde-side optimum defines ytilde
-            if mu_i > 0:
-                val, argmin = r.h.functions[rep][i].inf_over(feas)
-                lhs_terms.append(xmul(p_cell, xmul(mu_i, val)))
-                y_point = argmin.nearest_to(Fraction(0)) if not argmin.is_empty else None
-            else:
-                y_point = feas.nearest_to(Fraction(0))
-            if mut_next > 0:
-                val, argmin = r.htilde.functions[rep][i + 1].inf_over(feas)
-                lhs_terms.append(xmul(p_cell, xmul(mut_next, val)))
-                yt_point = argmin.nearest_to(Fraction(0)) if not argmin.is_empty else None
-            else:
-                yt_point = y_point
-            if y_point is None or yt_point is None:
-                attained = False
-            for s in cell:
-                y_vals[s][i] = y_point
-                yt_vals[s][i] = yt_point
+    for i, cell, feas in _coordinates(tree, n, sets, RInterval.whole_line()):
+        if feas.is_empty:
+            infeasible = True
+            continue
+        rep = cell[0]
+        mu_i = r.mu.measures[rep].atoms[i]
+        mut_next = r.mutilde.measures[rep].atoms[i + 1] \
+            if hatted and i + 1 < n else Fraction(0)
+        p_cell = sum((tree.prob(s) for s in cell), Fraction(0))
+        # h-side optimum defines y; the htilde-side optimum defines ytilde
+        if mu_i > 0:
+            y_point = _cell_argmin(r.h.functions[rep][i], mu_i, feas, p_cell, lhs_terms)
+        else:
+            y_point = feas.nearest_to(Fraction(0))
+        if mut_next > 0:
+            yt_point = _cell_argmin(r.htilde.functions[rep][i + 1], mut_next, feas,
+                                    p_cell, lhs_terms)
+        else:
+            yt_point = y_point
+        if y_point is None or yt_point is None:
+            attained = False
+        for s in cell:
+            y_vals[s][i] = y_point
+            yt_vals[s][i] = yt_point
     lhs = INF if infeasible else xsum(lhs_terms)
-    rhs_vals = {}
-    for s in tree.scenarios:
-        terms = [xmul(inst.mu.measures[s].atoms[i],
-                      inst.h.functions[s][i].min_on_line())
-                 for i in range(inst.grid.n_slots)
-                 if inst.mu.measures[s].atoms[i] > 0]
-        terms += [xmul(inst.mutilde.measures[s].atoms[i],
-                       inst.htilde.functions[s][i].min_on_line())
-                  for i in range(inst.grid.n_slots)
-                  if inst.mutilde.measures[s].atoms[i] > 0]
-        rhs_vals[s] = xsum(terms)
-    rhs = tree.expectation(rhs_vals)
+    charged = [(inst.mu, inst.h)] + ([(inst.mutilde, inst.htilde)] if hatted else [])
+    rhs = tree.expectation({
+        s: xsum(xmul(m.measures[s].atoms[i], fam.functions[s][i].min_on_line())
+                for m, fam in charged for i in range(inst.grid.n_slots)
+                if m.measures[s].atoms[i] > 0)
+        for s in tree.scenarios})
     out = {
-        "form": "Fhat",
+        "form": form,
         "lhs": lhs,
         "rhs": rhs,
         "vacuous": lhs == INF,
@@ -777,15 +737,20 @@ def _interchange_stoch_Fhat(inst: Instance, assumptions: Dict) -> Dict:
         "assumptions_ok": assumptions["all_ok"],
         "witness": None,
     }
-    if not infeasible and attained:
-        y = RandomPath(tree, r.grid,
-                       {s: StepPath(r.grid, tuple(y_vals[s])) for s in tree.scenarios})
+    if infeasible or not attained:
+        return out
+    y = RandomPath(tree, r.grid,
+                   {s: StepPath(r.grid, tuple(y_vals[s])) for s in tree.scenarios})
+    if hatted:
         yt = RandomPath(tree, r.grid,
                         {s: StepPath(r.grid, tuple(yt_vals[s])) for s in tree.scenarios})
-        atoms = predictable_atoms(r.mutilde)
-        z = paste(y, yt, atoms)
-        achieved = eval_Fhat(r, z)
+        witness = paste(y, yt, predictable_atoms(r.mutilde))
+        achieved = eval_Fhat(r, witness)
         assert achieved == lhs, "pasting witness must achieve the infimum exactly"
-        out["witness"] = z
-        out["witness_value"] = achieved
+    else:
+        witness = y
+        achieved = eval_F(r, witness)
+        assert achieved == lhs, "witness must achieve the infimum exactly"
+    out["witness"] = witness
+    out["witness_value"] = achieved
     return out

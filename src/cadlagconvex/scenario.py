@@ -65,12 +65,6 @@ class ScenarioTree:
     def prob(self, scenario: str) -> Q:
         return self.probs[self.scenarios.index(scenario)]
 
-    def cell_of(self, slot: int, scenario: str) -> Cell:
-        for cell in self.partitions[slot]:
-            if scenario in cell:
-                return cell
-        raise KeyError(scenario)
-
     def cells(self, slot: int) -> Partition:
         return self.partitions[slot]
 
@@ -124,9 +118,6 @@ class RandomPath:
 
     def slot_values(self, i: int) -> Dict[str, Q]:
         return {s: self.paths[s].values[i] for s in self.tree.scenarios}
-
-    def left_slot_values(self, i: int) -> Dict[str, Q]:
-        return {s: self.paths[s].left_values()[i] for s in self.tree.scenarios}
 
     def refine(self, factor: int) -> "RandomPath":
         return RandomPath(self.tree.refine(factor), self.grid.refine(factor),

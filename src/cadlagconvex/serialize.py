@@ -38,7 +38,8 @@ def _wrap(what: str):
                 return fn(*args, **kwargs)
             except SchemaError:
                 raise
-            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            except (ValueError, TypeError, KeyError, AttributeError,
+                    ZeroDivisionError) as exc:
                 raise SchemaError(f"bad {what}: {exc}") from exc
         return inner
     return deco

@@ -39,10 +39,6 @@ class TimeGrid:
     def n_slots(self) -> int:
         return len(self.times)
 
-    @property
-    def horizon(self) -> Q:
-        return self.times[-1]
-
     def refine(self, factor: int) -> "TimeGrid":
         """Insert factor-1 equispaced times per cell."""
         if factor < 2:
