@@ -296,25 +296,29 @@ _CHECKS = {
 }
 
 
-def _rational_arg(name: str, text: str, positive: bool = False) -> Fraction:
-    try:
-        value = rat(text)
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or (positive and value <= 0):
-        kind = "a positive rational" if positive else "a rational"
-        raise ValueError(f"--{name} must be {kind}, got {text!r}")
-    return value
+def _parse_rational_args(args) -> bool:
+    """Turn --B, --delta and --x into rationals, whatever the theorem.
+
+    Returns False after printing one ``bad argument:`` line.
+    """
+    for name, positive in (("B", True), ("delta", True), ("x", False)):
+        text = getattr(args, name)
+        if text is None:
+            continue
+        try:
+            value = rat(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or (positive and value <= 0):
+            kind = "a positive rational" if positive else "a rational"
+            print(f"bad argument: --{name} must be {kind}, got {text!r}", file=sys.stderr)
+            return False
+        setattr(args, name, value)
+    return True
 
 
 def cmd_verify(args) -> int:
-    try:
-        if args.B is not None:
-            args.B = _rational_arg("B", args.B, positive=True)
-        args.delta = _rational_arg("delta", args.delta, positive=True)
-        args.x = _rational_arg("x", args.x)
-    except ValueError as exc:
-        print(f"bad argument: {exc}", file=sys.stderr)
+    if not _parse_rational_args(args):
         return EXIT_SCHEMA
     try:
         idoc = load_instance(args.file)

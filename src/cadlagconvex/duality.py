@@ -15,9 +15,10 @@ slot's value.  The sup/inf underlying conjugates and interchange rules ranges
 over paths on *refinements* of the grid, where a path may jump inside a cell,
 making the value at t_i and the left limit at t_i independent coordinates.
 All such computations route through the once-refined instance
-``Instance.refined`` (midpoints carry zero mass), which is built once per
-instance and keeps the oracle an honest path search while matching the
-pointwise formulas exactly.
+``inst.refine(2)`` (midpoints carry zero mass), which keeps the oracle an
+honest path search while matching the pointwise formulas exactly.  Each
+public entry point builds it once and passes it down; nothing is cached on
+the instance, so every call does the same work.
 
 On that grid the objective separates across (partition cell, slot), so the
 oracle and both interchange rules optimize one coordinate at a time.  The
@@ -29,13 +30,12 @@ the bounding interval they pass.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .plconvex import PLConvex, RInterval, indicator
+from .plconvex import RInterval, indicator
 from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
@@ -122,11 +122,6 @@ class Instance:
                         self.h.refine(factor), self.mu.refine(factor),
                         self.mutilde.refine(factor), self.htilde.refine(factor),
                         self.S.refine(factor), self.Stilde.refine(factor))
-
-    @functools.cached_property
-    def refined(self) -> "Instance":
-        """The once-refined instance, built on first use and kept."""
-        return self.refine(2)
 
     def magnitude_bound(self) -> Q:
         """Largest |breakpoint|, |slope knot| or finite constraint endpoint."""
@@ -284,7 +279,7 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
     atoms; homogeneity makes the result independent of any reference measure.
     Returns the -inf sentinel when no selection exists.
     """
-    r = inst.refined
+    r = inst.refine(2)
     if any(v.is_empty for s in r.tree.scenarios for v in _fixed_value_sets(r, s)):
         return NEG_INF
     vals: Dict[str, Ext] = {}
@@ -360,6 +355,11 @@ def assumption_report(inst: Instance) -> Dict:
     left start, properness (a feasible point with finite cost exists) and
     the constructive affine minorants.
     """
+    return _assumption_report(inst, inst.refine(2))
+
+
+def _assumption_report(inst: Instance, r: Instance) -> Dict:
+    """:func:`assumption_report` given the once-refined instance ``r``."""
     n = inst.grid.n_slots
     per_scenario = {}
     for s in inst.tree.scenarios:
@@ -390,7 +390,7 @@ def assumption_report(inst: Instance) -> Dict:
         cross_st = not bad["cross_Stilde_in_S_cells"]
         s_contains_dom = all(hfns[i].domain.issubset(smap.point_vals[i])
                              for i in range(n))
-        sets = _fixed_value_sets(inst.refined, s)
+        sets = _fixed_value_sets(r, s)
         mu_atoms = inst.mu.measures[s].atoms
         mut_atoms = inst.mutilde.measures[s].atoms
         proper = _zero_start_ok(inst, s) and not any(v.is_empty for v in sets)
@@ -446,7 +446,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
     budget = resolve_budget(budget)
-    r = inst.refined
+    r = inst.refine(2)
     rd = d.refine(2)
     tree, n = r.tree, r.grid.n_slots
     steps = int((2 * B) / delta)
@@ -657,18 +657,6 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
     }
 
 
-def _cell_argmin(fn: PLConvex, mass: Q, feas: RInterval, weight: Q,
-                 terms: List[Ext]) -> Optional[Q]:
-    """Append weight * mass * inf of fn over feas to terms.
-
-    Returns the minimizer nearest to 0, or None when the infimum is not
-    attained.
-    """
-    val, argmin = fn.inf_over(feas)
-    terms.append(xmul(weight, xmul(mass, val)))
-    return None if argmin.is_empty else argmin.nearest_to(Fraction(0))
-
-
 def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     """Interchange over adapted paths, with the pasting witness.
 
@@ -681,9 +669,10 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
-    assumptions = assumption_report(inst)
+    fine = inst.refine(2)
+    assumptions = _assumption_report(inst, fine)
     hatted = form == "Fhat"
-    r = inst.refined if hatted else inst
+    r = fine if hatted else inst
     tree, n = r.tree, r.grid.n_slots
     if hatted:
         sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
@@ -707,12 +696,15 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
         p_cell = sum((tree.prob(s) for s in cell), Fraction(0))
         # h-side optimum defines y; the htilde-side optimum defines ytilde
         if mu_i > 0:
-            y_point = _cell_argmin(r.h.functions[rep][i], mu_i, feas, p_cell, lhs_terms)
+            val, argmin = r.h.functions[rep][i].inf_over(feas)
+            lhs_terms.append(xmul(p_cell, xmul(mu_i, val)))
+            y_point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
         else:
             y_point = feas.nearest_to(Fraction(0))
         if mut_next > 0:
-            yt_point = _cell_argmin(r.htilde.functions[rep][i + 1], mut_next, feas,
-                                    p_cell, lhs_terms)
+            val, argmin = r.htilde.functions[rep][i + 1].inf_over(feas)
+            lhs_terms.append(xmul(p_cell, xmul(mut_next, val)))
+            yt_point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
         else:
             yt_point = y_point
         if y_point is None or yt_point is None:
