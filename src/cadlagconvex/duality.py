@@ -17,8 +17,9 @@ making the value at t_i and the left limit at t_i independent coordinates.
 All such computations route through the once-refined instance
 ``inst.refine(2)`` (midpoints carry zero mass), which keeps the oracle an
 honest path search while matching the pointwise formulas exactly.  Each
-public entry point builds it once and passes it down; nothing is cached on
-the instance, so every call does the same work.
+public entry point builds it once and passes it down.  Nothing is cached on
+the instance: a repeated call refines again, and no refined copy outlives
+the call that built it.
 
 On that grid the objective separates across (partition cell, slot), so the
 oracle and both interchange rules optimize one coordinate at a time.  The
