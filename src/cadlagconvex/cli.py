@@ -4,7 +4,8 @@ Subcommands: ``verify`` runs one theorem check on an instance file and emits
 a machine-readable report, ``refine`` rewrites a file on a finer grid,
 ``model`` emits a bundled preset instance, ``report-diff`` compares two
 reports modulo their timestamps.  Exit codes: 0 pass, 1 fail, 2 schema
-error, 3 brute-force budget exceeded, 4 assumption failure under --strict.
+error, bad argument or unwritable output, 3 brute-force budget exceeded,
+4 assumption failure under --strict.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from . import duality, generators, serialize
+from . import duality, generators
 from .duality import (BudgetExceededError, Instance, assumption_report,
                       bruteforce_gap_bound, conj_bruteforce, conj_pointwise,
                       eval_Fhat, indicator_integrand, interchange_det,
@@ -25,7 +26,7 @@ from .duality import (BudgetExceededError, Instance, assumption_report,
 from .finmodels import currency_model, vector_pairing
 from .plconvex import support_fn
 from .polycone import cs_regularity_check
-from .rationals import INF, NEG_INF, fmt, is_finite, rat
+from .rationals import INF, NEG_INF, is_finite, rat
 from .scenario import jensen_check
 from .serialize import (InstanceDoc, SchemaError, conemap_from_json,
                         dump_instance, dump_report, load_instance,
@@ -296,10 +297,11 @@ _CHECKS = {
 }
 
 
-def _parse_rational_args(args) -> bool:
-    """Turn --B, --delta and --x into rationals, whatever the theorem.
+def _parse_args(args) -> bool:
+    """Turn --B, --delta and --x into rationals and resolve the budget.
 
-    Returns False after printing one ``bad argument:`` line.
+    Checked whatever the theorem.  Returns False after printing one
+    ``bad argument:`` line.
     """
     for name, positive in (("B", True), ("delta", True), ("x", False)):
         text = getattr(args, name)
@@ -314,11 +316,16 @@ def _parse_rational_args(args) -> bool:
             print(f"bad argument: --{name} must be {kind}, got {text!r}", file=sys.stderr)
             return False
         setattr(args, name, value)
+    try:
+        args.budget = duality.resolve_budget(args.budget)
+    except ValueError as exc:
+        print(f"bad argument: {exc}", file=sys.stderr)
+        return False
     return True
 
 
 def cmd_verify(args) -> int:
-    if not _parse_rational_args(args):
+    if not _parse_args(args):
         return EXIT_SCHEMA
     try:
         idoc = load_instance(args.file)
@@ -330,50 +337,25 @@ def cmd_verify(args) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     report = {"theorem": args.theorem, **report, "timestamp": time.time()}
-    text = dump_report(report, args.report)
+    try:
+        text = dump_report(report, args.report)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     print(text, end="")
     if args.strict and not report.get("assumptions_ok", True):
         return EXIT_ASSUMPTION
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
-def _refine_model(model: Optional[dict], idoc: InstanceDoc, factor: int) -> Optional[dict]:
-    if not model:
-        return model
-    inst = idoc.instance
-    out = dict(model)
-    kind = model.get("type")
-    if kind in ("obstacle", "bidask"):
-        for key in ("b", "a"):
-            if key in model:
-                sp = serialize.scalar_process_from_json(model[key], inst.tree, inst.grid)
-                out[key] = serialize.scalar_process_to_json(sp.refine(factor))
-        for key in ("ycheck", "ybar"):
-            if key in model:
-                path = serialize.path_from_json(model[key], inst.tree, inst.grid)
-                out[key] = serialize.path_to_json(path.refine(factor))
-    elif kind in ("currency", "cs"):
-        for key in ("solvency", "G", "Gtilde"):
-            if key in model:
-                cm = serialize.conemap_from_json(model[key], inst.grid)
-                out[key] = serialize.conemap_to_json(cm.refine(factor))
-        if "duals" in model:
-            refined = []
-            for dd in model["duals"]:
-                u = serialize.vector_measure_from_json(dd["u"], inst.grid)
-                ut = serialize.vector_measure_from_json(dd["ut"], inst.grid)
-                dim = len(u.atoms[0])
-                zero = ["0"] * dim
-                def stretch(vm):
-                    atoms = []
-                    for a in vm.atoms[:-1]:
-                        atoms.append([fmt(x) for x in a])
-                        atoms.extend([list(zero)] * (factor - 1))
-                    atoms.append([fmt(x) for x in vm.atoms[-1]])
-                    return atoms
-                refined.append({"u": stretch(u), "ut": stretch(ut)})
-            out["duals"] = refined
-    return out
+def _write_instance(idoc: InstanceDoc, path: str) -> int:
+    try:
+        dump_instance(idoc, path)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    print(f"wrote {path}")
+    return EXIT_PASS
 
 
 def cmd_refine(args) -> int:
@@ -381,18 +363,11 @@ def cmd_refine(args) -> int:
         print("refinement factor must be >= 2", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        idoc = load_instance(args.file)
+        refined = load_instance(args.file).refine(args.factor)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    refined = InstanceDoc(
-        idoc.instance.refine(args.factor),
-        [d.refine(args.factor) for d in idoc.duals],
-        [p.refine(args.factor) for p in idoc.paths],
-        _refine_model(idoc.model, idoc, args.factor))
-    dump_instance(refined, args.output)
-    print(f"wrote {args.output}")
-    return EXIT_PASS
+    return _write_instance(refined, args.output)
 
 
 def cmd_model(args) -> int:
@@ -402,9 +377,7 @@ def cmd_model(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
-    dump_instance(idoc, args.output)
-    print(f"wrote {args.output}")
-    return EXIT_PASS
+    return _write_instance(idoc, args.output)
 
 
 def cmd_report_diff(args) -> int:
@@ -416,6 +389,9 @@ def cmd_report_diff(args) -> int:
             b = json.load(fh)
     except (OSError, ValueError) as exc:
         print(f"cannot read reports: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    if not isinstance(a, dict) or not isinstance(b, dict):
+        print("cannot read reports: a report must be a JSON object", file=sys.stderr)
         return EXIT_SCHEMA
     if reports_equal(a, b):
         print("reports agree (timestamps ignored)")

@@ -14,12 +14,12 @@ path on the instance's own grid, where the left limit at t_i is the previous
 slot's value.  The sup/inf underlying conjugates and interchange rules ranges
 over paths on *refinements* of the grid, where a path may jump inside a cell,
 making the value at t_i and the left limit at t_i independent coordinates.
-All such computations route through the once-refined instance
-``inst.refine(2)`` (midpoints carry zero mass), which keeps the oracle an
-honest path search while matching the pointwise formulas exactly.  Each
-public entry point builds it once and passes it down.  Nothing is cached on
-the instance: a repeated call refines again, and no refined copy outlives
-the call that built it.
+All such computations route through the refined instance
+``inst.refine(FINE)`` (inserted times carry zero mass), which keeps the
+oracle an honest path search while matching the pointwise formulas exactly.
+Each public entry point builds it once and passes it down.  Nothing is
+cached on the instance: a repeated call refines again, and no refined copy
+outlives the call that built it.
 
 On that grid the objective separates across (partition cell, slot), so the
 oracle and both interchange rules optimize one coordinate at a time.  The
@@ -47,6 +47,7 @@ from .timegrid import StepPath, TimeGrid, eval_I, eval_J
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV_VAR = "CADLAG_CONVEX_BUDGET"
+FINE = 2  # refinement factor of the grid the sup/inf ranges over
 
 
 class BudgetExceededError(RuntimeError):
@@ -62,10 +63,20 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    """The given budget, else $CADLAG_CONVEX_BUDGET, else DEFAULT_BUDGET.
+
+    Raises ValueError for a negative budget or a non-integer variable.
+    """
+    name, value = "--budget", budget
+    if budget is None:
+        name, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR) or DEFAULT_BUDGET
+        try:
+            budget = int(value)
+        except ValueError:
+            budget = -1
+    if budget < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +291,7 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
     atoms; homogeneity makes the result independent of any reference measure.
     Returns the -inf sentinel when no selection exists.
     """
-    r = inst.refine(2)
+    r = inst.refine(FINE)
     if any(v.is_empty for s in r.tree.scenarios for v in _fixed_value_sets(r, s)):
         return NEG_INF
     vals: Dict[str, Ext] = {}
@@ -356,7 +367,7 @@ def assumption_report(inst: Instance) -> Dict:
     left start, properness (a feasible point with finite cost exists) and
     the constructive affine minorants.
     """
-    return _assumption_report(inst, inst.refine(2))
+    return _assumption_report(inst, inst.refine(FINE))
 
 
 def _assumption_report(inst: Instance, r: Instance) -> Dict:
@@ -396,11 +407,12 @@ def _assumption_report(inst: Instance, r: Instance) -> Dict:
         mut_atoms = inst.mutilde.measures[s].atoms
         proper = _zero_start_ok(inst, s) and not any(v.is_empty for v in sets)
         if proper:
+            # t_i is fine slot FINE * i; its left limit is the value just before
             for i in range(n):
-                if mu_atoms[i] > 0 and sets[2 * i].intersect(hfns[i].domain).is_empty:
+                if mu_atoms[i] > 0 and sets[FINE * i].intersect(hfns[i].domain).is_empty:
                     proper = False
                 if i >= 1 and mut_atoms[i] > 0 and \
-                        sets[2 * i - 1].intersect(htfns[i].domain).is_empty:
+                        sets[FINE * i - 1].intersect(htfns[i].domain).is_empty:
                     proper = False
             if mut_atoms[0] > 0 and not htfns[0].domain.contains(Fraction(0)):
                 proper = False
@@ -447,8 +459,8 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
     budget = resolve_budget(budget)
-    r = inst.refine(2)
-    rd = d.refine(2)
+    r = inst.refine(FINE)
+    rd = d.refine(FINE)
     tree, n = r.tree, r.grid.n_slots
     steps = int((2 * B) / delta)
     lattice = [-B + k * delta for k in range(steps + 1)]
@@ -670,7 +682,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
-    fine = inst.refine(2)
+    fine = inst.refine(FINE)
     assumptions = _assumption_report(inst, fine)
     hatted = form == "Fhat"
     r = fine if hatted else inst

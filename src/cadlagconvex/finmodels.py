@@ -18,9 +18,9 @@ from .plconvex import RInterval
 from .polycone import ConeMap, PolyCone, cone_hull, vdot
 from .rationals import Ext, INF, Q, rat
 from .scenario import (RandomMeasure, RandomPath, RandomSetMap, ScenarioTree,
-                       _constant_on, check_adapted)
+                       check_adapted, unmeasurable_slot)
 from .setmaps import SetMap
-from .timegrid import TimeGrid
+from .timegrid import TimeGrid, refine_cells, refine_slots
 
 
 # ---------------------------------------------------------------------------
@@ -51,21 +51,10 @@ class ScalarProcess:
                 raise ValueError("need one point value per grid time")
             if len(self.cells[s]) != self.grid.n_cells:
                 raise ValueError("need one value per open cell")
-        if self.flag != "raw" and not self._measurable():
+        if self.flag != "raw" and unmeasurable_slot(
+                self.tree, self.points, self.cells,
+                self.flag == "predictable") is not None:
             raise ValueError(f"process is not {self.flag}")
-
-    def _measurable(self) -> bool:
-        tree = self.tree
-        for i in range(tree.n_slots):
-            slot = tree.pred_slot(i) if self.flag == "predictable" else i
-            data = {s: self.points[s][i] for s in tree.scenarios}
-            if not all(_constant_on(cell, data) for cell in tree.cells(slot)):
-                return False
-            if i < tree.n_slots - 1:
-                cdata = {s: self.cells[s][i] for s in tree.scenarios}
-                if not all(_constant_on(cell, cdata) for cell in tree.cells(i)):
-                    return False
-        return True
 
     @classmethod
     def constant_cells(cls, tree: ScenarioTree, grid: TimeGrid,
@@ -83,19 +72,9 @@ class ScalarProcess:
     def refine(self, factor: int) -> "ScalarProcess":
         """Inserted grid times take the surrounding cell's value."""
         fine = self.grid.refine(factor)
-        pts, cellv = {}, {}
-        for s in self.tree.scenarios:
-            p: List[Q] = []
-            c: List[Q] = []
-            for i in range(self.grid.n_cells):
-                p.append(self.points[s][i])
-                c.append(self.cells[s][i])
-                for _ in range(factor - 1):
-                    p.append(self.cells[s][i])
-                    c.append(self.cells[s][i])
-            p.append(self.points[s][-1])
-            pts[s] = tuple(p)
-            cellv[s] = tuple(c)
+        pts = {s: refine_slots(self.points[s], self.cells[s], factor)
+               for s in self.tree.scenarios}
+        cellv = {s: refine_cells(self.cells[s], factor) for s in self.tree.scenarios}
         return ScalarProcess(self.tree.refine(factor), fine, pts, cellv, self.flag)
 
 
@@ -326,6 +305,12 @@ class VectorMeasure:
         object.__setattr__(self, "atoms", atoms)
         if len(atoms) != self.grid.n_slots:
             raise ValueError("need one vector atom per grid time")
+
+    def refine(self, factor: int) -> "VectorMeasure":
+        """Atoms stay at the original times; new slots carry the zero vector."""
+        zero = tuple(Fraction(0) for _ in self.atoms[0])
+        return VectorMeasure(self.grid.refine(factor),
+                             refine_slots(self.atoms, [zero] * self.grid.n_cells, factor))
 
 
 def vector_pairing(y: VectorPath, u: VectorMeasure, ut: VectorMeasure) -> Q:

@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .duality import DualPair, Instance, assumption_report, make_instance
+from .duality import (DualPair, Instance, _coordinates, _fixed_value_sets,
+                       assumption_report, make_instance)
 from .plconvex import PLConvex, RInterval, pl
 from .rationals import INF, NEG_INF, is_finite
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
@@ -255,23 +256,19 @@ def rand_feasible_path(rng: random.Random, inst: Instance) -> RandomPath:
     """Adapted path with finite hatted value, drawn per partition cell."""
     tree, grid = inst.tree, inst.grid
     n = grid.n_slots
+    whole = RInterval.whole_line()
+    sets = {}
+    for s in tree.scenarios:
+        # the value at t_i is charged by h_i and, as a left limit, by htilde_{i+1}
+        ht_next = [fn.domain for fn in inst.htilde.functions[s][1:]] + [whole]
+        sets[s] = [v.intersect(fn.domain).intersect(dom) for v, fn, dom in
+                   zip(_fixed_value_sets(inst, s), inst.h.functions[s], ht_next)]
     vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * n for s in tree.scenarios}
-    for i in range(n):
-        for cell in tree.cells(i):
-            feas = RInterval.whole_line()
-            for s in cell:
-                smap, stmap = inst.s_map(s), inst.st_map(s)
-                feas = feas.intersect(smap.point_vals[i])
-                feas = feas.intersect(inst.h.functions[s][i].domain)
-                if i < n - 1:
-                    feas = feas.intersect(smap.open_vals[i]).intersect(stmap.open_vals[i])
-                if i + 1 < n:
-                    feas = feas.intersect(stmap.point_vals[i + 1])
-                    feas = feas.intersect(inst.htilde.functions[s][i + 1].domain)
-            if feas.is_empty:
-                raise ValueError("instance has no feasible fixed-grid path")
-            pick = feas.nearest_to(rand_coarse(rng, -2, 2))
-            for s in cell:
-                vals[s][i] = pick
+    for i, cell, feas in _coordinates(tree, n, sets, whole):
+        if feas.is_empty:
+            raise ValueError("instance has no feasible fixed-grid path")
+        pick = feas.nearest_to(rand_coarse(rng, -2, 2))
+        for s in cell:
+            vals[s][i] = pick
     return RandomPath(tree, grid, {s: StepPath(grid, tuple(vals[s]))
                                    for s in tree.scenarios})

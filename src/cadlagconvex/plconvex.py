@@ -70,11 +70,6 @@ class RInterval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     @property
-    def is_degenerate(self) -> bool:
-        """Single point (empty interior)."""
-        return (not self.is_empty) and self.lo == self.hi
-
-    @property
     def has_interior(self) -> bool:
         return (not self.is_empty) and self.lo < self.hi
 

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .rationals import Q, rat
-from .timegrid import TimeGrid
+from .timegrid import TimeGrid, refine_cells, refine_slots
 
 Vec = Tuple[Fraction, ...]
 
@@ -269,10 +269,6 @@ class PolyCone:
         return cls(dim, generators=generators)
 
     @classmethod
-    def from_halfspaces(cls, halfspaces: Iterable, dim: int) -> "PolyCone":
-        return cls(dim, halfspaces=halfspaces)
-
-    @classmethod
     def zero(cls, dim: int) -> "PolyCone":
         return cls(dim, generators=())
 
@@ -413,21 +409,11 @@ class ConeMap:
         return all(self.point_cones[i].subcone_of(self.cell_cones[i])
                    for i in range(self.grid.n_cells))
 
-    def solid_everywhere(self) -> bool:
-        return all(k.solid() for k in self.point_cones) and \
-            all(k.solid() for k in self.cell_cones)
-
     def refine(self, factor: int) -> "ConeMap":
-        fine = self.grid.refine(factor)
-        points, cells = [], []
-        for i, c in enumerate(self.cell_cones):
-            points.append(self.point_cones[i])
-            cells.append(c)
-            for _ in range(factor - 1):
-                points.append(c)
-                cells.append(c)
-        points.append(self.point_cones[-1])
-        return ConeMap(fine, tuple(points), tuple(cells))
+        """New grid times take the surrounding cell's cone."""
+        return ConeMap(self.grid.refine(factor),
+                       refine_slots(self.point_cones, self.cell_cones, factor),
+                       refine_cells(self.cell_cones, factor))
 
 
 def cs_regularity_check(g_map: ConeMap, gt_map: ConeMap) -> dict:

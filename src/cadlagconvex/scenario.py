@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .plconvex import PLConvex
 from .rationals import Ext, Q, rat, xmul, xsum
 from .setmaps import SetMap
-from .timegrid import GridMeasure, StepPath, TimeGrid, eval_I, pairing
+from .timegrid import (GridMeasure, StepPath, TimeGrid, eval_I, pairing,
+                       refine_slots)
 
 Cell = Tuple[str, ...]
 Partition = Tuple[Cell, ...]
@@ -87,20 +88,12 @@ class ScenarioTree:
 
     def refine(self, factor: int) -> "ScenarioTree":
         """Partitions at inserted times copy the preceding grid time."""
-        parts: List[Partition] = []
-        for p in self.partitions[:-1]:
-            parts.extend([p] * factor)
-        parts.append(self.partitions[-1])
-        return ScenarioTree(self.scenarios, self.probs, tuple(parts))
+        return ScenarioTree(self.scenarios, self.probs,
+                            refine_slots(self.partitions, self.partitions, factor))
 
     @classmethod
     def deterministic(cls, n_slots: int) -> "ScenarioTree":
         return cls(("w",), (Fraction(1),), ((("w",),),) * n_slots)
-
-
-def _constant_on(cell: Cell, values: Mapping[str, object]) -> bool:
-    first = values[cell[0]]
-    return all(values[s] == first for s in cell[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +129,6 @@ class RandomMeasure:
     @property
     def is_nonnegative(self) -> bool:
         return all(m.is_nonnegative for m in self.measures.values())
-
-    def slot_values(self, i: int) -> Dict[str, Q]:
-        return {s: self.measures[s].atoms[i] for s in self.tree.scenarios}
 
     def refine(self, factor: int) -> "RandomMeasure":
         return RandomMeasure(self.tree.refine(factor), self.grid.refine(factor),
@@ -185,24 +175,11 @@ class RandomIntegrand:
             if len(self.functions[s]) != self.grid.n_slots:
                 raise ValueError("need one integrand per grid time")
 
-    def at(self, scenario: str, slot: int) -> PLConvex:
-        return self.functions[scenario][slot]
-
-    def slot_values(self, i: int) -> Dict[str, PLConvex]:
-        return {s: self.functions[s][i] for s in self.tree.scenarios}
-
     def refine(self, factor: int) -> "RandomIntegrand":
         """Optional data extends from the left grid time, predictable from the right."""
-        out: Dict[str, Tuple[PLConvex, ...]] = {}
-        from_right = self.flag == "predictable"
-        for s, fns in self.functions.items():
-            fam: List[PLConvex] = []
-            for i in range(len(fns) - 1):
-                fam.append(fns[i])
-                filler = fns[i + 1] if from_right else fns[i]
-                fam.extend([filler] * (factor - 1))
-            fam.append(fns[-1])
-            out[s] = tuple(fam)
+        skip = 1 if self.flag == "predictable" else 0
+        out = {s: refine_slots(fns, fns[skip:], factor)
+               for s, fns in self.functions.items()}
         return RandomIntegrand(self.tree.refine(factor), self.grid.refine(factor),
                                out, self.flag)
 
@@ -221,49 +198,50 @@ def _validate_family(tree: ScenarioTree, grid: TimeGrid, family: Mapping) -> Non
 # Adaptedness and projections
 # ---------------------------------------------------------------------------
 
-def _slot_data(x, i: int) -> Dict[str, object]:
-    if isinstance(x, (RandomPath, RandomMeasure, RandomIntegrand)):
-        return x.slot_values(i)
-    if isinstance(x, RandomSetMap):
-        return {s: x.maps[s].point_vals[i] for s in x.tree.scenarios}
-    raise TypeError(f"no slot data for {type(x).__name__}")
+def unmeasurable_slot(tree: ScenarioTree, points: Mapping[str, Sequence],
+                      cells: Optional[Mapping[str, Sequence]] = None,
+                      predictable: bool = False) -> Optional[int]:
+    """First slot breaking optional (or predictable) measurability, else None.
 
-
-def _cell_data(x, i: int) -> Optional[Dict[str, object]]:
-    """Open-cell data on (t_i, t_{i+1}); None when it repeats the point data."""
-    if isinstance(x, RandomSetMap):
-        return {s: x.maps[s].open_vals[i] for s in x.tree.scenarios}
+    ``points[s][i]`` is scenario s's data at t_i; it must be constant on the
+    cells of partitions[i], or of partitions[i-1] when ``predictable``.
+    ``cells[s][i]``, when given, is its data on the open cell (t_i, t_{i+1})
+    and must be constant on partitions[i] either way.
+    """
+    for i in range(tree.n_slots):
+        checks = [(points, tree.pred_slot(i) if predictable else i)]
+        if cells is not None and i < tree.n_slots - 1:
+            checks.append((cells, i))
+        for data, slot in checks:
+            for cell in tree.cells(slot):
+                first = data[cell[0]][i]
+                if any(data[s][i] != first for s in cell[1:]):
+                    return i
     return None
+
+
+def _layout(x) -> Tuple[Mapping[str, Sequence], Optional[Mapping[str, Sequence]]]:
+    """Per-scenario point data and open-cell data (None: cells repeat points)."""
+    if isinstance(x, RandomSetMap):
+        return ({s: m.point_vals for s, m in x.maps.items()},
+                {s: m.open_vals for s, m in x.maps.items()})
+    if isinstance(x, RandomPath):
+        return {s: p.values for s, p in x.paths.items()}, None
+    if isinstance(x, RandomMeasure):
+        return {s: m.atoms for s, m in x.measures.items()}, None
+    if isinstance(x, RandomIntegrand):
+        return x.functions, None
+    raise TypeError(f"no slot data for {type(x).__name__}")
 
 
 def check_adapted(x) -> bool:
     """Slot-i data constant on each cell of partitions[i] (optional data)."""
-    tree = x.tree
-    for i in range(tree.n_slots):
-        data = _slot_data(x, i)
-        if not all(_constant_on(cell, data) for cell in tree.cells(i)):
-            return False
-        if i < tree.n_slots - 1:
-            cdata = _cell_data(x, i)
-            if cdata is not None and \
-                    not all(_constant_on(cell, cdata) for cell in tree.cells(i)):
-                return False
-    return True
+    return unmeasurable_slot(x.tree, *_layout(x)) is None
 
 
 def check_predictable(x) -> bool:
     """Slot-i data constant on partitions[i-1]; open cells still on partitions[i]."""
-    tree = x.tree
-    for i in range(tree.n_slots):
-        data = _slot_data(x, i)
-        if not all(_constant_on(cell, data) for cell in tree.cells(tree.pred_slot(i))):
-            return False
-        if i < tree.n_slots - 1:
-            cdata = _cell_data(x, i)
-            if cdata is not None and \
-                    not all(_constant_on(cell, cdata) for cell in tree.cells(i)):
-                return False
-    return True
+    return unmeasurable_slot(x.tree, *_layout(x), predictable=True) is None
 
 
 def optional_projection(w: RandomPath) -> RandomPath:
@@ -449,10 +427,12 @@ def paste(y: RandomPath, ytilde: RandomPath,
         raise ValueError("paths must share tree and grid")
     if not check_adapted(y) or not check_adapted(ytilde):
         raise ValueError("paste needs adapted inputs")
-    for i in range(tree.n_slots):
-        flags = {s: (i + 1) in atoms.get(s, ()) for s in tree.scenarios}
-        if not all(_constant_on(cell, flags) for cell in tree.cells(i)):
-            raise ValueError(f"atom indicator at slot {i + 1} is not predictable")
+    # slot i carries the indicator of "i+1 is an atom", known at slot i
+    flags = {s: [(i + 1) in atoms.get(s, ()) for i in range(tree.n_slots)]
+             for s in tree.scenarios}
+    bad = unmeasurable_slot(tree, flags)
+    if bad is not None:
+        raise ValueError(f"atom indicator at slot {bad + 1} is not predictable")
     paths = {}
     for s in tree.scenarios:
         marked = set(atoms.get(s, ()))

@@ -245,6 +245,42 @@ class InstanceDoc:
         self.paths = paths
         self.model = model
 
+    def refine(self, factor: int) -> "InstanceDoc":
+        """The same document on the factor-refined grid, model data included."""
+        return InstanceDoc(self.instance.refine(factor),
+                           [d.refine(factor) for d in self.duals],
+                           [p.refine(factor) for p in self.paths],
+                           self._refine_model(factor))
+
+    def _refine_model(self, factor: int) -> Optional[dict]:
+        model = self.model
+        if not model:
+            return model
+        tree, grid = self.instance.tree, self.instance.grid
+        out = dict(model)
+        kind = model.get("type")
+        if kind in ("obstacle", "bidask"):
+            for key in ("b", "a"):
+                if key in model:
+                    sp = scalar_process_from_json(model[key], tree, grid)
+                    out[key] = scalar_process_to_json(sp.refine(factor))
+            for key in ("ycheck", "ybar"):
+                if key in model:
+                    path = path_from_json(model[key], tree, grid)
+                    out[key] = path_to_json(path.refine(factor))
+        elif kind in ("currency", "cs"):
+            for key in ("solvency", "G", "Gtilde"):
+                if key in model:
+                    cm = conemap_from_json(model[key], grid)
+                    out[key] = conemap_to_json(cm.refine(factor))
+            if "duals" in model:
+                out["duals"] = [
+                    {k: vector_measure_to_json(
+                        vector_measure_from_json(dd[k], grid).refine(factor))
+                     for k in ("u", "ut")}
+                    for dd in model["duals"]]
+        return out
+
 
 def instance_doc_from_json(doc: dict) -> InstanceDoc:
     if not isinstance(doc, dict):

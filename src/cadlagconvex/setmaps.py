@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .plconvex import EMPTY_INTERVAL, RInterval
 from .rationals import Q, rat
-from .timegrid import StepPath, TimeGrid
+from .timegrid import StepPath, TimeGrid, refine_cells, refine_slots
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,9 @@ class SetMap:
 
     def refine(self, factor: int) -> "SetMap":
         """New grid times take the surrounding cell's value."""
-        fine = self.grid.refine(factor)
-        points: List[RInterval] = []
-        cells: List[RInterval] = []
-        for i, c in enumerate(self.open_vals):
-            points.append(self.point_vals[i])
-            cells.append(c)
-            for _ in range(factor - 1):
-                points.append(c)
-                cells.append(c)
-        points.append(self.point_vals[-1])
-        return SetMap(fine, tuple(points), tuple(cells))
+        return SetMap(self.grid.refine(factor),
+                      refine_slots(self.point_vals, self.open_vals, factor),
+                      refine_cells(self.open_vals, factor))
 
 
 def right_isc_check(sm: SetMap) -> bool:

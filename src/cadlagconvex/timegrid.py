@@ -51,6 +51,25 @@ class TimeGrid:
         return TimeGrid(tuple(out))
 
 
+def refine_slots(points: Sequence, fillers: Sequence, factor: int) -> tuple:
+    """Slot data on the factor-refined grid.
+
+    Slot i keeps ``points[i]`` and moves to fine slot i * factor; the
+    factor - 1 slots inserted after it, inside cell i, take ``fillers[i]``.
+    """
+    out = []
+    for p, f in zip(points[:-1], fillers):
+        out.append(p)
+        out.extend([f] * (factor - 1))
+    out.append(points[-1])
+    return tuple(out)
+
+
+def refine_cells(cells: Sequence, factor: int) -> tuple:
+    """Open-cell data on the factor-refined grid: each cell splits in factor."""
+    return tuple(c for c in cells for _ in range(factor))
+
+
 def _check_grid(grid: TimeGrid, *objs) -> None:
     for o in objs:
         if o.grid != grid:
@@ -74,12 +93,8 @@ class StepPath:
         return (Fraction(0),) + self.values[:-1]
 
     def refine(self, factor: int) -> "StepPath":
-        fine = self.grid.refine(factor)
-        vals = []
-        for v in self.values[:-1]:
-            vals.extend([v] * factor)
-        vals.append(self.values[-1])
-        return StepPath(fine, tuple(vals))
+        return StepPath(self.grid.refine(factor),
+                        refine_slots(self.values, self.values, factor))
 
 
 @dataclass(frozen=True)
@@ -103,14 +118,9 @@ class GridMeasure:
 
     def refine(self, factor: int) -> "GridMeasure":
         """Atoms stay at the original times; new slots carry weight 0."""
-        fine = self.grid.refine(factor)
-        zero = Fraction(0)
-        atoms = []
-        for a in self.atoms[:-1]:
-            atoms.append(a)
-            atoms.extend([zero] * (factor - 1))
-        atoms.append(self.atoms[-1])
-        return GridMeasure(fine, tuple(atoms))
+        zeros = (Fraction(0),) * self.grid.n_cells
+        return GridMeasure(self.grid.refine(factor),
+                           refine_slots(self.atoms, zeros, factor))
 
     @classmethod
     def zero(cls, grid: TimeGrid) -> "GridMeasure":

@@ -493,11 +493,7 @@ def _collect_functionals(idoc: InstanceDoc):
 
 
 def _refine_doc(idoc: InstanceDoc, factor: int) -> InstanceDoc:
-    from cadlagconvex.cli import _refine_model
-    return InstanceDoc(idoc.instance.refine(factor),
-                       [d.refine(factor) for d in idoc.duals],
-                       [p.refine(factor) for p in idoc.paths],
-                       _refine_model(idoc.model, idoc, factor))
+    return idoc.refine(factor)
 
 
 def test_criterion_9_refinement_invariance():

@@ -177,6 +177,7 @@ class TestCli:
         ("--theorem", "conjugate", "--delta", "abc"),
         ("--theorem", "support-ds", "--delta", "1/0"),
         ("--theorem", "projection", "--x", "abc"),
+        ("--theorem", "conjugate", "--budget", "-1"),
         # checked for every theorem, also one that never reads the value
         ("--theorem", "involution", "--B", "0"),
     ])
@@ -186,6 +187,42 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("bad argument: --")
+
+    @staticmethod
+    def assert_one_line(capsys, prefix: str) -> None:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(prefix)
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "2.5"])
+    def test_bad_env_var_budget_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv(cli.duality.BUDGET_ENV_VAR, value)
+        assert self.run("verify", bundled("basic"), "--theorem", "conjugate") == 2
+        self.assert_one_line(capsys, f"bad argument: {cli.duality.BUDGET_ENV_VAR}")
+
+    def test_report_diff_on_a_non_object_exits_2(self, tmp_path, capsys):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        report = tmp_path / "r.json"
+        assert self.run("verify", bundled("deterministic"), "--theorem",
+                        "interchange-det", "--report", str(report)) == 0
+        capsys.readouterr()
+        for a, b in ((listed, report), (report, listed)):
+            assert self.run("report-diff", str(a), str(b)) == 2
+            self.assert_one_line(capsys, "cannot read reports:")
+
+    @pytest.mark.parametrize("argv", [
+        ("refine", bundled("basic"), "--factor", "2", "-o", "{missing}/fine.json"),
+        ("model", "basic", "-o", "{missing}/basic.json"),
+        ("verify", bundled("basic"), "--theorem", "michael",
+         "--report", "{missing}/report.json"),
+    ])
+    def test_output_into_a_missing_directory_exits_2(self, argv, tmp_path, capsys):
+        missing = tmp_path / "no" / "such"
+        assert self.run(*(a.format(missing=missing) for a in argv)) == 2
+        self.assert_one_line(capsys, "cannot write output:")
+        assert not missing.exists()
 
     # one refinement per duality entry point: the assumption report and the
     # interchange rule share theirs; each oracle call builds its own
