@@ -270,7 +270,7 @@ def _check_currency(idoc: InstanceDoc, args) -> Dict:
         entry = {"dual": k, "member": mem["member"]}
         if mem["member"]:
             worst = max(vector_pairing(cm.sample_selection(rng), u, ut)
-                        for _ in range(args.count or 100))
+                        for _ in range(args.count))
             entry["max_sampled_pairing"] = worst
             entry["polarity_ok"] = worst <= 0
             ok = ok and worst <= 0
@@ -298,10 +298,10 @@ _CHECKS = {
 
 
 def _parse_args(args) -> bool:
-    """Turn --B, --delta and --x into rationals and resolve the budget.
+    """Turn --B, --delta and --x into rationals, check --count, resolve the budget.
 
-    Checked whatever the theorem.  Returns False after printing one
-    ``bad argument:`` line.
+    Checked whatever the theorem; currency also needs a positive --count.
+    Returns False after printing one ``bad argument:`` line.
     """
     for name, positive in (("B", True), ("delta", True), ("x", False)):
         text = getattr(args, name)
@@ -316,6 +316,12 @@ def _parse_args(args) -> bool:
             print(f"bad argument: --{name} must be {kind}, got {text!r}", file=sys.stderr)
             return False
         setattr(args, name, value)
+    least = 1 if args.theorem == "currency" else 0
+    if args.count < least:
+        kind = "a positive" if least else "a nonnegative"
+        print(f"bad argument: --count must be {kind} integer for {args.theorem}, "
+              f"got {args.count}", file=sys.stderr)
+        return False
     try:
         args.budget = duality.resolve_budget(args.budget)
     except ValueError as exc:
@@ -420,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--form", choices=("F", "Fhat"), default="Fhat")
     v.add_argument("--x", default="0", help="anchor point for projection checks")
     v.add_argument("--budget", type=int, default=None,
-                   help=f"brute-force evaluation cap (env {duality.BUDGET_ENV_VAR})")
+                   help=f"cap on lattice points in the brute-force search "
+                        f"(env {duality.BUDGET_ENV_VAR})")
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("refine", help="rewrite an instance on a finer grid")

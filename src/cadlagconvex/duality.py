@@ -31,6 +31,7 @@ the bounding interval they pass.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,11 +52,11 @@ FINE = 2  # refinement factor of the grid the sup/inf ranges over
 
 
 class BudgetExceededError(RuntimeError):
-    """The brute-force lattice search would evaluate too many points."""
+    """The brute-force lattice search space holds too many points."""
 
     def __init__(self, needed: int, budget: int):
         super().__init__(
-            f"brute-force search needs {needed} lattice evaluations, "
+            f"brute-force search space has {needed} lattice points, "
             f"budget is {budget}; shrink B, the lattice step or the grid, "
             f"or raise {BUDGET_ENV_VAR}")
         self.needed = needed
@@ -446,14 +447,24 @@ def _assumption_report(inst: Instance, r: Instance) -> Dict:
 
 def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
                     budget: Optional[int] = None) -> Ext:
-    """Lower bound of the conjugate by an exhaustive adapted lattice search.
+    """Lower bound of the conjugate by an adapted lattice search.
 
-    Enumerates adapted step paths on the once-refined grid with values in
+    Searches adapted step paths on the once-refined grid with values in
     {-B, -B+delta, ..., B}, evaluating pairing minus primal cost directly
     (no conjugate calculus), and maximizes coordinate by coordinate, which
     is exact because the objective separates across (partition cell, slot).
     Converges to the true conjugate from below as B grows and delta shrinks.
     Returns the -inf sentinel when no lattice path is feasible.
+
+    The budget caps the number of lattice points in the search space, the
+    points of each coordinate's feasible interval summed over coordinates;
+    it is checked before anything is evaluated.  Only candidate points are
+    evaluated: the two ends of each coordinate's lattice range and the floor
+    and ceil lattice neighbours of every knot of the integrands the
+    coordinate charges.  This is exact: no knot lies strictly between two
+    consecutive candidates with a lattice point between them, so on that
+    closed segment every scenario's cost is affine, or +inf inside it, and
+    the lattice maximum sits at one of the two candidates.
     """
     B, delta = rat(B), rat(delta)
     if B <= 0 or delta <= 0:
@@ -462,18 +473,19 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     r = inst.refine(FINE)
     rd = d.refine(FINE)
     tree, n = r.tree, r.grid.n_slots
-    steps = int((2 * B) / delta)
-    lattice = [-B + k * delta for k in range(steps + 1)]
     needed = 0
-    coords: List[Tuple[int, Tuple[str, ...], List[Q]]] = []
+    coords: List[Tuple[int, Tuple[str, ...], int, int]] = []
     sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
     for i, cell, constraint in _coordinates(tree, n, sets, RInterval(-B, B)):
+        # lattice indices k of the points -B + k*delta in the constraint,
+        # which lies in [-B, B], so 0 <= k <= 2B/delta
         if constraint.is_empty:
-            pts: List[Q] = []
+            k_lo, k_hi = 0, -1
         else:
-            pts = [v for v in lattice if constraint.contains(v)]
-        needed += len(pts)
-        coords.append((i, cell, pts))
+            k_lo = math.ceil((constraint.lo + B) / delta)
+            k_hi = math.floor((constraint.hi + B) / delta)
+        needed += max(0, k_hi - k_lo + 1)
+        coords.append((i, cell, k_lo, k_hi))
     if needed > budget:
         raise BudgetExceededError(needed, budget)
 
@@ -484,9 +496,10 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     if total == NEG_INF:
         return NEG_INF
 
-    for i, cell, pts in coords:
+    for i, cell, k_lo, k_hi in coords:
         best: Ext = NEG_INF
         data = []
+        candidates = {k_lo, k_hi}
         for s in cell:
             p = tree.prob(s)
             coeff = rd.u.measures[s].atoms[i]
@@ -494,8 +507,15 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
                 coeff = coeff + rd.ut.measures[s].atoms[i + 1]
             mu_i = r.mu.measures[s].atoms[i]
             mut_next = r.mutilde.measures[s].atoms[i + 1] if i + 1 < n else Fraction(0)
-            data.append((p, coeff, mu_i, r.h.functions[s][i],
-                         mut_next, r.htilde.functions[s][i + 1] if i + 1 < n else None))
+            hfn = r.h.functions[s][i]
+            htfn = r.htilde.functions[s][i + 1] if i + 1 < n else None
+            data.append((p, coeff, mu_i, hfn, mut_next, htfn))
+            for charged, fn in ((mu_i > 0, hfn), (mut_next > 0, htfn)):
+                if charged:
+                    for x in fn.knots():
+                        k = (x + B) / delta
+                        candidates.update((math.floor(k), math.ceil(k)))
+        pts = [-B + k * delta for k in sorted(candidates) if k_lo <= k <= k_hi]
         for v in pts:
             val: Ext = Fraction(0)
             for p, coeff, mu_i, hfn, mut_next, htfn in data:

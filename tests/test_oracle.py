@@ -1,0 +1,206 @@
+"""The lattice oracle's candidate search against an every-point reference.
+
+``conj_bruteforce`` evaluates only the ends of each coordinate's lattice
+range and the lattice neighbours of the charged integrands' knots.  The
+reference below is the search it replaced: the same per-point body run over
+every lattice point of every coordinate.  They must agree exactly, in value
+and type, and in the lattice-point count the budget is checked against.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+from typing import List, Optional
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cadlagconvex import cli
+from cadlagconvex.duality import (FINE, BudgetExceededError, _coordinates,
+                                  _fixed_value_sets, _zero_start_cost,
+                                  _zero_start_ok, conj_bruteforce,
+                                  make_instance, resolve_budget)
+from cadlagconvex.generators import (rand_finite_dual, rand_passing_instance,
+                                     rand_setmap)
+from cadlagconvex.plconvex import PLConvex, RInterval
+from cadlagconvex.presets import build_preset
+from cadlagconvex.rationals import INF, NEG_INF, rat, xmul, xneg, xsum
+from cadlagconvex.scenario import RandomSetMap
+
+
+def reference_conj_bruteforce(inst, d, B, delta, budget: Optional[int] = None):
+    """Every-point lattice search: each coordinate's feasible lattice in full."""
+    B, delta = rat(B), rat(delta)
+    if B <= 0 or delta <= 0:
+        raise ValueError("B and delta must be positive")
+    budget = resolve_budget(budget)
+    r = inst.refine(FINE)
+    rd = d.refine(FINE)
+    tree, n = r.tree, r.grid.n_slots
+    steps = int((2 * B) / delta)
+    lattice = [-B + k * delta for k in range(steps + 1)]
+    needed = 0
+    coords = []
+    sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
+    for i, cell, constraint in _coordinates(tree, n, sets, RInterval(-B, B)):
+        if constraint.is_empty:
+            pts: List[F] = []
+        else:
+            pts = [v for v in lattice if constraint.contains(v)]
+        needed += len(pts)
+        coords.append((i, cell, pts))
+    if needed > budget:
+        raise BudgetExceededError(needed, budget)
+
+    if not all(_zero_start_ok(r, s) for s in tree.scenarios):
+        return NEG_INF
+    total = xneg(_zero_start_cost(r))
+    if total == NEG_INF:
+        return NEG_INF
+
+    for i, cell, pts in coords:
+        best = NEG_INF
+        data = []
+        for s in cell:
+            p = tree.prob(s)
+            coeff = rd.u.measures[s].atoms[i]
+            if i + 1 < n:
+                coeff = coeff + rd.ut.measures[s].atoms[i + 1]
+            mu_i = r.mu.measures[s].atoms[i]
+            mut_next = r.mutilde.measures[s].atoms[i + 1] if i + 1 < n else F(0)
+            data.append((p, coeff, mu_i, r.h.functions[s][i],
+                         mut_next, r.htilde.functions[s][i + 1] if i + 1 < n else None))
+        for v in pts:
+            val = F(0)
+            for p, coeff, mu_i, hfn, mut_next, htfn in data:
+                cost = F(0)
+                if mu_i > 0:
+                    cost = xmul(mu_i, hfn.eval(v))
+                if mut_next > 0 and cost != INF:
+                    cost = xsum([cost, xmul(mut_next, htfn.eval(v))])
+                if cost == INF:
+                    val = NEG_INF
+                    break
+                val += p * (coeff * v - cost)
+            if val != NEG_INF and (best == NEG_INF or val > best):
+                best = val
+        if best == NEG_INF:
+            return NEG_INF
+        total = xsum([total, best])
+    return total
+
+
+def outcome(search, inst, d, B, delta, budget=None):
+    """("value", v) or ("needed", n) when the budget is exceeded."""
+    try:
+        return ("value", search(inst, d, B, delta, budget=budget))
+    except BudgetExceededError as exc:
+        return ("needed", exc.needed)
+
+
+def with_shared_constraints(inst, smap):
+    """The instance with every scenario constrained by ``smap`` (so adapted)."""
+    S = RandomSetMap(inst.tree, inst.grid, {s: smap for s in inst.tree.scenarios})
+    return make_instance(inst.tree, inst.grid, inst.h, inst.mu, inst.mutilde,
+                         inst.htilde, S, S.vec_map())
+
+
+@st.composite
+def oracle_cases(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
+                                 with_htilde=draw(st.booleans()))
+    kind = draw(st.sampled_from(["passing", "constraint_indicator", "constrained"]))
+    if kind == "constraint_indicator":
+        inst = cli._constraint_indicator(inst)
+    elif kind == "constrained":
+        # random intervals include singletons (pinched sets) and point values
+        # escaping their cells (no feasible path, the -inf sentinel)
+        inst = with_shared_constraints(inst, rand_setmap(rng, inst.grid))
+    d = rand_finite_dual(rng, inst)
+    # B from below the knots (which reach 3) to past them; delta coarse or
+    # fine, with 2B/delta often not an integer
+    B = draw(st.fractions(min_value=F(1, 4), max_value=7, max_denominator=4))
+    delta = F(draw(st.integers(1, 5)), draw(st.integers(1, 12)))
+    assume(B / delta <= 60)
+    return inst, d, B, delta
+
+
+class TestCandidateSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cases())
+    def test_equals_every_point_search(self, case):
+        inst, d, B, delta = case
+        fast = outcome(conj_bruteforce, inst, d, B, delta)
+        slow = outcome(reference_conj_bruteforce, inst, d, B, delta)
+        assert fast == slow
+        assert type(fast[1]) is type(slow[1])
+        assert outcome(conj_bruteforce, inst, d, B, delta, budget=0) == \
+            outcome(reference_conj_bruteforce, inst, d, B, delta, budget=0)
+
+    def test_cases_cover_sentinel_and_htilde(self):
+        # the strategy's draws reach the cases the candidate rule must get right
+        rng = random.Random(5)
+        seen = set()
+        for k in range(60):
+            inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
+                                         with_htilde=True)
+            if any(a > 0 for m in inst.mutilde.measures.values() for a in m.atoms):
+                seen.add("mutilde")
+            inst = with_shared_constraints(inst, rand_setmap(rng, inst.grid))
+            d = rand_finite_dual(rng, inst)
+            value = conj_bruteforce(inst, d, 2, F(1, 3))
+            assert value == reference_conj_bruteforce(inst, d, 2, F(1, 3))
+            seen.add("neg_inf" if value == NEG_INF else "finite")
+        assert seen == {"mutilde", "neg_inf", "finite"}
+
+
+def eval_bound(inst) -> int:
+    """Most PLConvex.eval calls one conj_bruteforce call can make on ``inst``.
+
+    Per (slot, cell): each charged integrand of each scenario is evaluated
+    at most once per candidate, and there are at most two candidates per
+    knot of a charged integrand plus the two range ends.  The forced left
+    start adds one evaluation per scenario charged at time 0.
+    """
+    r = inst.refine(FINE)
+    tree, n = r.tree, r.grid.n_slots
+    total = sum(1 for s in tree.scenarios if r.mutilde.measures[s].atoms[0] > 0)
+    for i in range(n):
+        for cell in tree.cells(i):
+            charged = []
+            for s in cell:
+                if r.mu.measures[s].atoms[i] > 0:
+                    charged.append(r.h.functions[s][i])
+                if i + 1 < n and r.mutilde.measures[s].atoms[i + 1] > 0:
+                    charged.append(r.htilde.functions[s][i + 1])
+            candidates = 2 + sum(2 * len(fn.knots()) for fn in charged)
+            total += len(charged) * candidates
+    return total
+
+
+class TestEvalCount:
+    @pytest.mark.parametrize("delta", [F(1, 100), F(1, 100000)])
+    def test_evaluations_do_not_grow_as_delta_shrinks(self, delta, monkeypatch):
+        idoc = build_preset("basic")
+        inst = idoc.instance
+        B = 2 * inst.magnitude_bound()
+        bound = eval_bound(inst)
+        # the lattice grows with 1/delta; the bound on evaluations does not
+        assert bound < math.floor(2 * B / delta)
+        original = PLConvex.eval
+        for d in idoc.duals:
+            calls = 0
+
+            def counting_eval(fn, x):
+                nonlocal calls
+                calls += 1
+                # stops an every-point search long before it ends
+                assert calls <= bound, f"more than {bound} evaluations"
+                return original(fn, x)
+
+            monkeypatch.setattr(PLConvex, "eval", counting_eval)
+            value = conj_bruteforce(inst, d, B, delta, budget=10 ** 12)
+            monkeypatch.setattr(PLConvex, "eval", original)
+            assert value != NEG_INF

@@ -180,6 +180,10 @@ class TestCli:
         ("--theorem", "conjugate", "--budget", "-1"),
         # checked for every theorem, also one that never reads the value
         ("--theorem", "involution", "--B", "0"),
+        ("--theorem", "involution", "--count", "-1"),
+        ("--theorem", "recession-support", "--count", "-1"),
+        ("--theorem", "currency", "--count", "-1"),
+        ("--theorem", "currency", "--count", "0"),
     ])
     def test_bad_numeric_argument_exits_2(self, argv, capsys):
         assert self.run("verify", bundled("basic"), *argv) == 2
@@ -187,6 +191,11 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("bad argument: --")
+
+    def test_involution_with_no_random_cases_passes(self, capsys):
+        assert self.run("verify", bundled("basic"), "--theorem", "involution",
+                        "--count", "0") == 0
+        assert json.loads(capsys.readouterr().out)["pass"]
 
     @staticmethod
     def assert_one_line(capsys, prefix: str) -> None:
