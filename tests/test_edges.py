@@ -7,10 +7,11 @@ import pytest
 
 from cadlagconvex import cli
 from cadlagconvex.duality import conj_bruteforce, conj_pointwise
-from cadlagconvex.plconvex import (RInterval, abs_fn, affine, indicator, pl,
-                                   restrict)
+from cadlagconvex.plconvex import (EMPTY_INTERVAL, RInterval, abs_fn, affine,
+                                   indicator, pl, restrict)
 from cadlagconvex.presets import bundled_instance_path
-from cadlagconvex.rationals import INF, NEG_INF, ext, fmt, rat, xmul, xsum
+from cadlagconvex.rationals import (INF, NEG_INF, ext, fmt, rat, xadd, xmul,
+                                    xneg, xsum)
 from cadlagconvex.serialize import tree_from_json
 from cadlagconvex.timegrid import TimeGrid
 
@@ -59,13 +60,72 @@ class TestExtendedArithmetic:
         assert xsum([F(1), NEG_INF]) == NEG_INF
 
     def test_conflicting_infinities_rejected_in_addition(self):
-        from cadlagconvex.rationals import xadd
         with pytest.raises(ValueError):
             xadd(INF, NEG_INF)
 
     def test_rat_rejects_floats(self):
         with pytest.raises(TypeError):
             rat(0.5)
+
+
+A = F(-3, 2)  # the finite entry of the sentinel tables
+SENTINEL_PAIRS = {
+    # (x, y): (xadd, xmul, xsum([x, y])); ValueError marks a rejected sum
+    (A, A): (F(-3), F(9, 4), F(-3)),
+    (A, INF): (INF, NEG_INF, INF),
+    (A, NEG_INF): (NEG_INF, INF, NEG_INF),
+    (INF, A): (INF, NEG_INF, INF),
+    (INF, INF): (INF, INF, INF),
+    (INF, NEG_INF): (ValueError, NEG_INF, INF),
+    (NEG_INF, A): (NEG_INF, INF, NEG_INF),
+    (NEG_INF, INF): (ValueError, NEG_INF, INF),
+    (NEG_INF, NEG_INF): (NEG_INF, INF, NEG_INF),
+}
+
+
+def assert_same(got, want):
+    assert type(got) is type(want) and got == want, (got, want)
+
+
+class TestSentinelTables:
+    @pytest.mark.parametrize("x, text, negated", [
+        (A, "-3/2", F(3, 2)), (INF, "inf", NEG_INF), (NEG_INF, "-inf", INF)])
+    def test_fmt_and_xneg(self, x, text, negated):
+        assert fmt(x) == text
+        assert_same(xneg(x), negated)
+
+    @pytest.mark.parametrize("x, y", list(SENTINEL_PAIRS))
+    def test_xadd_xmul_xsum(self, x, y):
+        add, mul, total = SENTINEL_PAIRS[(x, y)]
+        if add is ValueError:
+            with pytest.raises(ValueError, match="inf - inf"):
+                xadd(x, y)
+        else:
+            assert_same(xadd(x, y), add)
+        assert_same(xmul(x, y), mul)
+        assert_same(xsum([x, y]), total)
+
+    def test_int_terms_still_add(self):
+        assert_same(xsum([1, F(1, 2)]), F(3, 2))
+        assert_same(xadd(1, F(1, 2)), F(3, 2))
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (INF, INF, "interval endpoint has the wrong infinity"),
+        (NEG_INF, NEG_INF, "interval endpoint has the wrong infinity"),
+        (1, 0, "empty interval bounds [1, 0]"),
+        (0.5, 1, "interval endpoints must be rational or infinite"),
+    ])
+    def test_bad_intervals_keep_their_messages(self, lo, hi, message):
+        with pytest.raises(ValueError) as exc:
+            RInterval(lo, hi)
+        assert str(exc.value) == message
+
+    def test_only_the_empty_sentinel_is_empty(self):
+        fresh_empty = RInterval(float("inf"), float("-inf"))
+        assert fresh_empty.is_empty and EMPTY_INTERVAL.is_empty
+        for iv in (RInterval.whole_line(), RInterval(F(0), INF), RInterval(NEG_INF, F(0)),
+                   RInterval.singleton(F(2)), RInterval(F(-1), F(1))):
+            assert not iv.is_empty
 
 
 def test_tree_document_without_scenarios_key():

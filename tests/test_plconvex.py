@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadlagconvex.plconvex import (EMPTY_INTERVAL, RInterval, abs_fn, affine,
-                                   indicator, max_affine, pl, restrict,
+from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval, abs_fn,
+                                   affine, indicator, max_affine, pl, restrict,
                                    support_fn)
+from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF
+from cadlagconvex.scenario import (RandomIntegrand, ScenarioTree,
+                                   minorant_certificate)
+from cadlagconvex.serialize import load_instance
+from cadlagconvex.timegrid import TimeGrid
 
 from conftest import (conjugate_grid_oracle, inf_grid_oracle, plconvex_st,
                       recession_quotient)
@@ -210,3 +215,89 @@ def test_subdiff_monotonicity(fn, x1, x2):
     if s1.is_empty or s2.is_empty:
         return
     assert s1.hi <= s2.lo
+
+
+# -- closed-form conjugate values -------------------------------------------------
+
+def max_over_knots_conjugate(fn):
+    """Reference build of h*: its anchor value is the max of v0*x - h(x) over the
+    knots of h, the formula conjugate() used before the closed form."""
+    if fn.dom_lo == fn.dom_hi:
+        return pl(NEG_INF, INF, (), (fn.dom_lo,), F(0), -fn.anchor_val)
+    if not fn.breakpoints and fn.dom_lo == NEG_INF and fn.dom_hi == INF:
+        s = fn.slopes[0]
+        return pl(s, s, (), (F(0),), s, s * fn.anchor_x - fn.anchor_val)
+    v_lo = fn.slopes[0] if fn.dom_lo == NEG_INF else NEG_INF
+    v_hi = fn.slopes[-1] if fn.dom_hi == INF else INF
+    bps = list(fn.slopes)
+    if fn.dom_lo == NEG_INF:
+        bps = bps[1:]
+    if fn.dom_hi == INF:
+        bps = bps[:-1]
+    knots = fn.knots()
+    if bps:
+        v0 = bps[0]
+    else:
+        v0 = v_lo if v_lo != NEG_INF else v_hi
+    val0 = max(v0 * x - fn.eval(x) for x in knots)
+    return pl(v_lo, v_hi, bps, knots, v0, val0)
+
+
+@st.composite
+def conjugate_inputs(draw):
+    """Every domain shape: points, half-lines, whole-line affine and kinked
+    functions, restrictions of those, and conjugates of all of them."""
+    fn = draw(plconvex_st(max_breaks=6))
+    if draw(st.booleans()):
+        centre = fn.domain.nearest_to(draw(st.fractions(-3, 3, max_denominator=4)))
+        lo = draw(st.sampled_from([NEG_INF, centre, centre - 1, centre - F(1, 3)]))
+        hi = draw(st.sampled_from([INF, centre, centre + 2, centre + F(1, 2)]))
+        fn = restrict(fn, RInterval(lo, hi))
+    if draw(st.booleans()):
+        fn = fn.conjugate()
+    return fn
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjugate_inputs())
+def test_conjugate_matches_max_over_knots(fn):
+    assert fn.conjugate() == max_over_knots_conjugate(fn)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(conjugate_inputs(), min_size=3, max_size=3))
+def test_minorant_alpha_is_positive_part_of_conjugate(fns):
+    grid = TimeGrid((0, 1, 2))
+    tree = ScenarioTree(("a",), (F(1),), (((("a",),),) * 3))
+    cert = minorant_certificate(RandomIntegrand(tree, grid, {"a": tuple(fns)}, "raw"))
+    for fn, v, alpha in zip(fns, cert.v["a"], cert.alpha["a"]):
+        assert alpha == max(fn.conjugate().eval(v), F(0))
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_conjugate_walks_the_segments_a_constant_number_of_times(monkeypatch):
+    fn = pl(F(-1), INF, [F(k, 4) for k in range(40)], [F(k) for k in range(41)], F(-1), F(7))
+    assert len(fn.breakpoints) == 40
+    walks = _count_calls(monkeypatch, PLConvex, "_finite_value")
+    star = fn.conjugate()
+    assert len(walks) <= 2
+    monkeypatch.undo()
+    assert star == max_over_knots_conjugate(fn)
+
+
+def test_minorant_certificate_builds_no_conjugate(monkeypatch):
+    inst = load_instance(bundled_instance_path("basic")).instance
+    builds = _count_calls(monkeypatch, PLConvex, "conjugate")
+    minorant_certificate(inst.h)
+    minorant_certificate(inst.htilde)
+    assert builds == []

@@ -258,6 +258,50 @@ class TestCli:
         capsys.readouterr()
         assert calls == [2] * refines
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "{bad}", "--theorem", "conjugate"),
+        ("refine", "{bad}", "--factor", "2", "-o", "{out}"),
+    ])
+    def test_non_utf8_instance_file_exits_2(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff")
+        out = tmp_path / "fine.json"
+        assert self.run(*(a.format(bad=bad, out=out) for a in argv)) == 2
+        self.assert_one_line(capsys, "schema error: cannot read instance file:")
+        assert not out.exists()
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for _ in range(3):
+            assert self.run("verify", bundled("basic"), "--theorem", "michael") == 0
+        capsys.readouterr()
+        assert len(builds) == 1
+
+    def test_no_argument_state_carries_over_between_calls(self, capsys):
+        gap = ("verify", bundled("michael-violation"), "--theorem", "interchange-det")
+        assert self.run(*gap, "--strict") == 4
+        assert self.run(*gap) == 1
+        involution = ("verify", bundled("basic"), "--theorem", "involution")
+        assert self.run(*involution, "--count", "3") == 0
+        capsys.readouterr()
+        assert self.run(*involution) == 0
+        own = len(list(cli._instance_functions(load_instance(bundled("basic")).instance)))
+        assert json.loads(capsys.readouterr().out)["lhs"] == own + 100
+        with pytest.raises(SystemExit) as exc:
+            self.run("verify", bundled("basic"), "--theorem", "no-such-theorem")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert self.run("verify", bundled("basic"), "--theorem", "michael") == 0
+        assert json.loads(capsys.readouterr().out)["theorem"] == "michael"
+
 
 def _golden_preset_cli():
     with open(GOLDEN_PRESET_CLI, encoding="utf-8") as fh:
