@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .rationals import INF, NEG_INF, Ext, Q, is_finite, rat, xmul
+from .rationals import INF, NEG_INF, Ext, Q, ext, is_finite, rat, xmul
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +356,12 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
     anchor_x = rat(anchor_x)
     anchor_val = rat(anchor_val)
     if isinstance(dom_lo, str):
-        from .rationals import ext
         dom_lo = ext(dom_lo)
     if isinstance(dom_hi, str):
-        from .rationals import ext
         dom_hi = ext(dom_hi)
-    if dom_lo == INF or dom_hi == NEG_INF or not (dom_lo <= dom_hi):
+    if ((not is_finite(dom_lo) and dom_lo == INF)
+            or (not is_finite(dom_hi) and dom_hi == NEG_INF)
+            or not (dom_lo <= dom_hi)):
         raise ValueError("empty or inverted domain")
     if len(sls) != len(bps) + 1:
         raise ValueError("need exactly one slope per segment")

@@ -1,244 +1,53 @@
 """Bundled sample instances: generic duality problems and market presets.
 
-``build_preset(name)`` returns a ready InstanceDoc; the JSON files shipped
-with the package are dumps of these builders, so files and builders cannot
-drift apart.
+The JSON files in ``instances/`` are the only copy of the presets; edit a
+preset in its file.  ``build_preset(name)`` loads and validates the file.
+Every preset lives on the grid ``(0, 1, 2)``; "two-scenario" is the tree
+``up``/``dn`` with probability 1/2 each, told apart from slot 1 on, and
+"deterministic" is the one-scenario tree ``w``.  A cone map is written
+``(point cones | cell cones)``.
+
+* ``basic``: two-scenario; ``h`` is ``|x|`` on ``[-2, 2]`` with a shifted
+  kink per scenario in slot 1, ``mu``/``mutilde`` atoms, a predictable
+  ``htilde``, two duals and two paths.
+* ``deterministic``: ``h`` is ``|x|`` on ``[1, 2]`` in every slot, ``mu``
+  atoms ``(1, 1, 1)``, one dual and one path.
+* ``michael-violation``: deterministic; ``h`` is ``-x`` on ``[0, 2]``, and
+  ``S`` has point values ``[0, 2]`` but cell values ``([0, 2], [0, 1])``, so
+  the point value at ``t = 1`` escapes the following cell value.
+* ``obstacle``: two-scenario; ``finmodels.obstacle_model(b, ycheck)`` with the
+  optional bound ``b`` (points ``up (1, 3, 2)``, ``dn (1, 0, 0)``, cells
+  ``up (1, 3)``, ``dn (1, 0)``) and ``ycheck = 4``; the model section holds
+  ``b`` and ``ycheck``.
+* ``bidask``: two-scenario; ``finmodels.bidask_model(b, a, ybar)`` with bid
+  points ``up (0, 1, 1)``, ``dn (0, 1/2, 0)``, cells ``up (0, 1)``,
+  ``dn (0, 1/2)``, ask points ``up (2, 3, 3)``, ``dn (2, 5/2, 3)``, cells
+  ``up (2, 3)``, ``dn (2, 5/2)``, and ``ybar = (1, 2, 2)``.
+* ``currency``: deterministic, free ``h`` and zero ``mu``; the solvency cone
+  map for ``finmodels.currency_model`` is ``(W, T, T | W, T)`` with ``W`` the
+  polar of ``cone{(1, 0), (0, 1)}`` and ``T`` the polar of
+  ``cone{(2, -1), (-1, 2)}``, plus three dual pairs.
+* ``cs``: deterministic, free ``h`` and zero ``mu``; ``G = (K0, K1, K1 | K0,
+  K1)`` and ``Gtilde = (0, K0, K1 | K0, K1)`` with ``K0 = cone{(1, 1/2),
+  (1/2, 1)}`` and ``K1 = cone{(1, 1/4), (1/4, 1)}``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import os
 
-from .duality import DualPair, make_instance
-from .finmodels import ScalarProcess, bidask_model, obstacle_model
-from .plconvex import RInterval, abs_fn, indicator, pl, restrict
-from .polycone import ConeMap, PolyCone
-from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
-                       ScenarioTree)
-from .serialize import (InstanceDoc, conemap_to_json, scalar_process_to_json)
-from .timegrid import GridMeasure, StepPath, TimeGrid
+from .serialize import InstanceDoc, load_instance
 
 PRESET_NAMES = ("basic", "deterministic", "michael-violation", "obstacle",
                 "bidask", "currency", "cs")
 
 
-def _two_scenario_tree(n_slots: int) -> ScenarioTree:
-    half = Fraction(1, 2)
-    parts = [(( "up", "dn"),)] + [(("up",), ("dn",))] * (n_slots - 1)
-    return ScenarioTree(("up", "dn"), (half, half), tuple(parts))
-
-
-def _basic() -> InstanceDoc:
-    grid = TimeGrid((0, 1, 2))
-    tree = _two_scenario_tree(3)
-    box = RInterval(Fraction(-2), Fraction(2))
-    up_kink = pl(box.lo, box.hi, (Fraction(1),), (Fraction(-1), Fraction(2)),
-                 Fraction(1), Fraction(-1))
-    dn_kink = pl(box.lo, box.hi, (Fraction(-1),), (Fraction(-2), Fraction(1)),
-                 Fraction(-1), Fraction(-1))
-    h = RandomIntegrand(tree, grid, {
-        "up": (restrict(abs_fn(), box), up_kink, restrict(abs_fn(), box)),
-        "dn": (restrict(abs_fn(), box), dn_kink, restrict(abs_fn(), box)),
-    }, "optional")
-    mu = RandomMeasure(tree, grid, {
-        "up": GridMeasure(grid, (1, 2, 1)),
-        "dn": GridMeasure(grid, (1, 1, 1)),
-    })
-    mutilde = RandomMeasure(tree, grid, {
-        "up": GridMeasure(grid, (0, 0, 2)),
-        "dn": GridMeasure(grid, (0, 0, 2)),
-    })
-    htilde = RandomIntegrand(tree, grid, {
-        s: (indicator(RInterval.singleton(Fraction(0))),
-            restrict(abs_fn(), box),
-            pl(box.lo, box.hi, (Fraction(0),), (Fraction(-1), Fraction(1)),
-               Fraction(0), Fraction(0)))
-        for s in ("up", "dn")
-    }, "predictable")
-    inst = make_instance(tree, grid, h, mu, mutilde, htilde)
-    duals = [
-        DualPair(
-            RandomMeasure(tree, grid, {
-                "up": GridMeasure(grid, (Fraction(1, 2), 2, 0)),
-                "dn": GridMeasure(grid, (Fraction(1, 2), -1, 0)),
-            }),
-            RandomMeasure(tree, grid, {
-                "up": GridMeasure(grid, (0, 0, 1)),
-                "dn": GridMeasure(grid, (0, 0, -1)),
-            })),
-        DualPair(
-            RandomMeasure(tree, grid, {
-                "up": GridMeasure(grid, (0, 0, 1)),
-                "dn": GridMeasure(grid, (0, 0, 1)),
-            }),
-            RandomMeasure.zero(tree, grid)),
-    ]
-    paths = [
-        RandomPath(tree, grid, {
-            "up": StepPath(grid, (0, 1, 0)),
-            "dn": StepPath(grid, (0, -1, 0)),
-        }),
-        RandomPath(tree, grid, {
-            "up": StepPath(grid, (1, 1, 1)),
-            "dn": StepPath(grid, (1, 1, 1)),
-        }),
-    ]
-    return InstanceDoc(inst, duals, paths, None)
-
-
-def _deterministic() -> InstanceDoc:
-    grid = TimeGrid((0, 1, 2))
-    tree = ScenarioTree.deterministic(3)
-    band = restrict(abs_fn(), RInterval(Fraction(1), Fraction(2)))
-    h = RandomIntegrand(tree, grid, {"w": (band, band, band)}, "optional")
-    mu = RandomMeasure(tree, grid, {"w": GridMeasure(grid, (1, 1, 1))})
-    inst = make_instance(tree, grid, h, mu)
-    duals = [DualPair(
-        RandomMeasure(tree, grid, {"w": GridMeasure(grid, (1, 0, Fraction(1, 2)))}),
-        RandomMeasure(tree, grid, {"w": GridMeasure(grid, (0, 1, 0))}))]
-    paths = [RandomPath(tree, grid, {"w": StepPath(grid, (1, 1, 1))})]
-    return InstanceDoc(inst, duals, paths, None)
-
-
-def _michael_violation() -> InstanceDoc:
-    """Point value escaping the following cell value, with a real payoff gap."""
-    grid = TimeGrid((0, 1, 2))
-    tree = ScenarioTree.deterministic(3)
-    wide = pl(Fraction(0), Fraction(2), (), (Fraction(-1),), Fraction(2), Fraction(0))
-    h = RandomIntegrand(tree, grid, {"w": (wide, wide, wide)}, "optional")
-    mu = RandomMeasure(tree, grid, {"w": GridMeasure(grid, (0, 1, 0))})
-    from .setmaps import SetMap
-    from .scenario import RandomSetMap
-    narrow = RInterval(Fraction(0), Fraction(1))
-    full = RInterval(Fraction(0), Fraction(2))
-    smap = RandomSetMap(tree, grid, {"w": SetMap(
-        grid, (full, full, full), (full, narrow))})
-    inst = make_instance(tree, grid, h, mu, S=smap)
-    paths = [RandomPath(tree, grid, {"w": StepPath(grid, (0, 1, 1))})]
-    return InstanceDoc(inst, [], paths, None)
-
-
-def _obstacle() -> InstanceDoc:
-    grid = TimeGrid((0, 1, 2))
-    tree = _two_scenario_tree(3)
-    b = ScalarProcess(tree, grid,
-                      points={"up": (1, 3, 2), "dn": (1, 0, 0)},
-                      cells={"up": (1, 3), "dn": (1, 0)},
-                      flag="optional")
-    ycheck = RandomPath(tree, grid, {"up": StepPath(grid, (4, 4, 4)),
-                                     "dn": StepPath(grid, (4, 4, 4))})
-    model = obstacle_model(b, ycheck)
-    tree_i = model.instance.tree
-    grid_i = model.instance.grid
-    duals = [DualPair(
-        RandomMeasure(tree_i, grid_i, {"up": GridMeasure(grid_i, (-1, 0, Fraction(-1, 2))),
-                                       "dn": GridMeasure(grid_i, (-1, 0, Fraction(-3, 2)))}),
-        RandomMeasure(tree_i, grid_i, {"up": GridMeasure(grid_i, (0, -2, 0)),
-                                       "dn": GridMeasure(grid_i, (0, -2, 0))}))]
-    doc = InstanceDoc(model.instance, duals, [ycheck], {
-        "type": "obstacle",
-        "b": scalar_process_to_json(b),
-        "ycheck": {s: [str(v) for v in ycheck.paths[s].values] for s in tree.scenarios},
-    })
-    return doc
-
-
-def _bidask() -> InstanceDoc:
-    grid = TimeGrid((0, 1, 2))
-    tree = _two_scenario_tree(3)
-    b = ScalarProcess(tree, grid,
-                      points={"up": (0, 1, 1), "dn": (0, Fraction(1, 2), 0)},
-                      cells={"up": (0, 1), "dn": (0, Fraction(1, 2))},
-                      flag="optional")
-    a = ScalarProcess(tree, grid,
-                      points={"up": (2, 3, 3), "dn": (2, Fraction(5, 2), 3)},
-                      cells={"up": (2, 3), "dn": (2, Fraction(5, 2))},
-                      flag="optional")
-    ybar = RandomPath(tree, grid, {"up": StepPath(grid, (1, 2, 2)),
-                                   "dn": StepPath(grid, (1, 2, 2))})
-    model = bidask_model(b, a, ybar)
-    tree_i, grid_i = model.instance.tree, model.instance.grid
-    duals = [DualPair(
-        RandomMeasure(tree_i, grid_i, {"up": GridMeasure(grid_i, (1, -1, 2)),
-                                       "dn": GridMeasure(grid_i, (1, 1, 2))}),
-        RandomMeasure(tree_i, grid_i, {"up": GridMeasure(grid_i, (0, 1, -1)),
-                                       "dn": GridMeasure(grid_i, (0, 1, -1))}))]
-    return InstanceDoc(model.instance, duals, [ybar], {
-        "type": "bidask",
-        "b": scalar_process_to_json(b),
-        "a": scalar_process_to_json(a),
-        "ybar": {s: [str(v) for v in ybar.paths[s].values] for s in tree.scenarios},
-    })
-
-
-def _currency_cones() -> ConeMap:
-    grid = TimeGrid((0, 1, 2))
-    # solvency cones in the plane: polars of widening constraint cones
-    wide = PolyCone.from_generators([(1, 0), (0, 1)], 2).polar()
-    tilted = PolyCone.from_generators([(2, -1), (-1, 2)], 2).polar()
-    return ConeMap(grid, (wide, tilted, tilted), (wide, tilted))
-
-
-def _currency() -> InstanceDoc:
-    cones = _currency_cones()
-    grid = cones.grid
-    tree = ScenarioTree.deterministic(grid.n_slots)
-    free = indicator(RInterval.whole_line())
-    h = RandomIntegrand(tree, grid, {"w": (free,) * grid.n_slots}, "optional")
-    inst = make_instance(tree, grid, h, RandomMeasure.zero(tree, grid))
-    model = {
-        "type": "currency",
-        "solvency": conemap_to_json(cones),
-        "duals": [
-            {"u": [["-1", "-1"], ["0", "0"], ["0", "0"]],
-             "ut": [["0", "0"], ["0", "0"], ["0", "0"]]},
-            {"u": [["0", "0"], ["-1", "-2"], ["0", "0"]],
-             "ut": [["0", "0"], ["0", "0"], ["-1", "-1"]]},
-            {"u": [["1", "0"], ["0", "0"], ["0", "0"]],
-             "ut": [["0", "0"], ["0", "0"], ["0", "0"]]},
-        ],
-    }
-    return InstanceDoc(inst, [], [], model)
-
-
-def _cs() -> InstanceDoc:
-    grid = TimeGrid((0, 1, 2))
-    tree = ScenarioTree.deterministic(grid.n_slots)
-    k0 = PolyCone.from_generators([(1, Fraction(1, 2)), (Fraction(1, 2), 1)], 2)
-    k1 = PolyCone.from_generators([(1, Fraction(1, 4)), (Fraction(1, 4), 1)], 2)
-    g_map = ConeMap(grid, (k0, k1, k1), (k0, k1))
-    gt_map = ConeMap(grid, (PolyCone.zero(2), k0, k1), (k0, k1))
-    free = indicator(RInterval.whole_line())
-    h = RandomIntegrand(tree, grid, {"w": (free,) * grid.n_slots}, "optional")
-    inst = make_instance(tree, grid, h, RandomMeasure.zero(tree, grid))
-    model = {
-        "type": "cs",
-        "G": conemap_to_json(g_map),
-        "Gtilde": conemap_to_json(gt_map),
-    }
-    return InstanceDoc(inst, [], [], model)
-
-
-_BUILDERS = {
-    "basic": _basic,
-    "deterministic": _deterministic,
-    "michael-violation": _michael_violation,
-    "obstacle": _obstacle,
-    "bidask": _bidask,
-    "currency": _currency,
-    "cs": _cs,
-}
-
-
 def build_preset(name: str) -> InstanceDoc:
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return _BUILDERS[name]()
+    return load_instance(bundled_instance_path(name))
 
 
 def bundled_instance_path(name: str) -> str:
     """Filesystem path of a bundled instance file shipped with the package."""
-    from importlib import resources
-    if name not in _BUILDERS:
+    if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return str(resources.files("cadlagconvex").joinpath(f"instances/{name}.json"))
+    return os.path.join(os.path.dirname(__file__), "instances", f"{name}.json")

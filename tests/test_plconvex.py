@@ -153,6 +153,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             pl(F(0), F(1), (), (F(0),), F(2), F(0))
 
+    @pytest.mark.parametrize("lo, hi", [
+        (INF, INF), (INF, F(1)), (F(1), NEG_INF), (NEG_INF, NEG_INF),
+        (F(2), F(1)), ("inf", "inf"), ("inf", "1"), ("1", "-inf"),
+        ("-inf", "-inf"), ("2", "1"),
+    ])
+    def test_empty_or_inverted_domain_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match=r"^empty or inverted domain$"):
+            pl(lo, hi, (), (F(0),), F(1), F(0))
+
+    @pytest.mark.parametrize("lo, hi", [(F(1), F(1)), ("1", "1")])
+    def test_one_point_domain_builds(self, lo, hi):
+        fn = pl(lo, hi, (), (F(0),), F(1), F(3))
+        assert (fn.dom_lo, fn.dom_hi, fn.anchor_x, fn.anchor_val) == (1, 1, 1, 3)
+        assert fn(F(1)) == 3 and fn(F(2)) == INF
+
 
 # -- properties ---------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,15 @@ from conftest import plconvex_st
 
 from cadlagconvex import cli
 from cadlagconvex.duality import Instance
-from cadlagconvex.presets import PRESET_NAMES, build_preset
-from cadlagconvex.serialize import (SchemaError, instance_doc_from_json,
+from cadlagconvex.finmodels import bidask_model, obstacle_model
+from cadlagconvex.presets import (PRESET_NAMES, build_preset,
+                                  bundled_instance_path)
+from cadlagconvex.serialize import (InstanceDoc, SchemaError, dump_instance,
+                                    instance_doc_from_json,
                                     instance_doc_to_json, load_instance,
-                                    plconvex_from_json, plconvex_to_json,
-                                    reports_equal)
+                                    path_from_json, plconvex_from_json,
+                                    plconvex_to_json, reports_equal,
+                                    scalar_process_from_json)
 from cadlagconvex.plconvex import pl
 from cadlagconvex.rationals import NEG_INF
 
@@ -47,12 +52,6 @@ class TestSerialization:
             again = instance_doc_to_json(instance_doc_from_json(doc))
             assert doc == again
 
-    def test_bundled_files_match_builders(self):
-        for name in PRESET_NAMES:
-            with open(bundled(name), encoding="utf-8") as fh:
-                on_disk = json.load(fh)
-            assert on_disk == instance_doc_to_json(build_preset(name)), name
-
     def test_bad_document_raises_schema_error(self):
         with pytest.raises(SchemaError):
             instance_doc_from_json({"grid": ["0", "1"]})
@@ -64,6 +63,65 @@ class TestSerialization:
         b = {"theorem": "x", "pass": True, "timestamp": 2.0}
         assert reports_equal(a, b)
         assert not reports_equal(a, {**b, "pass": False})
+
+
+class TestBundledPresets:
+    """The shipped JSON files are the only copy of the presets."""
+
+    @staticmethod
+    def shipped_bytes(name: str) -> bytes:
+        with open(bundled_instance_path(name), "rb") as fh:
+            return fh.read()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_load_then_dump_gives_back_the_file(self, name, tmp_path):
+        out = tmp_path / "again.json"
+        dump_instance(load_instance(bundled_instance_path(name)), str(out))
+        assert out.read_bytes() == self.shipped_bytes(name)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_model_writes_the_shipped_bytes(self, name, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert cli.main(["model", name, "-o", str(out)]) == 0
+        assert out.read_bytes() == self.shipped_bytes(name)
+
+    @staticmethod
+    def instance_json(inst) -> dict:
+        return instance_doc_to_json(InstanceDoc(inst, [], [], None))
+
+    def test_obstacle_model_section_rebuilds_the_instance(self):
+        idoc = build_preset("obstacle")
+        tree, grid, model = idoc.instance.tree, idoc.instance.grid, idoc.model
+        rebuilt = obstacle_model(scalar_process_from_json(model["b"], tree, grid),
+                                 path_from_json(model["ycheck"], tree, grid))
+        assert self.instance_json(rebuilt.instance) == self.instance_json(idoc.instance)
+
+    def test_bidask_model_section_rebuilds_the_instance(self):
+        idoc = build_preset("bidask")
+        tree, grid, model = idoc.instance.tree, idoc.instance.grid, idoc.model
+        rebuilt = bidask_model(scalar_process_from_json(model["b"], tree, grid),
+                               scalar_process_from_json(model["a"], tree, grid),
+                               path_from_json(model["ybar"], tree, grid))
+        assert self.instance_json(rebuilt.instance) == self.instance_json(idoc.instance)
+
+    @pytest.mark.parametrize("name", ["nosuch", "../basic", "basic.json", ""])
+    def test_a_name_outside_the_list_never_reaches_the_filesystem(
+            self, name, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert cli.main(["model", name, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("unknown preset")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="unknown preset"):
+            bundled_instance_path(name)
+
+    def test_instances_directory_holds_one_file_per_preset(self):
+        shipped = resources.files("cadlagconvex").joinpath("instances")
+        assert sorted(f.name for f in shipped.iterdir() if f.is_file()) == sorted(
+            f"{name}.json" for name in PRESET_NAMES)
 
 
 class TestCli:
