@@ -6,18 +6,22 @@ a machine-readable report, ``refine`` rewrites a file on a finer grid,
 reports modulo their timestamps.  Exit codes: 0 pass, 1 fail, 2 schema
 error, bad argument or unwritable output, 3 brute-force budget exceeded,
 4 assumption failure under --strict.
+
+A command reports a problem by raising; :func:`main` is the one place that
+turns an exception into a stderr line and an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from . import duality, generators
+from . import duality, generators, presets
 from .duality import (BudgetExceededError, Instance, assumption_report,
                       bruteforce_gap_bound, conj_bruteforce, conj_pointwise,
                       eval_Fhat, indicator_integrand, interchange_det,
@@ -33,11 +37,11 @@ from .serialize import (InstanceDoc, SchemaError, conemap_from_json,
                         reports_equal, vector_measure_from_json)
 from .setmaps import michael_check, projection_selection
 
-THEOREMS = ("involution", "recession-support", "interchange-det",
-            "interchange-stoch", "conjugate", "subdiff", "support-ds",
-            "jensen", "michael", "projection", "cs-regularity", "currency")
-
 EXIT_PASS, EXIT_FAIL, EXIT_SCHEMA, EXIT_BUDGET, EXIT_ASSUMPTION = 0, 1, 2, 3, 4
+
+
+class CommandError(Exception):
+    """A rejected command; ``main`` prints the message as it is and exits 2."""
 
 
 def _instance_functions(inst: Instance):
@@ -53,8 +57,7 @@ def _check_sampled(idoc: InstanceDoc, args, fails) -> Dict:
     fns += [generators.rand_plconvex(rng) for _ in range(args.count)]
     failures = [i for i, fn in enumerate(fns) if fails(fn)]
     return {"lhs": len(fns), "rhs": len(fns) - len(failures),
-            "gap": len(failures), "bound": 0,
-            "assumptions": [], "pass": not failures,
+            "gap": len(failures), "pass": not failures,
             "details": {"failures": failures}}
 
 
@@ -75,8 +78,7 @@ def _check_interchange_det(idoc: InstanceDoc, args) -> Dict:
     rep = interchange_det(idoc.instance, side=args.side)
     assum = [{"name": k, "ok": bool(v)} for k, v in rep["assumptions"].items()
              if not k.endswith("slots")]
-    gap = rep["gap"]
-    return {"lhs": rep["lhs"], "rhs": rep["rhs"], "gap": gap, "bound": 0,
+    return {"lhs": rep["lhs"], "rhs": rep["rhs"], "gap": rep["gap"],
             "assumptions": assum, "pass": bool(rep["ok"]),
             "assumptions_ok": rep["assumptions_ok"],
             "details": {"vacuous": rep["vacuous"],
@@ -89,19 +91,12 @@ def _check_interchange_stoch(idoc: InstanceDoc, args) -> Dict:
     return {"lhs": rep["lhs"], "rhs": rep["rhs"],
             "gap": None if rep["vacuous"] else rep["lhs"] - rep["rhs"]
             if is_finite(rep["lhs"]) and is_finite(rep["rhs"]) else None,
-            "bound": 0,
             "assumptions": [{"name": k, "ok": bool(v)}
                             for k, v in rep["assumptions"].items()],
             "assumptions_ok": rep["assumptions_ok"],
             "pass": bool(rep["ok"]),
             "details": {"form": rep["form"], "vacuous": rep["vacuous"],
                         "witness_found": witness is not None}}
-
-
-def _default_B(inst: Instance, B: Optional[Fraction]) -> Fraction:
-    if B is not None:
-        return B
-    return 2 * inst.magnitude_bound()
 
 
 def _check_against_oracle(idoc: InstanceDoc, args, formula, oracle_of, key: str) -> Dict:
@@ -116,7 +111,7 @@ def _check_against_oracle(idoc: InstanceDoc, args, formula, oracle_of, key: str)
         raise SchemaError(f"{args.theorem} check needs at least one dual pair")
     oracle = oracle_of(inst)
     rep = assumption_report(oracle)
-    B = _default_B(inst, args.B)
+    B = args.B if args.B is not None else 2 * inst.magnitude_bound()
     delta = args.delta
     entries, ok = [], True
     for k, d in enumerate(idoc.duals):
@@ -174,7 +169,6 @@ def _check_subdiff(idoc: InstanceDoc, args) -> Dict:
                             "equivalence_ok": rep["equivalence_ok"]})
     rep0 = assumption_report(inst)
     return {"lhs": len(entries), "rhs": sum(1 for e in entries if e.get("equivalence_ok")),
-            "gap": None, "bound": 0,
             "assumptions": _assumption_list(rep0), "assumptions_ok": rep0["all_ok"],
             "pass": ok, "details": {"pairs": entries}}
 
@@ -190,7 +184,6 @@ def _check_jensen(idoc: InstanceDoc, args) -> Dict:
         entries.append({"path": k, "lhs": rep["lhs"], "rhs": rep["rhs"],
                         "ok": rep["ok"]})
     return {"lhs": entries[0]["lhs"], "rhs": entries[0]["rhs"],
-            "gap": None, "bound": 0, "assumptions": [],
             "pass": ok, "details": {"paths": entries}}
 
 
@@ -206,8 +199,7 @@ def _check_michael(idoc: InstanceDoc, args) -> Dict:
                         "matches_right_isc": rep["matches_right_isc"],
                         "failing_slots": rep["failing_slots"]})
     return {"lhs": len(entries), "rhs": sum(1 for e in entries if e["matches_right_isc"]),
-            "gap": None, "bound": 0, "assumptions": [], "pass": ok,
-            "details": {"scenarios": entries}}
+            "pass": ok, "details": {"scenarios": entries}}
 
 
 def _check_projection(idoc: InstanceDoc, args) -> Dict:
@@ -228,8 +220,7 @@ def _check_projection(idoc: InstanceDoc, args) -> Dict:
         ok = ok and sel_ok and dist_ok
         entries.append({"scenario": s, "selection": sel_ok, "distance": dist_ok})
     return {"lhs": len(entries), "rhs": sum(1 for e in entries if "error" not in e),
-            "gap": None, "bound": 0, "assumptions": [], "pass": ok,
-            "details": {"x": x, "scenarios": entries}}
+            "pass": ok, "details": {"x": x, "scenarios": entries}}
 
 
 def _check_cs(idoc: InstanceDoc, args) -> Dict:
@@ -239,7 +230,7 @@ def _check_cs(idoc: InstanceDoc, args) -> Dict:
     g_map = conemap_from_json(model["G"], idoc.instance.grid)
     gt_map = conemap_from_json(model["Gtilde"], idoc.instance.grid)
     rep = cs_regularity_check(g_map, gt_map)
-    return {"lhs": None, "rhs": None, "gap": None, "bound": 0,
+    return {"lhs": None, "rhs": None,
             "assumptions": [
                 {"name": "efficient_friction",
                  "ok": all(rep["efficient_friction_G"]) and all(rep["efficient_friction_Gtilde"])},
@@ -258,7 +249,7 @@ def _check_currency(idoc: InstanceDoc, args) -> Dict:
     try:
         cm = currency_model(cones)
     except ValueError as exc:
-        return {"lhs": None, "rhs": None, "gap": None, "bound": 0,
+        return {"lhs": None, "rhs": None,
                 "assumptions": [{"name": "preconditions", "ok": False}],
                 "pass": False, "details": {"error": str(exc)}}
     rng = random.Random(args.seed)
@@ -276,7 +267,6 @@ def _check_currency(idoc: InstanceDoc, args) -> Dict:
             ok = ok and worst <= 0
         entries.append(entry)
     return {"lhs": len(entries), "rhs": sum(1 for e in entries if e["member"]),
-            "gap": None, "bound": 0,
             "assumptions": [{"name": "preconditions", "ok": True}],
             "pass": ok, "details": {"report": cm.report, "duals": entries}}
 
@@ -296,12 +286,14 @@ _CHECKS = {
     "currency": _check_currency,
 }
 
+THEOREMS = tuple(_CHECKS)
 
-def _parse_args(args) -> bool:
+
+def _parse_args(args) -> None:
     """Turn --B, --delta and --x into rationals, check --count, resolve the budget.
 
     Checked whatever the theorem; currency also needs a positive --count.
-    Returns False after printing one ``bad argument:`` line.
+    Raises :class:`CommandError` with a ``bad argument:`` message.
     """
     for name, positive in (("B", True), ("delta", True), ("x", False)):
         text = getattr(args, name)
@@ -313,92 +305,63 @@ def _parse_args(args) -> bool:
             value = None
         if value is None or (positive and value <= 0):
             kind = "a positive rational" if positive else "a rational"
-            print(f"bad argument: --{name} must be {kind}, got {text!r}", file=sys.stderr)
-            return False
+            raise CommandError(f"bad argument: --{name} must be {kind}, got {text!r}")
         setattr(args, name, value)
     least = 1 if args.theorem == "currency" else 0
     if args.count < least:
         kind = "a positive" if least else "a nonnegative"
-        print(f"bad argument: --count must be {kind} integer for {args.theorem}, "
-              f"got {args.count}", file=sys.stderr)
-        return False
+        raise CommandError(f"bad argument: --count must be {kind} integer for "
+                           f"{args.theorem}, got {args.count}")
     try:
         args.budget = duality.resolve_budget(args.budget)
     except ValueError as exc:
-        print(f"bad argument: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise CommandError(f"bad argument: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
-    if not _parse_args(args):
-        return EXIT_SCHEMA
-    try:
-        idoc = load_instance(args.file)
-        report = _CHECKS[args.theorem](idoc, args)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    report = {"theorem": args.theorem, **report, "timestamp": time.time()}
-    try:
-        text = dump_report(report, args.report)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    print(text, end="")
+    _parse_args(args)
+    idoc = load_instance(args.file)
+    # a check sets only the report keys whose value differs from these
+    report = {"theorem": args.theorem, "gap": None, "bound": 0, "assumptions": [],
+              **_CHECKS[args.theorem](idoc, args), "timestamp": time.time()}
+    print(dump_report(report, args.report), end="")
     if args.strict and not report.get("assumptions_ok", True):
         return EXIT_ASSUMPTION
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 def _write_instance(idoc: InstanceDoc, path: str) -> int:
-    try:
-        dump_instance(idoc, path)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    dump_instance(idoc, path)
     print(f"wrote {path}")
     return EXIT_PASS
 
 
 def cmd_refine(args) -> int:
     if args.factor < 2:
-        print("refinement factor must be >= 2", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        refined = load_instance(args.file).refine(args.factor)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    return _write_instance(refined, args.output)
+        raise CommandError("refinement factor must be >= 2")
+    return _write_instance(load_instance(args.file).refine(args.factor), args.output)
 
 
 def cmd_model(args) -> int:
-    from .presets import build_preset
     try:
-        idoc = build_preset(args.name)
+        path = presets.bundled_instance_path(args.name)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA
-    return _write_instance(idoc, args.output)
+        raise CommandError(str(exc)) from exc
+    return _write_instance(load_instance(path), args.output)
+
+
+def _read_report(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CommandError(f"cannot read reports: {exc}") from exc
 
 
 def cmd_report_diff(args) -> int:
-    import json
-    try:
-        with open(args.a, encoding="utf-8") as fh:
-            a = json.load(fh)
-        with open(args.b, encoding="utf-8") as fh:
-            b = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read reports: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    a, b = _read_report(args.a), _read_report(args.b)
     if not isinstance(a, dict) or not isinstance(b, dict):
-        print("cannot read reports: a report must be a JSON object", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise CommandError("cannot read reports: a report must be a JSON object")
     if reports_equal(a, b):
         print("reports agree (timestamps ignored)")
         return EXIT_PASS
@@ -452,15 +415,29 @@ _PARSER: Optional[argparse.ArgumentParser] = None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command.  The parser is built on the first call and reused:
-    ``parse_args`` returns a fresh namespace and every default is immutable,
-    so no state carries over between calls.  Building it takes about ten
-    times as long as parsing; it is not built at import time."""
+    """Run one command and map what it raises to one stderr line and an exit code.
+
+    Only rejected input is mapped; any other exception propagates.  The
+    parser is built on the first call and reused: ``parse_args`` returns a
+    fresh namespace and every default is immutable, so no state carries over
+    between calls.  Building it takes about ten times as long as parsing; it
+    is not built at import time."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CommandError as exc:
+        line, code = str(exc), EXIT_SCHEMA
+    except SchemaError as exc:
+        line, code = f"schema error: {exc}", EXIT_SCHEMA
+    except BudgetExceededError as exc:
+        line, code = f"budget exceeded: {exc}", EXIT_BUDGET
+    except OSError as exc:  # load_instance and _read_report turn read errors into the above
+        line, code = f"cannot write output: {exc}", EXIT_SCHEMA
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -64,10 +64,8 @@ def rand_plconvex(rng: random.Random, max_breaks: int = 3) -> PLConvex:
     return pl(dom_lo, dom_hi, inner, slopes, anchor, rand_rational(rng))
 
 
-def rand_interval(rng: random.Random, bounded: bool = False) -> RInterval:
+def rand_interval(rng: random.Random) -> RInterval:
     kind = rng.choice(["bounded", "bounded", "left", "right", "line", "point"])
-    if bounded and kind in ("left", "right", "line"):
-        kind = "bounded"
     if kind == "point":
         x = rand_coarse(rng)
         return RInterval(x, x)

@@ -372,15 +372,7 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
     if not (dom_lo <= anchor_x <= dom_hi):
         raise ValueError("anchor outside the domain")
 
-    raw = object.__new__(PLConvex)
-    object.__setattr__(raw, "dom_lo", dom_lo)
-    object.__setattr__(raw, "dom_hi", dom_hi)
-    object.__setattr__(raw, "breakpoints", bps)
-    object.__setattr__(raw, "slopes", sls)
-    object.__setattr__(raw, "anchor_x", anchor_x)
-    object.__setattr__(raw, "anchor_val", anchor_val)
-
-    if dom_lo == dom_hi:
+    if is_finite(dom_lo) and is_finite(dom_hi) and dom_lo == dom_hi:
         return PLConvex(dom_lo, dom_hi, (), (Fraction(0),), dom_lo, anchor_val)
 
     # restrict to segments meeting the open domain
@@ -412,7 +404,7 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
         ax = dom_hi
     else:
         ax = Fraction(0)
-    aval = raw._finite_value(ax)
+    aval = PLConvex(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)._finite_value(ax)
     return PLConvex(dom_lo, dom_hi, tuple(m_bps), tuple(m_sls), ax, aval)
 
 
@@ -437,10 +429,7 @@ def indicator(interval: RInterval) -> PLConvex:
 
 
 def support_fn(interval: RInterval) -> PLConvex:
-    """sigma_C(v) = sup {v*x : x in C}, built in closed form.
-
-    Coincides exactly with ``indicator(C).conjugate()``.
-    """
+    """sigma_C(v) = sup {v*x : x in C}, computed as ``indicator(C).conjugate()``."""
     if interval.is_empty:
         raise ValueError("support function of the empty interval is improper")
     return indicator(interval).conjugate()

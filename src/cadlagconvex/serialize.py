@@ -183,14 +183,13 @@ def cone_from_json(doc: dict) -> PolyCone:
     dim = int(_need(doc, "dim"))
     gens = doc.get("generators")
     hs = doc.get("halfspaces")
-    if gens is not None:
-        cone = PolyCone(dim, generators=[[rat(x) for x in g] for g in gens])
-        if hs:
-            cone._halfspaces = PolyCone(dim, halfspaces=[[rat(x) for x in a] for a in hs])._halfspaces
-        return cone
-    if hs is None:
+    if gens is None and hs is None:
         raise SchemaError("cone needs generators or halfspaces")
-    return PolyCone(dim, halfspaces=[[rat(x) for x in a] for a in hs])
+    if gens is not None and not hs:
+        hs = None  # beside generators an empty list means "not given": computed lazily
+    return PolyCone(dim,
+                    generators=None if gens is None else [[rat(x) for x in g] for g in gens],
+                    halfspaces=None if hs is None else [[rat(x) for x in a] for a in hs])
 
 
 def conemap_to_json(cm: ConeMap) -> dict:
@@ -368,8 +367,9 @@ def dump_report(report: dict, path: Optional[str]) -> str:
     return text
 
 
-def reports_equal(a: dict, b: dict, ignore=("timestamp",)) -> bool:
+def reports_equal(a: dict, b: dict) -> bool:
+    """Equal as JSON apart from the ``timestamp`` key."""
     def strip(d):
-        return {k: v for k, v in d.items() if k not in ignore}
+        return {k: v for k, v in d.items() if k != "timestamp"}
     return json.dumps(jsonable(strip(a)), sort_keys=True) == \
         json.dumps(jsonable(strip(b)), sort_keys=True)

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 
 from conftest import plconvex_st
 
-from cadlagconvex import cli
+from cadlagconvex import cli, presets
 from cadlagconvex.duality import Instance
 from cadlagconvex.finmodels import bidask_model, obstacle_model
 from cadlagconvex.presets import (PRESET_NAMES, build_preset,
                                   bundled_instance_path)
-from cadlagconvex.serialize import (InstanceDoc, SchemaError, dump_instance,
+from cadlagconvex.serialize import (InstanceDoc, SchemaError, cone_from_json,
+                                    cone_to_json, dump_instance,
                                     instance_doc_from_json,
                                     instance_doc_to_json, load_instance,
                                     path_from_json, plconvex_from_json,
@@ -33,6 +34,15 @@ GOLDEN_PRESET_CLI = os.path.join(os.path.dirname(__file__), "..",
 
 def bundled(name: str) -> str:
     return os.path.join(INSTANCE_DIR, f"{name}.json")
+
+
+def assert_one_error_line(capsys, prefix: str) -> None:
+    """A rejected command prints nothing on stdout and one line on stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(prefix)
+    assert "Traceback" not in captured.err
 
 
 class TestSerialization:
@@ -57,6 +67,31 @@ class TestSerialization:
             instance_doc_from_json({"grid": ["0", "1"]})
         with pytest.raises(SchemaError):
             instance_doc_from_json([1, 2, 3])
+
+    # (document, generators held, half-spaces held); None is a form left to
+    # be computed on first use
+    @pytest.mark.parametrize("doc, gens, rows", [
+        ({"dim": 2, "generators": [["1", "0"], ["0", "2"]],
+          "halfspaces": [["-1", "0"], ["0", "-1"]]},
+         ((0, 1), (1, 0)), ((-1, 0), (0, -1))),
+        ({"dim": 2, "generators": [["1", "0"], ["0", "2"]], "halfspaces": []},
+         ((0, 1), (1, 0)), None),
+        ({"dim": 2, "generators": [["1", "0"], ["0", "2"]]}, ((0, 1), (1, 0)), None),
+        # the zero cone, written with the rows that cut it out
+        ({"dim": 2, "generators": [], "halfspaces": [["1", "0"], ["-1", "0"]]},
+         (), ((-1, 0), (1, 0))),
+        ({"dim": 2, "halfspaces": [["-1", "0"]]}, None, ((-1, 0),)),
+        ({"dim": 2, "halfspaces": []}, None, ()),
+    ])
+    def test_cone_from_json_keeps_the_forms_given(self, doc, gens, rows):
+        cone = cone_from_json(doc)
+        assert cone._generators == gens
+        assert cone._halfspaces == rows
+        assert cone_from_json(cone_to_json(cone)) == cone
+
+    def test_cone_without_either_form_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="cone needs generators or halfspaces"):
+            cone_from_json({"dim": 2, "generators": None})
 
     def test_reports_equal_ignores_timestamp(self):
         a = {"theorem": "x", "pass": True, "timestamp": 1.0}
@@ -109,14 +144,20 @@ class TestBundledPresets:
             self, name, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert cli.main(["model", name, "-o", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("unknown preset")
-        assert "Traceback" not in captured.err
+        assert_one_error_line(capsys, "unknown preset")
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError, match="unknown preset"):
             bundled_instance_path(name)
+
+    def test_a_broken_shipped_file_is_a_schema_error(self, tmp_path, monkeypatch,
+                                                     capsys):
+        broken = tmp_path / "basic.json"
+        broken.write_text('{"grid": ["0"]}')
+        monkeypatch.setattr(presets, "bundled_instance_path", lambda name: str(broken))
+        out = tmp_path / "out.json"
+        assert cli.main(["model", "basic", "-o", str(out)]) == 2
+        assert_one_error_line(capsys, "schema error: bad grid: ")
+        assert not out.exists()
 
     def test_instances_directory_holds_one_file_per_preset(self):
         shipped = resources.files("cadlagconvex").joinpath("instances")
@@ -147,13 +188,18 @@ class TestCli:
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nope\": 1}")
-        assert self.run("verify", str(bad), "--theorem", "conjugate") == 2
-        capsys.readouterr()
+        report = tmp_path / "r.json"
+        assert self.run("verify", str(bad), "--theorem", "conjugate",
+                        "--report", str(report)) == 2
+        assert_one_error_line(capsys, "schema error: missing key 'grid'")
+        assert not report.exists()
 
-    def test_budget_exceeded_exits_3(self, capsys):
+    def test_budget_exceeded_exits_3(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
         assert self.run("verify", bundled("basic"), "--theorem", "conjugate",
-                        "--budget", "5") == 3
-        capsys.readouterr()
+                        "--budget", "5", "--report", str(report)) == 3
+        assert_one_error_line(capsys, "budget exceeded: ")
+        assert not report.exists()
 
     def test_assumption_failure_strict_exits_4(self, capsys):
         assert self.run("verify", bundled("michael-violation"), "--theorem",
@@ -215,7 +261,7 @@ class TestCli:
     def test_env_var_budget(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.duality.BUDGET_ENV_VAR, "5")
         assert self.run("verify", bundled("basic"), "--theorem", "conjugate") == 3
-        capsys.readouterr()
+        assert_one_error_line(capsys, "budget exceeded: ")
 
     def test_dual_atom_with_zero_denominator_exits_2(self, tmp_path, capsys):
         with open(bundled("basic"), encoding="utf-8") as fh:
@@ -225,8 +271,7 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert self.run("verify", str(bad), "--theorem", "conjugate") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("schema error:") and "Traceback" not in err
+        assert_one_error_line(capsys, "schema error: bad measure: ")
 
     @pytest.mark.parametrize("argv", [
         ("--theorem", "conjugate", "--B", "0"),
@@ -243,30 +288,36 @@ class TestCli:
         ("--theorem", "currency", "--count", "-1"),
         ("--theorem", "currency", "--count", "0"),
     ])
-    def test_bad_numeric_argument_exits_2(self, argv, capsys):
-        assert self.run("verify", bundled("basic"), *argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("bad argument: --")
+    def test_bad_numeric_argument_exits_2(self, argv, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert self.run("verify", bundled("basic"), *argv, "--report", str(report)) == 2
+        assert_one_error_line(capsys, "bad argument: --")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("factor", ["1", "0", "-1"])
+    def test_refine_factor_below_two_exits_2(self, factor, tmp_path, capsys):
+        fine = tmp_path / "fine.json"
+        assert self.run("refine", bundled("basic"), "--factor", factor,
+                        "-o", str(fine)) == 2
+        assert_one_error_line(capsys, "refinement factor must be >= 2")
+        assert not fine.exists()
+
+    def test_interchange_det_on_several_scenarios_raises(self, capsys):
+        # the input is rejected by a ValueError that no exit code maps yet
+        with pytest.raises(ValueError, match="single scenario"):
+            self.run("verify", bundled("basic"), "--theorem", "interchange-det")
+        assert capsys.readouterr().out == ""
 
     def test_involution_with_no_random_cases_passes(self, capsys):
         assert self.run("verify", bundled("basic"), "--theorem", "involution",
                         "--count", "0") == 0
         assert json.loads(capsys.readouterr().out)["pass"]
 
-    @staticmethod
-    def assert_one_line(capsys, prefix: str) -> None:
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(prefix)
-
     @pytest.mark.parametrize("value", ["abc", "-3", "2.5"])
     def test_bad_env_var_budget_exits_2(self, value, monkeypatch, capsys):
         monkeypatch.setenv(cli.duality.BUDGET_ENV_VAR, value)
         assert self.run("verify", bundled("basic"), "--theorem", "conjugate") == 2
-        self.assert_one_line(capsys, f"bad argument: {cli.duality.BUDGET_ENV_VAR}")
+        assert_one_error_line(capsys, f"bad argument: {cli.duality.BUDGET_ENV_VAR}")
 
     def test_report_diff_on_a_non_object_exits_2(self, tmp_path, capsys):
         listed = tmp_path / "list.json"
@@ -277,7 +328,7 @@ class TestCli:
         capsys.readouterr()
         for a, b in ((listed, report), (report, listed)):
             assert self.run("report-diff", str(a), str(b)) == 2
-            self.assert_one_line(capsys, "cannot read reports:")
+            assert_one_error_line(capsys, "cannot read reports:")
 
     @pytest.mark.parametrize("argv", [
         ("refine", bundled("basic"), "--factor", "2", "-o", "{missing}/fine.json"),
@@ -288,7 +339,7 @@ class TestCli:
     def test_output_into_a_missing_directory_exits_2(self, argv, tmp_path, capsys):
         missing = tmp_path / "no" / "such"
         assert self.run(*(a.format(missing=missing) for a in argv)) == 2
-        self.assert_one_line(capsys, "cannot write output:")
+        assert_one_error_line(capsys, "cannot write output:")
         assert not missing.exists()
 
     # one refinement per duality entry point: the assumption report and the
@@ -325,7 +376,7 @@ class TestCli:
         bad.write_bytes(b"\xff")
         out = tmp_path / "fine.json"
         assert self.run(*(a.format(bad=bad, out=out) for a in argv)) == 2
-        self.assert_one_line(capsys, "schema error: cannot read instance file:")
+        assert_one_error_line(capsys, "schema error: cannot read instance file:")
         assert not out.exists()
 
     def test_parser_is_built_once(self, monkeypatch, capsys):
