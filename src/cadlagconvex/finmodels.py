@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .duality import DualPair, Instance, indicator_integrand, make_instance
@@ -359,11 +360,16 @@ class CurrencyModel:
         return {"u_ok": u_ok, "ut_ok": ut_ok,
                 "member": all(u_ok) and all(ut_ok)}
 
+    @cached_property
+    def _attainable_cones(self) -> Tuple[PolyCone, ...]:
+        """:meth:`attainable_cone` of every slot, built once per model."""
+        return tuple(self.attainable_cone(i) for i in range(self.grid.n_slots))
+
     def sample_selection(self, rng) -> VectorPath:
         """Random rational selection: nonnegative combinations of generators."""
         values = []
-        for i in range(self.grid.n_slots):
-            gens = self.attainable_cone(i).generators
+        for cone in self._attainable_cones:
+            gens = cone.generators
             dim = self.solvency.dim
             if not gens:
                 values.append(tuple(Fraction(0) for _ in range(dim)))

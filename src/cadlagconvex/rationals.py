@@ -6,6 +6,9 @@ with a float: the helpers below dispatch on the infinities, so a
 computation either stays exact or is a genuine extended value.  They test
 ``is_finite`` (an ``isinstance`` check) before comparing with a sentinel:
 ``Fraction == float`` is over ten times slower and runs on every hot path.
+
+:func:`rat` reads the canonical text :func:`fmt` writes with ``int`` and any
+other string with ``Fraction(str)``, which fixes what is accepted and raised.
 """
 
 from __future__ import annotations
@@ -21,12 +24,23 @@ NEG_INF = float("-inf")
 
 
 def rat(value) -> Fraction:
-    """Parse a finite rational from int, Fraction or a 'p/q' string."""
+    """Parse a finite rational from int, Fraction or a string.
+
+    ASCII ``[-]digits`` or ``[-]digits/digits``, as :func:`fmt` writes, is
+    read with ``int``.  Any other string (spaces, ``_``, ``+``, decimals,
+    exponents, non-ASCII digits) goes to ``Fraction(str)``, so the strings
+    accepted, the values and the exceptions (``"1/0"``: ZeroDivisionError)
+    are those of ``Fraction(str)``.
+    """
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if value.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() \
+                and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not a rational: {value!r}")
 

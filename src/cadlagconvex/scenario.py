@@ -21,7 +21,7 @@ from .plconvex import PLConvex
 from .rationals import Ext, Q, rat, xmul, xsum
 from .setmaps import SetMap
 from .timegrid import (GridMeasure, StepPath, TimeGrid, eval_I, pairing,
-                       refine_slots)
+                       refine_slots, refined_once)
 
 Cell = Tuple[str, ...]
 Partition = Tuple[Cell, ...]
@@ -87,9 +87,9 @@ class ScenarioTree:
         return out
 
     def refine(self, factor: int) -> "ScenarioTree":
-        """Partitions at inserted times copy the preceding grid time."""
-        return ScenarioTree(self.scenarios, self.probs,
-                            refine_slots(self.partitions, self.partitions, factor))
+        """Inserted times copy the preceding partition; repeated calls return the same tree."""
+        return refined_once(self, factor, lambda k: ScenarioTree(
+            self.scenarios, self.probs, refine_slots(self.partitions, self.partitions, k)))
 
     @classmethod
     def deterministic(cls, n_slots: int) -> "ScenarioTree":

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from operator import index
+from typing import Callable, Optional, Sequence, Tuple
 
 from .plconvex import PLConvex
 from .rationals import Ext, Q, rat, xmul, xsum
@@ -40,15 +41,31 @@ class TimeGrid:
         return len(self.times)
 
     def refine(self, factor: int) -> "TimeGrid":
-        """Insert factor-1 equispaced times per cell."""
-        if factor < 2:
-            raise ValueError("refinement factor must be >= 2")
+        """Insert factor-1 equispaced times per cell; repeated calls return the same grid."""
+        return refined_once(self, factor, self._refine)
+
+    def _refine(self, factor: int) -> "TimeGrid":
         out = []
         for a, b in zip(self.times, self.times[1:]):
             step = (b - a) / factor
             out.extend(a + j * step for j in range(factor))
         out.append(self.times[-1])
         return TimeGrid(tuple(out))
+
+
+def refined_once(obj, factor: int, build: Callable[[int], object]):
+    """``build(factor)``, made once per frozen ``obj`` and factor.
+
+    The memo is kept outside the dataclass fields, so ``==``, ``hash`` and
+    ``repr`` ignore it; a factor below 2 or one ``build`` rejects is not stored.
+    """
+    if factor < 2:
+        raise ValueError("refinement factor must be >= 2")
+    memo = vars(obj).setdefault("_refined", {})
+    key = index(factor)
+    if key not in memo:
+        memo[key] = build(factor)
+    return memo[key]
 
 
 def refine_slots(points: Sequence, fillers: Sequence, factor: int) -> tuple:

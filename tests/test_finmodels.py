@@ -1,10 +1,13 @@
 """Market presets: regularizations, closed-form supports, cone memberships."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from cadlagconvex import cli, finmodels
 from cadlagconvex.duality import (DualPair, bruteforce_gap_bound,
                                   conj_bruteforce, support_DS)
 from cadlagconvex.finmodels import (ScalarProcess, VectorMeasure,
@@ -13,6 +16,7 @@ from cadlagconvex.finmodels import (ScalarProcess, VectorMeasure,
                                     obstacle_model, obstacle_support,
                                     right_usc_slots, vector_pairing)
 from cadlagconvex.polycone import ConeMap, PolyCone
+from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF
 from cadlagconvex.scenario import RandomMeasure, RandomPath, ScenarioTree
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid
@@ -256,6 +260,20 @@ class TestCurrency:
             tuple(a + b for a, b in zip(x, y)) for x, y in zip(u1.atoms, u2.atoms)))
         assert cm.is_member(u1, ut)["member"] and cm.is_member(u2, ut)["member"]
         assert cm.is_member(total, ut)["member"]
+
+    def test_verify_builds_each_attainable_cone_once(self, monkeypatch, capsys):
+        built = []
+        orig = finmodels.CurrencyModel.attainable_cone
+        monkeypatch.setattr(finmodels.CurrencyModel, "attainable_cone",
+                            lambda cm, i: built.append(i) or orig(cm, i))
+        path = bundled_instance_path("currency")
+        assert cli.main(["verify", path, "--theorem", "currency"]) == 0
+        assert sorted(built) == [0, 1, 2]  # the preset's grid has 3 slots
+        report = json.loads(capsys.readouterr().out)
+        del report["timestamp"]
+        # the report of the build-per-sample code this replaced
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() \
+            == "d69f7ee9be60a525ed7fb1c80d8c60477cde9de25674f04ee062af4dae568cf1"
 
     def test_precondition_failure_raises(self):
         # a solvency cone containing a line has a non-solid polar

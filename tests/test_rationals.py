@@ -1,0 +1,87 @@
+"""The canonical-string fast path of ``rat``/``ext`` against ``Fraction(str)``.
+
+``rat`` reads the form ``fmt`` writes with ``int`` and hands every other
+string to ``Fraction(str)``; both must agree with ``Fraction(str)`` on the
+value, its type and the type of the exception raised.
+"""
+
+import fractions
+import re
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cadlagconvex.rationals import ext, fmt, rat
+
+NOISE = [" ", "\t", "\n", "_", "+", "-", ".", "e", "E", "/", "0", "٣", "²", "x"]
+EDGES = ["", "/", "1/", "/2", "-", "-/2", "1/-2", "-1/-2", "--1", "1//2", "1/2/3",
+         "1/0", "0/0", "-1/0", "-0", "0", "-0/5", "007", "-007/0040", "1_000",
+         "+1/2", " 1/2", "1/2 ", "1 /2", "1.5", "1e3", "1/2e3", "٣", "²", "٣/٤",
+         "1" * 4301, "-" + "9" * 5000, "1/" + "3" * 4400, "1" * 4300]
+# Fraction("1e2345678") builds 10 ** 2345678; neither path is tested on that.
+HUGE_EXPONENT = re.compile(r"[eE][-+]?[\d_]{4}")
+
+
+def outcome(parse, text):
+    """(type, value) of the result, or the type of the exception raised."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # the exception type is what is compared
+        return type(exc)
+    return type(value), value
+
+
+def assert_same_as_fraction(text):
+    want = outcome(F, text)
+    assert outcome(rat, text) == want, text[:40]
+    assert outcome(ext, text) == want, text[:40]
+
+
+canonical = st.one_of(
+    st.fractions().map(fmt),
+    st.integers().map(str),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(0, 10 ** 30)))
+
+
+@st.composite
+def mutated(draw):
+    """A canonical string with one character inserted or replaced."""
+    text = draw(canonical)
+    pos = draw(st.integers(0, len(text)))
+    noise = draw(st.sampled_from(NOISE))
+    cut = pos + draw(st.integers(0, 1))  # 1: replace the character at pos
+    return text[:pos] + noise + text[cut:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical)
+def test_canonical_strings_parse_like_fraction(text):
+    assert_same_as_fraction(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(mutated(), st.text(alphabet="".join(NOISE) + "123456789", max_size=8)))
+def test_other_strings_parse_like_fraction(text):
+    assume(not HUGE_EXPONENT.search(text))
+    assert_same_as_fraction(text)
+
+
+@pytest.mark.parametrize("text", EDGES, ids=lambda t: repr(t[:12]))
+def test_edge_strings_parse_like_fraction(text):
+    assert_same_as_fraction(text)
+
+
+def test_canonical_strings_skip_the_fraction_regex(monkeypatch):
+    class NoRegex:
+        def match(self, text):
+            raise AssertionError(f"Fraction(str) regex used for {text!r}")
+
+    monkeypatch.setattr(fractions, "_RATIONAL_FORMAT", NoRegex())
+    assert [rat(t) for t in ("3", "-3", "6/4", "-1/3", "-0")] == \
+        [F(3), F(-3), F(3, 2), F(-1, 3), F(0)]
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
+    with pytest.raises(AssertionError):
+        rat("1.5")

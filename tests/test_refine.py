@@ -1,5 +1,12 @@
-"""Refining by a and then by b equals refining by a * b, for every refinable type."""
+"""Refinement composes, and one refinement shares one grid and one tree.
 
+Refining by a and then by b equals refining by a * b, for every refinable
+type.  ``TimeGrid.refine`` and ``ScenarioTree.refine`` return one object per
+(value, factor), so every part of a refined instance holds the same grid
+and every scenario-level part the same tree.
+"""
+
+import dataclasses
 import inspect
 import random
 
@@ -13,12 +20,21 @@ from cadlagconvex import (duality, finmodels, polycone, scenario, serialize,
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance)
 from cadlagconvex.presets import PRESET_NAMES, build_preset
+from cadlagconvex.scenario import ScenarioTree
 from cadlagconvex.serialize import (InstanceDoc, conemap_from_json,
                                     instance_doc_to_json,
                                     scalar_process_from_json,
                                     vector_measure_from_json)
+from cadlagconvex.timegrid import TimeGrid
 
 FACTORS = [(2, 2), (2, 3), (3, 2)]
+
+
+def _random_doc(seed: int) -> InstanceDoc:
+    rng = random.Random(seed)
+    inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3, with_htilde=True)
+    return InstanceDoc(inst, [rand_finite_dual(rng, inst)],
+                       [rand_feasible_path(rng, inst)], None)
 
 
 def _refinable_classes():
@@ -62,13 +78,99 @@ def test_presets_refine_compositionally(name, a, b):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from(FACTORS))
 def test_random_instances_refine_compositionally(seed, factors):
-    rng = random.Random(seed)
-    inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3, with_htilde=True)
-    idoc = InstanceDoc(inst, [rand_finite_dual(rng, inst)],
-                       [rand_feasible_path(rng, inst)], None)
-    _assert_composes(idoc, *factors)
+    _assert_composes(_random_doc(seed), *factors)
 
 
 def test_every_refinable_type_is_covered():
     covered = {type(x) for name in PRESET_NAMES for x in _refinables(build_preset(name))}
     assert _refinable_classes() - covered == {InstanceDoc}
+
+
+# -- one grid and one tree per refinement -------------------------------------------
+
+def _scenario_parts(idoc: InstanceDoc):
+    """Every part of the document that holds the tree, with the grid too."""
+    inst = idoc.instance
+    return [inst, inst.h, inst.htilde, inst.mu, inst.mutilde, inst.S, inst.Stilde,
+            *(m for d in idoc.duals for m in (d.u, d.ut)), *idoc.paths]
+
+
+def _grid_parts(idoc: InstanceDoc):
+    """Every part of the document that holds the grid."""
+    inst = idoc.instance
+    measures = [inst.mu, inst.mutilde, *(m for d in idoc.duals for m in (d.u, d.ut))]
+    return _scenario_parts(idoc) + \
+        [m for rm in measures for m in rm.measures.values()] + \
+        [m for rsm in (inst.S, inst.Stilde) for m in rsm.maps.values()] + \
+        [p for rp in idoc.paths for p in rp.paths.values()]
+
+
+def _assert_shares(idoc: InstanceDoc, k: int) -> None:
+    fine = idoc.refine(k)
+    grid, tree = fine.instance.grid, fine.instance.tree
+    assert grid is idoc.instance.grid.refine(k)
+    assert tree is idoc.instance.tree.refine(k)
+    assert all(x.grid is grid for x in _grid_parts(fine))
+    assert all(x.tree is tree for x in _scenario_parts(fine))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_refine_onto_one_grid_and_tree(name, k):
+    _assert_shares(build_preset(name), k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]))
+def test_random_instances_refine_onto_one_grid_and_tree(seed, k):
+    _assert_shares(_random_doc(seed), k)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_one_grid_and_one_tree_are_built_per_refinement(name, monkeypatch):
+    inst = build_preset(name).instance
+    built = {TimeGrid: 0, ScenarioTree: 0}
+    for cls in built:
+        def counted(self, _cls=cls, _orig=cls.__post_init__):
+            built[_cls] += 1
+            _orig(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    inst.refine(2)
+    assert built == {TimeGrid: 1, ScenarioTree: 1}
+    inst.refine(2)
+    assert built == {TimeGrid: 1, ScenarioTree: 1}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_memo_changes_no_equality_hash_repr_or_output(name):
+    idoc = build_preset(name)
+    grid, tree = idoc.instance.grid, idoc.instance.tree
+    before = [(repr(x), hash(x), [f.name for f in dataclasses.fields(x)])
+              for x in (grid, tree)]
+    text = instance_doc_to_json(idoc)
+    idoc.refine(2)
+    idoc.refine(3)
+    after = [(repr(x), hash(x), [f.name for f in dataclasses.fields(x)])
+             for x in (grid, tree)]
+    assert after == before
+    assert instance_doc_to_json(idoc) == text
+    twin_grid = TimeGrid(grid.times)
+    twin_tree = ScenarioTree(tree.scenarios, tree.probs, tree.partitions)
+    assert twin_grid == grid and hash(twin_grid) == hash(grid)
+    assert twin_tree == tree and hash(twin_tree) == hash(tree)
+    assert twin_grid.refine(2) == grid.refine(2) and twin_tree.refine(2) == tree.refine(2)
+
+
+@pytest.mark.parametrize("factor", [1, 0, -1])
+def test_a_factor_below_two_raises_on_every_call(factor):
+    idoc = build_preset("basic")
+    inst = idoc.instance
+    for _ in range(2):
+        for x in (inst.grid, inst.tree, inst, idoc):
+            with pytest.raises(ValueError, match="factor must be >= 2"):
+                x.refine(factor)
+    inst.refine(2)
+    for x in (inst.grid, inst.tree, inst):
+        with pytest.raises(ValueError, match="factor must be >= 2"):
+            x.refine(factor)
+    assert set(vars(inst.grid)["_refined"]) == {2}

@@ -165,6 +165,75 @@ class TestBundledPresets:
             f"{name}.json" for name in PRESET_NAMES)
 
 
+
+# sha256 of the files ``model NAME -o`` and ``refine --factor 2|3|4 -o`` write,
+# in that order: a change to refining or loading must keep these bytes.
+WRITTEN_SHA256 = {
+    "basic": (
+        "337590e11b44844c0476fc566d267515866083848b0fe202ed887056f60bd81b",
+        "25a5b30425b3f56dc76d13fcda06229976d06565b28433df0b91d24debb7dc8e",
+        "af4832718c54bb3b6d70f7e24b996731726ea57a69c7b73d65a508fd6a153e7f",
+        "3b408b2acd6f2677a5957a74c499c13aea46f61e02c53e87a38cda53b201cdc3",
+    ),
+    "deterministic": (
+        "13483fd929b0a4b5fe55be7d7049e6fa2c8a0a89d16a891f71769ca6d3cf6d1d",
+        "6806cb775e58a0fea7f8aaf2446893db2499621ffb2993b5a4c997a7e76316a2",
+        "684b0fe2a95b855fcc6e2d84f3ce4f04a3b6f78b87626c83e63c126d62d5dfb5",
+        "1572166c3ee531940671b1e207d7ee00587e33781e5bd5f8b74ad6491268215b",
+    ),
+    "michael-violation": (
+        "ba183de1fe894a45c0e97d395f6459cf833df6455f866af947fae498a190899c",
+        "8d3228d4442966e4a681254d5de3a7f02495d3d02361ee8cab39d68398b2df18",
+        "d6c5e8405f1b6c085d711dca279fa405e650b5bb3df2927fc410ddd2bbd0e441",
+        "2ff4efd92f193fe6a8d49ecc52ba78d8c4b2f6ad82ce02665920a28a9bb4c859",
+    ),
+    "obstacle": (
+        "f1ee2eaae3147f630ac251ebf818fb707aa136ab15678459048010c5012ba4a6",
+        "f24023a48a25f28d18a311aa4ede7285e0f41d0cee2f4994290a6605f942aa4c",
+        "c05967778a813c82768ed68a47a16f1224fe62f31050373c0be24c34ebc67237",
+        "4bf220ebc56aac04f89628152af5a104011c9a1b93ccc63fe93bd2c28bd9b188",
+    ),
+    "bidask": (
+        "e3b9072774aad187d254f57b04e90fcf966ad2b6d663ae6155507a193dd22093",
+        "5f7c601234e20946b1179c1e4a26432ed0f1e4df57e1b0ba096aea2db8356b3d",
+        "d2e82f92bce2ee4aa98e5b6f979462497a2245c75892463ae07dc7c57d24d03e",
+        "93615e1d4f4e0896da4b90e37db455f7a49dc7f0daa80f19e4bb1e95c9ca6ccb",
+    ),
+    "currency": (
+        "51a73bebbdcbfd2c3574d1447afdc01f6eb26d75c787901c20c325736eb2a653",
+        "b0c92a8f96af27d6ee46b32ba8a231fe52c4d69d2f60ed82c4e5da4a3f79d932",
+        "d46e257ea77b9d1681d84358a35cbb97bcb2aea2923d935d0ef0c1474867f6af",
+        "6737a6b6bb7652f63a76f52eb7c1988fd2e51bf4db5e5efd576a8ff022cc26ce",
+    ),
+    "cs": (
+        "05bd1a1eb52a7121da989e062c963964aa6086e47f57e52db6094b8ffea717d5",
+        "441de3d8884f72225456ddec3425d09bc3f7cf1ebbbbf0d24127cad2f06e8942",
+        "7123102ba027b9454830655bed098d4b63a3b9cf31ec9092e4b7d768d7a8952f",
+        "52ba3efa4d2df170c7f97e768e8a29d01189013a5ddbc43ba0ca4b5a5c4a8a50",
+    ),
+}
+
+
+class TestWrittenBytes:
+    @staticmethod
+    def sha256(path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_every_preset_is_pinned(self):
+        assert sorted(WRITTEN_SHA256) == sorted(PRESET_NAMES)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_model_and_refine_write_the_pinned_bytes(self, name, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert cli.main(["model", name, "-o", str(model)]) == 0
+        got = [self.sha256(model)]
+        for k in (2, 3, 4):
+            out = tmp_path / f"refine{k}.json"
+            assert cli.main(["refine", str(model), "--factor", str(k), "-o", str(out)]) == 0
+            got.append(self.sha256(out))
+        assert got == list(WRITTEN_SHA256[name])
+
+
 class TestCli:
     def run(self, *argv):
         return cli.main(list(argv))
