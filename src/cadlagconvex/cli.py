@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import duality, generators, presets
-from .duality import (BudgetExceededError, Instance, assumption_report,
+from .duality import (FINE, BudgetExceededError, Instance, assumption_report,
                       bruteforce_gap_bound, conj_bruteforce, conj_pointwise,
                       eval_Fhat, indicator_integrand, interchange_det,
                       interchange_stoch, make_instance, subdiff_check,
@@ -110,13 +110,14 @@ def _check_against_oracle(idoc: InstanceDoc, args, formula, oracle_of, key: str)
     if not idoc.duals:
         raise SchemaError(f"{args.theorem} check needs at least one dual pair")
     oracle = oracle_of(inst)
-    rep = assumption_report(oracle)
+    refined = oracle.refine(FINE)
+    rep = assumption_report(oracle, refined=refined)
     B = args.B if args.B is not None else 2 * inst.magnitude_bound()
     delta = args.delta
     entries, ok = [], True
     for k, d in enumerate(idoc.duals):
         value = formula(inst, d)
-        brute = conj_bruteforce(oracle, d, B, delta, budget=args.budget)
+        brute = conj_bruteforce(oracle, d, B, delta, budget=args.budget, refined=refined)
         bound = bruteforce_gap_bound(d, delta)
         if value in (INF, NEG_INF) or brute == NEG_INF:
             verified = value == NEG_INF and brute == NEG_INF

@@ -17,9 +17,11 @@ making the value at t_i and the left limit at t_i independent coordinates.
 All such computations route through the refined instance
 ``inst.refine(FINE)`` (inserted times carry zero mass), which keeps the
 oracle an honest path search while matching the pointwise formulas exactly.
-Each public entry point builds it once and passes it down.  Nothing is
-cached on the instance: a repeated call refines again, and no refined copy
-outlives the call that built it.
+Each public entry point builds it once and passes it down;
+:func:`assumption_report` and :func:`conj_bruteforce` also take it as
+``refined=`` from a caller that has built it, as ``verify`` does.  Nothing
+is cached on the instance: a repeated call refines again, and no refined
+copy outlives the call that built it.
 
 On that grid the objective separates across (partition cell, slot), so the
 oracle and both interchange rules optimize one coordinate at a time.  The
@@ -359,20 +361,17 @@ def _coordinates(tree: ScenarioTree, n_slots: int,
 # Assumption diagnostics
 # ---------------------------------------------------------------------------
 
-def assumption_report(inst: Instance) -> Dict:
+def assumption_report(inst: Instance, refined: Optional[Instance] = None) -> Dict:
     """Slot-wise diagnostics under which the pointwise formulas are exact.
 
     Records, per scenario: the constraint maps agreeing with the integrand
     domains (image closure), the Michael-representation inclusions on both
     maps, the cross-compatibility of the two constraint systems, the pinched
     left start, properness (a feasible point with finite cost exists) and
-    the constructive affine minorants.
+    the constructive affine minorants.  ``refined`` is ``inst.refine(FINE)``
+    when the caller has built it already; it is built here otherwise.
     """
-    return _assumption_report(inst, inst.refine(FINE))
-
-
-def _assumption_report(inst: Instance, r: Instance) -> Dict:
-    """:func:`assumption_report` given the once-refined instance ``r``."""
+    r = inst.refine(FINE) if refined is None else refined
     n = inst.grid.n_slots
     per_scenario = {}
     for s in inst.tree.scenarios:
@@ -446,7 +445,8 @@ def _assumption_report(inst: Instance, r: Instance) -> Dict:
 # ---------------------------------------------------------------------------
 
 def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
-                    budget: Optional[int] = None) -> Ext:
+                    budget: Optional[int] = None,
+                    refined: Optional[Instance] = None) -> Ext:
     """Lower bound of the conjugate by an adapted lattice search.
 
     Searches adapted step paths on the once-refined grid with values in
@@ -465,12 +465,15 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     consecutive candidates with a lattice point between them, so on that
     closed segment every scenario's cost is affine, or +inf inside it, and
     the lattice maximum sits at one of the two candidates.
+
+    ``refined`` is ``inst.refine(FINE)`` when the caller has built it
+    already, as ``verify`` does for all its duals; it is built here otherwise.
     """
     B, delta = rat(B), rat(delta)
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
     budget = resolve_budget(budget)
-    r = inst.refine(FINE)
+    r = inst.refine(FINE) if refined is None else refined
     rd = d.refine(FINE)
     tree, n = r.tree, r.grid.n_slots
     needed = 0
@@ -703,7 +706,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
     fine = inst.refine(FINE)
-    assumptions = _assumption_report(inst, fine)
+    assumptions = assumption_report(inst, refined=fine)
     hatted = form == "Fhat"
     r = fine if hatted else inst
     tree, n = r.tree, r.grid.n_slots

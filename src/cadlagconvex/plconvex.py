@@ -42,12 +42,17 @@ class RInterval:
             elif not isinstance(v, Fraction):
                 object.__setattr__(self, name, rat(v))
         lo, hi = self.lo, self.hi
-        finite = is_finite(lo) and is_finite(hi)
-        if not finite and lo == INF and hi == NEG_INF:
+        lo_inf, hi_inf = not is_finite(lo), not is_finite(hi)  # then INF or NEG_INF
+        if lo_inf and hi_inf and lo == INF and hi == NEG_INF:
             return  # canonical empty sentinel
-        if not (lo <= hi):
+        if lo_inf or hi_inf:
+            # an infinite end orders by its sign alone: no Fraction/float comparison
+            ordered = (lo_inf and lo == NEG_INF) or (hi_inf and hi == INF)
+        else:
+            ordered = lo <= hi
+        if not ordered:
             raise ValueError(f"empty interval bounds [{lo}, {hi}]")
-        if not finite and (lo == INF or hi == NEG_INF):
+        if (lo_inf and lo == INF) or (hi_inf and hi == NEG_INF):
             raise ValueError("interval endpoint has the wrong infinity")
 
     @property
@@ -223,28 +228,32 @@ class PLConvex:
         Breakpoints and slopes exchange roles: the slopes of h become the
         kinks of h*, the finite knots of h become the slopes of h*, and a
         finite domain endpoint of h turns into an unbounded tail of h*.  The
-        anchor of h* is the slope of segment 0, which lies in the closed
-        domain of h*; its value comes from :meth:`conjugate_at_slope`, so the
-        build walks the segments of h a constant number of times instead of
-        once per knot.
+        anchor of h* is its canonical one, the slope of segment 1 when h is
+        unbounded on the left and has a kink, else that of segment 0; its
+        value comes from :meth:`conjugate_at_slope`, so the build walks the
+        segments of h a constant number of times instead of once per knot,
+        and :func:`pl` returns the canonical data without re-canonicalizing.
         """
-        if self.dom_lo == self.dom_hi:
+        lo_inf = not is_finite(self.dom_lo) and self.dom_lo == NEG_INF
+        hi_inf = not is_finite(self.dom_hi) and self.dom_hi == INF
+        if not (lo_inf or hi_inf) and self.dom_lo == self.dom_hi:
             # delta_{a} + c  ->  affine v*a - c
             a, c = self.dom_lo, self.anchor_val
             return pl(NEG_INF, INF, (), (a,), Fraction(0), -c)
-        if not self.breakpoints and self.dom_lo == NEG_INF and self.dom_hi == INF:
+        if not self.breakpoints and lo_inf and hi_inf:
             # affine on the whole line -> point mass at the slope
             s = self.slopes[0]
             return pl(s, s, (), (Fraction(0),), s, s * self.anchor_x - self.anchor_val)
-        v_lo = self.slopes[0] if self.dom_lo == NEG_INF else NEG_INF
-        v_hi = self.slopes[-1] if self.dom_hi == INF else INF
+        v_lo = self.slopes[0] if lo_inf else NEG_INF
+        v_hi = self.slopes[-1] if hi_inf else INF
         bps = list(self.slopes)
-        if self.dom_lo == NEG_INF:
+        if lo_inf:
             bps = bps[1:]
-        if self.dom_hi == INF:
+        if hi_inf:
             bps = bps[:-1]
-        return pl(v_lo, v_hi, bps, self.knots(), self.slopes[0],
-                  self.conjugate_at_slope(0))
+        j = 1 if bps and lo_inf else 0
+        return pl(v_lo, v_hi, bps, self.knots(), self.slopes[j],
+                  self.conjugate_at_slope(j))
 
     def recession(self) -> "PLConvex":
         """Recession function: asymptotic slopes, +inf past a finite domain end."""
@@ -350,6 +359,13 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
     breakpoint, else a finite domain endpoint, else 0) and recomputes its
     value.  Raises ``ValueError`` on non-convex slope data or an anchor
     outside the domain.
+
+    Input that is canonical already is returned as given once it has passed
+    every check: each breakpoint lies strictly inside the open domain, no two
+    adjacent slopes are equal, and ``anchor_x`` is the deterministic anchor.
+    The full path would give the same value: dropping keeps every breakpoint,
+    merging does nothing, and the anchor value is walked over zero distance.
+    Files written by :mod:`serialize` and conjugates take this path.
     """
     bps = tuple(rat(b) for b in breakpoints)
     sls = tuple(rat(s) for s in slopes)
@@ -367,13 +383,22 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
         raise ValueError("need exactly one slope per segment")
     if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
         raise ValueError("breakpoints must be strictly increasing")
-    if any(sls[i] > sls[i + 1] for i in range(len(sls) - 1)):
+    increasing = all(sls[i] < sls[i + 1] for i in range(len(sls) - 1))
+    if not increasing and any(sls[i] > sls[i + 1] for i in range(len(sls) - 1)):
         raise ValueError("slopes must be nondecreasing (convexity)")
-    if not (dom_lo <= anchor_x <= dom_hi):
+    # an infinite end is below or above every rational: no Fraction/float
+    # comparison is needed on that side
+    lo_inf = not is_finite(dom_lo) and dom_lo == NEG_INF
+    hi_inf = not is_finite(dom_hi) and dom_hi == INF
+    if not ((lo_inf or dom_lo <= anchor_x) and (hi_inf or anchor_x <= dom_hi)):
         raise ValueError("anchor outside the domain")
 
     if is_finite(dom_lo) and is_finite(dom_hi) and dom_lo == dom_hi:
         return PLConvex(dom_lo, dom_hi, (), (Fraction(0),), dom_lo, anchor_val)
+
+    if increasing and anchor_x == _canonical_anchor(dom_lo, dom_hi, bps) and (
+            not bps or ((lo_inf or dom_lo < bps[0]) and (hi_inf or bps[-1] < dom_hi))):
+        return PLConvex(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)
 
     # restrict to segments meeting the open domain
     keep = [i for i, b in enumerate(bps) if dom_lo < b < dom_hi]
@@ -396,16 +421,20 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
         m_bps.append(b)
         m_sls.append(s_next)
 
-    if m_bps:
-        ax = m_bps[0]
-    elif is_finite(dom_lo):
-        ax = dom_lo
-    elif is_finite(dom_hi):
-        ax = dom_hi
-    else:
-        ax = Fraction(0)
+    ax = _canonical_anchor(dom_lo, dom_hi, m_bps)
     aval = PLConvex(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)._finite_value(ax)
     return PLConvex(dom_lo, dom_hi, tuple(m_bps), tuple(m_sls), ax, aval)
+
+
+def _canonical_anchor(dom_lo: Ext, dom_hi: Ext, bps: Sequence[Q]) -> Q:
+    """First breakpoint, else the finite lower end, else the finite upper end, else 0."""
+    if bps:
+        return bps[0]
+    if is_finite(dom_lo):
+        return dom_lo
+    if is_finite(dom_hi):
+        return dom_hi
+    return Fraction(0)
 
 
 def _interior_point(lo: Ext, hi: Ext) -> Q:

@@ -8,11 +8,14 @@ computation either stays exact or is a genuine extended value.  They test
 ``Fraction == float`` is over ten times slower and runs on every hot path.
 
 :func:`rat` reads the canonical text :func:`fmt` writes with ``int`` and any
-other string with ``Fraction(str)``, which fixes what is accepted and raised.
+other string with ``Fraction(str)``, which fixes what is accepted and raised,
+except that a decimal exponent beyond :data:`MAX_EXPONENT` is refused before
+``Fraction(str)`` would build its power of ten.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -22,6 +25,13 @@ Ext = Union[Fraction, float]  # Fraction, INF or NEG_INF; no other floats
 INF = float("inf")
 NEG_INF = float("-inf")
 
+# CPython's default cap on the digits of an int read from or written as text
+# (sys.int_info.default_max_str_digits).  A larger exponent is refused: 10**exp
+# would take time and memory growing with exp itself, from a few bytes of input.
+MAX_EXPONENT = 4300
+# The exponent of a Fraction(str) literal: [eE], a sign, digits, then the end.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
 
 def rat(value) -> Fraction:
     """Parse a finite rational from int, Fraction or a string.
@@ -30,13 +40,18 @@ def rat(value) -> Fraction:
     read with ``int``.  Any other string (spaces, ``_``, ``+``, decimals,
     exponents, non-ASCII digits) goes to ``Fraction(str)``, so the strings
     accepted, the values and the exceptions (``"1/0"``: ZeroDivisionError)
-    are those of ``Fraction(str)``.
+    are those of ``Fraction(str)``.  The one exception: an exponent whose
+    absolute value exceeds :data:`MAX_EXPONENT` raises ``ValueError`` at once,
+    where ``Fraction(str)`` would compute ``10 ** exp`` first.
     """
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         if value.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() \
                 and (not slash or den.isdigit()):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        exp = _EXPONENT.search(value)
+        if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
@@ -46,10 +61,23 @@ def rat(value) -> Fraction:
 
 
 def ext(value) -> Ext:
-    """Parse an extended rational; accepts 'inf' and '-inf' sentinels."""
-    if value == INF or (isinstance(value, str) and value.strip() in ("inf", "+inf")):
+    """Parse an extended rational; accepts 'inf' and '-inf' sentinels.
+
+    Strings are told apart first and a ``Fraction`` is returned as it is, so
+    neither meets a comparison with a float sentinel.
+    """
+    if isinstance(value, str):
+        word = value.strip()
+        if word == "inf" or word == "+inf":
+            return INF
+        if word == "-inf":
+            return NEG_INF
+        return rat(value)
+    if isinstance(value, Fraction):
+        return value
+    if value == INF:
         return INF
-    if value == NEG_INF or (isinstance(value, str) and value.strip() == "-inf"):
+    if value == NEG_INF:
         return NEG_INF
     return rat(value)
 

@@ -2,19 +2,29 @@
 
 All numerics are rational strings ('p/q', with 'inf'/'-inf' sentinels), so a
 file round-trips exactly.  Malformed documents raise :class:`SchemaError`.
+
+A document repeats few distinct strings many times (the same knots, slopes,
+probabilities and interval ends), so :func:`instance_doc_from_json` parses
+each distinct string once: it opens a memo from string to ``Fraction`` that
+every ``*_from_json`` reader below consults, and drops it when it returns or
+raises.  The memo lives in a context variable, so it belongs to that one call
+and its thread; a reader called on its own parses every string afresh.  A bad
+string raises on first sight, exactly as without the memo, and is never
+stored.
 """
 
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .duality import DualPair, Instance, make_instance
 from .finmodels import ScalarProcess, VectorMeasure
 from .plconvex import PLConvex, RInterval, pl
 from .polycone import ConeMap, PolyCone
-from .rationals import ext, fmt, rat
+from .rationals import ext, fmt, is_finite, rat
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree)
 from .setmaps import SetMap
@@ -47,6 +57,34 @@ def _wrap(what: str):
 
 # -- scalars and intervals ----------------------------------------------------
 
+# string -> parsed value, set only while instance_doc_from_json runs
+_PARSED: ContextVar[Optional[Dict[str, Fraction]]] = ContextVar("_PARSED", default=None)
+
+
+def _rat(value) -> Fraction:
+    """:func:`rat`, through the memo of the document being read, if any."""
+    parsed = _PARSED.get()
+    if parsed is None or not isinstance(value, str):
+        return rat(value)
+    q = parsed.get(value)
+    if q is None:
+        q = parsed[value] = rat(value)
+    return q
+
+
+def _ext(value):
+    """:func:`ext` through the same memo; the sentinels are never stored."""
+    parsed = _PARSED.get()
+    if parsed is None or not isinstance(value, str):
+        return ext(value)
+    q = parsed.get(value)
+    if q is None:
+        q = ext(value)
+        if is_finite(q):
+            parsed[value] = q
+    return q
+
+
 def interval_to_json(iv: RInterval) -> List[str]:
     return [fmt(iv.lo), fmt(iv.hi)]
 
@@ -54,7 +92,7 @@ def interval_to_json(iv: RInterval) -> List[str]:
 @_wrap("interval")
 def interval_from_json(doc) -> RInterval:
     lo, hi = doc
-    return RInterval(ext(lo), ext(hi))
+    return RInterval(_ext(lo), _ext(hi))
 
 
 # -- piecewise-linear functions ------------------------------------------------
@@ -72,10 +110,10 @@ def plconvex_to_json(fn: PLConvex) -> dict:
 def plconvex_from_json(doc: dict) -> PLConvex:
     lo, hi = _need(doc, "dom")
     ax, av = _need(doc, "anchor")
-    return pl(ext(lo), ext(hi),
-              [rat(b) for b in _need(doc, "breakpoints")],
-              [rat(s) for s in _need(doc, "slopes")],
-              rat(ax), rat(av))
+    return pl(_ext(lo), _ext(hi),
+              [_rat(b) for b in _need(doc, "breakpoints")],
+              [_rat(s) for s in _need(doc, "slopes")],
+              _rat(ax), _rat(av))
 
 
 # -- grid-level objects ---------------------------------------------------------
@@ -86,7 +124,7 @@ def grid_to_json(grid: TimeGrid) -> List[str]:
 
 @_wrap("grid")
 def grid_from_json(doc) -> TimeGrid:
-    return TimeGrid(tuple(rat(t) for t in doc))
+    return TimeGrid(tuple(_rat(t) for t in doc))
 
 
 def tree_to_json(tree: ScenarioTree) -> dict:
@@ -101,7 +139,7 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 def tree_from_json(doc: dict) -> ScenarioTree:
     probs_doc = _need(doc, "probs")
     scenarios = tuple(doc.get("scenarios") or sorted(probs_doc))
-    probs = tuple(rat(probs_doc[s]) for s in scenarios)
+    probs = tuple(_rat(probs_doc[s]) for s in scenarios)
     partitions = tuple(
         tuple(tuple(cell) for cell in part) for part in _need(doc, "partitions"))
     return ScenarioTree(scenarios, probs, partitions)
@@ -114,7 +152,7 @@ def measure_to_json(rm: RandomMeasure) -> dict:
 @_wrap("measure")
 def measure_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomMeasure:
     return RandomMeasure(tree, grid, {
-        s: GridMeasure(grid, tuple(rat(a) for a in doc[s])) for s in tree.scenarios})
+        s: GridMeasure(grid, tuple(_rat(a) for a in doc[s])) for s in tree.scenarios})
 
 
 def path_to_json(rp: RandomPath) -> dict:
@@ -124,7 +162,7 @@ def path_to_json(rp: RandomPath) -> dict:
 @_wrap("path")
 def path_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomPath:
     return RandomPath(tree, grid, {
-        s: StepPath(grid, tuple(rat(v) for v in doc[s])) for s in tree.scenarios})
+        s: StepPath(grid, tuple(_rat(v) for v in doc[s])) for s in tree.scenarios})
 
 
 def setmap_to_json(rsm: RandomSetMap) -> dict:
@@ -188,8 +226,8 @@ def cone_from_json(doc: dict) -> PolyCone:
     if gens is not None and not hs:
         hs = None  # beside generators an empty list means "not given": computed lazily
     return PolyCone(dim,
-                    generators=None if gens is None else [[rat(x) for x in g] for g in gens],
-                    halfspaces=None if hs is None else [[rat(x) for x in a] for a in hs])
+                    generators=None if gens is None else [[_rat(x) for x in g] for g in gens],
+                    halfspaces=None if hs is None else [[_rat(x) for x in a] for a in hs])
 
 
 def conemap_to_json(cm: ConeMap) -> dict:
@@ -218,8 +256,8 @@ def scalar_process_to_json(sp: ScalarProcess) -> dict:
 def scalar_process_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> ScalarProcess:
     return ScalarProcess(
         tree, grid,
-        {s: tuple(rat(v) for v in _need(doc, "points")[s]) for s in tree.scenarios},
-        {s: tuple(rat(v) for v in _need(doc, "cells")[s]) for s in tree.scenarios},
+        {s: tuple(_rat(v) for v in _need(doc, "points")[s]) for s in tree.scenarios},
+        {s: tuple(_rat(v) for v in _need(doc, "cells")[s]) for s in tree.scenarios},
         _need(doc, "flag"))
 
 
@@ -229,7 +267,7 @@ def vector_measure_to_json(vm: VectorMeasure) -> List[List[str]]:
 
 @_wrap("vector measure")
 def vector_measure_from_json(doc, grid: TimeGrid) -> VectorMeasure:
-    return VectorMeasure(grid, tuple(tuple(rat(x) for x in a) for a in doc))
+    return VectorMeasure(grid, tuple(tuple(_rat(x) for x in a) for a in doc))
 
 
 # -- whole documents -------------------------------------------------------------
@@ -282,6 +320,14 @@ class InstanceDoc:
 
 
 def instance_doc_from_json(doc: dict) -> InstanceDoc:
+    token = _PARSED.set({})
+    try:
+        return _instance_doc_from_json(doc)
+    finally:
+        _PARSED.reset(token)
+
+
+def _instance_doc_from_json(doc: dict) -> InstanceDoc:
     if not isinstance(doc, dict):
         raise SchemaError("instance file must be a JSON object")
     grid = grid_from_json(_need(doc, "grid"))

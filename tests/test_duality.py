@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cadlagconvex.duality import (BudgetExceededError, DualPair,
+from cadlagconvex.duality import (FINE, BudgetExceededError, DualPair, Instance,
                                   assumption_report, bruteforce_gap_bound,
                                   conj_bruteforce, conj_pointwise, eval_F,
                                   eval_Fhat, interchange_det,
@@ -15,10 +15,12 @@ from cadlagconvex.duality import (BudgetExceededError, DualPair,
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance)
 from cadlagconvex.plconvex import (RInterval, abs_fn, indicator, pl, restrict)
+from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                                    RandomSetMap, ScenarioTree,
                                    expected_pairing)
+from cadlagconvex.serialize import load_instance
 from cadlagconvex.setmaps import SetMap
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid, eval_I
 
@@ -135,6 +137,26 @@ class TestConjBruteforce:
                             Stilde=smap.vec_map())
         d = det_dual(inst, (0, 0, 0))
         assert conj_bruteforce(inst, d, B=6, delta=F(1, 2)) == NEG_INF
+
+    def test_a_refined_copy_given_is_used_and_not_rebuilt(self, monkeypatch):
+        idoc = load_instance(bundled_instance_path("basic"))
+        inst, d = idoc.instance, idoc.duals[0]
+        want = (conj_bruteforce(inst, d, B=4, delta=F(1, 4)), assumption_report(inst))
+        fine = inst.refine(FINE)
+        refines = []
+        refine = Instance.refine
+
+        def counting(self, factor):
+            refines.append(factor)
+            return refine(self, factor)
+        monkeypatch.setattr(Instance, "refine", counting)
+        assert (conj_bruteforce(inst, d, B=4, delta=F(1, 4), refined=fine),
+                assumption_report(inst, refined=fine)) == want
+        assert refines == []
+        # without the keyword each call refines once
+        assert (conj_bruteforce(inst, d, B=4, delta=F(1, 4)),
+                assumption_report(inst)) == want
+        assert refines == [FINE, FINE]
 
     def test_budget_cap(self):
         inst = det_instance([abs_fn()] * 3, (1, 1, 1), grid=G3)

@@ -114,6 +114,9 @@ class TestSentinelTables:
         (NEG_INF, NEG_INF, "interval endpoint has the wrong infinity"),
         (1, 0, "empty interval bounds [1, 0]"),
         (0.5, 1, "interval endpoints must be rational or infinite"),
+        (F(1), NEG_INF, "empty interval bounds [1, -inf]"),
+        (INF, F(0), "empty interval bounds [inf, 0]"),
+        (float("nan"), F(0), "interval endpoints must be rational or infinite"),
     ])
     def test_bad_intervals_keep_their_messages(self, lo, hi, message):
         with pytest.raises(ValueError) as exc:

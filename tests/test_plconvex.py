@@ -1,16 +1,19 @@
 """Piecewise-linear convex calculus: examples and conjugation laws."""
 
+import sys
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval, abs_fn,
-                                   affine, indicator, max_affine, pl, restrict,
-                                   support_fn)
-from cadlagconvex.presets import bundled_instance_path
-from cadlagconvex.rationals import INF, NEG_INF
+from cadlagconvex import plconvex
+from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval,
+                                   _interior_point, abs_fn, affine, indicator,
+                                   max_affine, pl, restrict, support_fn)
+from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
+from cadlagconvex.rationals import INF, NEG_INF, ext, is_finite, rat
 from cadlagconvex.scenario import (RandomIntegrand, ScenarioTree,
                                    minorant_certificate)
 from cadlagconvex.serialize import load_instance
@@ -316,3 +319,187 @@ def test_minorant_certificate_builds_no_conjugate(monkeypatch):
     minorant_certificate(inst.h)
     minorant_certificate(inst.htilde)
     assert builds == []
+
+
+# -- the canonical-input shortcut of pl ------------------------------------------
+
+def full_canonicalization(dom_lo, dom_hi, breakpoints, slopes, anchor_x, anchor_val):
+    """Reference copy of pl() before it returned canonical input as given:
+    every call restricts, merges equal slopes and re-anchors."""
+    bps = tuple(rat(b) for b in breakpoints)
+    sls = tuple(rat(s) for s in slopes)
+    anchor_x = rat(anchor_x)
+    anchor_val = rat(anchor_val)
+    if isinstance(dom_lo, str):
+        dom_lo = ext(dom_lo)
+    if isinstance(dom_hi, str):
+        dom_hi = ext(dom_hi)
+    if ((not is_finite(dom_lo) and dom_lo == INF)
+            or (not is_finite(dom_hi) and dom_hi == NEG_INF)
+            or not (dom_lo <= dom_hi)):
+        raise ValueError("empty or inverted domain")
+    if len(sls) != len(bps) + 1:
+        raise ValueError("need exactly one slope per segment")
+    if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
+        raise ValueError("breakpoints must be strictly increasing")
+    if any(sls[i] > sls[i + 1] for i in range(len(sls) - 1)):
+        raise ValueError("slopes must be nondecreasing (convexity)")
+    if not (dom_lo <= anchor_x <= dom_hi):
+        raise ValueError("anchor outside the domain")
+    if is_finite(dom_lo) and is_finite(dom_hi) and dom_lo == dom_hi:
+        return PLConvex(dom_lo, dom_hi, (), (F(0),), dom_lo, anchor_val)
+    keep = [i for i, b in enumerate(bps) if dom_lo < b < dom_hi]
+    if keep:
+        a, b_ = keep[0], keep[-1]
+        bps2, sls2 = bps[a:b_ + 1], sls[a:b_ + 2]
+    else:
+        j = bisect_left(bps, _interior_point(dom_lo, dom_hi))
+        bps2, sls2 = (), (sls[j],)
+    m_bps, m_sls = [], [sls2[0]]
+    for i, b in enumerate(bps2):
+        if sls2[i + 1] == m_sls[-1]:
+            continue
+        m_bps.append(b)
+        m_sls.append(sls2[i + 1])
+    if m_bps:
+        ax = m_bps[0]
+    elif is_finite(dom_lo):
+        ax = dom_lo
+    elif is_finite(dom_hi):
+        ax = dom_hi
+    else:
+        ax = F(0)
+    aval = PLConvex(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)._finite_value(ax)
+    return PLConvex(dom_lo, dom_hi, tuple(m_bps), tuple(m_sls), ax, aval)
+
+
+def _typed_fields(fn):
+    return tuple((type(v), v) for v in (fn.dom_lo, fn.dom_hi, fn.anchor_x, fn.anchor_val)) \
+        + tuple((type(v), v) for v in fn.breakpoints + fn.slopes)
+
+
+def _pl_outcome(build, args):
+    try:
+        return _typed_fields(build(*args))
+    except Exception as exc:  # the exception type and message are compared
+        return type(exc), str(exc)
+
+
+Q3 = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def pl_arguments(draw):
+    """pl() arguments: canonical data, raw data that needs canonicalizing
+    (equal adjacent slopes, breakpoints at or outside the domain ends, any
+    anchor in the domain, one-point domains, infinite ends, ends given as
+    strings), and now and then invalid data (an inverted domain, unsorted
+    breakpoints, a decreasing slope, a slope too many, an anchor outside)."""
+    kind, fault, a, b, anchor, value = draw(st.tuples(
+        st.sampled_from(["line", "left", "right", "bounded", "point", "inverted"]),
+        st.sampled_from(["unsorted", "decreasing", "extra slope", "anchor", "text"]
+                        + [None] * 10),
+        Q3, Q3, Q3, Q3))
+    a, b = min(a, b), max(a, b)
+    lo = {"line": NEG_INF, "left": NEG_INF, "inverted": b}.get(kind, a)
+    hi = {"line": INF, "right": INF, "point": a, "inverted": a - 1}.get(kind, b)
+    ends = [x for x in (lo, hi) if isinstance(x, F) and draw(st.booleans())]
+    bps = sorted(set(draw(st.lists(Q3, max_size=4)) + ends))
+    steps = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1), F(2)]),
+                          min_size=len(bps), max_size=len(bps)))
+    slopes = [value]
+    for step in steps:
+        slopes.append(slopes[-1] + step)
+    if kind != "inverted":
+        # any point of the domain, its ends, or its first breakpoint
+        box = RInterval(lo, hi)
+        anchor = draw(st.sampled_from([
+            x for x in (*bps[:1], lo, hi) if isinstance(x, F) and box.contains(x)]
+            + [box.nearest_to(anchor)]))
+    if fault == "unsorted":
+        bps.reverse()
+    elif fault == "decreasing" and len(slopes) > 1:
+        slopes[-1] = slopes[-2] - 1
+    elif fault == "extra slope":
+        slopes.append(slopes[-1])
+    elif fault == "anchor" and isinstance(hi, F):
+        anchor = hi + 1
+    elif fault == "text":
+        lo, hi = (x if isinstance(x, float) else str(x) for x in (lo, hi))
+    args = (lo, hi, bps, slopes, anchor, value)
+    if draw(st.integers(0, 2)):
+        return args
+    # the reference's canonical output fed back in: the input of the shortcut
+    try:
+        fn = full_canonicalization(*args)
+    except ValueError:
+        return args
+    return (fn.dom_lo, fn.dom_hi, fn.breakpoints, fn.slopes, fn.anchor_x, fn.anchor_val)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_arguments())
+def test_pl_equals_the_full_canonicalization(args):
+    assert _pl_outcome(pl, args) == _pl_outcome(full_canonicalization, args)
+
+
+@pytest.mark.parametrize("args", [
+    (NEG_INF, INF, [], [F(1)], F(0), F(2)),                       # affine
+    (NEG_INF, INF, [F(0)], [F(-1), F(1)], F(0), F(0)),            # |x|
+    (F(-2), F(2), [F(-1), F(1)], [F(-1), F(0), F(1)], F(-1), F(3)),
+    (F(0), INF, [], [F(2)], F(0), F(5)),
+    (NEG_INF, F(0), [], [F(2)], F(0), F(5)),
+    ("-inf", "3", [], [F(2)], F(3), F(5)),                        # strings read
+    (F(1), F(1), [], [F(0)], F(1), F(4)),                         # one point
+])
+def test_canonical_input_is_returned_as_given(args, monkeypatch):
+    walks = _count_calls(monkeypatch, PLConvex, "_finite_value")
+    fn = pl(*args)
+    assert walks == []
+    monkeypatch.undo()
+    assert fn == full_canonicalization(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (NEG_INF, INF, [F(0)], [F(1), F(1)], F(0), F(0)),             # equal slopes
+    (F(0), F(2), [F(0)], [F(-1), F(1)], F(0), F(0)),              # kink at an end
+    (F(0), F(2), [F(3)], [F(-1), F(1)], F(0), F(0)),              # kink outside
+    (F(0), F(2), [F(1), F(2)], [F(-1), F(0), F(1)], F(1), F(0)),  # kink at the top
+    (F(-2), F(2), [F(0), F(3)], [F(-1), F(0), F(1)], F(0), F(0)),
+    (F(-2), F(2), [F(0)], [F(-1), F(1)], F(-2), F(2)),            # anchor elsewhere
+    (NEG_INF, INF, [], [F(1)], F(1), F(2)),
+])
+def test_other_input_is_canonicalized(args, monkeypatch):
+    walks = _count_calls(monkeypatch, PLConvex, "_finite_value")
+    fn = pl(*args)
+    assert len(walks) == 1
+    monkeypatch.undo()
+    assert fn == full_canonicalization(*args)
+    assert pl(fn.dom_lo, fn.dom_hi, fn.breakpoints, fn.slopes, fn.anchor_x,
+              fn.anchor_val) == fn
+
+
+def _walks_inside_pl(monkeypatch):
+    """Calls of PLConvex._finite_value made by pl() itself."""
+    walks = []
+    original = PLConvex._finite_value
+
+    def counted(self, x):
+        if sys._getframe(1).f_code is plconvex.pl.__code__:
+            walks.append(x)
+        return original(self, x)
+    monkeypatch.setattr(PLConvex, "_finite_value", counted)
+    return walks
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_loading_a_preset_never_re_anchors(name, monkeypatch):
+    """Shipped files and the conjugates of their integrands are canonical."""
+    walks = _walks_inside_pl(monkeypatch)
+    inst = load_instance(bundled_instance_path(name)).instance
+    assert walks == []
+    for ri in (inst.h, inst.htilde):
+        for fns in ri.functions.values():
+            for fn in fns:
+                fn.conjugate()
+    assert walks == []

@@ -7,13 +7,15 @@ value, its type and the type of the exception raised.
 
 import fractions
 import re
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cadlagconvex.rationals import ext, fmt, rat
+from cadlagconvex.rationals import INF, MAX_EXPONENT, NEG_INF, ext, fmt, rat
 
 NOISE = [" ", "\t", "\n", "_", "+", "-", ".", "e", "E", "/", "0", "٣", "²", "x"]
 EDGES = ["", "/", "1/", "/2", "-", "-/2", "1/-2", "-1/-2", "--1", "1//2", "1/2/3",
@@ -85,3 +87,61 @@ def test_canonical_strings_skip_the_fraction_regex(monkeypatch):
         rat("1/0")
     with pytest.raises(AssertionError):
         rat("1.5")
+
+
+# -- the exponent bound -------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-2.5E+4300", " 7e0_4300 ",
+                                  "1e٤٣٠٠", "3e-0"])
+def test_exponents_up_to_the_bound_parse_like_fraction(text):
+    assert_same_as_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "-2.5E+4301", " 7e0_4301 ",
+                                  "1e٤٣٠١", "1e-1000000000", "0e99999999999",
+                                  "1e" + "9" * 5000])
+def test_exponents_beyond_the_bound_are_refused_at_once(text):
+    start = time.perf_counter()
+    for parse in (rat, ext):
+        with pytest.raises(ValueError):
+            parse(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_bound_is_the_default_int_digit_cap():
+    assert MAX_EXPONENT == sys.int_info.default_max_str_digits == 4300
+    with pytest.raises(ValueError, match="exponent beyond 4300 in '1e-4301'"):
+        rat("1e-4301")
+
+
+# -- ext: value, type and exception per input kind ---------------------------------
+
+@pytest.mark.parametrize("value, want", [
+    ("inf", (float, INF)),
+    (" +inf ", (float, INF)),
+    ("-inf", (float, NEG_INF)),
+    ("\t-inf\n", (float, NEG_INF)),
+    ("-7/2", (F, F(-7, 2))),
+    (" 0.25 ", (F, F(1, 4))),
+    ("1_000", (F, F(1000))),
+    ("Infinity", ValueError),
+    ("1/0", ZeroDivisionError),
+    (F(-7, 2), (F, F(-7, 2))),
+    (3, (F, F(3))),
+    (True, (F, F(1))),
+    (INF, (float, INF)),
+    (NEG_INF, (float, NEG_INF)),
+    (0.5, TypeError),
+    (None, TypeError),
+], ids=repr)
+def test_ext_table(value, want):
+    assert outcome(ext, value) == want
+
+
+def test_ext_returns_a_fraction_without_comparing_it(monkeypatch):
+    q = F(-7, 2)
+
+    def no_compare(self, other):
+        raise AssertionError("Fraction compared in ext")
+    monkeypatch.setattr(F, "__eq__", no_compare)
+    assert ext(q) is q

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import time
 from fractions import Fraction as F
 from importlib import resources
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 
 from conftest import plconvex_st
 
-from cadlagconvex import cli, presets
+from cadlagconvex import cli, presets, serialize
 from cadlagconvex.duality import Instance
 from cadlagconvex.finmodels import bidask_model, obstacle_model
 from cadlagconvex.presets import (PRESET_NAMES, build_preset,
@@ -92,6 +93,39 @@ class TestSerialization:
     def test_cone_without_either_form_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="cone needs generators or halfspaces"):
             cone_from_json({"dim": 2, "generators": None})
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1/0", "bad path: Fraction(1, 0)"),
+        ("x", "bad path: Invalid literal for Fraction: 'x'"),
+    ])
+    def test_each_distinct_string_is_parsed_once_per_document(self, bad, message,
+                                                               monkeypatch):
+        with open(bundled("basic"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["paths"] = [{s: ["1/3", "-1/3", "1/3"] for s in ("up", "dn")}
+                        for _ in range(40)]
+        parses = []
+        rat = serialize.rat
+
+        def counted(value):
+            parses.append(value)
+            return rat(value)
+        monkeypatch.setattr(serialize, "rat", counted)
+        idoc = instance_doc_from_json(doc)
+        assert [p.paths["dn"].values for p in idoc.paths] == [(F(1, 3), F(-1, 3), F(1, 3))] * 40
+        assert len(parses) == len(set(parses))
+        assert serialize._PARSED.get() is None
+
+        # a bad string after many good ones raises as it does without the memo
+        doc["paths"][-1]["dn"][2] = bad
+        with pytest.raises(SchemaError) as err:
+            instance_doc_from_json(doc)
+        assert str(err.value) == message
+        assert serialize._PARSED.get() is None
+        # no parse state survives: a reader on its own parses every string
+        del parses[:]
+        path_from_json(doc["paths"][0], idoc.instance.tree, idoc.instance.grid)
+        assert parses == ["1/3", "-1/3", "1/3"] * 2
 
     def test_reports_equal_ignores_timestamp(self):
         a = {"theorem": "x", "pass": True, "timestamp": 1.0}
@@ -342,6 +376,18 @@ class TestCli:
         assert self.run("verify", str(bad), "--theorem", "conjugate") == 2
         assert_one_error_line(capsys, "schema error: bad measure: ")
 
+    def test_huge_exponent_exits_2_at_once(self, tmp_path, capsys):
+        with open(bundled("basic"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["integrand_h"]["functions"]["up"][0]["anchor"][1] = "1e-1000000000"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert self.run("verify", str(bad), "--theorem", "conjugate") == 2
+        assert time.perf_counter() - start < 1
+        assert_one_error_line(capsys, "schema error: bad piecewise-linear function: "
+                                      "exponent beyond 4300")
+
     @pytest.mark.parametrize("argv", [
         ("--theorem", "conjugate", "--B", "0"),
         ("--theorem", "conjugate", "--B", "-3"),
@@ -412,14 +458,14 @@ class TestCli:
         assert not missing.exists()
 
     # one refinement per duality entry point: the assumption report and the
-    # interchange rule share theirs; each oracle call builds its own
+    # interchange rule share theirs, and so do the report and every oracle call
     @pytest.mark.parametrize("theorem, fixed, per_dual", [
         ("subdiff", 1, 0), ("interchange-stoch", 1, 0),
-        # assumption report, then the oracle once per dual pair
-        ("conjugate", 1, 1),
-        # the report on the constraint-indicator instance, then support_DS
-        # and the oracle once per dual pair
-        ("support-ds", 1, 2),
+        # the oracle instance, for its report and every dual pair
+        ("conjugate", 1, 0),
+        # the constraint-indicator instance as above, then support_DS once
+        # per dual pair
+        ("support-ds", 1, 1),
     ])
     def test_verify_refines_once_per_entry_point(self, theorem, fixed, per_dual,
                                                  monkeypatch, capsys):
