@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import duality, generators, presets
-from .duality import (FINE, BudgetExceededError, Instance, assumption_report,
+from .duality import (BudgetExceededError, Instance, assumption_report,
                       bruteforce_gap_bound, conj_bruteforce, conj_pointwise,
                       eval_Fhat, indicator_integrand, interchange_det,
                       interchange_stoch, make_instance, subdiff_check,
@@ -31,7 +31,7 @@ from .finmodels import currency_model, vector_pairing
 from .plconvex import support_fn
 from .polycone import cs_regularity_check
 from .rationals import INF, NEG_INF, is_finite, rat
-from .scenario import jensen_check
+from .scenario import check_adapted, jensen_check
 from .serialize import (InstanceDoc, SchemaError, conemap_from_json,
                         dump_instance, dump_report, load_instance,
                         reports_equal, vector_measure_from_json)
@@ -110,14 +110,13 @@ def _check_against_oracle(idoc: InstanceDoc, args, formula, oracle_of, key: str)
     if not idoc.duals:
         raise SchemaError(f"{args.theorem} check needs at least one dual pair")
     oracle = oracle_of(inst)
-    refined = oracle.refine(FINE)
-    rep = assumption_report(oracle, refined=refined)
+    rep = assumption_report(oracle)
     B = args.B if args.B is not None else 2 * inst.magnitude_bound()
     delta = args.delta
     entries, ok = [], True
     for k, d in enumerate(idoc.duals):
         value = formula(inst, d)
-        brute = conj_bruteforce(oracle, d, B, delta, budget=args.budget, refined=refined)
+        brute = conj_bruteforce(oracle, d, B, delta, budget=args.budget)
         bound = bruteforce_gap_bound(d, delta)
         if value in (INF, NEG_INF) or brute == NEG_INF:
             verified = value == NEG_INF and brute == NEG_INF
@@ -158,6 +157,8 @@ def _check_subdiff(idoc: InstanceDoc, args) -> Dict:
         raise SchemaError("subdiff check needs a path and a dual pair")
     entries, ok = [], True
     for pk, y in enumerate(idoc.paths):
+        if not check_adapted(y):
+            raise SchemaError(f"path {pk} is not adapted")
         if eval_Fhat(inst, y) == INF:
             entries.append({"path": pk, "skipped": "infinite primal value"})
             continue

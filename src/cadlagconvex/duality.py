@@ -17,11 +17,8 @@ making the value at t_i and the left limit at t_i independent coordinates.
 All such computations route through the refined instance
 ``inst.refine(FINE)`` (inserted times carry zero mass), which keeps the
 oracle an honest path search while matching the pointwise formulas exactly.
-Each public entry point builds it once and passes it down;
-:func:`assumption_report` and :func:`conj_bruteforce` also take it as
-``refined=`` from a caller that has built it, as ``verify`` does.  Nothing
-is cached on the instance: a repeated call refines again, and no refined
-copy outlives the call that built it.
+``Instance.refine`` builds it once per instance, so the entry points that
+need it each ask for it and share one copy.
 
 On that grid the objective separates across (partition cell, slot), so the
 oracle and both interchange rules optimize one coordinate at a time.  The
@@ -45,8 +42,8 @@ from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
                        check_predictable, expected_pairing,
                        minorant_certificate, paste, predictable_atoms)
-from .setmaps import SetMap, michael_check
-from .timegrid import StepPath, TimeGrid, eval_I, eval_J
+from .setmaps import SetMap, escaping_slots, michael_check
+from .timegrid import StepPath, TimeGrid, eval_I, eval_J, refined_once
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV_VAR = "CADLAG_CONVEX_BUDGET"
@@ -133,6 +130,10 @@ class Instance:
         return self.Stilde.maps[scenario]
 
     def refine(self, factor: int) -> "Instance":
+        """The instance on the factor-refined grid; repeated calls return the same one."""
+        return refined_once(self, factor, self._refine)
+
+    def _refine(self, factor: int) -> "Instance":
         return Instance(self.tree.refine(factor), self.grid.refine(factor),
                         self.h.refine(factor), self.mu.refine(factor),
                         self.mutilde.refine(factor), self.htilde.refine(factor),
@@ -241,32 +242,20 @@ def eval_F(inst: Instance, y: RandomPath) -> Ext:
 def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
     """The hatted functional: adds the left-limit costs and constraints."""
     _require_adapted_path(y)
-    n = inst.grid.n_slots
+    if y.grid != inst.S.grid:
+        raise ValueError("grid mismatch")
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
         path = y.paths[s]
-        smap, stmap = inst.s_map(s), inst.st_map(s)
-        left = StepPath(inst.grid, path.left_values())
-        feasible = smap.is_selection(path)
-        if feasible:
-            lefts = path.left_values()
-            for i in range(n):
-                if not stmap.point_vals[i].contains(lefts[i]):
-                    feasible = False
-                    break
-            if feasible:
-                for i in range(n - 1):
-                    if not stmap.open_vals[i].contains(path.values[i]):
-                        feasible = False
-                        break
-        if not feasible:
+        if not _zero_start_ok(inst, s) or not all(
+                v.contains(x) for v, x in zip(_fixed_value_sets(inst, s), path.values)):
             vals[s] = INF
             continue
-        cost = xsum([
+        vals[s] = xsum([
             eval_I(inst.h.functions[s], path, inst.mu.measures[s]),
-            eval_I(inst.htilde.functions[s], left, inst.mutilde.measures[s]),
+            eval_I(inst.htilde.functions[s], StepPath(inst.grid, path.left_values()),
+                   inst.mutilde.measures[s]),
         ])
-        vals[s] = cost
     return inst.tree.expectation(vals)
 
 
@@ -331,6 +320,11 @@ def _zero_start_ok(inst: Instance, scenario: str) -> bool:
     return inst.st_map(scenario).point_vals[0].contains(Fraction(0))
 
 
+def _off_domain(values: Tuple[RInterval, ...], fns, first: int = 0) -> List[int]:
+    """Slots i >= first where ``values[i - first]`` is not the closed domain of fns[i]."""
+    return [i for i, v in enumerate(values, first) if v != fns[i].domain]
+
+
 def _zero_start_cost(inst: Instance) -> Ext:
     """E[mutilde_0 htilde_0(0)]: the charge on the forced left limit 0 at time 0."""
     terms = []
@@ -361,47 +355,23 @@ def _coordinates(tree: ScenarioTree, n_slots: int,
 # Assumption diagnostics
 # ---------------------------------------------------------------------------
 
-def assumption_report(inst: Instance, refined: Optional[Instance] = None) -> Dict:
+def assumption_report(inst: Instance) -> Dict:
     """Slot-wise diagnostics under which the pointwise formulas are exact.
 
     Records, per scenario: the constraint maps agreeing with the integrand
     domains (image closure), the Michael-representation inclusions on both
     maps, the cross-compatibility of the two constraint systems, the pinched
     left start, properness (a feasible point with finite cost exists) and
-    the constructive affine minorants.  ``refined`` is ``inst.refine(FINE)``
-    when the caller has built it already; it is built here otherwise.
+    the constructive affine minorants.  A slot-wise condition is computed as
+    its failing slots, which the report lists under ``failing_slots``.
     """
-    r = inst.refine(FINE) if refined is None else refined
+    r = inst.refine(FINE)
     n = inst.grid.n_slots
+    zero = RInterval.singleton(Fraction(0))
     per_scenario = {}
     for s in inst.tree.scenarios:
         smap, stmap = inst.s_map(s), inst.st_map(s)
         hfns, htfns = inst.h.functions[s], inst.htilde.functions[s]
-        bad = {
-            "s_is_cl_dom_h": [i for i in range(n)
-                              if smap.point_vals[i] != hfns[i].domain]
-            + [i for i in range(n - 1) if smap.open_vals[i] != hfns[i].domain],
-            "stilde_is_cl_dom_htilde": [i for i in range(1, n)
-                                        if stmap.point_vals[i] != htfns[i].domain],
-            "michael_S": [i for i in range(n - 1)
-                          if not smap.point_vals[i].issubset(smap.open_vals[i])],
-            "michael_Stilde": [i for i in range(1, n)
-                               if not stmap.point_vals[i].issubset(stmap.open_vals[i - 1])],
-            "cross_S_in_Stilde_cells": [i for i in range(n - 1)
-                                        if not smap.point_vals[i].issubset(stmap.open_vals[i])],
-            "cross_Stilde_in_S_cells": [i for i in range(1, n)
-                                        if not stmap.point_vals[i].issubset(smap.open_vals[i - 1])],
-        }
-        s_dom = not bad["s_is_cl_dom_h"]
-        st_dom = not bad["stilde_is_cl_dom_htilde"]
-        zero = RInterval.singleton(Fraction(0))
-        slot0 = stmap.point_vals[0] == zero and htfns[0].domain == zero
-        mich_s = not bad["michael_S"]
-        mich_st = not bad["michael_Stilde"]
-        cross_s = not bad["cross_S_in_Stilde_cells"]
-        cross_st = not bad["cross_Stilde_in_S_cells"]
-        s_contains_dom = all(hfns[i].domain.issubset(smap.point_vals[i])
-                             for i in range(n))
         sets = _fixed_value_sets(r, s)
         mu_atoms = inst.mu.measures[s].atoms
         mut_atoms = inst.mutilde.measures[s].atoms
@@ -416,28 +386,31 @@ def assumption_report(inst: Instance, refined: Optional[Instance] = None) -> Dic
                     proper = False
             if mut_atoms[0] > 0 and not htfns[0].domain.contains(Fraction(0)):
                 proper = False
-        per_scenario[s] = {
-            "s_is_cl_dom_h": s_dom,
-            "stilde_is_cl_dom_htilde": st_dom,
-            "slot0_pinched": slot0,
-            "michael_S": mich_s,
-            "michael_Stilde": mich_st,
-            "cross_S_in_Stilde_cells": cross_s,
-            "cross_Stilde_in_S_cells": cross_st,
-            "s_contains_dom_h": s_contains_dom,
+        # each condition as its failing slots, or as a flag if not slot-wise
+        checks = {
+            "s_is_cl_dom_h": _off_domain(smap.point_vals, hfns)
+            + _off_domain(smap.open_vals, hfns),
+            "stilde_is_cl_dom_htilde": _off_domain(stmap.point_vals[1:], htfns, 1),
+            "slot0_pinched": stmap.point_vals[0] == zero and htfns[0].domain == zero,
+            "michael_S": escaping_slots(smap.point_vals, smap.open_vals, 0),
+            "michael_Stilde": escaping_slots(stmap.point_vals, stmap.open_vals, 1),
+            "cross_S_in_Stilde_cells": escaping_slots(smap.point_vals, stmap.open_vals, 0),
+            "cross_Stilde_in_S_cells": escaping_slots(stmap.point_vals, smap.open_vals, 1),
+            "s_contains_dom_h": all(fn.domain.issubset(v)
+                                    for fn, v in zip(hfns, smap.point_vals)),
             "proper": proper,
-            "failing_slots": {k: v for k, v in bad.items() if v},
         }
-    keys = [k for k in next(iter(per_scenario.values())) if k != "failing_slots"]
-    summary = {k: all(per_scenario[s][k] for s in per_scenario) for k in keys}
+        per_scenario[s] = {k: v if isinstance(v, bool) else not v
+                           for k, v in checks.items()}
+        per_scenario[s]["failing_slots"] = {
+            k: v for k, v in checks.items() if not isinstance(v, bool) and v}
+    summary = {k: all(flags[k] for flags in per_scenario.values()) for k in checks}
+    # s_contains_dom_h is recorded, not required
+    all_ok = all(v for k, v in summary.items() if k != "s_contains_dom_h")
     summary["minorant_h"] = minorant_certificate(inst.h) is not None
     summary["minorant_htilde"] = minorant_certificate(inst.htilde) is not None
-    core = ("s_is_cl_dom_h", "stilde_is_cl_dom_htilde", "slot0_pinched",
-            "michael_S", "michael_Stilde", "cross_S_in_Stilde_cells",
-            "cross_Stilde_in_S_cells", "proper")
-    summary["all_ok"] = all(summary[k] for k in core)
-    return {"per_scenario": per_scenario, "summary": summary,
-            "all_ok": summary["all_ok"]}
+    summary["all_ok"] = all_ok
+    return {"per_scenario": per_scenario, "summary": summary, "all_ok": all_ok}
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +418,7 @@ def assumption_report(inst: Instance, refined: Optional[Instance] = None) -> Dic
 # ---------------------------------------------------------------------------
 
 def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
-                    budget: Optional[int] = None,
-                    refined: Optional[Instance] = None) -> Ext:
+                    budget: Optional[int] = None) -> Ext:
     """Lower bound of the conjugate by an adapted lattice search.
 
     Searches adapted step paths on the once-refined grid with values in
@@ -465,15 +437,12 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     consecutive candidates with a lattice point between them, so on that
     closed segment every scenario's cost is affine, or +inf inside it, and
     the lattice maximum sits at one of the two candidates.
-
-    ``refined`` is ``inst.refine(FINE)`` when the caller has built it
-    already, as ``verify`` does for all its duals; it is built here otherwise.
     """
     B, delta = rat(B), rat(delta)
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
     budget = resolve_budget(budget)
-    r = inst.refine(FINE) if refined is None else refined
+    r = inst.refine(FINE)
     rd = d.refine(FINE)
     tree, n = r.tree, r.grid.n_slots
     needed = 0
@@ -560,39 +529,27 @@ def subdiff_check(inst: Instance, y: RandomPath, d: DualPair) -> Dict:
     primal = eval_Fhat(inst, y)
     if primal == INF:
         raise ValueError("path has infinite primal value")
-    n = inst.grid.n_slots
+    # u against h and S at the path values, ut against htilde and Stilde at the left limits
+    halves = (("u_density_in_subdiff_h", "u_singular_in_normal_cone",
+               inst.h, inst.mu, d.u, inst.S, False),
+              ("ut_density_in_subdiff_htilde", "ut_singular_in_normal_cone",
+               inst.htilde, inst.mutilde, d.ut, inst.Stilde, True))
     per_scenario = {}
-    all_ok = True
     for s in inst.tree.scenarios:
         path = y.paths[s]
-        lefts = path.left_values()
-        smap, stmap = inst.s_map(s), inst.st_map(s)
-        mu_atoms = inst.mu.measures[s].atoms
-        mut_atoms = inst.mutilde.measures[s].atoms
-        u_atoms = d.u.measures[s].atoms
-        ut_atoms = d.ut.measures[s].atoms
-        rows = []
-        for i in range(n):
-            checks = {}
-            if mu_atoms[i] > 0:
-                density = u_atoms[i] / mu_atoms[i]
-                checks["u_density_in_subdiff_h"] = \
-                    inst.h.functions[s][i].subdiff(path.values[i]).contains(density)
-            elif u_atoms[i] != 0:
-                sign = Fraction(1) if u_atoms[i] > 0 else Fraction(-1)
-                checks["u_singular_in_normal_cone"] = \
-                    indicator(smap.point_vals[i]).subdiff(path.values[i]).contains(sign)
-            if mut_atoms[i] > 0:
-                density = ut_atoms[i] / mut_atoms[i]
-                checks["ut_density_in_subdiff_htilde"] = \
-                    inst.htilde.functions[s][i].subdiff(lefts[i]).contains(density)
-            elif ut_atoms[i] != 0:
-                sign = Fraction(1) if ut_atoms[i] > 0 else Fraction(-1)
-                checks["ut_singular_in_normal_cone"] = \
-                    indicator(stmap.point_vals[i]).subdiff(lefts[i]).contains(sign)
-            rows.append(checks)
-            all_ok = all_ok and all(checks.values())
+        rows: List[Dict[str, bool]] = [{} for _ in path.values]
+        for density_key, singular_key, fam, m, dm, rsm, at_left in halves:
+            xs = path.left_values() if at_left else path.values
+            fns, sets = fam.functions[s], rsm.maps[s].point_vals
+            m_atoms, d_atoms = m.measures[s].atoms, dm.measures[s].atoms
+            for i, row in enumerate(rows):
+                if m_atoms[i] > 0:
+                    row[density_key] = fns[i].subdiff(xs[i]).contains(d_atoms[i] / m_atoms[i])
+                elif d_atoms[i] != 0:
+                    sign = Fraction(1) if d_atoms[i] > 0 else Fraction(-1)
+                    row[singular_key] = indicator(sets[i]).subdiff(xs[i]).contains(sign)
         per_scenario[s] = rows
+    all_ok = all(all(row.values()) for rows in per_scenario.values() for row in rows)
     conj = conj_pointwise(inst, d)
     pair = expected_pairing(y, d.u, d.ut)
     gap = xsum([primal, conj, -pair]) if conj != INF else INF
@@ -632,30 +589,21 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
     s = _single_scenario(inst)
     n = inst.grid.n_slots
     if side == "cadlag":
-        smap = inst.s_map(s)
-        fns = inst.h.functions[s]
+        sm, fns, lag = inst.s_map(s), inst.h.functions[s], 0
         atoms = inst.mu.measures[s].atoms
-        feas = [smap.attainable_at(i) for i in range(n)]
-        mich = michael_check(smap)
-        image_closure = all(smap.point_vals[i] == fns[i].domain for i in range(n)) \
-            and all(smap.open_vals[i] == fns[i].domain for i in range(n - 1))
+        feas = [sm.attainable_at(i) for i in range(n)]
+        failing = michael_check(sm)["failing_slots"]
     elif side == "caglad":
-        stmap = inst.st_map(s)
-        fns = inst.htilde.functions[s]
+        # cell i is the left limit at t_{i+1}, charged by htilde_{i+1}
+        sm, fns, lag = inst.st_map(s), inst.htilde.functions[s], 1
         atoms = inst.mutilde.measures[s].atoms
-        feas = [stmap.point_vals[0]] + [
-            stmap.point_vals[i].intersect(stmap.open_vals[i - 1]) for i in range(1, n)]
-        mich = {
-            "representation_holds": all(
-                stmap.point_vals[i].issubset(stmap.open_vals[i - 1])
-                for i in range(1, n)),
-            "failing_slots": [i for i in range(1, n)
-                              if not stmap.point_vals[i].issubset(stmap.open_vals[i - 1])],
-        }
-        image_closure = all(stmap.point_vals[i] == fns[i].domain for i in range(n)) \
-            and all(stmap.open_vals[i] == fns[i + 1].domain for i in range(n - 1))
+        feas = [sm.point_vals[0]] + [
+            sm.point_vals[i].intersect(sm.open_vals[i - 1]) for i in range(1, n)]
+        failing = escaping_slots(sm.point_vals, sm.open_vals, 1)
     else:
         raise ValueError("side must be 'cadlag' or 'caglad'")
+    image_closure = not (_off_domain(sm.point_vals, fns)
+                         + _off_domain(sm.open_vals, fns, lag))
 
     closure_holds = all(
         feas[i].intersect(fns[i].domain) == feas[i] for i in range(n))
@@ -676,8 +624,8 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
     else:
         gap = xsum([lhs, xneg(rhs)])
     assumptions = {
-        "michael": mich["representation_holds"],
-        "michael_failing_slots": mich["failing_slots"],
+        "michael": not failing,
+        "michael_failing_slots": failing,
         "image_closure": image_closure,
         "domain_closure": closure_holds,
     }
@@ -689,7 +637,7 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
         "vacuous": vacuous,
         "ok": vacuous or lhs == rhs,
         "assumptions": assumptions,
-        "assumptions_ok": mich["representation_holds"] and image_closure and closure_holds,
+        "assumptions_ok": not failing and image_closure and closure_holds,
     }
 
 
@@ -705,10 +653,9 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
-    fine = inst.refine(FINE)
-    assumptions = assumption_report(inst, refined=fine)
+    assumptions = assumption_report(inst)
     hatted = form == "Fhat"
-    r = fine if hatted else inst
+    r = inst.refine(FINE) if hatted else inst
     tree, n = r.tree, r.grid.n_slots
     if hatted:
         sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}

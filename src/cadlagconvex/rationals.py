@@ -10,7 +10,8 @@ computation either stays exact or is a genuine extended value.  They test
 :func:`rat` reads the canonical text :func:`fmt` writes with ``int`` and any
 other string with ``Fraction(str)``, which fixes what is accepted and raised,
 except that a decimal exponent beyond :data:`MAX_EXPONENT` is refused before
-``Fraction(str)`` would build its power of ten.
+``Fraction(str)`` would build its power of ten, and so is a value that
+:func:`fmt` could not write back.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ NEG_INF = float("-inf")
 # CPython's default cap on the digits of an int read from or written as text
 # (sys.int_info.default_max_str_digits).  A larger exponent is refused: 10**exp
 # would take time and memory growing with exp itself, from a few bytes of input.
+# A numerator or denominator of more digits could not be written back as text.
 MAX_EXPONENT = 4300
+_TOO_LONG = 10 ** MAX_EXPONENT
 # The exponent of a Fraction(str) literal: [eE], a sign, digits, then the end.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -40,9 +43,11 @@ def rat(value) -> Fraction:
     read with ``int``.  Any other string (spaces, ``_``, ``+``, decimals,
     exponents, non-ASCII digits) goes to ``Fraction(str)``, so the strings
     accepted, the values and the exceptions (``"1/0"``: ZeroDivisionError)
-    are those of ``Fraction(str)``.  The one exception: an exponent whose
-    absolute value exceeds :data:`MAX_EXPONENT` raises ``ValueError`` at once,
-    where ``Fraction(str)`` would compute ``10 ** exp`` first.
+    are those of ``Fraction(str)``, with two exceptions, both ``ValueError``:
+    an exponent whose absolute value exceeds :data:`MAX_EXPONENT` is refused
+    at once, where ``Fraction(str)`` would compute ``10 ** exp`` first, and so
+    is a value whose reduced numerator or denominator has more than
+    :data:`MAX_EXPONENT` digits, which ``str`` could not write back.
     """
     if isinstance(value, str):
         num, slash, den = value.partition("/")
@@ -52,7 +57,10 @@ def rat(value) -> Fraction:
         exp = _EXPONENT.search(value)
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
             raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
-        return Fraction(value)
+        q = Fraction(value)
+        if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+            raise ValueError(f"more than {MAX_EXPONENT} digits in {value!r}")
+        return q
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

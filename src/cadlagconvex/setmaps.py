@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .plconvex import EMPTY_INTERVAL, RInterval
 from .rationals import Q, rat
@@ -93,19 +93,26 @@ class SetMap:
                       refine_cells(self.open_vals, factor))
 
 
+def escaping_slots(points: Sequence[RInterval], cells: Sequence[RInterval],
+                   lag: int) -> List[int]:
+    """Slots i, in increasing order, whose point value is not inside the
+    following cell value cells[i] (``lag`` 0, i < N; right inner
+    semicontinuity) or the preceding one cells[i - 1] (``lag`` 1, i >= 1).
+    The points and the cells may come from two mappings."""
+    return [i + lag for i, cell in enumerate(cells) if not points[i + lag].issubset(cell)]
+
+
 def right_isc_check(sm: SetMap) -> bool:
     """Inverse images of open sets are open for right-open intervals.
 
     On cell-constant mappings this reduces to point value inside the
     following cell value at every non-terminal grid time.
     """
-    return all(sm.point_vals[i].issubset(sm.open_vals[i])
-               for i in range(sm.grid.n_cells))
+    return not escaping_slots(sm.point_vals, sm.open_vals, 0)
 
 
 def left_isc_check(sm: SetMap) -> bool:
-    return all(sm.point_vals[i].issubset(sm.open_vals[i - 1])
-               for i in range(1, sm.grid.n_slots))
+    return not escaping_slots(sm.point_vals, sm.open_vals, 1)
 
 
 def solid_check(sm: SetMap) -> bool:
@@ -164,9 +171,9 @@ def projection_selection(sm: SetMap, x: Q) -> StepPath:
     whenever the preceding attainable set fills the preceding cell.
     """
     x = rat(x)
-    for i in range(sm.grid.n_cells):
-        if not sm.point_vals[i].issubset(sm.open_vals[i]):
-            raise SelectionPreconditionError(i)
+    escaping = escaping_slots(sm.point_vals, sm.open_vals, 0)
+    if escaping:
+        raise SelectionPreconditionError(escaping[0])
     values = tuple(sm.attainable_at(i).nearest_to(x) for i in range(sm.grid.n_slots))
     path = StepPath(sm.grid, values)
     vec = sm.vec_map()

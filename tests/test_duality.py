@@ -5,18 +5,22 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadlagconvex.duality import (FINE, BudgetExceededError, DualPair, Instance,
                                   assumption_report, bruteforce_gap_bound,
                                   conj_bruteforce, conj_pointwise, eval_F,
-                                  eval_Fhat, interchange_det,
+                                  eval_Fhat, indicator_integrand, interchange_det,
                                   interchange_stoch, make_instance,
                                   subdiff_check, support_DS)
-from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
-                                     rand_passing_instance)
+from cadlagconvex.generators import (rand_coarse, rand_feasible_path,
+                                     rand_finite_dual, rand_grid, rand_interval,
+                                     rand_passing_instance, rand_plconvex,
+                                     rand_setmap)
 from cadlagconvex.plconvex import (RInterval, abs_fn, indicator, pl, restrict)
 from cadlagconvex.presets import bundled_instance_path
-from cadlagconvex.rationals import INF, NEG_INF
+from cadlagconvex.rationals import INF, NEG_INF, xsum
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                                    RandomSetMap, ScenarioTree,
                                    expected_pairing)
@@ -85,6 +89,117 @@ class TestEvalF:
         with pytest.raises(ValueError):
             eval_F(inst, y)
 
+    @pytest.mark.parametrize("value", [0, 5])  # feasible on its grid or not
+    def test_a_path_on_another_grid_is_rejected(self, value):
+        box = restrict(abs_fn(), RInterval(F(-1), F(1)))
+        inst = det_instance([box, box], (1, 1), grid=G2)
+        y = det_path(det_instance([box] * 3, (1, 1, 1), grid=G3), (value,) * 3)
+        for evaluate in (eval_F, eval_Fhat):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                evaluate(inst, y)
+
+
+def fhat_slot_loop(inst, y):
+    """eval_Fhat with the slot-by-slot feasibility loop it had before it read
+    the feasible value sets; kept only as the reference of the test below."""
+    n = inst.grid.n_slots
+    vals = {}
+    for s in inst.tree.scenarios:
+        path = y.paths[s]
+        smap, stmap = inst.s_map(s), inst.st_map(s)
+        left = StepPath(inst.grid, path.left_values())
+        feasible = smap.is_selection(path)
+        if feasible:
+            lefts = path.left_values()
+            for i in range(n):
+                if not stmap.point_vals[i].contains(lefts[i]):
+                    feasible = False
+                    break
+            if feasible:
+                for i in range(n - 1):
+                    if not stmap.open_vals[i].contains(path.values[i]):
+                        feasible = False
+                        break
+        if not feasible:
+            vals[s] = INF
+            continue
+        vals[s] = xsum([
+            eval_I(inst.h.functions[s], path, inst.mu.measures[s]),
+            eval_I(inst.htilde.functions[s], left, inst.mutilde.measures[s]),
+        ])
+    return inst.tree.expectation(vals)
+
+
+def random_constrained_instance(rng):
+    """One scenario, so any maps are adapted and predictable: S is drawn
+    independently of h, and Stilde of S, or as its left-limit map, or as that
+    map with a random value at t_0 (which need not hold the left limit 0)."""
+    grid = rand_grid(rng, 3)
+    tree = ScenarioTree.deterministic(grid.n_slots)
+
+    def measure(atoms):
+        return RandomMeasure(tree, grid, {"w": GridMeasure(grid, tuple(atoms))})
+    h = RandomIntegrand(tree, grid, {"w": tuple(rand_plconvex(rng) for _ in grid.times)},
+                        "optional")
+    S, Stilde = (RandomSetMap(tree, grid, {"w": rand_setmap(rng, grid, rng.random() < 0.5)})
+                 for _ in range(2))
+    kind = rng.randrange(3)
+    if kind:
+        vec = S.maps["w"].vec_map()
+        start = vec.point_vals[0] if kind == 1 else rand_interval(rng)
+        Stilde = RandomSetMap(tree, grid, {"w": SetMap(grid, (start,) + vec.point_vals[1:],
+                                                       vec.open_vals)})
+    return make_instance(tree, grid, h, measure(rng.randint(0, 2) for _ in grid.times),
+                         measure(rng.randint(0, 2) for _ in grid.times), None, S, Stilde)
+
+
+def random_adapted_path(rng, inst, base=None):
+    """Coarse values drawn per partition cell; with ``base``, one cell moved."""
+    tree, n = inst.tree, inst.grid.n_slots
+    vals = {s: list(base.paths[s].values) if base else [None] * n for s in tree.scenarios}
+    coords = [(i, cell) for i in range(n) for cell in tree.cells(i)]
+    for i, cell in [rng.choice(coords)] if base else coords:
+        v = rand_coarse(rng)
+        for s in cell:
+            vals[s][i] = v
+    return RandomPath(tree, inst.grid, {s: StepPath(inst.grid, tuple(v)) for s, v in vals.items()})
+
+
+def fhat_case(seed, instance, path):
+    """An instance and an adapted path: a feasible one, one with a cell moved,
+    or one drawn cell by cell (also when no feasible path exists)."""
+    rng = random.Random(seed)
+    if instance == "passing":
+        inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
+                                     with_htilde=rng.random() < 0.5)
+    else:
+        inst = random_constrained_instance(rng)
+    try:
+        y = rand_feasible_path(rng, inst) if path != "drawn" else None
+    except ValueError:
+        y = None
+    if y is None or path == "moved":
+        y = random_adapted_path(rng, inst, y)
+    return inst, y
+
+
+FHAT_INSTANCES, FHAT_PATHS = ("passing", "constrained"), ("feasible", "moved", "drawn")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(FHAT_INSTANCES), st.sampled_from(FHAT_PATHS))
+def test_eval_Fhat_equals_the_slot_loop(seed, instance, path):
+    inst, y = fhat_case(seed, instance, path)
+    assert eval_Fhat(inst, y) == fhat_slot_loop(inst, y)
+
+
+@pytest.mark.parametrize("instance", FHAT_INSTANCES)
+def test_the_cases_hold_feasible_and_infeasible_paths(instance):
+    finite = {path: [fhat_slot_loop(*fhat_case(seed, instance, path)) != INF
+                     for seed in range(60)] for path in FHAT_PATHS}
+    assert any(finite["feasible"]) and any(finite["moved"] + finite["drawn"])
+    assert not all(finite["moved"]) and not all(finite["drawn"])
+
 
 class TestConjPointwise:
     def test_zero_dual_with_nonnegative_integrand(self):
@@ -138,25 +253,23 @@ class TestConjBruteforce:
         d = det_dual(inst, (0, 0, 0))
         assert conj_bruteforce(inst, d, B=6, delta=F(1, 2)) == NEG_INF
 
-    def test_a_refined_copy_given_is_used_and_not_rebuilt(self, monkeypatch):
+    def test_the_oracle_and_the_report_share_one_refined_instance(self, monkeypatch):
+        idoc = load_instance(bundled_instance_path("basic"))
+        want = (conj_bruteforce(idoc.instance, idoc.duals[0], B=4, delta=F(1, 4)),
+                assumption_report(idoc.instance))
         idoc = load_instance(bundled_instance_path("basic"))
         inst, d = idoc.instance, idoc.duals[0]
-        want = (conj_bruteforce(inst, d, B=4, delta=F(1, 4)), assumption_report(inst))
-        fine = inst.refine(FINE)
-        refines = []
-        refine = Instance.refine
+        builds = []
+        build = Instance._refine
 
         def counting(self, factor):
-            refines.append(factor)
-            return refine(self, factor)
-        monkeypatch.setattr(Instance, "refine", counting)
-        assert (conj_bruteforce(inst, d, B=4, delta=F(1, 4), refined=fine),
-                assumption_report(inst, refined=fine)) == want
-        assert refines == []
-        # without the keyword each call refines once
+            builds.append(factor)
+            return build(self, factor)
+        monkeypatch.setattr(Instance, "_refine", counting)
         assert (conj_bruteforce(inst, d, B=4, delta=F(1, 4)),
                 assumption_report(inst)) == want
-        assert refines == [FINE, FINE]
+        assert conj_bruteforce(inst, idoc.duals[1], B=4, delta=F(1, 4)) != NEG_INF
+        assert builds == [FINE]
 
     def test_budget_cap(self):
         inst = det_instance([abs_fn()] * 3, (1, 1, 1), grid=G3)
@@ -255,7 +368,28 @@ class TestSubdiff:
                             Stilde=smap.vec_map())
         rep = assumption_report(inst)
         assert not rep["all_ok"]
-        assert rep["per_scenario"]["w"]["failing_slots"]["michael_S"] == [1]
+        assert rep["per_scenario"]["w"]["failing_slots"] == {
+            "s_is_cl_dom_h": [1], "michael_S": [1], "cross_S_in_Stilde_cells": [1]}
+        # slot 0 of htilde is judged by slot0_pinched alone
+        start = SetMap(G3, (RInterval(F(0), F(1)),) + smap.maps["w"].vec_map().point_vals[1:],
+                       smap.maps["w"].open_vals)
+        htilde = indicator_integrand(RandomSetMap(inst.tree, G3, {"w": start}), "predictable")
+        flags = assumption_report(det_instance([box] * 3, (1, 1, 1), grid=G3, S=smap,
+                                               Stilde=smap.vec_map(), htilde=htilde))
+        assert flags["per_scenario"]["w"]["failing_slots"] == \
+            rep["per_scenario"]["w"]["failing_slots"]
+        assert flags["summary"]["stilde_is_cl_dom_htilde"]
+        assert not flags["summary"]["slot0_pinched"]
+
+    def test_cross_conditions_read_the_other_map_s_cells(self):
+        tree, zero, wide, narrow = (ScenarioTree.deterministic(3), RInterval(F(0), F(0)),
+                                    RInterval(F(0), F(2)), RInterval(F(0), F(1)))
+        S = RandomSetMap(tree, G3, {"w": SetMap.constant(G3, wide)})
+        Stilde = RandomSetMap(tree, G3, {"w": SetMap(G3, (zero, wide, wide), (narrow,) * 2)})
+        box = restrict(abs_fn(), wide)
+        rep = assumption_report(det_instance([box] * 3, (1, 1, 1), grid=G3, S=S, Stilde=Stilde))
+        assert rep["per_scenario"]["w"]["failing_slots"] == {
+            "michael_Stilde": [1, 2], "cross_S_in_Stilde_cells": [0, 1]}
 
 
 class TestInterchangeDet:

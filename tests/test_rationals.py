@@ -91,15 +91,20 @@ def test_canonical_strings_skip_the_fraction_regex(monkeypatch):
 
 # -- the exponent bound -------------------------------------------------------
 
-@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-2.5E+4300", " 7e0_4300 ",
-                                  "1e٤٣٠٠", "3e-0"])
+# values of at most 4300 digits above and below the line
+@pytest.mark.parametrize("text", ["1e4299", "1e-4299", "-2.5E+4299", " 7e0_4299 ",
+                                  "1e٤٢٩٩", "0.5e4300", "3e-0"])
 def test_exponents_up_to_the_bound_parse_like_fraction(text):
     assert_same_as_fraction(text)
 
 
+# an exponent beyond the bound, or a value of 4301 digits that fmt could not
+# write back (the second group)
 @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "-2.5E+4301", " 7e0_4301 ",
                                   "1e٤٣٠١", "1e-1000000000", "0e99999999999",
-                                  "1e" + "9" * 5000])
+                                  "1e" + "9" * 5000,
+                                  "1e4300", "1e-4300", "-2.5E+4300", " 7e0_4300 ",
+                                  "1e٤٣٠٠"])
 def test_exponents_beyond_the_bound_are_refused_at_once(text):
     start = time.perf_counter()
     for parse in (rat, ext):
@@ -112,6 +117,9 @@ def test_the_bound_is_the_default_int_digit_cap():
     assert MAX_EXPONENT == sys.int_info.default_max_str_digits == 4300
     with pytest.raises(ValueError, match="exponent beyond 4300 in '1e-4301'"):
         rat("1e-4301")
+    with pytest.raises(ValueError, match="more than 4300 digits in '1e-4300'"):
+        rat("1e-4300")
+    assert fmt(rat("1e-4299")) == "1/1" + "0" * 4299
 
 
 # -- ext: value, type and exception per input kind ---------------------------------

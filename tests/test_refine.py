@@ -1,9 +1,10 @@
 """Refinement composes, and one refinement shares one grid and one tree.
 
 Refining by a and then by b equals refining by a * b, for every refinable
-type.  ``TimeGrid.refine`` and ``ScenarioTree.refine`` return one object per
-(value, factor), so every part of a refined instance holds the same grid
-and every scenario-level part the same tree.
+type.  ``TimeGrid.refine``, ``ScenarioTree.refine`` and ``Instance.refine``
+return one object per (value, factor), so every part of a refined instance
+holds the same grid and every scenario-level part the same tree, and the
+refined instance itself is built once.
 """
 
 import dataclasses
@@ -135,25 +136,38 @@ def test_one_grid_and_one_tree_are_built_per_refinement(name, monkeypatch):
             built[_cls] += 1
             _orig(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    inst.refine(2)
+    fine = inst.refine(2)
     assert built == {TimeGrid: 1, ScenarioTree: 1}
-    inst.refine(2)
+    assert inst.refine(2) is fine
     assert built == {TimeGrid: 1, ScenarioTree: 1}
+
+
+def _hash(x):
+    """hash(x), or the type of the error it raises (an Instance holds dicts)."""
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return type(exc)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_the_memo_changes_no_equality_hash_repr_or_output(name):
     idoc = build_preset(name)
-    grid, tree = idoc.instance.grid, idoc.instance.tree
-    before = [(repr(x), hash(x), [f.name for f in dataclasses.fields(x)])
-              for x in (grid, tree)]
+    inst = idoc.instance
+    grid, tree = inst.grid, inst.tree
+    before = [(repr(x), _hash(x), [f.name for f in dataclasses.fields(x)])
+              for x in (grid, tree, inst)]
     text = instance_doc_to_json(idoc)
     idoc.refine(2)
     idoc.refine(3)
-    after = [(repr(x), hash(x), [f.name for f in dataclasses.fields(x)])
-             for x in (grid, tree)]
+    assert inst.refine(2) is inst.refine(2)
+    after = [(repr(x), _hash(x), [f.name for f in dataclasses.fields(x)])
+             for x in (grid, tree, inst)]
     assert after == before
     assert instance_doc_to_json(idoc) == text
+    twin = build_preset(name).instance
+    assert twin == inst and twin.refine(2) == inst.refine(2)
+    assert twin.refine(2) is not inst.refine(2)
     twin_grid = TimeGrid(grid.times)
     twin_tree = ScenarioTree(tree.scenarios, tree.probs, tree.partitions)
     assert twin_grid == grid and hash(twin_grid) == hash(grid)
@@ -173,4 +187,4 @@ def test_a_factor_below_two_raises_on_every_call(factor):
     for x in (inst.grid, inst.tree, inst):
         with pytest.raises(ValueError, match="factor must be >= 2"):
             x.refine(factor)
-    assert set(vars(inst.grid)["_refined"]) == {2}
+    assert set(vars(inst.grid)["_refined"]) == set(vars(inst)["_refined"]) == {2}

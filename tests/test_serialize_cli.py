@@ -388,6 +388,43 @@ class TestCli:
         assert_one_error_line(capsys, "schema error: bad piecewise-linear function: "
                                       "exponent beyond 4300")
 
+    @staticmethod
+    def basic_with_path_value(tmp_path, value, scenarios=("up",)):
+        with open(bundled("basic"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for s in scenarios:
+            doc["paths"][0][s][0] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["1e4300", "1e-4300"])
+    def test_a_value_fmt_cannot_write_exits_2(self, value, tmp_path, capsys):
+        edited = self.basic_with_path_value(tmp_path, value, ("up", "dn"))
+        out = tmp_path / "fine.json"
+        assert self.run("refine", edited, "--factor", "2", "-o", str(out)) == 2
+        assert_one_error_line(capsys, f"schema error: bad path: more than 4300 digits "
+                                      f"in '{value}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e4299", "1e-4299"])
+    def test_values_of_4300_digits_load_and_refine(self, value, tmp_path, capsys):
+        edited = self.basic_with_path_value(tmp_path, value, ("up", "dn"))
+        out = tmp_path / "fine.json"
+        assert self.run("refine", edited, "--factor", "2", "-o", str(out)) == 0
+        capsys.readouterr()
+        fine = load_instance(str(out)).paths[0]
+        assert fine.slot_values(0) == fine.slot_values(1) == \
+            {"up": F(value), "dn": F(value)}
+
+    def test_subdiff_rejects_a_path_that_is_not_adapted(self, tmp_path, capsys):
+        edited = self.basic_with_path_value(tmp_path, "5")
+        assert self.run("verify", edited, "--theorem", "subdiff") == 2
+        assert_one_error_line(capsys, "schema error: path 0 is not adapted")
+        # jensen projects the path and takes it as it is
+        assert self.run("verify", edited, "--theorem", "jensen") == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("argv", [
         ("--theorem", "conjugate", "--B", "0"),
         ("--theorem", "conjugate", "--B", "-3"),
@@ -457,30 +494,28 @@ class TestCli:
         assert_one_error_line(capsys, "cannot write output:")
         assert not missing.exists()
 
-    # one refinement per duality entry point: the assumption report and the
-    # interchange rule share theirs, and so do the report and every oracle call
-    @pytest.mark.parametrize("theorem, fixed, per_dual", [
-        ("subdiff", 1, 0), ("interchange-stoch", 1, 0),
-        # the oracle instance, for its report and every dual pair
-        ("conjugate", 1, 0),
-        # the constraint-indicator instance as above, then support_DS once
-        # per dual pair
+    # refined instances built per verify call, whatever the number of dual
+    # pairs: one of the instance the assumption report (and the interchange
+    # rule or the oracle) reads, and for support-ds one more of the instance
+    # support_DS reads, since the oracle reads the constraint-indicator instance
+    @pytest.mark.parametrize("theorem, report_builds, formula_builds", [
+        ("subdiff", 1, 0), ("interchange-stoch", 1, 0), ("conjugate", 1, 0),
         ("support-ds", 1, 1),
     ])
-    def test_verify_refines_once_per_entry_point(self, theorem, fixed, per_dual,
-                                                 monkeypatch, capsys):
-        refines = fixed + per_dual * len(load_instance(bundled("basic")).duals)
-        calls = []
-        refine = Instance.refine
+    def test_verify_refines_once_per_entry_point(self, theorem, report_builds,
+                                                 formula_builds, monkeypatch, capsys):
+        assert len(load_instance(bundled("basic")).duals) > 1
+        builds = []
+        build = Instance._refine
 
         def counting(inst, factor):
-            calls.append(factor)
-            return refine(inst, factor)
+            builds.append(factor)
+            return build(inst, factor)
 
-        monkeypatch.setattr(Instance, "refine", counting)
+        monkeypatch.setattr(Instance, "_refine", counting)
         assert self.run("verify", bundled("basic"), "--theorem", theorem) == 0
         capsys.readouterr()
-        assert calls == [2] * refines
+        assert builds == [2] * (report_builds + formula_builds)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "{bad}", "--theorem", "conjugate"),

@@ -7,7 +7,7 @@ import pytest
 from cadlagconvex.plconvex import RInterval
 from cadlagconvex.rationals import INF, NEG_INF, is_finite
 from cadlagconvex.setmaps import (SelectionPreconditionError, SetMap,
-                                  left_isc_check, michael_check,
+                                  escaping_slots, left_isc_check, michael_check,
                                   projection_selection, right_isc_check,
                                   solid_check)
 from cadlagconvex.timegrid import TimeGrid
@@ -97,6 +97,21 @@ class TestSemicontinuity:
         assert not rep["representation_holds"]
         assert rep["failing_slots"] == [1]
         assert rep["matches_right_isc"]
+        assert escaping_slots(sm.point_vals, sm.open_vals, 0) == [1]
+        assert escaping_slots(sm.point_vals, sm.open_vals, 1) == [1]
+
+    def test_escaping_slots_compare_the_following_or_preceding_cell(self):
+        rng = random.Random(5)
+        G5 = TimeGrid((0, 1, 2, 3, 4))
+        for _ in range(100):
+            sm, other = _random_setmap(rng, G5), _random_setmap(rng, G5)
+            points, cells = sm.point_vals, other.open_vals
+            assert escaping_slots(points, cells, 0) == [
+                i for i in range(4) if not points[i].issubset(cells[i])]
+            assert escaping_slots(points, cells, 1) == [
+                i for i in range(1, 5) if not points[i].issubset(cells[i - 1])]
+            assert right_isc_check(sm) == (escaping_slots(sm.point_vals, sm.open_vals, 0) == [])
+            assert left_isc_check(sm) == (escaping_slots(sm.point_vals, sm.open_vals, 1) == [])
 
     def test_pinched_point_is_right_isc_but_not_solid(self):
         sm = SetMap(G3, (RInterval(F(0), F(1)), RInterval(F(0), F(0)), RInterval(F(0), F(1))),
