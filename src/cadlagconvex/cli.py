@@ -32,7 +32,7 @@ from .plconvex import support_fn
 from .polycone import cs_regularity_check
 from .rationals import INF, NEG_INF, is_finite, rat
 from .scenario import check_adapted, jensen_check
-from .serialize import (InstanceDoc, SchemaError, conemap_from_json,
+from .serialize import (InstanceDoc, SchemaError, _need, conemap_from_json,
                         dump_instance, dump_report, load_instance,
                         reports_equal, vector_measure_from_json)
 from .setmaps import michael_check, projection_selection
@@ -229,8 +229,8 @@ def _check_cs(idoc: InstanceDoc, args) -> Dict:
     model = idoc.model or {}
     if model.get("type") != "cs":
         raise SchemaError("cs-regularity check needs a model of type 'cs'")
-    g_map = conemap_from_json(model["G"], idoc.instance.grid)
-    gt_map = conemap_from_json(model["Gtilde"], idoc.instance.grid)
+    g_map = conemap_from_json(_need(model, "G"), idoc.instance.grid)
+    gt_map = conemap_from_json(_need(model, "Gtilde"), idoc.instance.grid)
     rep = cs_regularity_check(g_map, gt_map)
     return {"lhs": None, "rhs": None,
             "assumptions": [
@@ -247,7 +247,7 @@ def _check_currency(idoc: InstanceDoc, args) -> Dict:
     if model.get("type") != "currency":
         raise SchemaError("currency check needs a model of type 'currency'")
     grid = idoc.instance.grid
-    cones = conemap_from_json(model["solvency"], grid)
+    cones = conemap_from_json(_need(model, "solvency"), grid)
     try:
         cm = currency_model(cones)
     except ValueError as exc:
@@ -257,8 +257,8 @@ def _check_currency(idoc: InstanceDoc, args) -> Dict:
     rng = random.Random(args.seed)
     entries, ok = [], True
     for k, dd in enumerate(model.get("duals", [])):
-        u = vector_measure_from_json(dd["u"], grid)
-        ut = vector_measure_from_json(dd["ut"], grid)
+        u = vector_measure_from_json(_need(dd, "u"), grid)
+        ut = vector_measure_from_json(_need(dd, "ut"), grid)
         mem = cm.is_member(u, ut)
         entry = {"dual": k, "member": mem["member"]}
         if mem["member"]:

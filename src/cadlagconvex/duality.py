@@ -26,6 +26,13 @@ generator ``_coordinates`` is the single place that decides how coordinates
 decouple: it yields each (slot, cell) with the feasible interval shared by
 the cell's scenarios, and the callers differ only in the per-slot sets and
 the bounding interval they pass.
+
+Each coordinate is evaluated once, on the data of the cell's first
+scenario.  That is exact: the constructors of :class:`Instance` and
+:class:`DualPair` reject unmeasurable data, so every integrand, measure,
+constraint set and dual atom a slot-i coordinate reads is constant on the
+cells of ``partitions[i]``, and the sum of the cell's per-scenario
+objectives is the cell's mass times one of them, exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .plconvex import RInterval, indicator
+from .plconvex import RInterval, indicator, once
 from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
@@ -142,11 +149,12 @@ class Instance:
     def magnitude_bound(self) -> Q:
         """Largest |breakpoint|, |slope knot| or finite constraint endpoint."""
         best = Fraction(1)
-        for fam in (self.h, self.htilde):
-            for fns in fam.functions.values():
-                for fn in fns:
-                    for b in fn.knots():
-                        best = max(best, abs(b))
+        # scenarios and inserted slots share function objects: visit each once
+        distinct = {id(fn): fn for fam in (self.h, self.htilde)
+                    for fns in fam.functions.values() for fn in fns}
+        for fn in distinct.values():
+            for b in fn.knots():
+                best = max(best, abs(b))
         for rsm in (self.S, self.Stilde):
             for sm in rsm.maps.values():
                 for iv in sm.point_vals + sm.open_vals:
@@ -248,7 +256,7 @@ def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
     for s in inst.tree.scenarios:
         path = y.paths[s]
         if not _zero_start_ok(inst, s) or not all(
-                v.contains(x) for v, x in zip(_fixed_value_sets(inst, s), path.values)):
+                v.contains(x) for v, x in zip(_fixed_value_sets(inst)[s], path.values)):
             vals[s] = INF
             continue
         vals[s] = xsum([
@@ -283,8 +291,8 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
     atoms; homogeneity makes the result independent of any reference measure.
     Returns the -inf sentinel when no selection exists.
     """
-    r = inst.refine(FINE)
-    if any(v.is_empty for s in r.tree.scenarios for v in _fixed_value_sets(r, s)):
+    if any(v.is_empty for sets in _fixed_value_sets(inst.refine(FINE)).values()
+           for v in sets):
         return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
@@ -301,10 +309,15 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
 # Effective feasible value sets
 # ---------------------------------------------------------------------------
 
-def _fixed_value_sets(inst: Instance, scenario: str) -> List[RInterval]:
-    """Per-slot feasible values of fixed-grid paths for the hatted functional."""
-    smap, stmap = inst.s_map(scenario), inst.st_map(scenario)
-    n = inst.grid.n_slots
+def _fixed_value_sets(inst: Instance) -> Dict[str, Tuple[RInterval, ...]]:
+    """Per scenario, the per-slot feasible values of fixed-grid paths for the
+    hatted functional; built once per instance."""
+    return once(inst, "fixed_value_sets", lambda: {
+        s: _value_sets(inst.s_map(s), inst.st_map(s)) for s in inst.tree.scenarios})
+
+
+def _value_sets(smap: SetMap, stmap: SetMap) -> Tuple[RInterval, ...]:
+    n = len(smap.point_vals)
     out = []
     for i in range(n):
         v = smap.point_vals[i]
@@ -313,7 +326,7 @@ def _fixed_value_sets(inst: Instance, scenario: str) -> List[RInterval]:
         if i + 1 < n:
             v = v.intersect(stmap.point_vals[i + 1])
         out.append(v)
-    return out
+    return tuple(out)
 
 
 def _zero_start_ok(inst: Instance, scenario: str) -> bool:
@@ -341,14 +354,12 @@ def _coordinates(tree: ScenarioTree, n_slots: int,
     """Yield (slot, cell, feasible interval) for every decoupled coordinate.
 
     A coordinate is one partition cell at one slot; its feasible interval is
-    ``bound`` intersected with the slot's set of every scenario in the cell.
+    ``bound`` intersected with the slot's set, which is the same for every
+    scenario of the cell, so only the first one's is read.
     """
     for i in range(n_slots):
         for cell in tree.cells(i):
-            feasible = bound
-            for s in cell:
-                feasible = feasible.intersect(sets[s][i])
-            yield i, cell, feasible
+            yield i, cell, bound.intersect(sets[cell[0]][i])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +383,7 @@ def assumption_report(inst: Instance) -> Dict:
     for s in inst.tree.scenarios:
         smap, stmap = inst.s_map(s), inst.st_map(s)
         hfns, htfns = inst.h.functions[s], inst.htilde.functions[s]
-        sets = _fixed_value_sets(r, s)
+        sets = _fixed_value_sets(r)[s]
         mu_atoms = inst.mu.measures[s].atoms
         mut_atoms = inst.mutilde.measures[s].atoms
         proper = _zero_start_ok(inst, s) and not any(v.is_empty for v in sets)
@@ -447,8 +458,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     tree, n = r.tree, r.grid.n_slots
     needed = 0
     coords: List[Tuple[int, Tuple[str, ...], int, int]] = []
-    sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
-    for i, cell, constraint in _coordinates(tree, n, sets, RInterval(-B, B)):
+    for i, cell, constraint in _coordinates(tree, n, _fixed_value_sets(r), RInterval(-B, B)):
         # lattice indices k of the points -B + k*delta in the constraint,
         # which lies in [-B, B], so 0 <= k <= 2B/delta
         if constraint.is_empty:
@@ -468,43 +478,28 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     if total == NEG_INF:
         return NEG_INF
 
+    # one evaluation per coordinate, on the cell's first scenario, weighted
+    # by the cell's mass: the data is constant on the cell (module docstring)
     for i, cell, k_lo, k_hi in coords:
-        best: Ext = NEG_INF
-        data = []
+        s = cell[0]
+        coeff, mu_i = rd.u.measures[s].atoms[i], r.mu.measures[s].atoms[i]
+        charged = [(mu_i, r.h.functions[s][i])] if mu_i > 0 else []
+        if i + 1 < n:
+            coeff += rd.ut.measures[s].atoms[i + 1]
+            mut_next = r.mutilde.measures[s].atoms[i + 1]
+            if mut_next > 0:
+                charged.append((mut_next, r.htilde.functions[s][i + 1]))
         candidates = {k_lo, k_hi}
-        for s in cell:
-            p = tree.prob(s)
-            coeff = rd.u.measures[s].atoms[i]
-            if i + 1 < n:
-                coeff = coeff + rd.ut.measures[s].atoms[i + 1]
-            mu_i = r.mu.measures[s].atoms[i]
-            mut_next = r.mutilde.measures[s].atoms[i + 1] if i + 1 < n else Fraction(0)
-            hfn = r.h.functions[s][i]
-            htfn = r.htilde.functions[s][i + 1] if i + 1 < n else None
-            data.append((p, coeff, mu_i, hfn, mut_next, htfn))
-            for charged, fn in ((mu_i > 0, hfn), (mut_next > 0, htfn)):
-                if charged:
-                    for x in fn.knots():
-                        k = (x + B) / delta
-                        candidates.update((math.floor(k), math.ceil(k)))
-        pts = [-B + k * delta for k in sorted(candidates) if k_lo <= k <= k_hi]
-        for v in pts:
-            val: Ext = Fraction(0)
-            for p, coeff, mu_i, hfn, mut_next, htfn in data:
-                cost: Ext = Fraction(0)
-                if mu_i > 0:
-                    cost = xmul(mu_i, hfn.eval(v))
-                if mut_next > 0 and cost != INF:
-                    cost = xsum([cost, xmul(mut_next, htfn.eval(v))])
-                if cost == INF:
-                    val = NEG_INF
-                    break
-                val += p * (coeff * v - cost)
-            if val != NEG_INF and (best == NEG_INF or val > best):
-                best = val
-        if best == NEG_INF:
+        for _, fn in charged:
+            for x in fn.knots():
+                k = (x + B) / delta
+                candidates.update((math.floor(k), math.ceil(k)))
+        pts = [-B + k * delta for k in candidates if k_lo <= k <= k_hi]
+        costs = ((v, xsum(xmul(m, fn.eval(v)) for m, fn in charged)) for v in pts)
+        vals = [coeff * v - cost for v, cost in costs if is_finite(cost)]
+        if not vals:
             return NEG_INF
-        total = xsum([total, best])
+        total = xsum([total, tree.mass(cell) * max(vals)])
     return total
 
 
@@ -658,7 +653,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     r = inst.refine(FINE) if hatted else inst
     tree, n = r.tree, r.grid.n_slots
     if hatted:
-        sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
+        sets = _fixed_value_sets(r)
         infeasible = not all(_zero_start_ok(r, s) for s in tree.scenarios)
         lhs_terms: List[Ext] = [_zero_start_cost(r)]
     else:
@@ -676,7 +671,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
         mu_i = r.mu.measures[rep].atoms[i]
         mut_next = r.mutilde.measures[rep].atoms[i + 1] \
             if hatted and i + 1 < n else Fraction(0)
-        p_cell = sum((tree.prob(s) for s in cell), Fraction(0))
+        p_cell = tree.mass(cell)
         # h-side optimum defines y; the htilde-side optimum defines ytilde
         if mu_i > 0:
             val, argmin = r.h.functions[rep][i].inf_over(feas)

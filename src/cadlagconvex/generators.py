@@ -260,7 +260,7 @@ def rand_feasible_path(rng: random.Random, inst: Instance) -> RandomPath:
         # the value at t_i is charged by h_i and, as a left limit, by htilde_{i+1}
         ht_next = [fn.domain for fn in inst.htilde.functions[s][1:]] + [whole]
         sets[s] = [v.intersect(fn.domain).intersect(dom) for v, fn, dom in
-                   zip(_fixed_value_sets(inst, s), inst.h.functions[s], ht_next)]
+                   zip(_fixed_value_sets(inst)[s], inst.h.functions[s], ht_next)]
     vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * n for s in tree.scenarios}
     for i, cell, feas in _coordinates(tree, n, sets, whole):
         if feas.is_empty:

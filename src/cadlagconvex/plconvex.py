@@ -8,8 +8,8 @@ makes structural equality a valid test of function equality, which the
 conjugation involution relies on.
 
 Everything here is exact: inputs are rationals, outputs are rationals or the
-infinity sentinels.  Values are immutable and all operations are pure, so
-concurrent read-only use is safe.
+infinity sentinels.  Values are immutable and operations are pure (a memo
+only caches equal results), so concurrent read-only use is safe.
 """
 
 from __future__ import annotations
@@ -17,9 +17,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .rationals import INF, NEG_INF, Ext, Q, ext, is_finite, rat, xmul
+from .rationals import INF, NEG_INF, Ext, Q, ext, is_finite, rat, xle, xmul
+
+
+def once(obj, key, build: Callable[[], object]):
+    """``build()``, made once per frozen ``obj`` and hashable ``key``.
+
+    The memo sits in ``vars(obj)`` outside the dataclass fields, so ``==``,
+    ``hash`` and ``repr`` ignore it; a build that raises stores nothing."""
+    memo = vars(obj).setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -41,40 +52,41 @@ class RInterval:
                     raise ValueError("interval endpoints must be rational or infinite")
             elif not isinstance(v, Fraction):
                 object.__setattr__(self, name, rat(v))
-        lo, hi = self.lo, self.hi
-        lo_inf, hi_inf = not is_finite(lo), not is_finite(hi)  # then INF or NEG_INF
-        if lo_inf and hi_inf and lo == INF and hi == NEG_INF:
+        if self.is_empty:
             return  # canonical empty sentinel
-        if lo_inf or hi_inf:
-            # an infinite end orders by its sign alone: no Fraction/float comparison
-            ordered = (lo_inf and lo == NEG_INF) or (hi_inf and hi == INF)
-        else:
-            ordered = lo <= hi
-        if not ordered:
+        lo, hi = self.lo, self.hi
+        if not xle(lo, hi):
             raise ValueError(f"empty interval bounds [{lo}, {hi}]")
-        if (lo_inf and lo == INF) or (hi_inf and hi == NEG_INF):
+        if xle(INF, lo) or xle(hi, NEG_INF):  # lo is +inf or hi is -inf
             raise ValueError("interval endpoint has the wrong infinity")
 
     @property
     def is_empty(self) -> bool:
         return not is_finite(self.lo) and self.lo == INF and self.hi == NEG_INF
 
+    # ends are compared with xle: no Fraction/float comparison
     def contains(self, x: Ext) -> bool:
-        return (not self.is_empty) and self.lo <= x <= self.hi
+        return (not self.is_empty) and xle(self.lo, x) and xle(x, self.hi)
 
     def intersect(self, other: "RInterval") -> "RInterval":
+        """The intersection; an operand that is the intersection is returned itself."""
         if self.is_empty or other.is_empty:
             return EMPTY_INTERVAL
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return RInterval(lo, hi) if lo <= hi else EMPTY_INTERVAL
+        lo_self, hi_self = xle(other.lo, self.lo), xle(self.hi, other.hi)
+        if lo_self and hi_self:
+            return self
+        lo_other, hi_other = xle(self.lo, other.lo), xle(other.hi, self.hi)
+        if lo_other and hi_other:
+            return other
+        lo, hi = (self.lo if lo_self else other.lo), (self.hi if hi_self else other.hi)
+        return RInterval(lo, hi) if xle(lo, hi) else EMPTY_INTERVAL
 
     def issubset(self, other: "RInterval") -> bool:
         if self.is_empty:
             return True
         if other.is_empty:
             return False
-        return other.lo <= self.lo and self.hi <= other.hi
+        return xle(other.lo, self.lo) and xle(self.hi, other.hi)
 
     @property
     def has_interior(self) -> bool:
@@ -233,7 +245,13 @@ class PLConvex:
         value comes from :meth:`conjugate_at_slope`, so the build walks the
         segments of h a constant number of times instead of once per knot,
         and :func:`pl` returns the canonical data without re-canonicalizing.
+
+        h* is built once per object; its own memo is never seeded with h,
+        so ``h.conjugate().conjugate()`` is built afresh and compared.
         """
+        return once(self, "conjugate", self._conjugate)
+
+    def _conjugate(self) -> "PLConvex":
         lo_inf = not is_finite(self.dom_lo) and self.dom_lo == NEG_INF
         hi_inf = not is_finite(self.dom_hi) and self.dom_hi == INF
         if not (lo_inf or hi_inf) and self.dom_lo == self.dom_hi:

@@ -91,7 +91,15 @@ def ext(value) -> Ext:
 
 
 def is_finite(x: Ext) -> bool:
-    return isinstance(x, Fraction)
+    # by type first: isinstance of a float would consult the numbers ABCs (3x slower)
+    return type(x) is Fraction or (type(x) is not float and isinstance(x, Fraction))
+
+
+def xle(a: Ext, b: Ext) -> bool:
+    """a <= b on the extended line, comparing a Fraction only with a Fraction."""
+    if is_finite(a):
+        return a <= b if is_finite(b) else b == INF
+    return a == NEG_INF or (not is_finite(b) and b == INF)
 
 
 def fmt(x: Ext) -> str:

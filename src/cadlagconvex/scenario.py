@@ -73,6 +73,10 @@ class ScenarioTree:
         """Slot whose partition carries predictable data for this slot."""
         return max(slot - 1, 0)
 
+    def mass(self, cell: Cell) -> Q:
+        """Probability of a set of scenarios, exact."""
+        return sum((self.prob(s) for s in cell), Fraction(0))
+
     def expectation(self, values: Mapping[str, Ext]) -> Ext:
         return xsum(xmul(self.prob(s), values[s]) for s in self.scenarios)
 
@@ -80,8 +84,7 @@ class ScenarioTree:
         """Conditional expectation given the slot's partition, exact."""
         out: Dict[str, Q] = {}
         for cell in self.partitions[slot]:
-            mass = sum((self.prob(s) for s in cell), Fraction(0))
-            avg = sum((self.prob(s) * values[s] for s in cell), Fraction(0)) / mass
+            avg = sum((self.prob(s) * values[s] for s in cell), Fraction(0)) / self.mass(cell)
             for s in cell:
                 out[s] = avg
         return out
@@ -301,19 +304,15 @@ def minorant_certificate(h: RandomIntegrand) -> MinorantCertificate:
     where v is a subgradient and the sup defining h* is attained.  It is the
     exact value of ``fn.conjugate().eval(v)`` without building h*.
     """
-    v: Dict[str, Tuple[Q, ...]] = {}
-    alpha: Dict[str, Tuple[Q, ...]] = {}
-    for s in h.tree.scenarios:
-        vs, als = [], []
-        for fn in h.functions[s]:
-            j = len(fn.slopes) // 2
-            slope = fn.slopes[j]
-            star = fn.conjugate_at_slope(j)
-            vs.append(slope)
-            als.append(max(star, Fraction(0)))
-        v[s] = tuple(vs)
-        alpha[s] = tuple(als)
-    return MinorantCertificate(v, alpha)
+    pairs: Dict[int, Tuple[Q, Q]] = {}  # by id: shared function objects are visited once
+    for fns in h.functions.values():
+        for fn in fns:
+            if id(fn) not in pairs:
+                j = len(fn.slopes) // 2
+                pairs[id(fn)] = (fn.slopes[j], max(fn.conjugate_at_slope(j), Fraction(0)))
+    return MinorantCertificate(
+        {s: tuple(pairs[id(fn)][0] for fn in h.functions[s]) for s in h.tree.scenarios},
+        {s: tuple(pairs[id(fn)][1] for fn in h.functions[s]) for s in h.tree.scenarios})
 
 
 def jensen_check(h: RandomIntegrand, mu: RandomMeasure, w: RandomPath,

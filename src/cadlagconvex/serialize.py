@@ -11,6 +11,11 @@ raises.  The memo lives in a context variable, so it belongs to that one call
 and its thread; a reader called on its own parses every string afresh.  A bad
 string raises on first sight, exactly as without the memo, and is never
 stored.
+
+The same memo maps each distinct function document, keyed by its strings,
+to one ``PLConvex``, so the scenarios of a cell share one function object and
+the conjugate it builds once.  A function document holding anything but
+strings is read afresh; one that fails raises at each sight, unstored.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .duality import DualPair, Instance, make_instance
 from .finmodels import ScalarProcess, VectorMeasure
 from .plconvex import PLConvex, RInterval, pl
 from .polycone import ConeMap, PolyCone
-from .rationals import ext, fmt, is_finite, rat
+from .rationals import MAX_EXPONENT, ext, fmt, is_finite, rat
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree)
 from .setmaps import SetMap
@@ -57,8 +62,8 @@ def _wrap(what: str):
 
 # -- scalars and intervals ----------------------------------------------------
 
-# string -> parsed value, set only while instance_doc_from_json runs
-_PARSED: ContextVar[Optional[Dict[str, Fraction]]] = ContextVar("_PARSED", default=None)
+# string -> Fraction, function key -> PLConvex; set only while instance_doc_from_json runs
+_PARSED: ContextVar[Optional[Dict[object, object]]] = ContextVar("_PARSED", default=None)
 
 
 def _rat(value) -> Fraction:
@@ -110,10 +115,25 @@ def plconvex_to_json(fn: PLConvex) -> dict:
 def plconvex_from_json(doc: dict) -> PLConvex:
     lo, hi = _need(doc, "dom")
     ax, av = _need(doc, "anchor")
-    return pl(_ext(lo), _ext(hi),
-              [_rat(b) for b in _need(doc, "breakpoints")],
-              [_rat(s) for s in _need(doc, "slopes")],
-              _rat(ax), _rat(av))
+    parsed = _PARSED.get()
+    key = None if parsed is None else _strings_key(
+        lo, hi, ax, av, doc.get("breakpoints"), doc.get("slopes"))
+    if key is not None and key in parsed:
+        return parsed[key]
+    fn = pl(_ext(lo), _ext(hi),
+            [_rat(b) for b in _need(doc, "breakpoints")],
+            [_rat(s) for s in _need(doc, "slopes")],
+            _rat(ax), _rat(av))
+    if key is not None:
+        parsed[key] = fn
+    return fn
+
+
+def _strings_key(*parts) -> Optional[tuple]:
+    """The parts as a tuple when each is a string or a list of strings, else None."""
+    key = tuple(tuple(p) if type(p) is list else p for p in parts)
+    flat = [x for p in key for x in (p if type(p) is tuple else (p,))]
+    return key if all(type(x) is str for x in flat) else None
 
 
 # -- grid-level objects ---------------------------------------------------------
@@ -385,9 +405,12 @@ def load_instance(path: str) -> InstanceDoc:
 
 
 def dump_instance(idoc: InstanceDoc, path: str) -> None:
+    try:  # build the text before opening the path: a failure leaves no file
+        text = json.dumps(instance_doc_to_json(idoc), indent=2, sort_keys=True) + "\n"
+    except ValueError as exc:  # str() of a Fraction with too many digits
+        raise SchemaError(f"cannot write a value of more than {MAX_EXPONENT} digits") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_doc_to_json(idoc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # -- reports ---------------------------------------------------------------------

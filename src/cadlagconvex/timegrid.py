@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import index
 from typing import Callable, Optional, Sequence, Tuple
 
-from .plconvex import PLConvex
+from .plconvex import PLConvex, once
 from .rationals import Ext, Q, rat, xmul, xsum
 
 
@@ -54,18 +54,13 @@ class TimeGrid:
 
 
 def refined_once(obj, factor: int, build: Callable[[int], object]):
-    """``build(factor)``, made once per frozen ``obj`` and factor.
+    """``build(factor)`` through :func:`plconvex.once`, keyed by the factor.
 
-    The memo is kept outside the dataclass fields, so ``==``, ``hash`` and
-    ``repr`` ignore it; a factor below 2 or one ``build`` rejects is not stored.
+    A factor below 2 raises before the lookup and is never stored.
     """
     if factor < 2:
         raise ValueError("refinement factor must be >= 2")
-    memo = vars(obj).setdefault("_refined", {})
-    key = index(factor)
-    if key not in memo:
-        memo[key] = build(factor)
-    return memo[key]
+    return once(obj, index(factor), lambda: build(factor))
 
 
 def refine_slots(points: Sequence, fillers: Sequence, factor: int) -> tuple:

@@ -1,5 +1,6 @@
 """Primal/dual functionals, conjugate formulas, interchange rules."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadlagconvex.duality import (FINE, BudgetExceededError, DualPair, Instance,
-                                  assumption_report, bruteforce_gap_bound,
+                                  _fixed_value_sets, assumption_report, bruteforce_gap_bound,
                                   conj_bruteforce, conj_pointwise, eval_F,
                                   eval_Fhat, indicator_integrand, interchange_det,
                                   interchange_stoch, make_instance,
@@ -658,3 +659,43 @@ class TestProperties:
             B = 2 * inst.magnitude_bound()
             brute = conj_bruteforce(inst, d, B, delta)
             assert 0 <= pointwise - brute <= bruteforce_gap_bound(d, delta)
+
+
+class TestFixedValueSets:
+    @staticmethod
+    def fresh(inst, s):
+        """The sets built slot by slot from the definition, without the memo."""
+        smap, stmap = inst.s_map(s), inst.st_map(s)
+        n = inst.grid.n_slots
+        out = []
+        for i in range(n):
+            parts = [smap.point_vals[i]]
+            if i < n - 1:
+                parts += [smap.open_vals[i], stmap.open_vals[i]]
+            if i + 1 < n:
+                parts.append(stmap.point_vals[i + 1])
+            if any(p.is_empty for p in parts) or max(p.lo for p in parts) > min(p.hi for p in parts):
+                out.append(RInterval(INF, NEG_INF))
+            else:
+                out.append(RInterval(max(p.lo for p in parts), min(p.hi for p in parts)))
+        return tuple(out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_the_memo_equals_a_fresh_build(self, seed, constrained):
+        rng = random.Random(seed)
+        inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
+                                     with_htilde=constrained)
+        if constrained:  # one random map for every scenario, so adapted
+            smap = rand_setmap(rng, inst.grid)
+            S = RandomSetMap(inst.tree, inst.grid, {s: smap for s in inst.tree.scenarios})
+            inst = make_instance(inst.tree, inst.grid, inst.h, inst.mu, inst.mutilde,
+                                 inst.htilde, S, S.vec_map())
+        for x in (inst, inst.refine(FINE)):
+            sets = _fixed_value_sets(x)
+            assert sets == {s: self.fresh(x, s) for s in x.tree.scenarios}
+            assert _fixed_value_sets(x) is sets
+        # an equal instance keeps its own memo, with equal sets
+        twin = dataclasses.replace(inst)
+        assert _fixed_value_sets(twin) == _fixed_value_sets(inst)
+        assert _fixed_value_sets(twin) is not _fixed_value_sets(inst)

@@ -1,8 +1,10 @@
 """The lattice oracle's candidate search against an every-point reference.
 
 ``conj_bruteforce`` evaluates only the ends of each coordinate's lattice
-range and the lattice neighbours of the charged integrands' knots.  The
-reference below is the search it replaced: the same per-point body run over
+range and the lattice neighbours of the charged integrands' knots, and each
+(slot, cell) only once, on the cell's first scenario, weighted by the cell's
+mass.  The reference below is the search it replaced: it intersects the set
+of every scenario of the cell and sums the per-scenario objectives over
 every lattice point of every coordinate.  They must agree exactly, in value
 and type, and in the lattice-point count the budget is checked against.
 """
@@ -17,13 +19,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cadlagconvex import cli
-from cadlagconvex.duality import (FINE, BudgetExceededError, _coordinates,
+from cadlagconvex.duality import (FINE, BudgetExceededError,
                                   _fixed_value_sets, _zero_start_cost,
                                   _zero_start_ok, conj_bruteforce,
                                   make_instance, resolve_budget)
 from cadlagconvex.generators import (rand_finite_dual, rand_passing_instance,
                                      rand_setmap)
-from cadlagconvex.plconvex import PLConvex, RInterval
+from cadlagconvex.plconvex import PLConvex
 from cadlagconvex.presets import build_preset
 from cadlagconvex.rationals import INF, NEG_INF, rat, xmul, xneg, xsum
 from cadlagconvex.scenario import RandomSetMap
@@ -42,14 +44,13 @@ def reference_conj_bruteforce(inst, d, B, delta, budget: Optional[int] = None):
     lattice = [-B + k * delta for k in range(steps + 1)]
     needed = 0
     coords = []
-    sets = {s: _fixed_value_sets(r, s) for s in tree.scenarios}
-    for i, cell, constraint in _coordinates(tree, n, sets, RInterval(-B, B)):
-        if constraint.is_empty:
-            pts: List[F] = []
-        else:
-            pts = [v for v in lattice if constraint.contains(v)]
-        needed += len(pts)
-        coords.append((i, cell, pts))
+    sets = _fixed_value_sets(r)
+    for i in range(n):
+        for cell in tree.cells(i):
+            # every scenario's set, not only the first one's
+            pts: List[F] = [v for v in lattice if all(sets[s][i].contains(v) for s in cell)]
+            needed += len(pts)
+            coords.append((i, cell, pts))
     if needed > budget:
         raise BudgetExceededError(needed, budget)
 
@@ -138,6 +139,21 @@ class TestCandidateSearch:
         assert type(fast[1]) is type(slow[1])
         assert outcome(conj_bruteforce, inst, d, B, delta, budget=0) == \
             outcome(reference_conj_bruteforce, inst, d, B, delta, budget=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_cases())
+    def test_cells_with_unequal_probabilities(self, case):
+        # the oracle weights one scenario's objective by the cell's mass; the
+        # reference sums each scenario's objective with its own probability
+        inst, d, B, delta = case
+        tree = inst.tree
+        assume(any(len({tree.prob(s) for s in cell}) > 1
+                   for i in range(tree.n_slots) for cell in tree.cells(i)))
+        for budget in (None, 0):
+            fast = outcome(conj_bruteforce, inst, d, B, delta, budget=budget)
+            slow = outcome(reference_conj_bruteforce, inst, d, B, delta, budget=budget)
+            assert fast == slow
+            assert type(fast[1]) is type(slow[1])
 
     def test_cases_cover_sentinel_and_htilde(self):
         # the strategy's draws reach the cases the candidate rule must get right

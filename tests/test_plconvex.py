@@ -503,3 +503,100 @@ def test_loading_a_preset_never_re_anchors(name, monkeypatch):
             for fn in fns:
                 fn.conjugate()
     assert walks == []
+
+
+# -- the conjugate memo ---------------------------------------------------------
+
+@settings(max_examples=50, deadline=None)
+@given(plconvex_st())
+def test_the_conjugate_is_built_once_per_object(fn):
+    assert fn.conjugate() is fn.conjugate()
+
+
+@settings(max_examples=50, deadline=None)
+@given(plconvex_st())
+def test_the_biconjugate_is_built_afresh(fn):
+    builds = []
+    original = PLConvex._conjugate
+
+    def counted(self):
+        builds.append(self)
+        return original(self)
+    PLConvex._conjugate = counted
+    try:
+        star = fn.conjugate()
+        assert "conjugate" not in vars(star).get("_memo", {})  # never seeded with fn
+        again = star.conjugate()
+        star.conjugate()
+        fn.conjugate()
+    finally:
+        PLConvex._conjugate = original
+    assert builds == [fn, star]
+    assert builds[0] is fn and builds[1] is star
+    assert again == fn and again is not fn
+
+
+@pytest.mark.parametrize("raw", [
+    # equal adjacent slopes, a breakpoint on the domain end, a non-canonical anchor
+    PLConvex(NEG_INF, INF, (F(0),), (F(1), F(1)), F(0), F(0)),
+    PLConvex(F(0), F(2), (F(0),), (F(1), F(2)), F(0), F(0)),
+    PLConvex(F(0), F(2), (), (F(1),), F(1), F(1)),
+])
+def test_a_hand_built_non_canonical_function_fails_involution(raw):
+    for _ in range(2):  # before and after its conjugate is memoised
+        assert raw.conjugate().conjugate() != raw
+
+
+# -- interval operations compare ends without a Fraction/float comparison -------
+
+def _old_intersect(a, b):
+    if a.is_empty or b.is_empty:
+        return EMPTY_INTERVAL
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    return RInterval(lo, hi) if lo <= hi else EMPTY_INTERVAL
+
+
+_ends = st.one_of(st.just(None), st.fractions(min_value=-2, max_value=2, max_denominator=2))
+
+
+@st.composite
+def intervals(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return EMPTY_INTERVAL
+    lo, hi = draw(_ends), draw(_ends)
+    lo, hi = (NEG_INF if lo is None else lo), (INF if hi is None else hi)
+    if is_finite(lo) and is_finite(hi) and lo > hi:
+        lo, hi = hi, lo
+    return RInterval(lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals(), intervals(), st.one_of(
+    st.sampled_from([INF, NEG_INF]), st.fractions(min_value=-3, max_value=3, max_denominator=2)))
+def test_interval_operations_match_plain_comparisons(a, b, x):
+    expected = (_old_intersect(a, b),
+                a.is_empty or (not b.is_empty and b.lo <= a.lo and a.hi <= b.hi),
+                not a.is_empty and a.lo <= x <= a.hi)
+    mixed = []  # Fraction/float comparisons made by the operations
+    richcmp, eq = F._richcmp, F.__eq__
+
+    def counted_richcmp(self, other, op):
+        if isinstance(other, float):
+            mixed.append((self, other))
+        return richcmp(self, other, op)
+
+    def counted_eq(self, other):
+        if isinstance(other, float):
+            mixed.append((self, other))
+        return eq(self, other)
+    F._richcmp, F.__eq__ = counted_richcmp, counted_eq
+    try:
+        got = (a.intersect(b), a.issubset(b), a.contains(x))
+    finally:
+        F._richcmp, F.__eq__ = richcmp, eq
+    assert got == expected
+    assert mixed == []
+    if a.issubset(b):
+        assert got[0] is a
+    elif b.issubset(a):
+        assert got[0] is b

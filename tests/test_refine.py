@@ -187,4 +187,4 @@ def test_a_factor_below_two_raises_on_every_call(factor):
     for x in (inst.grid, inst.tree, inst):
         with pytest.raises(ValueError, match="factor must be >= 2"):
             x.refine(factor)
-    assert set(vars(inst.grid)["_refined"]) == set(vars(inst)["_refined"]) == {2}
+    assert set(vars(inst.grid)["_memo"]) == set(vars(inst)["_memo"]) == {2}

@@ -1,20 +1,24 @@
 """Instance files, report determinism and the command-line front-end."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import random
 import time
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import plconvex_st
 
 from cadlagconvex import cli, presets, serialize
 from cadlagconvex.duality import Instance
 from cadlagconvex.finmodels import bidask_model, obstacle_model
+from cadlagconvex.generators import rand_passing_instance
 from cadlagconvex.presets import (PRESET_NAMES, build_preset,
                                   bundled_instance_path)
 from cadlagconvex.serialize import (InstanceDoc, SchemaError, cone_from_json,
@@ -26,6 +30,7 @@ from cadlagconvex.serialize import (InstanceDoc, SchemaError, cone_from_json,
                                     scalar_process_from_json)
 from cadlagconvex.plconvex import pl
 from cadlagconvex.rationals import NEG_INF
+from cadlagconvex.scenario import RandomIntegrand
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..",
                             "src", "cadlagconvex", "instances")
@@ -44,6 +49,49 @@ def assert_one_error_line(capsys, prefix: str) -> None:
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(prefix)
     assert "Traceback" not in captured.err
+
+
+def basic_doc() -> dict:
+    with open(bundled("basic"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+BASIC_UP_0 = {"anchor": ["0", "0"], "breakpoints": ["0"], "dom": ["-2", "2"],
+              "slopes": ["-1", "1"]}  # integrand_h up[0] of basic.json
+
+# malformed function documents and the messages they gave before equal
+# function documents shared one object; they must stay the same
+BAD_FUNCTIONS = [
+    ({**BASIC_UP_0, "slopes": ["-1", "1x"]},
+     "bad piecewise-linear function: Invalid literal for Fraction: '1x'"),
+    ({**BASIC_UP_0, "slopes": ["-1", 1.0]},
+     "bad piecewise-linear function: not a rational: 1.0"),
+    ({k: v for k, v in BASIC_UP_0.items() if k != "breakpoints"},
+     "missing key 'breakpoints'"),
+    ({k: v for k, v in BASIC_UP_0.items() if k != "slopes"}, "missing key 'slopes'"),
+    ({**BASIC_UP_0, "breakpoints": 5},
+     "bad piecewise-linear function: 'int' object is not iterable"),
+    ({**BASIC_UP_0, "dom": ["x", "2"], "breakpoints": 5},
+     "bad piecewise-linear function: Invalid literal for Fraction: 'x'"),
+    ({**BASIC_UP_0, "slopes": ["1", "-1"]},
+     "bad piecewise-linear function: slopes must be nondecreasing (convexity)"),
+    ({**BASIC_UP_0, "anchor": ["3", "0"]},
+     "bad piecewise-linear function: anchor outside the domain"),
+    ({**BASIC_UP_0, "dom": ["2", "-2"]},
+     "bad piecewise-linear function: empty or inverted domain"),
+    ({**BASIC_UP_0, "dom": [["-2"], "2"]},
+     "bad piecewise-linear function: not a rational: ['-2']"),
+    ({**BASIC_UP_0, "dom": ["-2"]},
+     "bad piecewise-linear function: not enough values to unpack (expected 2, got 1)"),
+    ({**BASIC_UP_0, "anchor": ["0", "1e-9999"]},
+     "bad piecewise-linear function: exponent beyond 4300 in '1e-9999'"),
+    ({**BASIC_UP_0, "breakpoints": ["0", None]},
+     "bad piecewise-linear function: not a rational: None"),
+    ({**BASIC_UP_0, "breakpoints": []},
+     "bad piecewise-linear function: need exactly one slope per segment"),
+    (["-2", "2"], "missing key 'dom'"),
+    ("dom", "bad piecewise-linear function: string indices must be integers, not 'str'"),
+]
 
 
 class TestSerialization:
@@ -126,6 +174,79 @@ class TestSerialization:
         del parses[:]
         path_from_json(doc["paths"][0], idoc.instance.tree, idoc.instance.grid)
         assert parses == ["1/3", "-1/3", "1/3"] * 2
+
+    # -- one PLConvex per distinct function document ------------------------------
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_equal_functions_of_a_file_are_one_object(self, name):
+        inst = load_instance(bundled(name)).instance
+        fns = [fn for ri in (inst.h, inst.htilde) for fs in ri.functions.values() for fn in fs]
+        assert all((f == g) == (f is g) for f in fns for g in fns)
+
+    def test_the_scenarios_of_a_cell_share_their_functions(self):
+        inst = load_instance(bundled("basic")).instance
+        assert inst.tree.cells(0) == (("dn", "up"),)
+        assert inst.h.functions["dn"][0] is inst.h.functions["up"][0]
+        assert inst.h.functions["dn"][0].conjugate() is inst.h.functions["up"][0].conjugate()
+
+    @staticmethod
+    def read_function_by_function(doc):
+        """The document's instance with every function read outside the memo."""
+        inst = instance_doc_from_json(doc).instance
+        fams = [RandomIntegrand(inst.tree, inst.grid, {
+            s: tuple(plconvex_from_json(f) for f in doc[key]["functions"][s])
+            for s in inst.tree.scenarios}, doc[key]["flag"])
+            for key in ("integrand_h", "integrand_htilde")]
+        return dataclasses.replace(inst, h=fams[0], htilde=fams[1])
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_sharing_functions_changes_no_preset(self, name):
+        with open(bundled(name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert load_instance(bundled(name)).instance == self.read_function_by_function(doc)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_sharing_functions_changes_no_generated_instance(self, seed):
+        rng = random.Random(seed)
+        inst = rand_passing_instance(rng, with_htilde=seed % 2 == 0)
+        doc = json.loads(json.dumps(instance_doc_to_json(InstanceDoc(inst, [], [], None))))
+        loaded = instance_doc_from_json(doc).instance
+        assert loaded == self.read_function_by_function(doc) == inst
+
+    @pytest.mark.parametrize("bad, message", BAD_FUNCTIONS)
+    def test_a_malformed_function_raises_as_before_sharing(self, bad, message):
+        for scenarios in (("dn",), ("up", "dn")):  # seen once, then twice
+            doc = basic_doc()
+            for s in scenarios:
+                doc["integrand_h"]["functions"][s][0] = bad
+            with pytest.raises(SchemaError) as err:
+                instance_doc_from_json(doc)
+            assert str(err.value) == message
+        with pytest.raises(SchemaError) as err:  # a reader on its own
+            plconvex_from_json(bad)
+        assert str(err.value) == message
+
+    def test_a_failed_function_is_never_stored(self):
+        token = serialize._PARSED.set({})
+        try:
+            for _ in range(2):
+                with pytest.raises(SchemaError, match="anchor outside the domain"):
+                    plconvex_from_json({**BASIC_UP_0, "anchor": ["3", "0"]})
+            assert not any(isinstance(k, tuple) for k in serialize._PARSED.get())
+        finally:
+            serialize._PARSED.reset(token)
+
+    def test_a_function_holding_more_than_strings_is_read_afresh(self):
+        doc = basic_doc()
+        doc["integrand_h"]["functions"]["dn"][0] = {**BASIC_UP_0, "slopes": [-1, 1]}
+        h = instance_doc_from_json(doc).instance.h
+        assert h.functions["dn"][0] == h.functions["up"][0]
+        assert h.functions["dn"][0] is not h.functions["up"][0]
+        # equal to a stored key by value, but 1.0 is no rational: it still raises
+        doc["integrand_h"]["functions"]["dn"][0] = {**BASIC_UP_0, "slopes": ["-1", 1.0]}
+        with pytest.raises(SchemaError, match="not a rational: 1.0"):
+            instance_doc_from_json(doc)
 
     def test_reports_equal_ignores_timestamp(self):
         a = {"theorem": "x", "pass": True, "timestamp": 1.0}
@@ -406,6 +527,43 @@ class TestCli:
         assert_one_error_line(capsys, f"schema error: bad path: more than 4300 digits "
                                       f"in '{value}'")
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_refined_value_fmt_cannot_write_exits_2(self, existing, tmp_path, capsys):
+        # the grid loads; refining it by 10 makes the time 1e-4300, which
+        # has one digit too many to be written
+        doc = basic_doc()
+        doc["grid"] = ["0", "1e-4299", "2"]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        out = tmp_path / "fine.json"
+        if existing:
+            out.write_text("kept\n")
+        assert self.run("refine", str(edited), "--factor", "10", "-o", str(out)) == 2
+        assert_one_error_line(capsys, "schema error: cannot write a value of more than "
+                                      "4300 digits")
+        assert out.read_text() == "kept\n" if existing else not out.exists()
+        assert self.run("refine", str(edited), "--factor", "2", "-o", str(out)) == 0
+
+    @pytest.mark.parametrize("preset, theorem, path", [
+        ("cs", "cs-regularity", ("G",)),
+        ("cs", "cs-regularity", ("Gtilde",)),
+        ("currency", "currency", ("solvency",)),
+        ("currency", "currency", ("duals", 0, "u")),
+        ("currency", "currency", ("duals", 0, "ut")),
+        ("currency", "currency", ("duals", 2, "ut")),
+    ])
+    def test_a_missing_model_key_exits_2(self, preset, theorem, path, tmp_path, capsys):
+        with open(bundled(preset), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        parent = doc["model"]
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        assert self.run("verify", str(edited), "--theorem", theorem) == 2
+        assert_one_error_line(capsys, f"schema error: missing key '{path[-1]}'")
 
     @pytest.mark.parametrize("value", ["1e4299", "1e-4299"])
     def test_values_of_4300_digits_load_and_refine(self, value, tmp_path, capsys):
