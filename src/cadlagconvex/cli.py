@@ -32,9 +32,8 @@ from .plconvex import support_fn
 from .polycone import cs_regularity_check
 from .rationals import INF, NEG_INF, is_finite, rat
 from .scenario import check_adapted, jensen_check
-from .serialize import (InstanceDoc, SchemaError, _need, conemap_from_json,
-                        dump_instance, dump_report, load_instance,
-                        reports_equal, vector_measure_from_json)
+from .serialize import (InstanceDoc, SchemaError, dump_instance, dump_report,
+                        load_instance, reports_equal)
 from .setmaps import michael_check, projection_selection
 
 EXIT_PASS, EXIT_FAIL, EXIT_SCHEMA, EXIT_BUDGET, EXIT_ASSUMPTION = 0, 1, 2, 3, 4
@@ -100,7 +99,7 @@ def _check_interchange_stoch(idoc: InstanceDoc, args) -> Dict:
 
 
 def _check_against_oracle(idoc: InstanceDoc, args, formula, oracle_of, key: str) -> Dict:
-    """Compare formula(instance, dual) with the lattice oracle on oracle_of(instance).
+    """Compare formula and the lattice oracle, both on oracle_of(instance), per dual.
 
     An entry verifies when 0 <= formula - oracle <= the lattice gap bound, or
     when both sides are the -inf sentinel of an empty selection set
@@ -115,7 +114,7 @@ def _check_against_oracle(idoc: InstanceDoc, args, formula, oracle_of, key: str)
     delta = args.delta
     entries, ok = [], True
     for k, d in enumerate(idoc.duals):
-        value = formula(inst, d)
+        value = formula(oracle, d)
         brute = conj_bruteforce(oracle, d, B, delta, budget=args.budget)
         bound = bruteforce_gap_bound(d, delta)
         if value in (INF, NEG_INF) or brute == NEG_INF:
@@ -225,13 +224,16 @@ def _check_projection(idoc: InstanceDoc, args) -> Dict:
             "pass": ok, "details": {"x": x, "scenarios": entries}}
 
 
+def _model_parts(idoc: InstanceDoc, args, kind: str) -> Dict:
+    """The parsed parts of the file's model, which must be of the given type."""
+    if idoc.model is None or idoc.model.kind != kind:
+        raise SchemaError(f"{args.theorem} check needs a model of type {kind!r}")
+    return idoc.model.parts
+
+
 def _check_cs(idoc: InstanceDoc, args) -> Dict:
-    model = idoc.model or {}
-    if model.get("type") != "cs":
-        raise SchemaError("cs-regularity check needs a model of type 'cs'")
-    g_map = conemap_from_json(_need(model, "G"), idoc.instance.grid)
-    gt_map = conemap_from_json(_need(model, "Gtilde"), idoc.instance.grid)
-    rep = cs_regularity_check(g_map, gt_map)
+    parts = _model_parts(idoc, args, "cs")
+    rep = cs_regularity_check(parts["G"], parts["Gtilde"])
     return {"lhs": None, "rhs": None,
             "assumptions": [
                 {"name": "efficient_friction",
@@ -243,22 +245,16 @@ def _check_cs(idoc: InstanceDoc, args) -> Dict:
 
 
 def _check_currency(idoc: InstanceDoc, args) -> Dict:
-    model = idoc.model or {}
-    if model.get("type") != "currency":
-        raise SchemaError("currency check needs a model of type 'currency'")
-    grid = idoc.instance.grid
-    cones = conemap_from_json(_need(model, "solvency"), grid)
+    parts = _model_parts(idoc, args, "currency")
     try:
-        cm = currency_model(cones)
+        cm = currency_model(parts["solvency"])
     except ValueError as exc:
         return {"lhs": None, "rhs": None,
                 "assumptions": [{"name": "preconditions", "ok": False}],
                 "pass": False, "details": {"error": str(exc)}}
     rng = random.Random(args.seed)
     entries, ok = [], True
-    for k, dd in enumerate(model.get("duals", [])):
-        u = vector_measure_from_json(_need(dd, "u"), grid)
-        ut = vector_measure_from_json(_need(dd, "ut"), grid)
+    for k, (u, ut) in enumerate(parts["duals"]):
         mem = cm.is_member(u, ut)
         entry = {"dual": k, "member": mem["member"]}
         if mem["member"]:

@@ -41,6 +41,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .plconvex import RInterval, indicator, once
@@ -175,8 +176,10 @@ def domain_setmap(h: RandomIntegrand) -> RandomSetMap:
 
 
 def indicator_integrand(rsm: RandomSetMap, flag: str) -> RandomIntegrand:
+    """The indicators of the point values; equal intervals share one function."""
+    shared = cache(indicator)
     fams = {
-        s: tuple(indicator(iv) for iv in sm.point_vals)
+        s: tuple(shared(iv) for iv in sm.point_vals)
         for s, sm in rsm.maps.items()
     }
     return RandomIntegrand(rsm.tree, rsm.grid, fams, flag)

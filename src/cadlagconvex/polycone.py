@@ -35,11 +35,9 @@ def canon_ray(v: Sequence) -> Optional[Vec]:
     denom = 1
     for x in vec:
         denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(Fraction(x, g) for x in ints)
+    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    g = gcd(*ints)
+    return tuple(Fraction(x // g) for x in ints)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ and its thread; a reader called on its own parses every string afresh.  A bad
 string raises on first sight, exactly as without the memo, and is never
 stored.
 
-The same memo maps each distinct function document, keyed by its strings,
-to one ``PLConvex``, so the scenarios of a cell share one function object and
-the conjugate it builds once.  A function document holding anything but
-strings is read afresh; one that fails raises at each sight, unstored.
+The same memo maps each distinct function or cone document, keyed by its
+strings, to one ``PLConvex`` or ``PolyCone``, so the scenarios of a cell share
+one function object and the conjugate it builds once, and the slots of a cone
+map share their repeated cones.  A document holding anything but strings,
+integers and nulls is read afresh; one that fails raises at each sight,
+unstored.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def _wrap(what: str):
 
 # -- scalars and intervals ----------------------------------------------------
 
-# string -> Fraction, function key -> PLConvex; set only while instance_doc_from_json runs
+# string -> Fraction, (class, document key) -> PLConvex or PolyCone; set only while
+# instance_doc_from_json runs
 _PARSED: ContextVar[Optional[Dict[object, object]]] = ContextVar("_PARSED", default=None)
 
 
@@ -115,25 +118,40 @@ def plconvex_to_json(fn: PLConvex) -> dict:
 def plconvex_from_json(doc: dict) -> PLConvex:
     lo, hi = _need(doc, "dom")
     ax, av = _need(doc, "anchor")
+    return _shared(PLConvex, [lo, hi, ax, av, doc.get("breakpoints"), doc.get("slopes")],
+                   lambda: pl(_ext(lo), _ext(hi),
+                              [_rat(b) for b in _need(doc, "breakpoints")],
+                              [_rat(s) for s in _need(doc, "slopes")],
+                              _rat(ax), _rat(av)))
+
+
+def _strings_key(doc: list) -> Optional[tuple]:
+    """The list as nested tuples when it holds only strings, integers, None and
+    such lists, else None."""
+    key = []
+    for x in doc:
+        t = type(x)
+        if t is list:
+            x = _strings_key(x)
+            if x is None:
+                return None
+        elif t is not str and t is not int and x is not None:
+            return None
+        key.append(x)
+    return tuple(key)
+
+
+def _shared(kind: type, parts: list, build):
+    """build(), made once per ``kind`` and key of ``parts`` in the document
+    being read; afresh when there is no memo or ``parts`` has no key."""
     parsed = _PARSED.get()
-    key = None if parsed is None else _strings_key(
-        lo, hi, ax, av, doc.get("breakpoints"), doc.get("slopes"))
-    if key is not None and key in parsed:
-        return parsed[key]
-    fn = pl(_ext(lo), _ext(hi),
-            [_rat(b) for b in _need(doc, "breakpoints")],
-            [_rat(s) for s in _need(doc, "slopes")],
-            _rat(ax), _rat(av))
-    if key is not None:
-        parsed[key] = fn
-    return fn
-
-
-def _strings_key(*parts) -> Optional[tuple]:
-    """The parts as a tuple when each is a string or a list of strings, else None."""
-    key = tuple(tuple(p) if type(p) is list else p for p in parts)
-    flat = [x for p in key for x in (p if type(p) is tuple else (p,))]
-    return key if all(type(x) is str for x in flat) else None
+    key = None if parsed is None else _strings_key(parts)
+    if key is None:
+        return build()
+    key = (kind, key)
+    if key not in parsed:
+        parsed[key] = build()
+    return parsed[key]
 
 
 # -- grid-level objects ---------------------------------------------------------
@@ -245,9 +263,9 @@ def cone_from_json(doc: dict) -> PolyCone:
         raise SchemaError("cone needs generators or halfspaces")
     if gens is not None and not hs:
         hs = None  # beside generators an empty list means "not given": computed lazily
-    return PolyCone(dim,
-                    generators=None if gens is None else [[_rat(x) for x in g] for g in gens],
-                    halfspaces=None if hs is None else [[_rat(x) for x in a] for a in hs])
+    return _shared(PolyCone, [dim, gens, hs], lambda: PolyCone(
+        dim, generators=None if gens is None else [[_rat(x) for x in g] for g in gens],
+        halfspaces=None if hs is None else [[_rat(x) for x in a] for a in hs]))
 
 
 def conemap_to_json(cm: ConeMap) -> dict:
@@ -290,13 +308,82 @@ def vector_measure_from_json(doc, grid: TimeGrid) -> VectorMeasure:
     return VectorMeasure(grid, tuple(tuple(_rat(x) for x in a) for a in doc))
 
 
+# -- model sections ----------------------------------------------------------------
+
+@_wrap("currency duals")
+def _duals_from_json(doc, tree: ScenarioTree, grid: TimeGrid) -> tuple:
+    if type(doc) is not list:
+        raise SchemaError("currency duals must be a list")
+    return tuple((vector_measure_from_json(_need(dd, "u"), grid),
+                  vector_measure_from_json(_need(dd, "ut"), grid)) for dd in doc)
+
+
+_SCALAR = (scalar_process_from_json, scalar_process_to_json)
+_PATH = (path_from_json, path_to_json)
+_CONES = (lambda doc, tree, grid: conemap_from_json(doc, grid), conemap_to_json)
+_DUALS = (_duals_from_json, lambda duals: [
+    {"u": vector_measure_to_json(u), "ut": vector_measure_to_json(ut)} for u, ut in duals])
+
+# model type -> key -> (reader(doc, tree, grid), writer(part)); every key is
+# required and no other is allowed
+MODEL_KEYS = {
+    "obstacle": {"b": _SCALAR, "ycheck": _PATH},
+    "bidask": {"b": _SCALAR, "a": _SCALAR, "ybar": _PATH},
+    "cs": {"G": _CONES, "Gtilde": _CONES},
+    "currency": {"solvency": _CONES, "duals": _DUALS},
+}
+
+
+def _refined(part, factor: int):
+    """``part.refine(factor)``, taken through tuples (the currency duals)."""
+    if type(part) is tuple:
+        return tuple(_refined(p, factor) for p in part)
+    return part.refine(factor)
+
+
+class Model:
+    """A parsed model section: its type, one object per key of that type, and
+    the section as loaded, which is written back as it is so a loaded file
+    keeps its bytes (``PolyCone`` sorts its rows).  A refined model has no
+    such section and is written through the writers of :data:`MODEL_KEYS`."""
+
+    def __init__(self, kind: str, parts: Dict[str, object], doc: Optional[dict] = None):
+        self.kind, self.parts, self.doc = kind, parts, doc
+
+    def refine(self, factor: int) -> "Model":
+        return Model(self.kind, {k: _refined(v, factor) for k, v in self.parts.items()})
+
+    def to_json(self) -> dict:
+        writers = MODEL_KEYS[self.kind]
+        return self.doc or {"type": self.kind,
+                            **{k: writers[k][1](v) for k, v in self.parts.items()}}
+
+
+def model_from_json(doc, tree: ScenarioTree, grid: TimeGrid) -> Optional[Model]:
+    """None for an absent or null section; else an object whose keys are
+    exactly ``type`` and that type's keys in :data:`MODEL_KEYS`."""
+    if doc is None:
+        return None
+    if type(doc) is not dict:
+        raise SchemaError("model must be an object or null")
+    kind = _need(doc, "type")
+    if type(kind) is not str or kind not in MODEL_KEYS:
+        raise SchemaError(f"unknown model type {kind!r}")
+    keys = MODEL_KEYS[kind]
+    extra = sorted(set(doc) - {"type", *keys})
+    if extra:
+        raise SchemaError(f"unexpected key {extra[0]!r} in a {kind} model")
+    return Model(kind, {k: read(_need(doc, k), tree, grid)
+                        for k, (read, _) in keys.items()}, doc)
+
+
 # -- whole documents -------------------------------------------------------------
 
 class InstanceDoc:
     """A parsed instance file: the instance plus its duals, paths and model."""
 
     def __init__(self, instance: Instance, duals: List[DualPair],
-                 paths: List[RandomPath], model: Optional[dict]):
+                 paths: List[RandomPath], model: Optional[Model]):
         self.instance = instance
         self.duals = duals
         self.paths = paths
@@ -307,36 +394,7 @@ class InstanceDoc:
         return InstanceDoc(self.instance.refine(factor),
                            [d.refine(factor) for d in self.duals],
                            [p.refine(factor) for p in self.paths],
-                           self._refine_model(factor))
-
-    def _refine_model(self, factor: int) -> Optional[dict]:
-        model = self.model
-        if not model:
-            return model
-        tree, grid = self.instance.tree, self.instance.grid
-        out = dict(model)
-        kind = model.get("type")
-        if kind in ("obstacle", "bidask"):
-            for key in ("b", "a"):
-                if key in model:
-                    sp = scalar_process_from_json(model[key], tree, grid)
-                    out[key] = scalar_process_to_json(sp.refine(factor))
-            for key in ("ycheck", "ybar"):
-                if key in model:
-                    path = path_from_json(model[key], tree, grid)
-                    out[key] = path_to_json(path.refine(factor))
-        elif kind in ("currency", "cs"):
-            for key in ("solvency", "G", "Gtilde"):
-                if key in model:
-                    cm = conemap_from_json(model[key], grid)
-                    out[key] = conemap_to_json(cm.refine(factor))
-            if "duals" in model:
-                out["duals"] = [
-                    {k: vector_measure_to_json(
-                        vector_measure_from_json(dd[k], grid).refine(factor))
-                     for k in ("u", "ut")}
-                    for dd in model["duals"]]
-        return out
+                           None if self.model is None else self.model.refine(factor))
 
 
 def instance_doc_from_json(doc: dict) -> InstanceDoc:
@@ -370,11 +428,12 @@ def _instance_doc_from_json(doc: dict) -> InstanceDoc:
             for d in doc.get("duals", [])
         ]
         paths = [path_from_json(p, tree, grid) for p in doc.get("paths", [])]
+        model = model_from_json(doc.get("model"), tree, grid)
     except SchemaError:
         raise
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return InstanceDoc(inst, duals, paths, doc.get("model"))
+    return InstanceDoc(inst, duals, paths, model)
 
 
 def instance_doc_to_json(idoc: InstanceDoc) -> dict:
@@ -391,7 +450,7 @@ def instance_doc_to_json(idoc: InstanceDoc) -> dict:
         "duals": [{"u": measure_to_json(d.u), "ut": measure_to_json(d.ut)}
                   for d in idoc.duals],
         "paths": [path_to_json(p) for p in idoc.paths],
-        "model": idoc.model,
+        "model": None if idoc.model is None else idoc.model.to_json(),
     }
 
 

@@ -15,8 +15,7 @@ from cadlagconvex.duality import (DualPair, assumption_report,
                                   conj_pointwise, eval_F, eval_Fhat,
                                   interchange_det, interchange_stoch,
                                   subdiff_check, support_DS)
-from cadlagconvex.finmodels import (ScalarProcess, VectorMeasure,
-                                    bidask_model, bidask_support,
+from cadlagconvex.finmodels import (ScalarProcess, bidask_model, bidask_support,
                                     currency_model, obstacle_model,
                                     obstacle_support, vector_pairing)
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
@@ -28,8 +27,7 @@ from cadlagconvex.presets import PRESET_NAMES, build_preset
 from cadlagconvex.rationals import INF, NEG_INF, is_finite
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                                    expected_pairing, jensen_check)
-from cadlagconvex.serialize import (InstanceDoc, conemap_from_json,
-                                    scalar_process_from_json, path_from_json)
+from cadlagconvex.serialize import InstanceDoc
 from cadlagconvex.setmaps import (michael_check, projection_selection,
                                   right_isc_check)
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid
@@ -417,11 +415,9 @@ def test_criterion_8_market_presets():
     # currency: members certify nonpositive pairing on sampled selections
     doc = build_preset("currency")
     grid = doc.instance.grid
-    cm = currency_model(conemap_from_json(doc.model["solvency"], grid))
+    cm = currency_model(doc.model.parts["solvency"])
     members = 0
-    for dd in doc.model["duals"]:
-        u = VectorMeasure(grid, tuple(tuple(F(x) for x in a) for a in dd["u"]))
-        ut = VectorMeasure(grid, tuple(tuple(F(x) for x in a) for a in dd["ut"]))
+    for u, ut in doc.model.parts["duals"]:
         if not cm.is_member(u, ut)["member"]:
             continue
         members += 1
@@ -431,8 +427,7 @@ def test_criterion_8_market_presets():
     assert members >= 2
     # bundled regularity instance passes; a one-slot mutation fails
     cs_doc = build_preset("cs")
-    g_map = conemap_from_json(cs_doc.model["G"], cs_doc.instance.grid)
-    gt_map = conemap_from_json(cs_doc.model["Gtilde"], cs_doc.instance.grid)
+    g_map, gt_map = cs_doc.model.parts["G"], cs_doc.model.parts["Gtilde"]
     assert cs_regularity_check(g_map, gt_map)["pass"]
     bigger = cone_hull([g_map.cell_cones[0],
                         PolyCone.from_generators([(1, -1)], 2)])
@@ -465,30 +460,22 @@ def _collect_functionals(idoc: InstanceDoc):
     if len(inst.tree.scenarios) == 1:
         det = interchange_det(inst, "cadlag")
         out["det_lhs"], out["det_rhs"] = det["lhs"], det["rhs"]
-    model = idoc.model or {}
-    if model.get("type") == "obstacle":
-        b = scalar_process_from_json(model["b"], inst.tree, inst.grid)
-        ycheck = path_from_json(model["ycheck"], inst.tree, inst.grid)
-        m = obstacle_model(b, ycheck)
+    kind = None if idoc.model is None else idoc.model.kind
+    parts = {} if idoc.model is None else idoc.model.parts
+    if kind == "obstacle":
+        m = obstacle_model(parts["b"], parts["ycheck"])
         for dk, d in enumerate(idoc.duals):
             out[f"obstacle[{dk}]"] = obstacle_support(m, d)
-    if model.get("type") == "bidask":
-        b = scalar_process_from_json(model["b"], inst.tree, inst.grid)
-        a = scalar_process_from_json(model["a"], inst.tree, inst.grid)
-        ybar = path_from_json(model["ybar"], inst.tree, inst.grid)
-        m = bidask_model(b, a, ybar)
+    if kind == "bidask":
+        m = bidask_model(parts["b"], parts["a"], parts["ybar"])
         for dk, d in enumerate(idoc.duals):
             out[f"bidask[{dk}]"] = bidask_support(m, d)
-    if model.get("type") == "currency":
-        cm = currency_model(conemap_from_json(model["solvency"], inst.grid))
-        for dk, dd in enumerate(model["duals"]):
-            u = VectorMeasure(inst.grid, tuple(tuple(F(x) for x in at) for at in dd["u"]))
-            ut = VectorMeasure(inst.grid, tuple(tuple(F(x) for x in at) for at in dd["ut"]))
+    if kind == "currency":
+        cm = currency_model(parts["solvency"])
+        for dk, (u, ut) in enumerate(parts["duals"]):
             out[f"currency[{dk}]"] = cm.is_member(u, ut)["member"]
-    if model.get("type") == "cs":
-        g_map = conemap_from_json(model["G"], inst.grid)
-        gt_map = conemap_from_json(model["Gtilde"], inst.grid)
-        out["cs_pass"] = cs_regularity_check(g_map, gt_map)["pass"]
+    if kind == "cs":
+        out["cs_pass"] = cs_regularity_check(parts["G"], parts["Gtilde"])["pass"]
     return out
 
 

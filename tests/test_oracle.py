@@ -220,3 +220,22 @@ class TestEvalCount:
             value = conj_bruteforce(inst, d, B, delta, budget=10 ** 12)
             monkeypatch.setattr(PLConvex, "eval", original)
             assert value != NEG_INF
+
+
+def test_the_support_oracle_holds_one_function_per_distinct_interval():
+    """The constraint-indicator instance of support-ds gives every slot whose
+    constraint is the same interval the same function object, in h and in
+    the default htilde alike."""
+    repeats = 0
+    for seed in range(6):
+        inst = rand_passing_instance(random.Random(seed), max_scenarios=3, max_cells=3)
+        oracle = cli._constraint_indicator(inst)
+        for fam, rsm in ((oracle.h, oracle.S), (oracle.htilde, oracle.Stilde)):
+            by_interval = {}
+            for s in oracle.tree.scenarios:
+                for iv, fn in zip(rsm.maps[s].point_vals, fam.functions[s]):
+                    repeats += iv in by_interval
+                    assert by_interval.setdefault(iv, fn) is fn, seed
+            fns = [fn for fns in fam.functions.values() for fn in fns]
+            assert len({id(fn) for fn in fns}) == len(by_interval), seed
+    assert repeats > 0  # the draws do repeat intervals

@@ -6,12 +6,39 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cadlagconvex.polycone import (ConeMap, PolyCone, cone_hull,
+from cadlagconvex.polycone import (ConeMap, PolyCone, canon_ray, cone_hull,
                                    cs_regularity_check, vdot)
+from cadlagconvex.rationals import rat
 from cadlagconvex.timegrid import TimeGrid
 
 ORTH = PolyCone.orthant(2)
+
+
+def canon_ray_by_fractions(v):
+    """The Fraction arithmetic canon_ray used before it went integer-only."""
+    vec = tuple(rat(x) for x in v)
+    if all(x == 0 for x in vec):
+        return None
+    denom = 1
+    for x in vec:
+        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, abs(x))
+    return tuple(F(x, g) for x in ints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30)
+                | st.integers(-50, 50), min_size=1, max_size=4))
+def test_canon_ray_equals_the_fraction_arithmetic(v):
+    got, want = canon_ray(v), canon_ray_by_fractions(v)
+    assert got == want
+    assert got is None or all(type(x) is F and x.denominator == 1 for x in got)
 
 
 class TestPolar:

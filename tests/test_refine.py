@@ -22,10 +22,7 @@ from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance)
 from cadlagconvex.presets import PRESET_NAMES, build_preset
 from cadlagconvex.scenario import ScenarioTree
-from cadlagconvex.serialize import (InstanceDoc, conemap_from_json,
-                                    instance_doc_to_json,
-                                    scalar_process_from_json,
-                                    vector_measure_from_json)
+from cadlagconvex.serialize import InstanceDoc, Model, instance_doc_to_json
 from cadlagconvex.timegrid import TimeGrid
 
 FACTORS = [(2, 2), (2, 3), (3, 2)]
@@ -54,12 +51,9 @@ def _refinables(idoc: InstanceDoc):
     for s in tree.scenarios:
         out += [inst.mu.measures[s], inst.s_map(s)]
         out += [p.paths[s] for p in idoc.paths]
-    model = idoc.model or {}
-    out += [scalar_process_from_json(model[k], tree, grid) for k in ("b", "a") if k in model]
-    out += [conemap_from_json(model[k], grid)
-            for k in ("solvency", "G", "Gtilde") if k in model]
-    out += [vector_measure_from_json(dd[k], grid)
-            for dd in model.get("duals", []) for k in ("u", "ut")]
+    for part in ({} if idoc.model is None else idoc.model.parts).values():
+        # the currency duals are a tuple of (u, ut) pairs
+        out += [m for pair in part for m in pair] if type(part) is tuple else [part]
     return out
 
 
@@ -84,7 +78,7 @@ def test_random_instances_refine_compositionally(seed, factors):
 
 def test_every_refinable_type_is_covered():
     covered = {type(x) for name in PRESET_NAMES for x in _refinables(build_preset(name))}
-    assert _refinable_classes() - covered == {InstanceDoc}
+    assert _refinable_classes() - covered == {InstanceDoc, Model}
 
 
 # -- one grid and one tree per refinement -------------------------------------------

@@ -10,8 +10,10 @@ unnoticed.  Most draws have a -inf interchange infimum, so two seeds are such
 draws and the other ten are multi-scenario draws with finite infima, whose
 reports carry values and a witness.  The bundled presets add the full
 assumption report with its ``failing_slots`` and both sides of the
-deterministic interchange rule.  The digests were recorded before the slot
-conditions of ``duality`` were given one definition each.
+deterministic interchange rule, and the two model presets add the reports of
+their own theorems.  The digests were recorded before the slot conditions of
+``duality`` were given one definition each; the model-report digests before
+the model section came to be parsed at load.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from cadlagconvex import cli
 from cadlagconvex.duality import assumption_report, interchange_det
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance)
-from cadlagconvex.presets import PRESET_NAMES, build_preset
+from cadlagconvex.presets import PRESET_NAMES, build_preset, bundled_instance_path
 from cadlagconvex.serialize import InstanceDoc, dump_instance, dump_report
 
 CHECKS = (("interchange-stoch", "--form", "F"), ("interchange-stoch", "--form", "Fhat"),
@@ -160,6 +162,15 @@ PRESET_SHA256 = {
     ),
 }
 
+# (exit code, sha256 of the report without its timestamp) of each model
+# preset's own theorem, with the default --seed and --count
+MODEL_SHA256 = {
+    ("cs", "cs-regularity"): (
+        0, "833a28b3768d3bc61157d464a2039931fdcc0d7ca6bbd696e59c5120df73409d"),
+    ("currency", "currency"): (
+        0, "5127c027072e6684fca3d5f596df3185c3f6c247bafad4a61e8d869eebc0c6c6"),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -171,16 +182,17 @@ def generated_doc(seed: int) -> InstanceDoc:
     return InstanceDoc(inst, [rand_finite_dual(rng, inst)], [rand_feasible_path(rng, inst)], None)
 
 
+def verify_outcome(path: str, check, capsys) -> tuple:
+    code = cli.main(["verify", path, "--theorem", *check])
+    report = json.loads(capsys.readouterr().out)
+    del report["timestamp"]
+    return code, sha256(dump_report(report, None))
+
+
 def generated_outcomes(seed: int, tmp_path, capsys) -> list:
     path = tmp_path / f"gen{seed}.json"
     dump_instance(generated_doc(seed), str(path))
-    out = []
-    for check in CHECKS:
-        code = cli.main(["verify", str(path), "--theorem", *check])
-        report = json.loads(capsys.readouterr().out)
-        del report["timestamp"]
-        out.append((code, sha256(dump_report(report, None))))
-    return out
+    return [verify_outcome(str(path), check, capsys) for check in CHECKS]
 
 
 def preset_digests(name: str) -> list:
@@ -204,6 +216,12 @@ def test_every_seed_and_preset_is_pinned():
 def test_generated_reports_keep_their_bytes(seed, tmp_path, capsys):
     assert generated_outcomes(seed, tmp_path, capsys) == \
         [tuple(x) for x in GENERATED_SHA256[seed]]
+
+
+@pytest.mark.parametrize("name, theorem", sorted(MODEL_SHA256))
+def test_model_reports_keep_their_bytes(name, theorem, capsys):
+    assert verify_outcome(bundled_instance_path(name), (theorem,), capsys) == \
+        MODEL_SHA256[name, theorem]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -26,8 +26,7 @@ from cadlagconvex.serialize import (InstanceDoc, SchemaError, cone_from_json,
                                     instance_doc_from_json,
                                     instance_doc_to_json, load_instance,
                                     path_from_json, plconvex_from_json,
-                                    plconvex_to_json, reports_equal,
-                                    scalar_process_from_json)
+                                    plconvex_to_json, reports_equal)
 from cadlagconvex.plconvex import pl
 from cadlagconvex.rationals import NEG_INF
 from cadlagconvex.scenario import RandomIntegrand
@@ -94,6 +93,23 @@ BAD_FUNCTIONS = [
 ]
 
 
+# (document, generators held, half-spaces held); None is a form left to be
+# computed on first use
+CONE_FORMS = [
+    ({"dim": 2, "generators": [["1", "0"], ["0", "2"]],
+      "halfspaces": [["-1", "0"], ["0", "-1"]]},
+     ((0, 1), (1, 0)), ((-1, 0), (0, -1))),
+    ({"dim": 2, "generators": [["1", "0"], ["0", "2"]], "halfspaces": []},
+     ((0, 1), (1, 0)), None),
+    ({"dim": 2, "generators": [["1", "0"], ["0", "2"]]}, ((0, 1), (1, 0)), None),
+    # the zero cone, written with the rows that cut it out
+    ({"dim": 2, "generators": [], "halfspaces": [["1", "0"], ["-1", "0"]]},
+     (), ((-1, 0), (1, 0))),
+    ({"dim": 2, "halfspaces": [["-1", "0"]]}, None, ((-1, 0),)),
+    ({"dim": 2, "halfspaces": []}, None, ()),
+]
+
+
 class TestSerialization:
     def test_plconvex_round_trip(self):
         fn = pl(NEG_INF, F(2), (F(0), F(1)), (F(-1), F(1, 3), F(5, 2)), F(0), F(7, 3))
@@ -117,26 +133,34 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             instance_doc_from_json([1, 2, 3])
 
-    # (document, generators held, half-spaces held); None is a form left to
-    # be computed on first use
-    @pytest.mark.parametrize("doc, gens, rows", [
-        ({"dim": 2, "generators": [["1", "0"], ["0", "2"]],
-          "halfspaces": [["-1", "0"], ["0", "-1"]]},
-         ((0, 1), (1, 0)), ((-1, 0), (0, -1))),
-        ({"dim": 2, "generators": [["1", "0"], ["0", "2"]], "halfspaces": []},
-         ((0, 1), (1, 0)), None),
-        ({"dim": 2, "generators": [["1", "0"], ["0", "2"]]}, ((0, 1), (1, 0)), None),
-        # the zero cone, written with the rows that cut it out
-        ({"dim": 2, "generators": [], "halfspaces": [["1", "0"], ["-1", "0"]]},
-         (), ((-1, 0), (1, 0))),
-        ({"dim": 2, "halfspaces": [["-1", "0"]]}, None, ((-1, 0),)),
-        ({"dim": 2, "halfspaces": []}, None, ()),
-    ])
+    @pytest.mark.parametrize("doc, gens, rows", CONE_FORMS)
     def test_cone_from_json_keeps_the_forms_given(self, doc, gens, rows):
         cone = cone_from_json(doc)
         assert cone._generators == gens
         assert cone._halfspaces == rows
         assert cone_from_json(cone_to_json(cone)) == cone
+
+    def test_shared_cones_keep_each_document_s_forms(self):
+        # dim 2.0 and integer rows are keyed too, the dimension is part of the
+        # key (no rows: the whole space), and a float row is read afresh
+        docs = [doc for doc, _, _ in CONE_FORMS] + [
+            {"dim": 3, "halfspaces": []},
+            {"dim": 2.0, "generators": [["1", "0"], ["0", "2"]]},
+            {"dim": 2, "generators": [[1, 0], [0, 2]], "halfspaces": [[-1, 0], [0, -1]]}]
+        float_row = {"dim": 2, "generators": [[1.0, 0], [0, 2]], "halfspaces": [[-1, 0], [0, -1]]}
+        token = serialize._PARSED.set({})
+        try:
+            shared = [cone_from_json(doc) for doc in docs * 2]
+            for _ in range(2):
+                with pytest.raises(SchemaError, match="not a rational: 1.0"):
+                    cone_from_json(float_row)
+        finally:
+            serialize._PARSED.reset(token)
+        for doc, cone in zip(docs * 2, shared):
+            fresh = cone_from_json(doc)
+            assert (cone.dim, cone._generators, cone._halfspaces) == \
+                (fresh.dim, fresh._generators, fresh._halfspaces)
+        assert all(a is b for a, b in zip(shared[:len(docs)], shared[len(docs):]))
 
     def test_cone_without_either_form_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="cone needs generators or halfspaces"):
@@ -188,6 +212,19 @@ class TestSerialization:
         assert inst.tree.cells(0) == (("dn", "up"),)
         assert inst.h.functions["dn"][0] is inst.h.functions["up"][0]
         assert inst.h.functions["dn"][0].conjugate() is inst.h.functions["up"][0].conjugate()
+
+    @pytest.mark.parametrize("name, keys, distinct", [
+        ("cs", ("G", "Gtilde"), 3), ("currency", ("solvency",), 2)])
+    def test_equal_cones_of_a_file_are_one_object(self, name, keys, distinct):
+        with open(bundled(name), encoding="utf-8") as fh:
+            section = json.load(fh)["model"]
+        parts = load_instance(bundled(name)).model.parts
+        docs = [k for key in keys for side in ("point_cones", "cell_cones")
+                for k in section[key][side]]
+        cones = [k for key in keys for k in parts[key].point_cones + parts[key].cell_cones]
+        assert len(docs) == len(cones) > distinct == len({id(k) for k in cones})
+        assert all((a == b) == (x is y) for a, x in zip(docs, cones)
+                   for b, y in zip(docs, cones))
 
     @staticmethod
     def read_function_by_function(doc):
@@ -281,17 +318,14 @@ class TestBundledPresets:
 
     def test_obstacle_model_section_rebuilds_the_instance(self):
         idoc = build_preset("obstacle")
-        tree, grid, model = idoc.instance.tree, idoc.instance.grid, idoc.model
-        rebuilt = obstacle_model(scalar_process_from_json(model["b"], tree, grid),
-                                 path_from_json(model["ycheck"], tree, grid))
+        parts = idoc.model.parts
+        rebuilt = obstacle_model(parts["b"], parts["ycheck"])
         assert self.instance_json(rebuilt.instance) == self.instance_json(idoc.instance)
 
     def test_bidask_model_section_rebuilds_the_instance(self):
         idoc = build_preset("bidask")
-        tree, grid, model = idoc.instance.tree, idoc.instance.grid, idoc.model
-        rebuilt = bidask_model(scalar_process_from_json(model["b"], tree, grid),
-                               scalar_process_from_json(model["a"], tree, grid),
-                               path_from_json(model["ybar"], tree, grid))
+        parts = idoc.model.parts
+        rebuilt = bidask_model(parts["b"], parts["a"], parts["ybar"])
         assert self.instance_json(rebuilt.instance) == self.instance_json(idoc.instance)
 
     @pytest.mark.parametrize("name", ["nosuch", "../basic", "basic.json", ""])
@@ -389,6 +423,36 @@ class TestWrittenBytes:
         assert got == list(WRITTEN_SHA256[name])
 
 
+DROP = object()  # a model edit that deletes the key
+
+# (preset, path to the edited value, new value or DROP, error message start)
+MODEL_EDITS = [
+    ("cs", ("model", "G"), DROP, "missing key 'G'"),
+    ("cs", ("model", "Gtilde"), DROP, "missing key 'Gtilde'"),
+    ("currency", ("model", "solvency"), DROP, "missing key 'solvency'"),
+    ("currency", ("model", "duals", 0, "u"), DROP, "missing key 'u'"),
+    ("currency", ("model", "duals", 0, "ut"), DROP, "missing key 'ut'"),
+    ("currency", ("model", "duals", 2, "ut"), DROP, "missing key 'ut'"),
+    ("currency", ("model", "duals"), DROP, "missing key 'duals'"),
+    ("obstacle", ("model", "b"), DROP, "missing key 'b'"),
+    ("obstacle", ("model", "ycheck"), DROP, "missing key 'ycheck'"),
+    ("bidask", ("model", "b"), DROP, "missing key 'b'"),
+    ("bidask", ("model", "a"), DROP, "missing key 'a'"),
+    ("bidask", ("model", "ybar"), DROP, "missing key 'ybar'"),
+    ("cs", ("model", "type"), DROP, "missing key 'type'"),
+    ("cs", ("model", "extra"), {}, "unexpected key 'extra' in a cs model"),
+    ("obstacle", ("model", "type"), "nosuch", "unknown model type 'nosuch'"),
+    ("cs", ("model",), 5, "model must be an object or null"),
+    ("cs", ("model",), {}, "missing key 'type'"),
+    ("currency", ("model", "duals"), [5], "bad currency duals: "),
+    ("currency", ("model", "duals"), 5, "currency duals must be a list"),
+    ("currency", ("model", "duals"), None, "currency duals must be a list"),
+]
+
+OWN_THEOREM = {"obstacle": "support-ds", "bidask": "support-ds",
+               "cs": "cs-regularity", "currency": "currency"}
+
+
 class TestCli:
     def run(self, *argv):
         return cli.main(list(argv))
@@ -472,7 +536,7 @@ class TestCli:
         assert self.run("model", "bidask", "-o", str(out)) == 0
         capsys.readouterr()
         idoc = load_instance(str(out))
-        assert idoc.model["type"] == "bidask"
+        assert idoc.model.kind == "bidask"
 
     def test_refine_preserves_verification(self, tmp_path, capsys):
         fine = tmp_path / "fine.json"
@@ -545,25 +609,33 @@ class TestCli:
         assert out.read_text() == "kept\n" if existing else not out.exists()
         assert self.run("refine", str(edited), "--factor", "2", "-o", str(out)) == 0
 
-    @pytest.mark.parametrize("preset, theorem, path", [
-        ("cs", "cs-regularity", ("G",)),
-        ("cs", "cs-regularity", ("Gtilde",)),
-        ("currency", "currency", ("solvency",)),
-        ("currency", "currency", ("duals", 0, "u")),
-        ("currency", "currency", ("duals", 0, "ut")),
-        ("currency", "currency", ("duals", 2, "ut")),
-    ])
-    def test_a_missing_model_key_exits_2(self, preset, theorem, path, tmp_path, capsys):
+    @pytest.mark.parametrize("preset, path, value, message", [
+        pytest.param(*case, id=f"{case[0]}-{OWN_THEOREM[case[0]]}-path{i}")
+        for i, case in enumerate(MODEL_EDITS)])
+    def test_a_missing_model_key_exits_2(self, preset, path, value, message,
+                                         tmp_path, capsys):
+        """Every malformed model section, not only a missing key, is refused
+        at load: a check that ignores the model, the model's own check and
+        refine all exit 2 with one line and write nothing."""
         with open(bundled(preset), encoding="utf-8") as fh:
             doc = json.load(fh)
-        parent = doc["model"]
+        parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        del parent[path[-1]]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
-        assert self.run("verify", str(edited), "--theorem", theorem) == 2
-        assert_one_error_line(capsys, f"schema error: missing key '{path[-1]}'")
+        out = tmp_path / "out.json"
+        for argv in (("verify", str(edited), "--theorem", "michael", "--report", str(out)),
+                     ("verify", str(edited), "--theorem", OWN_THEOREM[preset],
+                      "--report", str(out)),
+                     ("refine", str(edited), "--factor", "2", "-o", str(out))):
+            assert self.run(*argv) == 2, argv
+            assert_one_error_line(capsys, f"schema error: {message}")
+            assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e4299", "1e-4299"])
     def test_values_of_4300_digits_load_and_refine(self, value, tmp_path, capsys):
@@ -654,11 +726,10 @@ class TestCli:
 
     # refined instances built per verify call, whatever the number of dual
     # pairs: one of the instance the assumption report (and the interchange
-    # rule or the oracle) reads, and for support-ds one more of the instance
-    # support_DS reads, since the oracle reads the constraint-indicator instance
+    # rule or the oracle) reads; support_DS reads the same oracle instance
     @pytest.mark.parametrize("theorem, report_builds, formula_builds", [
         ("subdiff", 1, 0), ("interchange-stoch", 1, 0), ("conjugate", 1, 0),
-        ("support-ds", 1, 1),
+        ("support-ds", 1, 0),
     ])
     def test_verify_refines_once_per_entry_point(self, theorem, report_builds,
                                                  formula_builds, monkeypatch, capsys):
