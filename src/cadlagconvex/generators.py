@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .duality import (DualPair, Instance, _coordinates, _fixed_value_sets,
                        assumption_report, make_instance)
-from .plconvex import PLConvex, RInterval, pl
-from .rationals import INF, NEG_INF, is_finite
+from .plconvex import PLConvex, RInterval, _canonical, _canonical_anchor, pl
+from .rationals import INF, NEG_INF, is_finite, xle
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        ScenarioTree)
 from .setmaps import SetMap
@@ -35,11 +35,14 @@ def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:
 
 
 def rand_plconvex(rng: random.Random, max_breaks: int = 3) -> PLConvex:
-    """Random canonical function: any domain type, coarse kinks, rational slopes."""
+    """Random canonical function: any domain type, coarse kinks, rational slopes.
+
+    Built canonical without :func:`pl`: kinks lie inside the domain and
+    slopes increase, so only the anchor moves, to the first kink."""
     kind = rng.choice(["line", "left", "right", "bounded", "bounded", "singleton"])
     if kind == "singleton":
         x = rand_coarse(rng)
-        return pl(x, x, (), (0,), x, rand_rational(rng))
+        return _canonical(x, x, (), (Fraction(0),), x, rand_rational(rng))
     if kind == "line":
         dom_lo, dom_hi = NEG_INF, INF
     elif kind == "left":
@@ -51,17 +54,19 @@ def rand_plconvex(rng: random.Random, max_breaks: int = 3) -> PLConvex:
         if a == b:
             b = a + 1
         dom_lo, dom_hi = min(a, b), max(a, b)
-    inner = sorted({
+    inner = tuple(sorted({
         x for x in (rand_coarse(rng) for _ in range(rng.randint(0, max_breaks)))
-        if dom_lo < x < dom_hi
-    })
+        if not (xle(x, dom_lo) or xle(dom_hi, x))
+    }))
     slopes = []
     s = rand_rational(rng)
     for _ in range(len(inner) + 1):
         slopes.append(s)
         s = s + Fraction(rng.randint(1, 8), rng.randint(1, 4))
-    anchor = dom_lo if is_finite(dom_lo) else (dom_hi if is_finite(dom_hi) else Fraction(0))
-    return pl(dom_lo, dom_hi, inner, slopes, anchor, rand_rational(rng))
+    slopes, anchor = tuple(slopes), _canonical_anchor(dom_lo, dom_hi, inner)
+    start = PLConvex(dom_lo, dom_hi, inner, slopes,
+                     _canonical_anchor(dom_lo, dom_hi, ()), rand_rational(rng))
+    return _canonical(dom_lo, dom_hi, inner, slopes, anchor, start._finite_value(anchor))
 
 
 def rand_interval(rng: random.Random) -> RInterval:

@@ -146,6 +146,13 @@ class PLConvex:
     ``dom_lo, breakpoints..., dom_hi``.  Improper (-inf valued) functions are
     not representable.  Use :func:`pl` or the factory helpers rather than
     the raw constructor; construction canonicalizes and validates.
+
+    :func:`pl` records each value it returns as canonical, outside the
+    fields.  The conjugate and recession function of a recorded value,
+    :func:`indicator` and ``generators.rand_plconvex`` skip :func:`pl`: their
+    data is canonical by construction, so :func:`pl` would return it as
+    given.  A raw-constructed value is not recorded; its conjugate still
+    goes through :func:`pl`.
     """
 
     dom_lo: Ext
@@ -161,7 +168,7 @@ class PLConvex:
         """Function value at x; +inf outside the domain closure."""
         if not is_finite(x):
             return self._tail_limit(x)
-        if not (self.dom_lo <= x <= self.dom_hi):
+        if not (xle(self.dom_lo, x) and xle(x, self.dom_hi)):
             return INF
         return self._finite_value(x)
 
@@ -170,11 +177,11 @@ class PLConvex:
     def _tail_limit(self, x: Ext) -> Ext:
         # limit value at an infinite argument; +inf when outside the domain
         if x == INF:
-            if self.dom_hi != INF:
+            if is_finite(self.dom_hi):
                 return INF
             s = self.slopes[-1]
             return INF if s > 0 else (NEG_INF if s < 0 else self._finite_value(self._last_knot()))
-        if self.dom_lo != NEG_INF:
+        if is_finite(self.dom_lo):
             return INF
         s = self.slopes[0]
         return INF if s < 0 else (NEG_INF if s > 0 else self._finite_value(self._first_knot()))
@@ -191,18 +198,20 @@ class PLConvex:
 
     def _finite_value(self, x: Q) -> Q:
         """Walk segments from the anchor; x must lie in the domain closure."""
-        a, b = (self.anchor_x, x) if self.anchor_x <= x else (x, self.anchor_x)
-        sign = 1 if self.anchor_x <= x else -1
-        bps = self.breakpoints
-        val = self.anchor_val
-        prev = a
-        j = bisect_left(bps, a)
-        while j < len(bps) and bps[j] < b:
-            val += sign * self.slopes[j] * (bps[j] - prev)
-            prev = bps[j]
-            j += 1
-        val += sign * self.slopes[j] * (b - prev)
-        return val
+        bps, slopes = self.breakpoints, self.slopes
+        prev, val = self.anchor_x, self.anchor_val
+        j = bisect_left(bps, prev)  # segment j ends at bps[j], the first >= anchor
+        if prev <= x:
+            while j < len(bps) and bps[j] < x:
+                val += slopes[j] * (bps[j] - prev)
+                prev = bps[j]
+                j += 1
+        else:
+            while j and bps[j - 1] > x:
+                val += slopes[j] * (bps[j - 1] - prev)
+                prev = bps[j - 1]
+                j -= 1
+        return val + slopes[j] * (x - prev)
 
     # -- structure ----------------------------------------------------------
 
@@ -243,8 +252,9 @@ class PLConvex:
         anchor of h* is its canonical one, the slope of segment 1 when h is
         unbounded on the left and has a kink, else that of segment 0; its
         value comes from :meth:`conjugate_at_slope`, so the build walks the
-        segments of h a constant number of times instead of once per knot,
-        and :func:`pl` returns the canonical data without re-canonicalizing.
+        segments of h a constant number of times instead of once per knot.
+        A canonical h has increasing slopes and knots, so a recorded h builds
+        its canonical h* without :func:`pl`.
 
         h* is built once per object; its own memo is never seeded with h,
         so ``h.conjugate().conjugate()`` is built afresh and compared.
@@ -252,47 +262,45 @@ class PLConvex:
         return once(self, "conjugate", self._conjugate)
 
     def _conjugate(self) -> "PLConvex":
+        build = _canonical if "_canonical" in vars(self) else pl
         lo_inf = not is_finite(self.dom_lo) and self.dom_lo == NEG_INF
         hi_inf = not is_finite(self.dom_hi) and self.dom_hi == INF
         if not (lo_inf or hi_inf) and self.dom_lo == self.dom_hi:
             # delta_{a} + c  ->  affine v*a - c
             a, c = self.dom_lo, self.anchor_val
-            return pl(NEG_INF, INF, (), (a,), Fraction(0), -c)
+            return build(NEG_INF, INF, (), (a,), Fraction(0), -c)
         if not self.breakpoints and lo_inf and hi_inf:
             # affine on the whole line -> point mass at the slope
             s = self.slopes[0]
-            return pl(s, s, (), (Fraction(0),), s, s * self.anchor_x - self.anchor_val)
+            return build(s, s, (), (Fraction(0),), s, s * self.anchor_x - self.anchor_val)
         v_lo = self.slopes[0] if lo_inf else NEG_INF
         v_hi = self.slopes[-1] if hi_inf else INF
-        bps = list(self.slopes)
-        if lo_inf:
-            bps = bps[1:]
-        if hi_inf:
-            bps = bps[:-1]
+        bps = self.slopes[lo_inf:len(self.slopes) - hi_inf]
         j = 1 if bps and lo_inf else 0
-        return pl(v_lo, v_hi, bps, self.knots(), self.slopes[j],
-                  self.conjugate_at_slope(j))
+        return build(v_lo, v_hi, bps, self.knots(), self.slopes[j],
+                     self.conjugate_at_slope(j))
 
     def recession(self) -> "PLConvex":
         """Recession function: asymptotic slopes, +inf past a finite domain end."""
+        build = _canonical if "_canonical" in vars(self) else pl
         zero = Fraction(0)
-        lo_unbounded = self.dom_lo == NEG_INF
-        hi_unbounded = self.dom_hi == INF
+        lo_unbounded = not is_finite(self.dom_lo)
+        hi_unbounded = not is_finite(self.dom_hi)
         if lo_unbounded and hi_unbounded:
             s0, s1 = self.slopes[0], self.slopes[-1]
             if s0 == s1:
-                return pl(NEG_INF, INF, (), (s0,), zero, zero)
-            return pl(NEG_INF, INF, (zero,), (s0, s1), zero, zero)
+                return build(NEG_INF, INF, (), (s0,), zero, zero)
+            return build(NEG_INF, INF, (zero,), (s0, s1), zero, zero)
         if hi_unbounded:
-            return pl(zero, INF, (), (self.slopes[-1],), zero, zero)
+            return build(zero, INF, (), (self.slopes[-1],), zero, zero)
         if lo_unbounded:
-            return pl(NEG_INF, zero, (), (self.slopes[0],), zero, zero)
-        return pl(zero, zero, (), (zero,), zero, zero)
+            return build(NEG_INF, zero, (), (self.slopes[0],), zero, zero)
+        return build(zero, zero, (), (zero,), zero, zero)
 
     def subdiff(self, x: Q) -> RInterval:
         """Subdifferential at x: [left slope, right slope], empty outside dom."""
         x = rat(x)
-        if not (self.dom_lo <= x <= self.dom_hi):
+        if not (xle(self.dom_lo, x) and xle(x, self.dom_hi)):
             return EMPTY_INTERVAL
         bps = self.breakpoints
         i = bisect_left(bps, x)
@@ -301,9 +309,9 @@ class PLConvex:
             right: Ext = self.slopes[i + 1]
         else:
             left = right = self.slopes[i]
-        if x == self.dom_lo:
+        if is_finite(self.dom_lo) and x == self.dom_lo:
             left = NEG_INF
-        if x == self.dom_hi:
+        if is_finite(self.dom_hi) and x == self.dom_hi:
             right = INF
         return RInterval(left, right)
 
@@ -321,17 +329,17 @@ class PLConvex:
             # slope sign points down an unbounded end: NEG_INF for hi-end None
             down_left = arg_hi == "left"
             if down_left:
-                if feasible.lo == NEG_INF:
+                if not is_finite(feasible.lo):
                     return NEG_INF, EMPTY_INTERVAL
                 return self._finite_value(feasible.lo), RInterval(feasible.lo, feasible.lo)
-            if feasible.hi == INF:
+            if not is_finite(feasible.hi):
                 return NEG_INF, EMPTY_INTERVAL
             return self._finite_value(feasible.hi), RInterval(feasible.hi, feasible.hi)
         argmin = RInterval(arg_lo, arg_hi).intersect(feasible)
         if not argmin.is_empty:
             witness = argmin.nearest_to(Fraction(0))
             return self._finite_value(witness), argmin
-        if arg_lo > feasible.hi:  # minimizers lie to the right; f decreasing on feasible
+        if not xle(arg_lo, feasible.hi):  # minimizers lie to the right; f decreasing on feasible
             return self._finite_value(feasible.hi), RInterval(feasible.hi, feasible.hi)
         return self._finite_value(feasible.lo), RInterval(feasible.lo, feasible.lo)
 
@@ -343,11 +351,11 @@ class PLConvex:
         """
         slopes, bps = self.slopes, self.breakpoints
         if slopes[0] > 0:
-            if self.dom_lo == NEG_INF:
+            if not is_finite(self.dom_lo):
                 return None, "left"
             return self.dom_lo, self.dom_lo
         if slopes[-1] < 0:
-            if self.dom_hi == INF:
+            if not is_finite(self.dom_hi):
                 return None, "right"
             return self.dom_hi, self.dom_hi
         for j, s in enumerate(slopes):
@@ -383,7 +391,11 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
     adjacent slopes are equal, and ``anchor_x`` is the deterministic anchor.
     The full path would give the same value: dropping keeps every breakpoint,
     merging does nothing, and the anchor value is walked over zero distance.
-    Files written by :mod:`serialize` and conjugates take this path.
+    Files written by :mod:`serialize` take this path.
+
+    Each returned value is recorded as canonical.  The builders named in
+    :class:`PLConvex` skip this function: their data is canonical by
+    construction, so the shortcut above would return it as given.
     """
     bps = tuple(rat(b) for b in breakpoints)
     sls = tuple(rat(s) for s in slopes)
@@ -412,11 +424,11 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
         raise ValueError("anchor outside the domain")
 
     if is_finite(dom_lo) and is_finite(dom_hi) and dom_lo == dom_hi:
-        return PLConvex(dom_lo, dom_hi, (), (Fraction(0),), dom_lo, anchor_val)
+        return _canonical(dom_lo, dom_hi, (), (Fraction(0),), dom_lo, anchor_val)
 
     if increasing and anchor_x == _canonical_anchor(dom_lo, dom_hi, bps) and (
             not bps or ((lo_inf or dom_lo < bps[0]) and (hi_inf or bps[-1] < dom_hi))):
-        return PLConvex(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)
+        return _canonical(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)
 
     # restrict to segments meeting the open domain
     keep = [i for i, b in enumerate(bps) if dom_lo < b < dom_hi]
@@ -441,7 +453,14 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
 
     ax = _canonical_anchor(dom_lo, dom_hi, m_bps)
     aval = PLConvex(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)._finite_value(ax)
-    return PLConvex(dom_lo, dom_hi, tuple(m_bps), tuple(m_sls), ax, aval)
+    return _canonical(dom_lo, dom_hi, tuple(m_bps), tuple(m_sls), ax, aval)
+
+
+def _canonical(*fields) -> PLConvex:
+    """``PLConvex(*fields)`` for canonical fields, recorded in ``vars`` like once's memo."""
+    fn = PLConvex(*fields)
+    vars(fn)["_canonical"] = True
+    return fn
 
 
 def _canonical_anchor(dom_lo: Ext, dom_hi: Ext, bps: Sequence[Q]) -> Q:
@@ -466,13 +485,14 @@ def _interior_point(lo: Ext, hi: Ext) -> Q:
 
 
 def indicator(interval: RInterval) -> PLConvex:
-    """delta_C: 0 on the interval, +inf outside.  Rejects the empty interval."""
+    """delta_C: 0 on the interval, +inf outside.  Rejects the empty interval.
+
+    ``RInterval`` has validated the ends, so the data is canonical."""
     if interval.is_empty:
         raise ValueError("indicator of the empty interval is improper")
     zero = Fraction(0)
-    ax = interval.lo if is_finite(interval.lo) else (
-        interval.hi if is_finite(interval.hi) else zero)
-    return pl(interval.lo, interval.hi, (), (zero,), ax, zero)
+    return _canonical(interval.lo, interval.hi, (), (zero,),
+                      _canonical_anchor(interval.lo, interval.hi, ()), zero)
 
 
 def support_fn(interval: RInterval) -> PLConvex:

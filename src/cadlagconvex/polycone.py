@@ -29,6 +29,12 @@ def canon_ray(v: Sequence) -> Optional[Vec]:
 
     Returns None for the zero vector.
     """
+    ints = _int_ray(v)
+    return None if ints is None else tuple(Fraction(x) for x in ints)
+
+
+def _int_ray(v: Sequence) -> Optional[Tuple[int, ...]]:
+    """:func:`canon_ray` as a tuple of ``int``."""
     vec = tuple(rat(x) for x in v)
     if all(x == 0 for x in vec):
         return None
@@ -37,7 +43,21 @@ def canon_ray(v: Sequence) -> Optional[Vec]:
         denom = denom * x.denominator // gcd(denom, x.denominator)
     ints = [x.numerator * (denom // x.denominator) for x in vec]
     g = gcd(*ints)
-    return tuple(Fraction(x // g) for x in ints)
+    return tuple(x // g for x in ints)
+
+
+def _ray_form(vectors: Iterable, dim: int, what: str) -> Tuple[Vec, ...]:
+    """The canonical rays of the nonzero vectors, sorted, without repeats;
+    sorted and deduplicated as ``int`` tuples, in C, made ``Fraction`` last."""
+    rays = set()
+    for v in vectors:
+        r = _int_ray(v)
+        if r is None:
+            continue  # the zero vector is never listed
+        if len(r) != dim:
+            raise ValueError(f"{what} dimension mismatch")
+        rays.add(r)
+    return tuple(tuple(Fraction(x) for x in r) for r in sorted(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +246,9 @@ class PolyCone:
         self._generators: Optional[Tuple[Vec, ...]] = None
         self._halfspaces: Optional[Tuple[Vec, ...]] = None
         if generators is not None:
-            rays = []
-            for g in generators:
-                r = canon_ray(g)
-                if r is None:
-                    continue  # the zero vector is never listed
-                if len(r) != dim:
-                    raise ValueError("generator dimension mismatch")
-                rays.append(r)
-            self._generators = tuple(sorted(set(rays)))
-        if halfspaces is not None:
-            rows = []
-            for a in halfspaces:
-                n = canon_ray(a)
-                if n is None:
-                    continue  # trivial inequality
-                if len(n) != dim:
-                    raise ValueError("half-space dimension mismatch")
-                rows.append(n)
-            self._halfspaces = tuple(sorted(set(rows)))
+            self._generators = _ray_form(generators, dim, "generator")
+        if halfspaces is not None:  # a zero normal is a trivial inequality
+            self._halfspaces = _ray_form(halfspaces, dim, "half-space")
         if self._generators is None and self._halfspaces is None:
             raise ValueError("need generators or half-spaces")
 

@@ -1,5 +1,8 @@
 """Piecewise-linear convex calculus: examples and conjugation laws."""
 
+import contextlib
+import dataclasses
+import random
 import sys
 from bisect import bisect_left
 from fractions import Fraction as F
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadlagconvex import plconvex
+from cadlagconvex import cli, plconvex
+from cadlagconvex.generators import rand_coarse, rand_plconvex, rand_rational
 from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval,
                                    _interior_point, abs_fn, affine, indicator,
                                    max_affine, pl, restrict, support_fn)
@@ -549,6 +553,28 @@ def test_a_hand_built_non_canonical_function_fails_involution(raw):
 
 # -- interval operations compare ends without a Fraction/float comparison -------
 
+@contextlib.contextmanager
+def mixed_comparisons():
+    """The Fraction/float comparisons made inside the block, as a list."""
+    mixed = []
+    richcmp, eq = F._richcmp, F.__eq__
+
+    def counted_richcmp(self, other, op):
+        if isinstance(other, float):
+            mixed.append((self, other))
+        return richcmp(self, other, op)
+
+    def counted_eq(self, other):
+        if isinstance(other, float):
+            mixed.append((self, other))
+        return eq(self, other)
+    F._richcmp, F.__eq__ = counted_richcmp, counted_eq
+    try:
+        yield mixed
+    finally:
+        F._richcmp, F.__eq__ = richcmp, eq
+
+
 def _old_intersect(a, b):
     if a.is_empty or b.is_empty:
         return EMPTY_INTERVAL
@@ -577,26 +603,200 @@ def test_interval_operations_match_plain_comparisons(a, b, x):
     expected = (_old_intersect(a, b),
                 a.is_empty or (not b.is_empty and b.lo <= a.lo and a.hi <= b.hi),
                 not a.is_empty and a.lo <= x <= a.hi)
-    mixed = []  # Fraction/float comparisons made by the operations
-    richcmp, eq = F._richcmp, F.__eq__
-
-    def counted_richcmp(self, other, op):
-        if isinstance(other, float):
-            mixed.append((self, other))
-        return richcmp(self, other, op)
-
-    def counted_eq(self, other):
-        if isinstance(other, float):
-            mixed.append((self, other))
-        return eq(self, other)
-    F._richcmp, F.__eq__ = counted_richcmp, counted_eq
-    try:
+    with mixed_comparisons() as mixed:
         got = (a.intersect(b), a.issubset(b), a.contains(x))
-    finally:
-        F._richcmp, F.__eq__ = richcmp, eq
     assert got == expected
     assert mixed == []
     if a.issubset(b):
         assert got[0] is a
     elif b.issubset(a):
         assert got[0] is b
+
+
+_points = st.one_of(st.sampled_from([INF, NEG_INF]),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3), intervals(),
+       st.lists(_points, min_size=4, max_size=4))
+def test_the_calculus_makes_no_fraction_float_comparison(seed, max_breaks, box, xs):
+    """eval (and _tail_limit), subdiff, recession, inf_over and the draws
+    compare a domain end with is_finite/xle, as RInterval does."""
+    with mixed_comparisons() as mixed:
+        fn = rand_plconvex(random.Random(seed), max_breaks)
+        for g in (fn, fn.conjugate()):
+            for x in xs:
+                g.eval(x)
+                if is_finite(x):
+                    g.subdiff(x)
+            g.recession()
+            g.inf_over(box)
+            g.min_on_line()
+    assert mixed == []
+
+
+# -- canonical values built without pl ---------------------------------------------
+
+def rand_plconvex_by_pl(rng, max_breaks=3):
+    """Reference copy of generators.rand_plconvex before it built its draws
+    directly: every draw goes through pl()."""
+    kind = rng.choice(["line", "left", "right", "bounded", "bounded", "singleton"])
+    if kind == "singleton":
+        x = rand_coarse(rng)
+        return pl(x, x, (), (0,), x, rand_rational(rng))
+    if kind == "line":
+        dom_lo, dom_hi = NEG_INF, INF
+    elif kind == "left":
+        dom_lo, dom_hi = NEG_INF, rand_coarse(rng, 0, 3)
+    elif kind == "right":
+        dom_lo, dom_hi = rand_coarse(rng, -3, 0), INF
+    else:
+        a, b = rand_coarse(rng), rand_coarse(rng)
+        if a == b:
+            b = a + 1
+        dom_lo, dom_hi = min(a, b), max(a, b)
+    inner = sorted({
+        x for x in (rand_coarse(rng) for _ in range(rng.randint(0, max_breaks)))
+        if dom_lo < x < dom_hi
+    })
+    slopes = []
+    s = rand_rational(rng)
+    for _ in range(len(inner) + 1):
+        slopes.append(s)
+        s = s + F(rng.randint(1, 8), rng.randint(1, 4))
+    anchor = dom_lo if is_finite(dom_lo) else (dom_hi if is_finite(dom_hi) else F(0))
+    return pl(dom_lo, dom_hi, inner, slopes, anchor, rand_rational(rng))
+
+
+def finite_value_by_sign(fn, x):
+    """Reference copy of PLConvex._finite_value before it walked each
+    direction on its own: one walk left to right, times a sign."""
+    a, b = (fn.anchor_x, x) if fn.anchor_x <= x else (x, fn.anchor_x)
+    sign = 1 if fn.anchor_x <= x else -1
+    bps = fn.breakpoints
+    val = fn.anchor_val
+    prev = a
+    j = bisect_left(bps, a)
+    while j < len(bps) and bps[j] < b:
+        val += sign * fn.slopes[j] * (bps[j] - prev)
+        prev = bps[j]
+        j += 1
+    val += sign * fn.slopes[j] * (b - prev)
+    return val
+
+
+def eval_by_sign(fn, x):
+    """Reference copy of PLConvex.eval and _tail_limit before they tested the
+    domain ends with is_finite/xle, over finite_value_by_sign."""
+    if not is_finite(x):
+        if x == INF:
+            if fn.dom_hi != INF:
+                return INF
+            s = fn.slopes[-1]
+            return INF if s > 0 else (NEG_INF if s < 0 else
+                                      finite_value_by_sign(fn, fn._last_knot()))
+        if fn.dom_lo != NEG_INF:
+            return INF
+        s = fn.slopes[0]
+        return INF if s < 0 else (NEG_INF if s > 0 else
+                                  finite_value_by_sign(fn, fn._first_knot()))
+    if not (fn.dom_lo <= x <= fn.dom_hi):
+        return INF
+    return finite_value_by_sign(fn, x)
+
+
+def is_recorded(fn):
+    return vars(fn).get("_canonical") is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3))
+def test_rand_plconvex_equals_the_pl_build(seed, max_breaks):
+    direct, by_pl = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        fn = rand_plconvex(direct, max_breaks)
+        assert _typed_fields(fn) == _typed_fields(rand_plconvex_by_pl(by_pl, max_breaks))
+        assert is_recorded(fn)
+    assert direct.getstate() == by_pl.getstate()  # the same draws, in the same order
+
+
+def _walk_points(fn):
+    """Points on both sides of the anchor: every knot, the anchor, points
+    beside and between them and beyond the ends, and both infinities."""
+    ks = sorted({*fn.knots(), fn.anchor_x})
+    xs = {k + d for k in ks for d in (F(-3, 2), F(-1, 3), F(0), F(1, 4), F(2))}
+    return sorted(xs) + [NEG_INF, INF]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3), st.integers(0, 8))
+def test_eval_equals_the_signed_walk(seed, max_breaks, pick):
+    fn = rand_plconvex(random.Random(seed), max_breaks)
+    # canonical anchors sit at the first kink or an end; a raw value anchored
+    # at any knot makes walks cross kinks on both sides of it
+    knots = fn.knots() or (fn.anchor_x,)
+    ax = knots[pick % len(knots)]
+    raw = PLConvex(fn.dom_lo, fn.dom_hi, fn.breakpoints, fn.slopes, ax, fn.eval(ax))
+    for g in (fn, fn.conjugate(), raw):
+        for x in _walk_points(g):
+            got, want = g.eval(x), eval_by_sign(g, x)
+            assert (type(got), got) == (type(want), want)
+            if is_finite(x) and g.domain.contains(x):
+                got, want = g._finite_value(x), finite_value_by_sign(g, x)
+                assert (type(got), got) == (type(want), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(plconvex_st(), st.builds(lambda seed, k: rand_plconvex(random.Random(seed), k),
+                                          st.integers(0, 2 ** 32), st.integers(0, 3))),
+       intervals())
+def test_builders_that_skip_pl_return_what_pl_returns(fn, box):
+    star = fn.conjugate()
+    outputs = [fn, star, star.conjugate(), fn.recession(), star.recession()]
+    for dom in (fn.domain, star.domain, box):
+        if not dom.is_empty:
+            outputs += [indicator(dom), support_fn(dom)]
+    for out in outputs:
+        assert is_recorded(out)
+        again = pl(*dataclasses.astuple(out))
+        assert _typed_fields(again) == _typed_fields(out)
+        assert again == out
+
+
+@settings(max_examples=50, deadline=None)
+@given(plconvex_st())
+def test_the_record_is_invisible_to_eq_hash_repr_and_fields(fn):
+    raw = PLConvex(*dataclasses.astuple(fn))
+    assert is_recorded(fn) and not is_recorded(raw)
+    assert fn == raw and hash(fn) == hash(raw) and repr(fn) == repr(raw)
+    assert dataclasses.fields(fn) == dataclasses.fields(raw)
+    assert [f.name for f in dataclasses.fields(fn)] == [
+        "dom_lo", "dom_hi", "breakpoints", "slopes", "anchor_x", "anchor_val"]
+    assert dataclasses.astuple(fn) == dataclasses.astuple(raw)
+
+
+def _pl_calls(run):
+    """Calls of pl() made while run() runs, however pl was reached."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is plconvex.pl.__code__:
+            calls.append(1)
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("theorem", ["involution", "recession-support"])
+def test_sampled_checks_call_pl_only_to_load(theorem, capsys):
+    """The --count 100 draws and every function derived from them (h*, h**,
+    indicators, support and recession functions) are built without pl()."""
+    path = str(bundled_instance_path("basic"))
+    loads = _pl_calls(lambda: load_instance(path))
+    calls = _pl_calls(lambda: cli.main(["verify", path, "--theorem", theorem]))
+    assert '"pass": true' in capsys.readouterr().out
+    assert (loads, calls) == (4, 4)

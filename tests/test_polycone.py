@@ -41,6 +41,68 @@ def test_canon_ray_equals_the_fraction_arithmetic(v):
     assert got is None or all(type(x) is F and x.denominator == 1 for x in got)
 
 
+def polycone_forms_by_fraction_sort(dim, generators, halfspaces):
+    """Reference copy of PolyCone.__init__ before it sorted rays as int tuples:
+    the stored forms, sorted and deduplicated as tuples of Fraction."""
+    forms = []
+    for vectors, what in ((generators, "generator"), (halfspaces, "half-space")):
+        if vectors is None:
+            forms.append(None)
+            continue
+        rays = []
+        for v in vectors:
+            r = canon_ray(v)
+            if r is None:
+                continue
+            if len(r) != dim:
+                raise ValueError(f"{what} dimension mismatch")
+            rays.append(r)
+        forms.append(tuple(sorted(set(rays))))
+    return tuple(forms)
+
+
+_entries = st.fractions(min_value=-6, max_value=6, max_denominator=4) | st.integers(-6, 6)
+
+
+@st.composite
+def cone_data(draw):
+    """A dimension and vectors for both forms: zero vectors, scaled repeats of
+    one ray, and now and then a vector of the wrong length."""
+    dim = draw(st.integers(1, 3))
+    forms = []
+    for _ in range(2):
+        if draw(st.integers(0, 4)) == 0:
+            forms.append(None)
+            continue
+        vecs = draw(st.lists(st.lists(_entries, min_size=dim, max_size=dim), max_size=5))
+        if vecs and draw(st.booleans()):
+            vecs.append([draw(st.sampled_from([2, F(1, 3), -1])) * x for x in vecs[0]])
+        if draw(st.integers(0, 9)) == 0:
+            vecs.append([1] * draw(st.sampled_from([d for d in (1, 2, 3, 4) if d != dim])))
+        forms.append(vecs)
+    if forms == [None, None]:
+        forms[0] = []
+    return dim, forms[0], forms[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_data())
+def test_cone_forms_equal_the_fraction_sort(data):
+    dim, gens, halfs = data
+    try:
+        want = polycone_forms_by_fraction_sort(dim, gens, halfs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            PolyCone(dim, generators=gens, halfspaces=halfs)
+        return
+    cone = PolyCone(dim, generators=gens, halfspaces=halfs)
+    got = (cone._generators, cone._halfspaces)
+    assert got == want
+    for form in got:
+        for ray in form or ():
+            assert all(type(x) is F and x.denominator == 1 for x in ray)
+
+
 class TestPolar:
     def test_orthant_polar_halfspaces(self):
         polar = ORTH.polar()
