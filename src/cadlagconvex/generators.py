@@ -190,7 +190,7 @@ def rand_passing_instance(rng: random.Random, max_scenarios: int = 4,
                 slope0 = rand_rational(rng, -2, 2)
                 slopes = [slope0]
                 inner = sorted({x for x in (rand_coarse(rng) for _ in range(rng.randint(0, 2)))
-                                if dom.lo < x < dom.hi})
+                                if not (xle(x, dom.lo) or xle(dom.hi, x))})
                 for _ in inner:
                     slopes.append(slopes[-1] + Fraction(rng.randint(1, 4), 2))
                 anchor = dom.lo if is_finite(dom.lo) else (

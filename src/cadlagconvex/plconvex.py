@@ -45,6 +45,11 @@ class RInterval:
     hi: Ext
 
     def __post_init__(self):
+        lo, hi = self.lo, self.hi
+        if type(lo) is Fraction and type(hi) is Fraction:  # only the order to check
+            if not xle(lo, hi):
+                raise ValueError(f"empty interval bounds [{lo}, {hi}]")
+            return
         for name in ("lo", "hi"):
             v = getattr(self, name)
             if isinstance(v, float):
@@ -217,7 +222,8 @@ class PLConvex:
 
     @property
     def domain(self) -> RInterval:
-        return RInterval(self.dom_lo, self.dom_hi)
+        """``[dom_lo, dom_hi]``, built once per object."""
+        return once(self, "domain", lambda: RInterval(self.dom_lo, self.dom_hi))
 
     def knots(self) -> Tuple[Q, ...]:
         """Finite domain endpoints and breakpoints, increasing."""
@@ -401,13 +407,13 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
     sls = tuple(rat(s) for s in slopes)
     anchor_x = rat(anchor_x)
     anchor_val = rat(anchor_val)
-    if isinstance(dom_lo, str):
+    if not (is_finite(dom_lo) or type(dom_lo) is float):
         dom_lo = ext(dom_lo)
-    if isinstance(dom_hi, str):
+    if not (is_finite(dom_hi) or type(dom_hi) is float):
         dom_hi = ext(dom_hi)
     if ((not is_finite(dom_lo) and dom_lo == INF)
             or (not is_finite(dom_hi) and dom_hi == NEG_INF)
-            or not (dom_lo <= dom_hi)):
+            or not xle(dom_lo, dom_hi)):
         raise ValueError("empty or inverted domain")
     if len(sls) != len(bps) + 1:
         raise ValueError("need exactly one slope per segment")
@@ -431,7 +437,7 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
         return _canonical(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)
 
     # restrict to segments meeting the open domain
-    keep = [i for i, b in enumerate(bps) if dom_lo < b < dom_hi]
+    keep = [i for i, b in enumerate(bps) if not (xle(b, dom_lo) or xle(dom_hi, b))]
     if keep:
         a, b_ = keep[0], keep[-1]
         bps2 = bps[a:b_ + 1]

@@ -96,7 +96,13 @@ def is_finite(x: Ext) -> bool:
 
 
 def xle(a: Ext, b: Ext) -> bool:
-    """a <= b on the extended line, comparing a Fraction only with a Fraction."""
+    """a <= b on the extended line, comparing a Fraction only with a Fraction.
+
+    Two exact ``Fraction``s are compared by cross-multiplying (denominators
+    are positive): ``Fraction.__le__`` would first check ``other`` against
+    the ``numbers.Rational`` ABC, five times the cost."""
+    if type(a) is Fraction and type(b) is Fraction:
+        return a.numerator * b.denominator <= b.numerator * a.denominator
     if is_finite(a):
         return a <= b if is_finite(b) else b == INF
     return a == NEG_INF or (not is_finite(b) and b == INF)

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadlagconvex import cli, plconvex
-from cadlagconvex.generators import rand_coarse, rand_plconvex, rand_rational
+from cadlagconvex.generators import (rand_coarse, rand_passing_instance,
+                                     rand_plconvex, rand_rational)
 from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval,
                                    _interior_point, abs_fn, affine, indicator,
                                    max_affine, pl, restrict, support_fn)
@@ -445,6 +446,31 @@ def pl_arguments(draw):
 @given(pl_arguments())
 def test_pl_equals_the_full_canonicalization(args):
     assert _pl_outcome(pl, args) == _pl_outcome(full_canonicalization, args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_arguments(), st.integers(0, 2 ** 32))
+def test_pl_and_the_passing_draws_make_no_fraction_float_comparison(args, seed):
+    """pl's domain check and breakpoint filter, also with infinite ends, and
+    the kink filter of rand_passing_instance's predictable integrand compare
+    a domain end with xle."""
+    with mixed_comparisons() as mixed:
+        _pl_outcome(pl, args)
+        rand_passing_instance(random.Random(seed), with_htilde=True)
+    assert mixed == []
+
+
+@pytest.mark.parametrize("args", [
+    (NEG_INF, INF, [F(-1), F(1)], [F(0), F(0), F(1)], F(1), F(0)),  # merged slopes
+    (NEG_INF, F(0), [F(-1), F(1)], [F(0), F(1), F(2)], F(0), F(0)),  # kink outside
+    (F(0), INF, [F(-1), F(0)], [F(0), F(1), F(2)], F(0), F(0)),      # kinks at or below
+    (F(0), INF, [], [F(1)], F(1), F(2)),                             # anchor elsewhere
+])
+def test_pl_with_infinite_ends_makes_no_fraction_float_comparison(args):
+    with mixed_comparisons() as mixed:
+        fn = pl(*args)
+    assert mixed == []
+    assert fn == full_canonicalization(*args)
 
 
 @pytest.mark.parametrize("args", [

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cadlagconvex.rationals import INF, MAX_EXPONENT, NEG_INF, ext, fmt, rat
+from cadlagconvex.plconvex import RInterval
+from cadlagconvex.rationals import (INF, MAX_EXPONENT, NEG_INF, ext, fmt, rat,
+                                    xle)
 
 NOISE = [" ", "\t", "\n", "_", "+", "-", ".", "e", "E", "/", "0", "٣", "²", "x"]
 EDGES = ["", "/", "1/", "/2", "-", "-/2", "1/-2", "-1/-2", "--1", "1//2", "1/2/3",
@@ -153,3 +155,67 @@ def test_ext_returns_a_fraction_without_comparing_it(monkeypatch):
         raise AssertionError("Fraction compared in ext")
     monkeypatch.setattr(F, "__eq__", no_compare)
     assert ext(q) is q
+
+
+# -- xle and RInterval: the exact-Fraction shortcut against plain comparison --------
+
+class Sub(F):
+    """A Fraction subclass: never takes the exact-type shortcut."""
+
+
+fractions_st = st.one_of(st.fractions(), st.sampled_from([F(0), F(-1), F(1, 3), F(-1, 3)]))
+extended_st = st.one_of(fractions_st, st.sampled_from([INF, NEG_INF]),
+                        fractions_st.map(Sub))
+
+
+@settings(max_examples=500, deadline=None)
+@given(extended_st, extended_st)
+def test_xle_is_plain_comparison(a, b):
+    """Fraction <= float inf is exact in Python, so the plain comparison is
+    the reference on the whole extended line."""
+    assert xle(a, b) is (a <= b)
+    assert xle(a, a)
+    assert xle(-a, -b) is (b <= a)
+
+
+def old_interval_ends(lo, hi):
+    """Reference copy of RInterval's checks before exact Fraction ends skipped
+    them, comparing with plain <=: the ends it keeps."""
+    ends = []
+    for v in (lo, hi):
+        if isinstance(v, float):
+            if v != INF and v != NEG_INF:
+                raise ValueError("interval endpoints must be rational or infinite")
+        elif not isinstance(v, F):
+            v = rat(v)
+        ends.append(v)
+    lo, hi = ends
+    if lo == INF and hi == NEG_INF:
+        return lo, hi
+    if not lo <= hi:
+        raise ValueError(f"empty interval bounds [{lo}, {hi}]")
+    if lo == INF or hi == NEG_INF:
+        raise ValueError("interval endpoint has the wrong infinity")
+    return lo, hi
+
+
+def interval_outcome(build, lo, hi):
+    """The ends kept with their types, or the exception type and message."""
+    try:
+        got = build(lo, hi)
+    except Exception as exc:  # the exception type and message are compared
+        return type(exc), str(exc)
+    if isinstance(got, RInterval):
+        got = got.lo, got.hi
+    return tuple((type(v), v) for v in got)
+
+
+interval_end_st = st.one_of(
+    extended_st, st.integers(-3, 3),
+    st.sampled_from([0.5, float("nan"), "1/2", "-3", "x", "1/0", None, True]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(interval_end_st, interval_end_st)
+def test_interval_raises_as_before(lo, hi):
+    assert interval_outcome(RInterval, lo, hi) == interval_outcome(old_interval_ends, lo, hi)

@@ -27,8 +27,8 @@ from cadlagconvex.serialize import (InstanceDoc, SchemaError, cone_from_json,
                                     instance_doc_to_json, load_instance,
                                     path_from_json, plconvex_from_json,
                                     plconvex_to_json, reports_equal)
-from cadlagconvex.plconvex import pl
-from cadlagconvex.rationals import NEG_INF
+from cadlagconvex.plconvex import RInterval, pl
+from cadlagconvex.rationals import INF, NEG_INF, fmt
 from cadlagconvex.scenario import RandomIntegrand
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..",
@@ -108,6 +108,55 @@ CONE_FORMS = [
     ({"dim": 2, "halfspaces": [["-1", "0"]]}, None, ((-1, 0),)),
     ({"dim": 2, "halfspaces": []}, None, ()),
 ]
+
+
+def outcome(fn, arg):
+    """fn(arg), or the type of the exception it raised."""
+    try:
+        return fn(arg)
+    except Exception as exc:  # the exception type is what is compared
+        return type(exc)
+
+
+def old_jsonable(value):
+    """Reference copy of serialize.jsonable before it tested exact types first."""
+    if isinstance(value, (F, float)):
+        return fmt(value)
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): old_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [old_jsonable(v) for v in value]
+    return repr(value)
+
+
+class Label(str):
+    """A str subclass, as a report value."""
+
+
+def _containers(inner):
+    return st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                     st.dictionaries(st.text(max_size=3), inner, max_size=4),
+                     st.dictionaries(st.one_of(st.integers(-3, 3), st.text(max_size=2)),
+                                     inner, max_size=3))
+
+
+_plain_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+# what the writers make (string keys, no floats) and what else json.dumps takes or
+# refuses (int keys, floats, a Fraction)
+json_docs = st.one_of(
+    st.recursive(_plain_leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+        max_leaves=25),
+    st.recursive(st.one_of(_plain_leaves, st.floats(), st.fractions(max_denominator=5)),
+                 _containers, max_leaves=25))
+# what a report may hold
+report_values = st.recursive(st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.fractions(max_denominator=5), st.sampled_from([INF, NEG_INF]),
+    st.text(max_size=3).map(Label), st.just(RInterval(F(0), F(1)))), _containers,
+    max_leaves=25)
 
 
 class TestSerialization:
@@ -264,6 +313,36 @@ class TestSerialization:
             plconvex_from_json(bad)
         assert str(err.value) == message
 
+    # -- one RInterval per distinct interval document ----------------------------
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_equal_intervals_of_a_file_are_one_object(self, name):
+        inst = load_instance(bundled(name)).instance
+        ivs = [iv for rsm in (inst.S, inst.Stilde) for sm in rsm.maps.values()
+               for iv in sm.point_vals + sm.open_vals]
+        assert all((a == b) == (a is b) for a in ivs for b in ivs)
+
+    @pytest.mark.parametrize("bad, message", [
+        (["2", "1"], "bad interval: empty interval bounds [2, 1]"),
+        (["inf", "1"], "bad interval: empty interval bounds [inf, 1]"),
+        (["1", "-inf"], "bad interval: empty interval bounds [1, -inf]"),
+        (["x", "1"], "bad interval: Invalid literal for Fraction: 'x'"),
+        ([1.5, "2"], "bad interval: not a rational: 1.5"),
+        ([None, "1"], "bad interval: not a rational: None"),
+        (["1"], "bad interval: not enough values to unpack (expected 2, got 1)"),
+    ])
+    def test_a_malformed_interval_raises_as_before_sharing(self, bad, message):
+        for scenarios in (("dn",), ("up", "dn")):  # seen once, then twice
+            doc = basic_doc()
+            for s in scenarios:
+                doc["setmap_S"][s]["point_vals"][0] = bad
+            with pytest.raises(SchemaError) as err:
+                instance_doc_from_json(doc)
+            assert str(err.value) == message
+        with pytest.raises(SchemaError) as err:  # a reader on its own
+            serialize.interval_from_json(bad)
+        assert str(err.value) == message
+
     def test_a_failed_function_is_never_stored(self):
         token = serialize._PARSED.set({})
         try:
@@ -290,6 +369,19 @@ class TestSerialization:
         b = {"theorem": "x", "pass": True, "timestamp": 2.0}
         assert reports_equal(a, b)
         assert not reports_equal(a, {**b, "pass": False})
+
+    # -- the indented text is json.dumps's, and jsonable is unchanged -------------
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_docs)
+    def test_json_text_is_json_dumps(self, doc):
+        assert outcome(serialize._json_text, doc) == outcome(
+            lambda d: json.dumps(d, indent=2, sort_keys=True) + "\n", doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_values)
+    def test_jsonable_is_unchanged(self, value):
+        assert repr(serialize.jsonable(value)) == repr(old_jsonable(value))
 
 
 class TestBundledPresets:
@@ -789,6 +881,126 @@ class TestCli:
         capsys.readouterr()
         assert self.run("verify", bundled("basic"), "--theorem", "michael") == 0
         assert json.loads(capsys.readouterr().out)["theorem"] == "michael"
+
+
+# the commands that write a file, each with the path as its last argument
+WRITERS = {
+    "report": ("verify", bundled("basic"), "--theorem", "michael", "--report"),
+    "model": ("model", "basic", "-o"),
+    "refine": ("refine", bundled("basic"), "--factor", "2", "-o"),
+}
+
+
+class TestOverwriteInPlace:
+    """--report and -o overwrite a file in place: no truncation to zero
+    first, the text is cut to length at the end, and the file keeps its
+    inode, mode and hard links; a symlink is followed."""
+
+    def write(self, kind, path, tmp_path, capsys) -> bytes:
+        """Run the command writing ``path``; the bytes it must leave there."""
+        assert cli.main([*WRITERS[kind], str(path)]) == 0
+        out = capsys.readouterr().out
+        if kind == "report":  # the same text goes to stdout, timestamp included
+            return out.encode("utf-8")
+        fresh = tmp_path / "fresh-reference.json"
+        assert cli.main([*WRITERS[kind], str(fresh)]) == 0
+        capsys.readouterr()
+        return fresh.read_bytes()
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_a_shorter_text_leaves_only_the_new_bytes(self, kind, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 100_000)
+        inode = path.stat().st_ino
+        want = self.write(kind, path, tmp_path, capsys)
+        assert path.read_bytes() == want
+        assert path.stat().st_ino == inode
+        assert self.write(kind, path, tmp_path, capsys) == path.read_bytes()
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_no_open_truncates(self, kind, tmp_path, monkeypatch, capsys):
+        opened = []
+        real_open = serialize.os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+        monkeypatch.setattr(serialize.os, "open", recording_open)
+        path = tmp_path / "out.json"
+        for _ in range(2):  # a new file, then an existing one
+            self.write(kind, path, tmp_path, capsys)
+        assert [p for p, _ in opened].count(str(path)) == 2
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_a_symlink_is_followed(self, kind, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"x" * 100_000)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        want = self.write(kind, link, tmp_path, capsys)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == want
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_a_hard_link_shows_the_new_bytes(self, kind, tmp_path, capsys):
+        path, other = tmp_path / "out.json", tmp_path / "other.json"
+        path.write_bytes(b"x" * 100_000)
+        os.link(path, other)
+        want = self.write(kind, path, tmp_path, capsys)
+        assert other.read_bytes() == want
+        assert path.stat().st_ino == other.stat().st_ino
+        assert path.stat().st_nlink == 2
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_an_existing_file_keeps_its_mode(self, kind, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 100_000)
+        path.chmod(0o604)
+        self.write(kind, path, tmp_path, capsys)
+        assert path.stat().st_mode & 0o7777 == 0o604
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_a_new_file_gets_0o666_less_the_umask(self, kind, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        old = os.umask(0o027)
+        try:
+            self.write(kind, path, tmp_path, capsys)
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o7777 == 0o640
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_a_device_is_written_without_cutting_it(self, kind, capsys):
+        """A file that is not a regular one cannot be truncated; it is only written."""
+        assert cli.main([*WRITERS[kind], os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_a_directory_exits_2(self, kind, tmp_path, capsys):
+        assert cli.main([*WRITERS[kind], str(tmp_path)]) == 2
+        assert_one_error_line(capsys, "cannot write output:")
+        assert tmp_path.is_dir()
+
+    def test_an_unwritable_refined_value_leaves_the_file_untouched(self, tmp_path, capsys):
+        # refining this grid by 10 makes the time 1e-4300: one digit too many
+        doc = basic_doc()
+        doc["grid"] = ["0", "1e-4299", "2"]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        out = tmp_path / "fine.json"
+        with open(bundled("basic"), "rb") as fh:
+            kept = fh.read()
+        out.write_bytes(kept)
+        before = out.stat()
+        assert cli.main(["refine", str(edited), "--factor", "10", "-o", str(out)]) == 2
+        assert_one_error_line(capsys, "schema error: cannot write a value of more than "
+                                      "4300 digits")
+        assert out.read_bytes() == kept
+        after = out.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+            (before.st_ino, before.st_size, before.st_mtime_ns)
 
 
 def _golden_preset_cli():
