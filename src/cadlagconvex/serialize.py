@@ -27,7 +27,6 @@ import os
 import stat
 from contextvars import ContextVar
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional
 
 from .duality import DualPair, Instance, make_instance
@@ -468,66 +467,10 @@ def load_instance(path: str) -> InstanceDoc:
 
 def dump_instance(idoc: InstanceDoc, path: str) -> None:
     try:  # build the text before opening the path: a failure leaves no file
-        text = _json_text(instance_doc_to_json(idoc))
+        text = json.dumps(instance_doc_to_json(idoc), indent=2, sort_keys=True) + "\n"
     except ValueError as exc:  # str() of a Fraction with too many digits
         raise SchemaError(f"cannot write a value of more than {MAX_EXPONENT} digits") from exc
     _write_text(path, text)
-
-
-class _NotPlain(Exception):
-    """A value :func:`_json_text` leaves to ``json.dumps``."""
-
-
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, the same text.
-
-    Before Python 3.13 json indents with its pure-Python encoder; this one
-    pass over dicts with string keys, lists, tuples, strings, ints, booleans
-    and None, the only values the writers above and :func:`jsonable` make,
-    takes a third to a half of its time on the bundled documents.  A document holding
-    any other value is handed to ``json.dumps`` whole.
-    """
-    out: List[str] = []
-    try:
-        _emit(doc, out, "\n")
-    except _NotPlain:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit(value, out: List[str], newline: str) -> None:
-    """Append the text of ``value`` at the indent ``newline`` ends with."""
-    t = type(value)
-    if t is str:
-        out.append(_quote(value))
-    elif t is dict or t is list or t is tuple:
-        if not value:
-            out.append("{}" if t is dict else "[]")
-            return
-        inner = newline + "  "
-        sep = ("{" if t is dict else "[") + inner
-        for item in (sorted(value) if t is dict else value):
-            out.append(sep)
-            if t is dict:
-                if type(item) is not str:
-                    raise _NotPlain
-                out.append(_quote(item))
-                out.append(": ")
-                item = value[item]
-            _emit(item, out, inner)
-            sep = "," + inner
-        out.append(newline + ("}" if t is dict else "]"))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif t is int:
-        out.append(int.__repr__(value))
-    else:
-        raise _NotPlain
 
 
 def _write_text(path: str, text: str) -> None:
@@ -558,26 +501,20 @@ def _write_text(path: str, text: str) -> None:
 
 def jsonable(value):
     """Recursively convert report values to JSON-friendly data."""
-    t = type(value)  # exact types first: isinstance of Fraction consults the ABCs
-    if t is str or t is int or t is bool or value is None:
-        return value
-    if t is dict:
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if t is list or t is tuple:
-        return [jsonable(v) for v in value]
-    if isinstance(value, (Fraction, float)):
-        return fmt(value)
-    if isinstance(value, (int, str)):  # subclasses; bool is an int
+    # the cheap cases first: isinstance of Fraction consults the numbers ABCs
+    if value is None or isinstance(value, (str, int)):  # bool is an int
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    if isinstance(value, (Fraction, float)):
+        return fmt(value)
     return repr(value)
 
 
 def dump_report(report: dict, path: Optional[str]) -> str:
-    text = _json_text(jsonable(report))
+    text = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
     if path:
         _write_text(path, text)
     return text
