@@ -321,7 +321,7 @@ def cmd_verify(args) -> int:
     idoc = load_instance(args.file)
     # a check sets only the report keys whose value differs from these
     report = {"theorem": args.theorem, "gap": None, "bound": 0, "assumptions": [],
-              **_CHECKS[args.theorem](idoc, args), "timestamp": time.time()}
+              **_CHECKS[args.theorem](idoc, args), "timestamp": f"{time.time():.6f}"}
     print(dump_report(report, args.report), end="")
     if args.strict and not report.get("assumptions_ok", True):
         return EXIT_ASSUMPTION

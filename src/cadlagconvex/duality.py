@@ -21,11 +21,14 @@ oracle an honest path search while matching the pointwise formulas exactly.
 need it each ask for it and share one copy.
 
 On that grid the objective separates across (partition cell, slot), so the
-oracle and both interchange rules optimize one coordinate at a time.  The
-generator ``_coordinates`` is the single place that decides how coordinates
-decouple: it yields each (slot, cell) with the feasible interval shared by
-the cell's scenarios, and the callers differ only in the per-slot sets and
-the bounding interval they pass.
+oracle, both interchange rules, the properness diagnostic and the feasible
+path generator work one coordinate at a time.  ``_charges`` is the one place
+that decides which (measure, integrand) pays at a coordinate: the value at
+slot i is charged by mu_i h_i and, in the hatted form, as the left limit at
+t_{i+1} by mutilde_{i+1} htilde_{i+1}.  The generator ``_coordinates`` yields
+each (slot, cell) with the feasible interval shared by the cell's scenarios
+and the (atom, integrand) of every charge there; the callers differ only in
+the per-slot sets, the bounding interval and the charges they pass.
 
 Each coordinate is evaluated once, on the data of the cell's first
 scenario.  That is exact: the constructors of :class:`Instance` and
@@ -42,14 +45,15 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from .plconvex import RInterval, indicator, once
 from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
-                       check_predictable, expected_pairing,
-                       minorant_certificate, paste, predictable_atoms)
+                       check_predictable, expected_pairing, paste,
+                       predictable_atoms)
 from .setmaps import SetMap, escaping_slots, michael_check
 from .timegrid import StepPath, TimeGrid, eval_I, eval_J, refined_once
 
@@ -352,17 +356,66 @@ def _zero_start_cost(inst: Instance) -> Ext:
     return xsum(terms)
 
 
-def _coordinates(tree: ScenarioTree, n_slots: int,
-                 sets: Dict[str, List[RInterval]], bound: RInterval):
-    """Yield (slot, cell, feasible interval) for every decoupled coordinate.
+def _charges(inst: Instance, hatted: bool) -> List[Tuple[RandomMeasure, RandomIntegrand, int]]:
+    """(measure, integrand, lag) of each charge on the value at a slot i.
+
+    The value pays mu_i h_i; in the hatted form it is also the left limit
+    at t_{i+1}, which pays mutilde_{i+1} htilde_{i+1}.
+    """
+    return [(inst.mu, inst.h, 0)] + ([(inst.mutilde, inst.htilde, 1)] if hatted else [])
+
+
+def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]],
+                 bound: RInterval, charges):
+    """Yield (slot, cell, mass, feasible interval, terms) for every coordinate.
 
     A coordinate is one partition cell at one slot; its feasible interval is
-    ``bound`` intersected with the slot's set, which is the same for every
-    scenario of the cell, so only the first one's is read.
+    ``bound`` intersected with the slot's set, and ``terms`` holds the
+    (atom, integrand) of each charge at ``slot + lag`` that is still a grid
+    slot.  Both are the same for every scenario of the cell, so only the
+    first one's are read.
     """
-    for i in range(n_slots):
+    tree, n = inst.tree, inst.grid.n_slots
+    for i in range(n):
         for cell in tree.cells(i):
-            yield i, cell, bound.intersect(sets[cell[0]][i])
+            s = cell[0]
+            terms = [(m.measures[s].atoms[i + lag], fam.functions[s][i + lag])
+                     for m, fam, lag in charges if i + lag < n]
+            yield i, cell, tree.mass(cell), bound.intersect(sets[s][i]), terms
+
+
+def _coordinate_infima(inst: Instance, sets: Dict[str, List[RInterval]], charges):
+    """Minimize every coordinate's charged cost over its feasible interval.
+
+    Returns the cost terms, whether some coordinate is empty, per charge
+    each scenario's minimizers nearest 0 by slot (None if not attained; a
+    charge without mass takes the previous charge's point, the first one the
+    feasible point nearest 0), and the right-hand side: every charged atom,
+    the one at t_0 of a lagged charge included, against the integrand's
+    infimum over the line.
+    """
+    tree, n = inst.tree, inst.grid.n_slots
+    rhs = tree.expectation({
+        s: xsum(xmul(a, fn.min_on_line()) for m, fam, _ in charges
+                for a, fn in zip(m.measures[s].atoms, fam.functions[s]) if a > 0)
+        for s in tree.scenarios})
+    costs: List[Ext] = []
+    infeasible = False
+    picks = [{s: [None] * n for s in tree.scenarios} for _ in charges]
+    for i, cell, mass, feas, terms in _coordinates(inst, sets, RInterval.whole_line(),
+                                                   charges):
+        if feas.is_empty:
+            infeasible = True
+            continue
+        point = feas.nearest_to(Fraction(0))
+        for chosen, (atom, fn) in zip_longest(picks, terms, fillvalue=(0, None)):
+            if atom > 0:
+                val, argmin = fn.inf_over(feas)
+                costs.append(xmul(mass, xmul(atom, val)))
+                point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
+            for s in cell:
+                chosen[s][i] = point
+    return costs, infeasible, picks, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -380,26 +433,21 @@ def assumption_report(inst: Instance) -> Dict:
     its failing slots, which the report lists under ``failing_slots``.
     """
     r = inst.refine(FINE)
-    n = inst.grid.n_slots
+    # a scenario is improper on a fine coordinate that is empty or on which
+    # a charged integrand is +inf throughout
+    improper = set()
+    for _, cell, _, feas, terms in _coordinates(r, _fixed_value_sets(r), RInterval.whole_line(),
+                                                _charges(r, True)):
+        if feas.is_empty or any(atom > 0 and feas.intersect(fn.domain).is_empty
+                                for atom, fn in terms):
+            improper.update(cell)
     zero = RInterval.singleton(Fraction(0))
     per_scenario = {}
     for s in inst.tree.scenarios:
         smap, stmap = inst.s_map(s), inst.st_map(s)
         hfns, htfns = inst.h.functions[s], inst.htilde.functions[s]
-        sets = _fixed_value_sets(r)[s]
-        mu_atoms = inst.mu.measures[s].atoms
-        mut_atoms = inst.mutilde.measures[s].atoms
-        proper = _zero_start_ok(inst, s) and not any(v.is_empty for v in sets)
-        if proper:
-            # t_i is fine slot FINE * i; its left limit is the value just before
-            for i in range(n):
-                if mu_atoms[i] > 0 and sets[FINE * i].intersect(hfns[i].domain).is_empty:
-                    proper = False
-                if i >= 1 and mut_atoms[i] > 0 and \
-                        sets[FINE * i - 1].intersect(htfns[i].domain).is_empty:
-                    proper = False
-            if mut_atoms[0] > 0 and not htfns[0].domain.contains(Fraction(0)):
-                proper = False
+        proper = _zero_start_ok(inst, s) and s not in improper and (
+            inst.mutilde.measures[s].atoms[0] == 0 or htfns[0].domain.contains(Fraction(0)))
         # each condition as its failing slots, or as a flag if not slot-wise
         checks = {
             "s_is_cl_dom_h": _off_domain(smap.point_vals, hfns)
@@ -421,8 +469,8 @@ def assumption_report(inst: Instance) -> Dict:
     summary = {k: all(flags[k] for flags in per_scenario.values()) for k in checks}
     # s_contains_dom_h is recorded, not required
     all_ok = all(v for k, v in summary.items() if k != "s_contains_dom_h")
-    summary["minorant_h"] = minorant_certificate(inst.h) is not None
-    summary["minorant_htilde"] = minorant_certificate(inst.htilde) is not None
+    # minorant_certificate builds an affine minorant of every PL integrand
+    summary["minorant_h"] = summary["minorant_htilde"] = True
     summary["all_ok"] = all_ok
     return {"per_scenario": per_scenario, "summary": summary, "all_ok": all_ok}
 
@@ -460,8 +508,9 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     rd = d.refine(FINE)
     tree, n = r.tree, r.grid.n_slots
     needed = 0
-    coords: List[Tuple[int, Tuple[str, ...], int, int]] = []
-    for i, cell, constraint in _coordinates(tree, n, _fixed_value_sets(r), RInterval(-B, B)):
+    coords = []
+    for i, cell, mass, constraint, terms in _coordinates(
+            r, _fixed_value_sets(r), RInterval(-B, B), _charges(r, True)):
         # lattice indices k of the points -B + k*delta in the constraint,
         # which lies in [-B, B], so 0 <= k <= 2B/delta
         if constraint.is_empty:
@@ -470,7 +519,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
             k_lo = math.ceil((constraint.lo + B) / delta)
             k_hi = math.floor((constraint.hi + B) / delta)
         needed += max(0, k_hi - k_lo + 1)
-        coords.append((i, cell, k_lo, k_hi))
+        coords.append((i, cell, mass, k_lo, k_hi, terms))
     if needed > budget:
         raise BudgetExceededError(needed, budget)
 
@@ -483,15 +532,11 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
 
     # one evaluation per coordinate, on the cell's first scenario, weighted
     # by the cell's mass: the data is constant on the cell (module docstring)
-    for i, cell, k_lo, k_hi in coords:
-        s = cell[0]
-        coeff, mu_i = rd.u.measures[s].atoms[i], r.mu.measures[s].atoms[i]
-        charged = [(mu_i, r.h.functions[s][i])] if mu_i > 0 else []
+    for i, cell, mass, k_lo, k_hi, terms in coords:
+        coeff = rd.u.measures[cell[0]].atoms[i]
         if i + 1 < n:
-            coeff += rd.ut.measures[s].atoms[i + 1]
-            mut_next = r.mutilde.measures[s].atoms[i + 1]
-            if mut_next > 0:
-                charged.append((mut_next, r.htilde.functions[s][i + 1]))
+            coeff += rd.ut.measures[cell[0]].atoms[i + 1]
+        charged = [(m, fn) for m, fn in terms if m > 0]
         candidates = {k_lo, k_hi}
         for _, fn in charged:
             for x in fn.knots():
@@ -502,7 +547,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
         vals = [coeff * v - cost for v, cost in costs if is_finite(cost)]
         if not vals:
             return NEG_INF
-        total = xsum([total, tree.mass(cell) * max(vals)])
+        total = xsum([total, mass * max(vals)])
     return total
 
 
@@ -587,33 +632,25 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
     s = _single_scenario(inst)
     n = inst.grid.n_slots
     if side == "cadlag":
-        sm, fns, lag = inst.s_map(s), inst.h.functions[s], 0
-        atoms = inst.mu.measures[s].atoms
+        sm, charges, lag = inst.s_map(s), _charges(inst, False), 0
         feas = [sm.attainable_at(i) for i in range(n)]
         failing = michael_check(sm)["failing_slots"]
     elif side == "caglad":
-        # cell i is the left limit at t_{i+1}, charged by htilde_{i+1}
-        sm, fns, lag = inst.st_map(s), inst.htilde.functions[s], 1
-        atoms = inst.mutilde.measures[s].atoms
+        # a caglad path's slot i is its left limit at t_i, charged by htilde_i
+        sm, charges, lag = inst.st_map(s), [(inst.mutilde, inst.htilde, 0)], 1
         feas = [sm.point_vals[0]] + [
             sm.point_vals[i].intersect(sm.open_vals[i - 1]) for i in range(1, n)]
         failing = escaping_slots(sm.point_vals, sm.open_vals, 1)
     else:
         raise ValueError("side must be 'cadlag' or 'caglad'")
+    fns = charges[0][1].functions[s]
     image_closure = not (_off_domain(sm.point_vals, fns)
                          + _off_domain(sm.open_vals, fns, lag))
 
     closure_holds = all(
         feas[i].intersect(fns[i].domain) == feas[i] for i in range(n))
-    infeasible = any(v.is_empty for v in feas)
-    slot_lhs = []
-    for i in range(n):
-        if atoms[i] == 0:
-            slot_lhs.append(Fraction(0))
-        else:
-            slot_lhs.append(xmul(atoms[i], fns[i].inf_over(feas[i])[0]))
-    lhs = INF if infeasible else xsum(slot_lhs)
-    rhs = xsum(xmul(atoms[i], fns[i].min_on_line()) for i in range(n))
+    costs, infeasible, _, rhs = _coordinate_infima(inst, {s: feas}, charges)
+    lhs = INF if infeasible else xsum(costs)
     vacuous = lhs == INF
     if vacuous:
         gap = None
@@ -655,51 +692,13 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     hatted = form == "Fhat"
     r = inst.refine(FINE) if hatted else inst
     tree, n = r.tree, r.grid.n_slots
+    sets = _fixed_value_sets(r) if hatted else {
+        s: [r.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios}
+    costs, infeasible, picks, rhs = _coordinate_infima(r, sets, _charges(r, hatted))
     if hatted:
-        sets = _fixed_value_sets(r)
-        infeasible = not all(_zero_start_ok(r, s) for s in tree.scenarios)
-        lhs_terms: List[Ext] = [_zero_start_cost(r)]
-    else:
-        sets = {s: [r.s_map(s).attainable_at(i) for i in range(n)]
-                for s in tree.scenarios}
-        infeasible, lhs_terms = False, []
-    y_vals: Dict[str, List[Optional[Q]]] = {s: [None] * n for s in tree.scenarios}
-    yt_vals: Dict[str, List[Optional[Q]]] = {s: [None] * n for s in tree.scenarios}
-    attained = True
-    for i, cell, feas in _coordinates(tree, n, sets, RInterval.whole_line()):
-        if feas.is_empty:
-            infeasible = True
-            continue
-        rep = cell[0]
-        mu_i = r.mu.measures[rep].atoms[i]
-        mut_next = r.mutilde.measures[rep].atoms[i + 1] \
-            if hatted and i + 1 < n else Fraction(0)
-        p_cell = tree.mass(cell)
-        # h-side optimum defines y; the htilde-side optimum defines ytilde
-        if mu_i > 0:
-            val, argmin = r.h.functions[rep][i].inf_over(feas)
-            lhs_terms.append(xmul(p_cell, xmul(mu_i, val)))
-            y_point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
-        else:
-            y_point = feas.nearest_to(Fraction(0))
-        if mut_next > 0:
-            val, argmin = r.htilde.functions[rep][i + 1].inf_over(feas)
-            lhs_terms.append(xmul(p_cell, xmul(mut_next, val)))
-            yt_point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
-        else:
-            yt_point = y_point
-        if y_point is None or yt_point is None:
-            attained = False
-        for s in cell:
-            y_vals[s][i] = y_point
-            yt_vals[s][i] = yt_point
-    lhs = INF if infeasible else xsum(lhs_terms)
-    charged = [(inst.mu, inst.h)] + ([(inst.mutilde, inst.htilde)] if hatted else [])
-    rhs = tree.expectation({
-        s: xsum(xmul(m.measures[s].atoms[i], fam.functions[s][i].min_on_line())
-                for m, fam in charged for i in range(inst.grid.n_slots)
-                if m.measures[s].atoms[i] > 0)
-        for s in tree.scenarios})
+        infeasible = infeasible or not all(_zero_start_ok(r, s) for s in tree.scenarios)
+        costs.append(_zero_start_cost(r))
+    lhs = INF if infeasible else xsum(costs)
     out = {
         "form": form,
         "lhs": lhs,
@@ -710,20 +709,14 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
         "assumptions_ok": assumptions["all_ok"],
         "witness": None,
     }
-    if infeasible or not attained:
+    if infeasible or any(v is None for chosen in picks for vals in chosen.values()
+                         for v in vals):
         return out
-    y = RandomPath(tree, r.grid,
-                   {s: StepPath(r.grid, tuple(y_vals[s])) for s in tree.scenarios})
-    if hatted:
-        yt = RandomPath(tree, r.grid,
-                        {s: StepPath(r.grid, tuple(yt_vals[s])) for s in tree.scenarios})
-        witness = paste(y, yt, predictable_atoms(r.mutilde))
-        achieved = eval_Fhat(r, witness)
-        assert achieved == lhs, "pasting witness must achieve the infimum exactly"
-    else:
-        witness = y
-        achieved = eval_F(r, witness)
-        assert achieved == lhs, "witness must achieve the infimum exactly"
+    y = [RandomPath(tree, r.grid, {s: StepPath(r.grid, tuple(vals[s])) for s in tree.scenarios})
+         for vals in picks]
+    witness = paste(y[0], y[1], predictable_atoms(r.mutilde)) if hatted else y[0]
+    achieved = (eval_Fhat if hatted else eval_F)(r, witness)
+    assert achieved == lhs, "witness must achieve the infimum exactly"
     out["witness"] = witness
     out["witness_value"] = achieved
     return out

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .duality import (DualPair, Instance, _coordinates, _fixed_value_sets,
-                       assumption_report, make_instance)
+from .duality import (DualPair, Instance, _charges, _coordinates,
+                       _fixed_value_sets, assumption_report, make_instance)
 from .plconvex import PLConvex, RInterval, _canonical, _canonical_anchor, pl
 from .rationals import INF, NEG_INF, is_finite, xle
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
@@ -258,16 +258,12 @@ def _finite_dual_atom(rng: random.Random, fn: PLConvex, mass: Fraction) -> Fract
 def rand_feasible_path(rng: random.Random, inst: Instance) -> RandomPath:
     """Adapted path with finite hatted value, drawn per partition cell."""
     tree, grid = inst.tree, inst.grid
-    n = grid.n_slots
-    whole = RInterval.whole_line()
-    sets = {}
-    for s in tree.scenarios:
-        # the value at t_i is charged by h_i and, as a left limit, by htilde_{i+1}
-        ht_next = [fn.domain for fn in inst.htilde.functions[s][1:]] + [whole]
-        sets[s] = [v.intersect(fn.domain).intersect(dom) for v, fn, dom in
-                   zip(_fixed_value_sets(inst)[s], inst.h.functions[s], ht_next)]
-    vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * n for s in tree.scenarios}
-    for i, cell, feas in _coordinates(tree, n, sets, whole):
+    vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * grid.n_slots
+                                                 for s in tree.scenarios}
+    for i, cell, _, feas, terms in _coordinates(inst, _fixed_value_sets(inst),
+                                                RInterval.whole_line(), _charges(inst, True)):
+        for _, fn in terms:
+            feas = feas.intersect(fn.domain)
         if feas.is_empty:
             raise ValueError("instance has no feasible fixed-grid path")
         pick = feas.nearest_to(rand_coarse(rng, -2, 2))

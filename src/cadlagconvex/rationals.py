@@ -129,19 +129,6 @@ def xneg(x: Ext) -> Ext:
     return -x
 
 
-def xadd(a: Ext, b: Ext) -> Ext:
-    """Extended addition; +inf + -inf is rejected, it never arises here."""
-    if is_finite(a) and is_finite(b):
-        return a + b
-    if a == INF or b == INF:
-        if a == NEG_INF or b == NEG_INF:
-            raise ValueError("inf - inf")
-        return INF
-    if a == NEG_INF or b == NEG_INF:
-        return NEG_INF
-    return a + b
-
-
 def xmul(a: Ext, b: Ext) -> Ext:
     """Extended multiplication with the convention 0 * inf = 0."""
     if is_finite(a) and is_finite(b):

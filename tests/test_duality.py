@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadlagconvex.duality import (FINE, BudgetExceededError, DualPair, Instance,
-                                  _fixed_value_sets, assumption_report, bruteforce_gap_bound,
+                                  _charges, _coordinates, _fixed_value_sets,
+                                  _zero_start_ok, assumption_report, bruteforce_gap_bound,
                                   conj_bruteforce, conj_pointwise, eval_F,
                                   eval_Fhat, indicator_integrand, interchange_det,
                                   interchange_stoch, make_instance,
@@ -478,6 +479,18 @@ class TestInterchangeStoch:
         assert z.paths["a"].values[1] == 5 and z.paths["a"].values[0] == 0
         assert rep["witness_value"] == 0
 
+    def test_rhs_charges_the_atom_at_time_zero(self):
+        # the left limit at t_0 is pinned to 0, which is no coordinate, but the
+        # right-hand side still integrates mutilde_0 against inf htilde_0
+        tree = ScenarioTree.deterministic(2)
+        h = RandomIntegrand(tree, G2, {"w": (abs_fn(), abs_fn())}, "optional")
+        shifted = pl(NEG_INF, INF, (F(1),), (-1, 1), F(1), F(-1))  # |x - 1| - 1
+        ht = RandomIntegrand(tree, G2, {"w": (shifted, abs_fn())}, "predictable")
+        mut = RandomMeasure(tree, G2, {"w": GridMeasure(G2, (1, 0))})
+        inst = make_instance(tree, G2, h, RandomMeasure.zero(tree, G2), mut, ht)
+        rep = interchange_stoch(inst, "Fhat")
+        assert rep["lhs"] == 0 and rep["rhs"] == -1 and not rep["ok"]
+
 
 class TestSupportDS:
     def test_unit_ball(self):
@@ -699,3 +712,145 @@ class TestFixedValueSets:
         twin = dataclasses.replace(inst)
         assert _fixed_value_sets(twin) == _fixed_value_sets(inst)
         assert _fixed_value_sets(twin) is not _fixed_value_sets(inst)
+
+
+def kernel_case(seed, kind):
+    """A passing instance; one with random constraint maps, or a random htilde
+    and mutilde, or both, each shared by every scenario (so adapted and
+    predictable); or a one-scenario constrained one."""
+    rng = random.Random(seed)
+    if kind == "constrained":
+        return random_constrained_instance(rng)
+    inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
+                                 with_htilde=rng.random() < 0.5)
+    if kind == "passing":
+        return inst
+    tree, grid = inst.tree, inst.grid
+
+    def shared(value):
+        return {s: value for s in tree.scenarios}
+    S, Stilde, htilde, mutilde = inst.S, inst.Stilde, inst.htilde, inst.mutilde
+    maps, costs = rng.choice(((True, False), (False, True), (True, True)))
+    if maps:
+        S, Stilde = (RandomSetMap(tree, grid, shared(rand_setmap(rng, grid)))
+                     for _ in range(2))
+        if rng.random() < 0.5:
+            Stilde = S.vec_map()
+    if costs:
+        htilde = RandomIntegrand(tree, grid, shared(tuple(rand_plconvex(rng) for _ in grid.times)),
+                                 "predictable")
+        mutilde = RandomMeasure(tree, grid, shared(GridMeasure(
+            grid, tuple(rng.randint(0, 2) for _ in grid.times))))
+    return make_instance(tree, grid, inst.h, inst.mu, mutilde, htilde, S, Stilde)
+
+
+KERNEL_KINDS = ("passing", "shared-random", "constrained")
+
+
+def feasible_path_slot_loop(rng, inst):
+    """rand_feasible_path as it was before it read the charged integrands from
+    _coordinates, with the coordinate loop written out; kept only as the
+    reference of the test below."""
+    tree, grid = inst.tree, inst.grid
+    n = grid.n_slots
+    whole = RInterval.whole_line()
+    sets = {}
+    for s in tree.scenarios:
+        # the value at t_i is charged by h_i and, as a left limit, by htilde_{i+1}
+        ht_next = [fn.domain for fn in inst.htilde.functions[s][1:]] + [whole]
+        sets[s] = [v.intersect(fn.domain).intersect(dom) for v, fn, dom in
+                   zip(_fixed_value_sets(inst)[s], inst.h.functions[s], ht_next)]
+    vals = {s: [None] * n for s in tree.scenarios}
+    for i in range(n):
+        for cell in tree.cells(i):
+            feas = whole.intersect(sets[cell[0]][i])
+            if feas.is_empty:
+                raise ValueError("instance has no feasible fixed-grid path")
+            pick = feas.nearest_to(rand_coarse(rng, -2, 2))
+            for s in cell:
+                vals[s][i] = pick
+    return RandomPath(tree, grid, {s: StepPath(grid, tuple(vals[s]))
+                                   for s in tree.scenarios})
+
+
+def proper_slot_loop(inst):
+    """assumption_report's per-scenario properness as the loop over the coarse
+    slots computed it before it read the fine coordinates; kept only as the
+    reference of the test below."""
+    r = inst.refine(FINE)
+    out = {}
+    for s in inst.tree.scenarios:
+        hfns, htfns = inst.h.functions[s], inst.htilde.functions[s]
+        sets = _fixed_value_sets(r)[s]
+        mu_atoms = inst.mu.measures[s].atoms
+        mut_atoms = inst.mutilde.measures[s].atoms
+        proper = _zero_start_ok(inst, s) and not any(v.is_empty for v in sets)
+        if proper:
+            # t_i is fine slot FINE * i; its left limit is the value just before
+            for i in range(inst.grid.n_slots):
+                if mu_atoms[i] > 0 and sets[FINE * i].intersect(hfns[i].domain).is_empty:
+                    proper = False
+                if i >= 1 and mut_atoms[i] > 0 and \
+                        sets[FINE * i - 1].intersect(htfns[i].domain).is_empty:
+                    proper = False
+            if mut_atoms[0] > 0 and not htfns[0].domain.contains(F(0)):
+                proper = False
+        out[s] = proper
+    return out
+
+
+def path_outcome(rng, inst, draw):
+    try:
+        return draw(rng, inst)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestChargeLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_every_scenario_of_a_cell_has_the_coordinate_s_terms(self, seed, with_htilde):
+        inst = rand_passing_instance(random.Random(seed), max_scenarios=3, max_cells=3,
+                                     with_htilde=with_htilde)
+        for x, hatted in itertools.product((inst, inst.refine(FINE)), (False, True)):
+            n, sets = x.grid.n_slots, _fixed_value_sets(x)
+            seen = []
+            for i, cell, mass, feas, terms in _coordinates(
+                    x, sets, RInterval.whole_line(), _charges(x, hatted)):
+                assert mass == sum(x.tree.prob(s) for s in cell)
+                for s in cell:
+                    seen.append((i, s))
+                    # the value at t_i pays mu_i h_i and, as the left limit
+                    # at t_{i+1}, mutilde_{i+1} htilde_{i+1}
+                    want = [(x.mu.measures[s].atoms[i], x.h.functions[s][i])]
+                    if hatted and i + 1 < n:
+                        want.append((x.mutilde.measures[s].atoms[i + 1],
+                                     x.htilde.functions[s][i + 1]))
+                    assert terms == want
+                    assert feas == sets[s][i]
+            assert sorted(seen) == sorted(itertools.product(range(n), x.tree.scenarios))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(KERNEL_KINDS))
+    def test_rand_feasible_path_equals_the_slot_loop(self, seed, kind):
+        inst = kernel_case(seed, kind)
+        a, b = random.Random(seed), random.Random(seed)
+        assert path_outcome(a, inst, rand_feasible_path) == \
+            path_outcome(b, inst, feasible_path_slot_loop)
+        assert a.getstate() == b.getstate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(KERNEL_KINDS))
+    def test_proper_equals_the_slot_loop(self, seed, kind):
+        inst = kernel_case(seed, kind)
+        flags = assumption_report(inst)["per_scenario"]
+        assert {s: f["proper"] for s, f in flags.items()} == proper_slot_loop(inst)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS[1:])
+    def test_the_cases_hold_both_outcomes(self, kind):
+        insts = [kernel_case(seed, kind) for seed in range(60)]
+        drawn = [isinstance(path_outcome(random.Random(0), x, rand_feasible_path), RandomPath)
+                 for x in insts]
+        proper = [v for x in insts for v in proper_slot_loop(x).values()]
+        assert any(drawn) and not all(drawn)
+        assert any(proper) and not all(proper)

@@ -10,8 +10,7 @@ from cadlagconvex.duality import conj_bruteforce, conj_pointwise
 from cadlagconvex.plconvex import (EMPTY_INTERVAL, RInterval, abs_fn, affine,
                                    indicator, pl, restrict)
 from cadlagconvex.presets import bundled_instance_path
-from cadlagconvex.rationals import (INF, NEG_INF, ext, fmt, rat, xadd, xmul,
-                                    xneg, xsum)
+from cadlagconvex.rationals import INF, NEG_INF, ext, fmt, rat, xmul, xneg, xsum
 from cadlagconvex.serialize import tree_from_json
 from cadlagconvex.timegrid import TimeGrid
 
@@ -59,10 +58,6 @@ class TestExtendedArithmetic:
         assert xsum([F(1), NEG_INF, INF]) == INF
         assert xsum([F(1), NEG_INF]) == NEG_INF
 
-    def test_conflicting_infinities_rejected_in_addition(self):
-        with pytest.raises(ValueError):
-            xadd(INF, NEG_INF)
-
     def test_rat_rejects_floats(self):
         with pytest.raises(TypeError):
             rat(0.5)
@@ -70,16 +65,16 @@ class TestExtendedArithmetic:
 
 A = F(-3, 2)  # the finite entry of the sentinel tables
 SENTINEL_PAIRS = {
-    # (x, y): (xadd, xmul, xsum([x, y])); ValueError marks a rejected sum
-    (A, A): (F(-3), F(9, 4), F(-3)),
-    (A, INF): (INF, NEG_INF, INF),
-    (A, NEG_INF): (NEG_INF, INF, NEG_INF),
-    (INF, A): (INF, NEG_INF, INF),
-    (INF, INF): (INF, INF, INF),
-    (INF, NEG_INF): (ValueError, NEG_INF, INF),
-    (NEG_INF, A): (NEG_INF, INF, NEG_INF),
-    (NEG_INF, INF): (ValueError, NEG_INF, INF),
-    (NEG_INF, NEG_INF): (NEG_INF, INF, NEG_INF),
+    # (x, y): (xmul, xsum([x, y]))
+    (A, A): (F(9, 4), F(-3)),
+    (A, INF): (NEG_INF, INF),
+    (A, NEG_INF): (INF, NEG_INF),
+    (INF, A): (NEG_INF, INF),
+    (INF, INF): (INF, INF),
+    (INF, NEG_INF): (NEG_INF, INF),
+    (NEG_INF, A): (INF, NEG_INF),
+    (NEG_INF, INF): (NEG_INF, INF),
+    (NEG_INF, NEG_INF): (INF, NEG_INF),
 }
 
 
@@ -96,18 +91,12 @@ class TestSentinelTables:
 
     @pytest.mark.parametrize("x, y", list(SENTINEL_PAIRS))
     def test_xadd_xmul_xsum(self, x, y):
-        add, mul, total = SENTINEL_PAIRS[(x, y)]
-        if add is ValueError:
-            with pytest.raises(ValueError, match="inf - inf"):
-                xadd(x, y)
-        else:
-            assert_same(xadd(x, y), add)
+        mul, total = SENTINEL_PAIRS[(x, y)]
         assert_same(xmul(x, y), mul)
         assert_same(xsum([x, y]), total)
 
     def test_int_terms_still_add(self):
         assert_same(xsum([1, F(1, 2)]), F(3, 2))
-        assert_same(xadd(1, F(1, 2)), F(3, 2))
 
     @pytest.mark.parametrize("lo, hi, message", [
         (INF, INF, "interval endpoint has the wrong infinity"),

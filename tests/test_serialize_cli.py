@@ -544,6 +544,21 @@ class TestCli:
         assert out["theorem"] == "conjugate"
         capsys.readouterr()
 
+    def test_reports_of_one_check_have_one_length(self, tmp_path, capsys, monkeypatch):
+        # clock readings whose shortest reprs have 18 and 12 characters
+        clock = iter([1792357393.6216547, 1792357393.5])
+        monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+        texts = []
+        for k in range(2):
+            report = tmp_path / f"r{k}.json"
+            assert self.run("verify", bundled("basic"), "--theorem", "interchange-stoch",
+                            "--report", str(report)) == 0
+            texts.append(report.read_text())
+        capsys.readouterr()
+        assert len(texts[0]) == len(texts[1])
+        assert [json.loads(t)["timestamp"] for t in texts] == \
+            ["1792357393.621655", "1792357393.500000"]
+
     def test_verify_involution_random_seeds(self, capsys):
         assert self.run("verify", bundled("basic"), "--theorem", "involution",
                         "--count", "100") == 0
