@@ -93,10 +93,6 @@ class RInterval:
             return False
         return xle(other.lo, self.lo) and xle(self.hi, other.hi)
 
-    @property
-    def has_interior(self) -> bool:
-        return (not self.is_empty) and self.lo < self.hi
-
     def nearest_to(self, x: Q) -> Q:
         """Metric projection of a finite point onto the interval."""
         if self.is_empty:

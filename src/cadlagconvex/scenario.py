@@ -349,48 +349,8 @@ def jensen_check(h: RandomIntegrand, mu: RandomMeasure, w: RandomPath,
     }
 
 
-def optionality_identity_check(v: RandomPath, mu: RandomMeasure) -> bool:
-    """E integral of v d(mu) equals the same with v optionally projected."""
-    if not mu.is_nonnegative:
-        raise ValueError("mu must be nonnegative")
-    tree = v.tree
-    ov = optional_projection(v)
-
-    def integral(path: RandomPath) -> Q:
-        vals = {
-            s: sum((a * b for a, b in zip(path.paths[s].values, mu.measures[s].atoms)),
-                   Fraction(0))
-            for s in tree.scenarios
-        }
-        return tree.expectation(vals)
-
-    return integral(v) == integral(ov)
-
-
-def measure_is_optional(mu: RandomMeasure) -> bool:
-    """Operational optionality: the identity holds on a generating family.
-
-    The family consists of one indicator-like path per (slot, finest cell);
-    on finite trees this quantification characterizes adapted atoms.
-    """
-    tree = mu.tree
-    last = tree.n_slots - 1
-    zero = (Fraction(0),) * tree.n_slots
-    for i in range(tree.n_slots):
-        for cell in tree.cells(last):
-            paths = {}
-            for s in tree.scenarios:
-                vals = list(zero)
-                if s in cell:
-                    vals[i] = Fraction(1)
-                paths[s] = StepPath(mu.grid, tuple(vals))
-            if not optionality_identity_check(RandomPath(tree, mu.grid, paths), mu):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Predictable atoms, announcing indices and the pasting construction
+# Predictable atoms and the pasting construction
 # ---------------------------------------------------------------------------
 
 def predictable_atoms(ut: RandomMeasure) -> Dict[str, Tuple[int, ...]]:
@@ -401,18 +361,6 @@ def predictable_atoms(ut: RandomMeasure) -> Dict[str, Tuple[int, ...]]:
         s: tuple(i for i, a in enumerate(ut.measures[s].atoms) if a != 0)
         for s in ut.tree.scenarios
     }
-
-
-def announce(j: int) -> int:
-    """Discrete announcing index of a predictable atom slot: one step earlier.
-
-    The atom at t_j is measurable at t_{j-1}, so the announcement is exact and
-    strictly earlier.  Atoms at t_0 need no announcement: they pair against
-    the left limit at 0, which is 0 by convention.
-    """
-    if j < 1:
-        raise ValueError("slot 0 atoms are announced before time zero by convention")
-    return j - 1
 
 
 def paste(y: RandomPath, ytilde: RandomPath,

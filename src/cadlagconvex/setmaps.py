@@ -55,12 +55,6 @@ class SetMap:
             return self.point_vals[i]
         return self.point_vals[i].intersect(self.open_vals[i])
 
-    def left_attainable_at(self, i: int) -> RInterval:
-        """Values reachable as left limits at t_i by selections; {0} at t_0."""
-        if i == 0:
-            return RInterval.singleton(Fraction(0))
-        return self.open_vals[i - 1]
-
     def vec_map(self) -> "SetMap":
         """Left-limit mapping: liminf along s increasing strictly to t.
 
@@ -111,23 +105,13 @@ def right_isc_check(sm: SetMap) -> bool:
     return not escaping_slots(sm.point_vals, sm.open_vals, 0)
 
 
-def left_isc_check(sm: SetMap) -> bool:
-    return not escaping_slots(sm.point_vals, sm.open_vals, 1)
-
-
-def solid_check(sm: SetMap) -> bool:
-    """Every value has nonempty interior (a nondegenerate interval)."""
-    return all(p.has_interior for p in sm.point_vals) and \
-        all(c.has_interior for c in sm.open_vals)
-
-
 def michael_check(sm: SetMap) -> Dict:
     """Compare each point value with the attainable values of selections.
 
     Reports whether the representation "point value = closure of selection
-    values" holds at every slot, that this verdict coincides with right inner
-    semicontinuity, and the left-limit variant against the vec mapping.  When
-    no selection exists the representation fails everywhere.
+    values" holds at every slot, and that this verdict coincides with right
+    inner semicontinuity.  When no selection exists the representation fails
+    everywhere.
     """
     n = sm.grid.n_slots
     nonempty = sm.has_selection()
@@ -137,19 +121,11 @@ def michael_check(sm: SetMap) -> Dict:
         slot_ok.append(att == sm.point_vals[i])
     holds = all(slot_ok)
     right_isc = right_isc_check(sm)
-    vec = sm.vec_map()
-    left_ok = [
-        (sm.left_attainable_at(i) if nonempty else EMPTY_INTERVAL) == vec.point_vals[i]
-        for i in range(n)
-    ]
     return {
         "slot_ok": slot_ok,
         "representation_holds": holds,
         "right_isc": right_isc,
         "matches_right_isc": holds == right_isc,
-        "left_slot_ok": left_ok,
-        "left_representation_holds": all(left_ok),
-        "solid": solid_check(sm),
         "failing_slots": [i for i, ok in enumerate(slot_ok) if not ok],
     }
 

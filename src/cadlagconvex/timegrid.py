@@ -167,9 +167,6 @@ class LebesgueSplit:
             atoms.append(d * m if d is not None else s)
         return GridMeasure(self.grid, tuple(atoms))
 
-    def singular_total_variation(self) -> Q:
-        return sum((abs(s) for s in self.singular if s is not None), Fraction(0))
-
 
 def lebesgue_decompose(theta: GridMeasure, mu: GridMeasure) -> LebesgueSplit:
     """Split theta into a mu-density part and atoms on {mu = 0}."""

@@ -7,11 +7,10 @@ import pytest
 
 from cadlagconvex.plconvex import abs_fn, affine, restrict, RInterval
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
-                                   ScenarioTree, announce, check_adapted,
+                                   ScenarioTree, check_adapted,
                                    check_predictable, expected_pairing,
-                                   jensen_check, measure_is_optional,
-                                   minorant_certificate, optional_projection,
-                                   optionality_identity_check, paste,
+                                   jensen_check, minorant_certificate,
+                                   optional_projection, paste,
                                    predictable_atoms, predictable_projection)
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid
 
@@ -157,43 +156,11 @@ class TestJensen:
             jensen_check(h, mu, w)
 
 
-class TestOptionalityIdentity:
-    def test_adapted_measure_passes_for_any_process(self):
-        rng = random.Random(13)
-        tree = two_scenario_tree()
-        mu = rmeasure(tree, {"a": (1, 2, 1), "b": (1, 3, 1)})
-        assert measure_is_optional(mu)
-        for _ in range(20):
-            v = rpath(tree, {s: tuple(F(rng.randint(-4, 4)) for _ in range(3))
-                             for s in ("a", "b")})
-            assert optionality_identity_check(v, mu)
-
-    def test_nonadapted_measure_detected(self):
-        tree = two_scenario_tree()
-        mu = rmeasure(tree, {"a": (2, 0, 0), "b": (0, 0, 0)})
-        assert not measure_is_optional(mu)
-        # exhibit a correlated process violating the identity
-        violations = []
-        for va in (-1, 1):
-            for vb in (-1, 1):
-                v = rpath(tree, {"a": (va, 0, 0), "b": (vb, 0, 0)})
-                if not optionality_identity_check(v, mu):
-                    violations.append((va, vb))
-        assert violations
-
-    def test_adapted_process_trivially_passes(self):
-        tree = two_scenario_tree()
-        mu = rmeasure(tree, {"a": (2, 0, 0), "b": (0, 0, 0)})
-        v = rpath(tree, {s: (5, 5, 5) for s in ("a", "b")})
-        assert optionality_identity_check(v, mu)
-
-
 class TestAtomsAnnouncePaste:
     def test_deterministic_atoms(self):
         tree = two_scenario_tree()
         ut = rmeasure(tree, {s: (0, 0, 3) for s in ("a", "b")})
         assert predictable_atoms(ut) == {"a": (2,), "b": (2,)}
-        assert announce(2) == 1
 
     def test_zero_measure_has_no_atoms(self):
         tree = two_scenario_tree()
@@ -204,10 +171,6 @@ class TestAtomsAnnouncePaste:
         ut = rmeasure(tree, {"a": (0, 5, 0), "b": (0, 0, 0)})
         with pytest.raises(ValueError):
             predictable_atoms(ut)
-
-    def test_announce_needs_positive_slot(self):
-        with pytest.raises(ValueError):
-            announce(0)
 
     def test_paste_empty_atoms_is_identity(self):
         tree = two_scenario_tree()

@@ -4,12 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from cadlagconvex.generators import rand_setmap
 from cadlagconvex.plconvex import RInterval
-from cadlagconvex.rationals import INF, NEG_INF, is_finite
 from cadlagconvex.setmaps import (SelectionPreconditionError, SetMap,
-                                  escaping_slots, left_isc_check, michael_check,
-                                  projection_selection, right_isc_check,
-                                  solid_check)
+                                  escaping_slots, michael_check,
+                                  projection_selection, right_isc_check)
 from cadlagconvex.timegrid import TimeGrid
 
 G3 = TimeGrid((0, 1, 2))
@@ -81,8 +80,8 @@ class TestVecMap:
     def test_vec_is_left_isc(self):
         rng = random.Random(23)
         for _ in range(50):
-            sm = _random_setmap(rng, G3)
-            assert left_isc_check(sm.vec_map())
+            vec = rand_setmap(rng, G3).vec_map()
+            assert escaping_slots(vec.point_vals, vec.open_vals, 1) == []
 
 
 class TestSemicontinuity:
@@ -104,20 +103,19 @@ class TestSemicontinuity:
         rng = random.Random(5)
         G5 = TimeGrid((0, 1, 2, 3, 4))
         for _ in range(100):
-            sm, other = _random_setmap(rng, G5), _random_setmap(rng, G5)
+            sm, other = rand_setmap(rng, G5), rand_setmap(rng, G5)
             points, cells = sm.point_vals, other.open_vals
             assert escaping_slots(points, cells, 0) == [
                 i for i in range(4) if not points[i].issubset(cells[i])]
             assert escaping_slots(points, cells, 1) == [
                 i for i in range(1, 5) if not points[i].issubset(cells[i - 1])]
             assert right_isc_check(sm) == (escaping_slots(sm.point_vals, sm.open_vals, 0) == [])
-            assert left_isc_check(sm) == (escaping_slots(sm.point_vals, sm.open_vals, 1) == [])
 
     def test_pinched_point_is_right_isc_but_not_solid(self):
         sm = SetMap(G3, (RInterval(F(0), F(1)), RInterval(F(0), F(0)), RInterval(F(0), F(1))),
                     (RInterval(F(0), F(1)), RInterval(F(0), F(1))))
         assert right_isc_check(sm)
-        assert not solid_check(sm)
+        assert sm.point_vals[1].lo == sm.point_vals[1].hi
 
 
 class TestMichael:
@@ -134,42 +132,18 @@ class TestMichael:
 
     def test_regular_map_has_both_representations(self):
         sm = SetMap.constant(G3, RInterval(F(-2), F(5)))
-        rep = michael_check(sm)
-        assert rep["representation_holds"] and rep["left_representation_holds"]
-
-
-def _random_setmap(rng: random.Random, grid: TimeGrid, regular=False) -> SetMap:
-    def iv():
-        kind = rng.randrange(4)
-        if kind == 0:
-            a = F(rng.randint(-3, 3), 2)
-            return RInterval(a, a + F(rng.randint(0, 4), 2))
-        if kind == 1:
-            return RInterval(NEG_INF, F(rng.randint(-2, 3)))
-        if kind == 2:
-            return RInterval(F(rng.randint(-3, 2)), INF)
-        return RInterval.whole_line()
-
-    cells = tuple(iv() for _ in range(grid.n_cells))
-    if regular:
-        points = []
-        for i in range(grid.n_slots):
-            if i < grid.n_cells:
-                c = cells[i]
-                lo = c.lo if not is_finite(c.lo) or rng.random() < 0.5 else c.lo + F(1, 4) \
-                    if (not is_finite(c.hi) or c.hi - c.lo >= F(1, 2)) else c.lo
-                points.append(RInterval(lo, c.hi))
-            else:
-                points.append(iv())
-        return SetMap(grid, tuple(points), cells)
-    return SetMap(grid, tuple(iv() for _ in range(grid.n_slots)), cells)
+        assert michael_check(sm)["representation_holds"]
+        assert michael_check(sm.vec_map())["representation_holds"]
 
 
 def test_michael_equals_right_isc_on_random_maps():
     rng = random.Random(31)
+    verdicts = set()
     for _ in range(300):
-        sm = _random_setmap(rng, G3)
-        assert michael_check(sm)["matches_right_isc"]
+        rep = michael_check(rand_setmap(rng, G3))
+        assert rep["matches_right_isc"]
+        verdicts.add(rep["right_isc"])
+    assert verdicts == {True, False}
 
 
 class TestProjectionSelection:
@@ -199,7 +173,7 @@ class TestProjectionSelection:
     def test_selection_and_distance_identities(self):
         rng = random.Random(41)
         for _ in range(60):
-            sm = _random_setmap(rng, G3, regular=True)
+            sm = rand_setmap(rng, G3, regular=True)
             if not right_isc_check(sm) or not sm.has_selection():
                 continue
             x = F(rng.randint(-5, 5), 2)

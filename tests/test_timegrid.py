@@ -74,7 +74,6 @@ class TestLebesgue:
         assert split.density == (F(2), F(0), None)
         assert split.singular == (None, None, F(3))
         assert split.recombine(mu) == theta
-        assert split.singular_total_variation() == 3
 
     def test_identity_density(self):
         mu = GridMeasure(G3, (1, 2, 0))
