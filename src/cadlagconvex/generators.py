@@ -9,6 +9,7 @@ lattice gap bound is honest.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -24,9 +25,13 @@ from .timegrid import GridMeasure, StepPath, TimeGrid
 COARSE_DENOMS = (1, 2, 4)
 
 
-def rand_coarse(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:
+def _quarters(rng: random.Random, lo: int = -3, hi: int = 3) -> int:
     d = rng.choice(COARSE_DENOMS)
-    return Fraction(rng.randint(lo * d, hi * d), d)
+    return rng.randint(lo * d, hi * d) * (4 // d)
+
+
+def rand_coarse(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:
+    return Fraction(_quarters(rng, lo, hi), 4)
 
 
 def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:
@@ -38,35 +43,40 @@ def rand_plconvex(rng: random.Random, max_breaks: int = 3) -> PLConvex:
     """Random canonical function: any domain type, coarse kinks, rational slopes.
 
     Built canonical without :func:`pl`: kinks lie inside the domain and
-    slopes increase, so only the anchor moves, to the first kink."""
+    slopes increase, so only the anchor moves, to the first kink.  The draws
+    are :func:`rand_coarse`'s and :func:`rand_rational`'s, held as integers
+    until each field is made as one ``Fraction``."""
     kind = rng.choice(["line", "left", "right", "bounded", "bounded", "singleton"])
     if kind == "singleton":
         x = rand_coarse(rng)
         return _canonical(x, x, (), (Fraction(0),), x, rand_rational(rng))
-    if kind == "line":
-        dom_lo, dom_hi = NEG_INF, INF
-    elif kind == "left":
-        dom_lo, dom_hi = NEG_INF, rand_coarse(rng, 0, 3)
+    lo, hi = NEG_INF, INF  # kinks and finite ends in quarters
+    if kind == "left":
+        hi = _quarters(rng, 0, 3)
     elif kind == "right":
-        dom_lo, dom_hi = rand_coarse(rng, -3, 0), INF
-    else:
-        a, b = rand_coarse(rng), rand_coarse(rng)
-        if a == b:
-            b = a + 1
-        dom_lo, dom_hi = min(a, b), max(a, b)
-    inner = tuple(sorted({
-        x for x in (rand_coarse(rng) for _ in range(rng.randint(0, max_breaks)))
-        if not (xle(x, dom_lo) or xle(dom_hi, x))
-    }))
-    slopes = []
-    s = rand_rational(rng)
+        lo = _quarters(rng, -3, 0)
+    elif kind == "bounded":
+        a, b = _quarters(rng), _quarters(rng)
+        lo, hi = (min(a, b), max(a, b)) if a != b else (a, a + 4)
+    inner = sorted({x for x in (_quarters(rng) for _ in range(rng.randint(0, max_breaks)))
+                    if lo < x < hi})
+    d = rng.randint(1, 12)
+    slopes, n = [], rng.randint(-3 * d, 3 * d) * 12  # slopes over 12*d: steps a/b, b | 12
     for _ in range(len(inner) + 1):
-        slopes.append(s)
-        s = s + Fraction(rng.randint(1, 8), rng.randint(1, 4))
-    slopes, anchor = tuple(slopes), _canonical_anchor(dom_lo, dom_hi, inner)
-    start = PLConvex(dom_lo, dom_hi, inner, slopes,
-                     _canonical_anchor(dom_lo, dom_hi, ()), rand_rational(rng))
-    return _canonical(dom_lo, dom_hi, inner, slopes, anchor, start._finite_value(anchor))
+        slopes.append(n)
+        n += rng.randint(1, 8) * 12 // rng.randint(1, 4) * d  # a is drawn before b
+    e = rng.randint(1, 12)
+    m = rng.randint(-3 * e, 3 * e)  # m/e is the value at x
+    x = lo if lo != NEG_INF else (hi if hi != INF else 0)
+    walk = 0  # over 48*d: left over the kinks right of x, then right to the first kink
+    for k in range(bisect_left(inner, x), 0, -1):
+        walk, x = walk + slopes[k] * (inner[k - 1] - x), inner[k - 1]
+    walk += slopes[0] * (inner[0] - x) if inner else 0
+    dom_lo, dom_hi = (v if v in (NEG_INF, INF) else Fraction(v, 4) for v in (lo, hi))
+    bps = tuple(Fraction(x, 4) for x in inner)
+    return _canonical(dom_lo, dom_hi, bps, tuple(Fraction(s, 12 * d) for s in slopes),
+                      _canonical_anchor(dom_lo, dom_hi, bps),
+                      Fraction(m * 48 * d + walk * e, 48 * d * e))
 
 
 def rand_interval(rng: random.Random) -> RInterval:

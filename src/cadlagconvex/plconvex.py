@@ -150,10 +150,10 @@ class PLConvex:
 
     :func:`pl` records each value it returns as canonical, outside the
     fields.  The conjugate and recession function of a recorded value,
-    :func:`indicator` and ``generators.rand_plconvex`` skip :func:`pl`: their
-    data is canonical by construction, so :func:`pl` would return it as
-    given.  A raw-constructed value is not recorded; its conjugate still
-    goes through :func:`pl`.
+    :func:`indicator` and ``generators.rand_plconvex`` (which draws in
+    integers) skip :func:`pl`: their data is canonical by construction, so
+    :func:`pl` would return it as given.  A raw-constructed value is not
+    recorded; its conjugate still goes through :func:`pl`.
     """
 
     dom_lo: Ext
@@ -199,6 +199,8 @@ class PLConvex:
 
     def _finite_value(self, x: Q) -> Q:
         """Walk segments from the anchor; x must lie in the domain closure."""
+        if x is self.anchor_x:  # where conjugate_at_slope mostly evaluates
+            return self.anchor_val
         bps, slopes = self.breakpoints, self.slopes
         prev, val = self.anchor_x, self.anchor_val
         j = bisect_left(bps, prev)  # segment j ends at bps[j], the first >= anchor
@@ -243,7 +245,10 @@ class PLConvex:
         the value is exact and needs no search over the knots.
         """
         x = self.breakpoints[j - 1] if j else self._first_knot()
-        return self.slopes[j] * x - self._finite_value(x)
+        s, v = self.slopes[j], self._finite_value(x)
+        return Fraction(s.numerator * x.numerator * v.denominator  # s*x - v, normalised once
+                        - v.numerator * s.denominator * x.denominator,
+                        s.denominator * x.denominator * v.denominator)
 
     def conjugate(self) -> "PLConvex":
         """Fenchel conjugate h*(v) = sup_x {v*x - h(x)}, exact.

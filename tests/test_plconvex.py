@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadlagconvex import cli, plconvex
-from cadlagconvex.generators import (rand_coarse, rand_passing_instance,
-                                     rand_plconvex, rand_rational)
+from cadlagconvex import cli, generators, plconvex
+from cadlagconvex.generators import (COARSE_DENOMS, rand_passing_instance,
+                                     rand_plconvex)
 from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval,
                                    _interior_point, abs_fn, affine, indicator,
                                    max_affine, pl, restrict, support_fn)
@@ -664,35 +664,46 @@ def test_the_calculus_makes_no_fraction_float_comparison(seed, max_breaks, box, 
 
 # -- canonical values built without pl ---------------------------------------------
 
+def rand_coarse_by_fraction(rng, lo=-3, hi=3):
+    """Reference copy of generators.rand_coarse before it drew in quarters."""
+    d = rng.choice(COARSE_DENOMS)
+    return F(rng.randint(lo * d, hi * d), d)
+
+
+def rand_rational_by_fraction(rng, lo=-3, hi=3):
+    """Reference copy of generators.rand_rational before it drew its parts."""
+    d = rng.randint(1, 12)
+    return F(rng.randint(lo * d, hi * d), d)
+
+
 def rand_plconvex_by_pl(rng, max_breaks=3):
     """Reference copy of generators.rand_plconvex before it built its draws
-    directly: every draw goes through pl()."""
+    directly, and in integers: every draw is made of Fractions and goes
+    through pl()."""
     kind = rng.choice(["line", "left", "right", "bounded", "bounded", "singleton"])
     if kind == "singleton":
-        x = rand_coarse(rng)
-        return pl(x, x, (), (0,), x, rand_rational(rng))
+        x = rand_coarse_by_fraction(rng)
+        return pl(x, x, (), (0,), x, rand_rational_by_fraction(rng))
     if kind == "line":
         dom_lo, dom_hi = NEG_INF, INF
     elif kind == "left":
-        dom_lo, dom_hi = NEG_INF, rand_coarse(rng, 0, 3)
+        dom_lo, dom_hi = NEG_INF, rand_coarse_by_fraction(rng, 0, 3)
     elif kind == "right":
-        dom_lo, dom_hi = rand_coarse(rng, -3, 0), INF
+        dom_lo, dom_hi = rand_coarse_by_fraction(rng, -3, 0), INF
     else:
-        a, b = rand_coarse(rng), rand_coarse(rng)
+        a, b = rand_coarse_by_fraction(rng), rand_coarse_by_fraction(rng)
         if a == b:
             b = a + 1
         dom_lo, dom_hi = min(a, b), max(a, b)
-    inner = sorted({
-        x for x in (rand_coarse(rng) for _ in range(rng.randint(0, max_breaks)))
-        if dom_lo < x < dom_hi
-    })
+    draws = [rand_coarse_by_fraction(rng) for _ in range(rng.randint(0, max_breaks))]
+    inner = sorted({x for x in draws if dom_lo < x < dom_hi})
     slopes = []
-    s = rand_rational(rng)
+    s = rand_rational_by_fraction(rng)
     for _ in range(len(inner) + 1):
         slopes.append(s)
         s = s + F(rng.randint(1, 8), rng.randint(1, 4))
     anchor = dom_lo if is_finite(dom_lo) else (dom_hi if is_finite(dom_hi) else F(0))
-    return pl(dom_lo, dom_hi, inner, slopes, anchor, rand_rational(rng))
+    return pl(dom_lo, dom_hi, inner, slopes, anchor, rand_rational_by_fraction(rng))
 
 
 def finite_value_by_sign(fn, x):
@@ -737,14 +748,28 @@ def is_recorded(fn):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(0, 3))
+@given(st.integers(0, 2 ** 32), st.integers(0, 6))
 def test_rand_plconvex_equals_the_pl_build(seed, max_breaks):
+    """Up to six kinks, so the integer walk to the anchor crosses several
+    of them, leftwards from an upper end or from 0, and rightwards."""
     direct, by_pl = random.Random(seed), random.Random(seed)
     for _ in range(4):
         fn = rand_plconvex(direct, max_breaks)
         assert _typed_fields(fn) == _typed_fields(rand_plconvex_by_pl(by_pl, max_breaks))
         assert is_recorded(fn)
     assert direct.getstate() == by_pl.getstate()  # the same draws, in the same order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(-3, 0), st.integers(0, 3))
+def test_coarse_and_rational_draws_equal_the_fraction_draws(seed, lo, hi):
+    direct, by_fraction = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        for draw, ref in ((generators.rand_coarse, rand_coarse_by_fraction),
+                          (generators.rand_rational, rand_rational_by_fraction)):
+            got, want = draw(direct, lo, hi), ref(by_fraction, lo, hi)
+            assert (type(got), got) == (type(want), want)
+    assert direct.getstate() == by_fraction.getstate()
 
 
 def _walk_points(fn):
@@ -771,6 +796,32 @@ def test_eval_equals_the_signed_walk(seed, max_breaks, pick):
             if is_finite(x) and g.domain.contains(x):
                 got, want = g._finite_value(x), finite_value_by_sign(g, x)
                 assert (type(got), got) == (type(want), want)
+
+
+def conjugate_at_slope_by_ops(fn, j):
+    """Reference copy of PLConvex.conjugate_at_slope before it made its value
+    as one Fraction: two Fraction operations, over the signed walk."""
+    x = fn.breakpoints[j - 1] if j else fn._first_knot()
+    return fn.slopes[j] * x - finite_value_by_sign(fn, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(plconvex_st(max_breaks=6),
+                 st.builds(lambda seed, k: rand_plconvex(random.Random(seed), k),
+                           st.integers(0, 2 ** 32), st.integers(0, 6))),
+       st.integers(0, 8))
+def test_conjugate_at_slope_equals_the_two_operation_form(fn, pick):
+    knots = fn.knots() or (fn.anchor_x,)
+    ax = knots[pick % len(knots)]
+    raw = PLConvex(fn.dom_lo, fn.dom_hi, fn.breakpoints, fn.slopes, ax, fn.eval(ax))
+    with mixed_comparisons() as mixed:
+        for g in (fn, fn.conjugate(), raw):
+            for j in range(len(g.slopes)):
+                got, want = g.conjugate_at_slope(j), conjugate_at_slope_by_ops(g, j)
+                assert (type(got), got) == (type(want), want)
+            got = g._finite_value(g.anchor_x)
+            assert (type(got), got) == (F, g.anchor_val)
+    assert mixed == []
 
 
 @settings(max_examples=150, deadline=None)

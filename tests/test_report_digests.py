@@ -14,6 +14,12 @@ deterministic interchange rule, and the two model presets add the reports of
 their own theorems.  The digests were recorded before the slot conditions of
 ``duality`` were given one definition each; the model-report digests before
 the model section came to be parsed at load.
+
+The two sampled checks, ``involution`` and ``recession-support``, report only
+counts; so the functions they draw are pinned too, with their conjugates and
+the generator state after the last draw.  Both sets of digests were recorded
+before ``rand_plconvex`` and ``conjugate_at_slope`` moved to integer
+arithmetic.
 """
 
 import hashlib
@@ -25,7 +31,7 @@ import pytest
 from cadlagconvex import cli
 from cadlagconvex.duality import assumption_report, interchange_det
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
-                                     rand_passing_instance)
+                                     rand_passing_instance, rand_plconvex)
 from cadlagconvex.presets import PRESET_NAMES, build_preset, bundled_instance_path
 from cadlagconvex.serialize import InstanceDoc, dump_instance, dump_report
 
@@ -172,6 +178,25 @@ MODEL_SHA256 = {
 }
 
 
+# (exit code, sha256 of the report without its timestamp) of each sampled
+# check on basic, per --seed, with --count 300
+SAMPLED_SHA256 = {
+    "involution": (
+        0, "d7da31cc9e4e676d1f909bb046af2dced6be72b93063d7b32315f429e3a1e50a"),
+    "recession-support": (
+        0, "6b0000c621e918d8b47f92c18cd0f0108fab61ea2bf836e451c2753a020fb5ff"),
+}
+SAMPLED_SEEDS = (1, 2, 3)
+
+# sha256 of the typed fields of 300 rand_plconvex draws and of their
+# conjugates, then the generator state, per seed
+DRAWS_SHA256 = {
+    1: "2004a7d3487098c5c1802f09a52bd9fad63a06a764c07b5368e4c9e4036c7b22",
+    2: "81c9838eb7932a5c14078dffef4aedb4f70ab7a24647ff6e380a45188a1a6419",
+    3: "069a336efa1a331e11bc5a9a658c963ecd721ac82ed4509d5988b472890448c7",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -227,3 +252,30 @@ def test_model_reports_keep_their_bytes(name, theorem, capsys):
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_assumption_and_interchange_reports_keep_their_bytes(name):
     assert preset_digests(name) == list(PRESET_SHA256[name])
+
+
+def typed(value) -> str:
+    if isinstance(value, tuple):
+        return tuple(typed(x) for x in value)
+    return type(value).__name__ + ":" + str(value)
+
+
+def typed_fields(fn) -> tuple:
+    return typed((fn.dom_lo, fn.dom_hi, fn.breakpoints, fn.slopes, fn.anchor_x, fn.anchor_val))
+
+
+@pytest.mark.parametrize("theorem", sorted(SAMPLED_SHA256))
+@pytest.mark.parametrize("seed", SAMPLED_SEEDS)
+def test_sampled_check_reports_keep_their_bytes(theorem, seed, capsys):
+    check = (theorem, "--count", "300", "--seed", str(seed))
+    assert verify_outcome(bundled_instance_path("basic"), check, capsys) == \
+        SAMPLED_SHA256[theorem]
+
+
+@pytest.mark.parametrize("seed", SAMPLED_SEEDS)
+def test_sampled_draws_keep_their_fields(seed):
+    rng = random.Random(seed)
+    fns = [rand_plconvex(rng) for _ in range(300)]
+    text = repr([(typed_fields(fn), typed_fields(fn.conjugate())) for fn in fns]
+                + [rng.getstate()])
+    assert sha256(text) == DRAWS_SHA256[seed]
