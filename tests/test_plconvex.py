@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cadlagconvex import cli, generators, plconvex
 from cadlagconvex.generators import (COARSE_DENOMS, rand_passing_instance,
-                                     rand_plconvex)
+                                     rand_plconvex, rand_rational)
 from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval,
                                    _interior_point, abs_fn, affine, indicator,
                                    max_affine, pl, restrict, support_fn)
@@ -670,12 +670,6 @@ def rand_coarse_by_fraction(rng, lo=-3, hi=3):
     return F(rng.randint(lo * d, hi * d), d)
 
 
-def rand_rational_by_fraction(rng, lo=-3, hi=3):
-    """Reference copy of generators.rand_rational before it drew its parts."""
-    d = rng.randint(1, 12)
-    return F(rng.randint(lo * d, hi * d), d)
-
-
 def rand_plconvex_by_pl(rng, max_breaks=3):
     """Reference copy of generators.rand_plconvex before it built its draws
     directly, and in integers: every draw is made of Fractions and goes
@@ -683,7 +677,7 @@ def rand_plconvex_by_pl(rng, max_breaks=3):
     kind = rng.choice(["line", "left", "right", "bounded", "bounded", "singleton"])
     if kind == "singleton":
         x = rand_coarse_by_fraction(rng)
-        return pl(x, x, (), (0,), x, rand_rational_by_fraction(rng))
+        return pl(x, x, (), (0,), x, rand_rational(rng))
     if kind == "line":
         dom_lo, dom_hi = NEG_INF, INF
     elif kind == "left":
@@ -698,12 +692,12 @@ def rand_plconvex_by_pl(rng, max_breaks=3):
     draws = [rand_coarse_by_fraction(rng) for _ in range(rng.randint(0, max_breaks))]
     inner = sorted({x for x in draws if dom_lo < x < dom_hi})
     slopes = []
-    s = rand_rational_by_fraction(rng)
+    s = rand_rational(rng)
     for _ in range(len(inner) + 1):
         slopes.append(s)
         s = s + F(rng.randint(1, 8), rng.randint(1, 4))
     anchor = dom_lo if is_finite(dom_lo) else (dom_hi if is_finite(dom_hi) else F(0))
-    return pl(dom_lo, dom_hi, inner, slopes, anchor, rand_rational_by_fraction(rng))
+    return pl(dom_lo, dom_hi, inner, slopes, anchor, rand_rational(rng))
 
 
 def finite_value_by_sign(fn, x):
@@ -762,13 +756,12 @@ def test_rand_plconvex_equals_the_pl_build(seed, max_breaks):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(-3, 0), st.integers(0, 3))
-def test_coarse_and_rational_draws_equal_the_fraction_draws(seed, lo, hi):
+def test_coarse_draws_equal_the_fraction_draws(seed, lo, hi):
     direct, by_fraction = random.Random(seed), random.Random(seed)
     for _ in range(4):
-        for draw, ref in ((generators.rand_coarse, rand_coarse_by_fraction),
-                          (generators.rand_rational, rand_rational_by_fraction)):
-            got, want = draw(direct, lo, hi), ref(by_fraction, lo, hi)
-            assert (type(got), got) == (type(want), want)
+        got = generators.rand_coarse(direct, lo, hi)
+        want = rand_coarse_by_fraction(by_fraction, lo, hi)
+        assert (type(got), got) == (type(want), want)
     assert direct.getstate() == by_fraction.getstate()
 
 
