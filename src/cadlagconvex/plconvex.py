@@ -14,7 +14,7 @@ only caches equal results), so concurrent read-only use is safe.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple
@@ -177,25 +177,19 @@ class PLConvex:
 
     def _tail_limit(self, x: Ext) -> Ext:
         # limit value at an infinite argument; +inf when outside the domain
-        if x == INF:
-            if is_finite(self.dom_hi):
-                return INF
-            s = self.slopes[-1]
-            return INF if s > 0 else (NEG_INF if s < 0 else self._finite_value(self._last_knot()))
-        if is_finite(self.dom_lo):
+        up = x == INF
+        end, s = (self.dom_hi, self.slopes[-1]) if up else (self.dom_lo, -self.slopes[0])
+        if is_finite(end) or s > 0:
             return INF
-        s = self.slopes[0]
-        return INF if s < 0 else (NEG_INF if s > 0 else self._finite_value(self._first_knot()))
+        if s < 0:
+            return NEG_INF
+        bps = self.breakpoints  # flat outer segment: its value anywhere on it
+        return self._finite_value(bps[-1 if up else 0] if bps else self.anchor_x)
 
     def _first_knot(self) -> Q:
         if is_finite(self.dom_lo):
             return self.dom_lo
         return self.breakpoints[0] if self.breakpoints else self.anchor_x
-
-    def _last_knot(self) -> Q:
-        if is_finite(self.dom_hi):
-            return self.dom_hi
-        return self.breakpoints[-1] if self.breakpoints else self.anchor_x
 
     def _finite_value(self, x: Q) -> Q:
         """Walk segments from the anchor; x must lie in the domain closure."""
@@ -309,13 +303,8 @@ class PLConvex:
         x = rat(x)
         if not (xle(self.dom_lo, x) and xle(x, self.dom_hi)):
             return EMPTY_INTERVAL
-        bps = self.breakpoints
-        i = bisect_left(bps, x)
-        if i < len(bps) and bps[i] == x:
-            left: Ext = self.slopes[i]
-            right: Ext = self.slopes[i + 1]
-        else:
-            left = right = self.slopes[i]
+        left: Ext = self.slopes[bisect_left(self.breakpoints, x)]
+        right: Ext = self.slopes[bisect_right(self.breakpoints, x)]
         if is_finite(self.dom_lo) and x == self.dom_lo:
             left = NEG_INF
         if is_finite(self.dom_hi) and x == self.dom_hi:
@@ -325,55 +314,29 @@ class PLConvex:
     def inf_over(self, constraint: RInterval) -> Tuple[Ext, RInterval]:
         """Infimum of the function over a closed interval, with its argmin set.
 
-        Returns ``(+inf, EMPTY)`` when the constraint misses the domain and
-        ``(-inf, EMPTY)`` when the function is unbounded below there.
+        0 is a subgradient exactly on the minimisers over the line: the left
+        knot of the first segment with slope >= 0, and the whole segment when
+        that slope is 0 (past the last segment, the upper domain end).  Both
+        ends of that interval clamped to the feasible interval (constraint
+        meet domain) give the argmin set, since a convex function rises away
+        from its minimisers.  Returns ``(+inf, EMPTY)`` when the constraint
+        misses the domain and ``(-inf, EMPTY)`` when the clamped minimiser is
+        an infinite end: the function is unbounded below there.
         """
         feasible = constraint.intersect(self.domain)
         if feasible.is_empty:
             return INF, EMPTY_INTERVAL
-        arg_lo, arg_hi = self._unconstrained_argmin()
-        if arg_lo is None:
-            # slope sign points down an unbounded end: NEG_INF for hi-end None
-            down_left = arg_hi == "left"
-            if down_left:
-                if not is_finite(feasible.lo):
-                    return NEG_INF, EMPTY_INTERVAL
-                return self._finite_value(feasible.lo), RInterval(feasible.lo, feasible.lo)
-            if not is_finite(feasible.hi):
-                return NEG_INF, EMPTY_INTERVAL
-            return self._finite_value(feasible.hi), RInterval(feasible.hi, feasible.hi)
-        argmin = RInterval(arg_lo, arg_hi).intersect(feasible)
-        if not argmin.is_empty:
-            witness = argmin.nearest_to(Fraction(0))
-            return self._finite_value(witness), argmin
-        if not xle(arg_lo, feasible.hi):  # minimizers lie to the right; f decreasing on feasible
-            return self._finite_value(feasible.hi), RInterval(feasible.hi, feasible.hi)
-        return self._finite_value(feasible.lo), RInterval(feasible.lo, feasible.lo)
-
-    def _unconstrained_argmin(self):
-        """Argmin over the whole domain.
-
-        Returns (lo, hi) of the argmin interval, or (None, side) when the
-        infimum is a limit at an unbounded domain end (side 'left'/'right').
-        """
+        a, b = feasible.lo, feasible.hi
         slopes, bps = self.slopes, self.breakpoints
-        if slopes[0] > 0:
-            if not is_finite(self.dom_lo):
-                return None, "left"
-            return self.dom_lo, self.dom_lo
-        if slopes[-1] < 0:
-            if not is_finite(self.dom_hi):
-                return None, "right"
-            return self.dom_hi, self.dom_hi
-        for j, s in enumerate(slopes):
-            if s == 0:
-                lo = bps[j - 1] if j >= 1 else self.dom_lo
-                hi = bps[j] if j < len(bps) else self.dom_hi
-                return lo, hi
-            if s > 0:
-                return bps[j - 1], bps[j - 1]
-        # slopes all <= 0 with last slope 0 handled above; last < 0 handled
-        return self.dom_hi, self.dom_hi
+        j = bisect_left(slopes, 0)
+        lo = self.dom_lo if j == 0 else (bps[j - 1] if j <= len(bps) else self.dom_hi)
+        hi = lo if j == len(slopes) or slopes[j] else (bps[j] if j < len(bps) else self.dom_hi)
+        lo = a if xle(lo, a) else (b if xle(b, lo) else lo)
+        hi = b if xle(b, hi) else (a if xle(hi, a) else hi)
+        if not (is_finite(lo) or is_finite(hi)) and lo == hi:
+            return NEG_INF, EMPTY_INTERVAL
+        x = lo if is_finite(lo) else (hi if is_finite(hi) else Fraction(0))
+        return self._finite_value(x), RInterval(lo, hi)
 
     def min_on_line(self) -> Ext:
         return self.inf_over(RInterval.whole_line())[0]
@@ -437,17 +400,11 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
             not bps or ((lo_inf or dom_lo < bps[0]) and (hi_inf or bps[-1] < dom_hi))):
         return _canonical(dom_lo, dom_hi, bps, sls, anchor_x, anchor_val)
 
-    # restrict to segments meeting the open domain
-    keep = [i for i, b in enumerate(bps) if not (xle(b, dom_lo) or xle(dom_hi, b))]
-    if keep:
-        a, b_ = keep[0], keep[-1]
-        bps2 = bps[a:b_ + 1]
-        sls2 = sls[a:b_ + 2]
-    else:
-        # single active segment: the one containing the domain interior
-        probe = _interior_point(dom_lo, dom_hi)
-        j = bisect_left(bps, probe)
-        bps2, sls2 = (), (sls[j],)
+    # restrict to the breakpoints inside the open domain and the segments
+    # between and around them; an infinite end cuts nothing
+    i = 0 if lo_inf else bisect_right(bps, dom_lo)
+    k = len(bps) if hi_inf else bisect_left(bps, dom_hi)
+    bps2, sls2 = bps[i:k], sls[i:k + 1]
 
     # merge equal adjacent slopes
     m_bps, m_sls = [], [sls2[0]]
@@ -478,16 +435,6 @@ def _canonical_anchor(dom_lo: Ext, dom_hi: Ext, bps: Sequence[Q]) -> Q:
         return dom_lo
     if is_finite(dom_hi):
         return dom_hi
-    return Fraction(0)
-
-
-def _interior_point(lo: Ext, hi: Ext) -> Q:
-    if is_finite(lo) and is_finite(hi):
-        return (lo + hi) / 2
-    if is_finite(lo):
-        return lo + 1
-    if is_finite(hi):
-        return hi - 1
     return Fraction(0)
 
 

@@ -1,7 +1,7 @@
 """Bundled sample instances: generic duality problems and market presets.
 
 The JSON files in ``instances/`` are the only copy of the presets; edit a
-preset in its file.  ``build_preset(name)`` loads and validates the file.
+preset in its file; ``serialize.load_instance`` reads and validates it.
 Every preset lives on the grid ``(0, 1, 2)``; "two-scenario" is the tree
 ``up``/``dn`` with probability 1/2 each, told apart from slot 1 on, and
 "deterministic" is the one-scenario tree ``w``.  A cone map is written
@@ -36,14 +36,8 @@ from __future__ import annotations
 
 import os
 
-from .serialize import InstanceDoc, load_instance
-
 PRESET_NAMES = ("basic", "deterministic", "michael-violation", "obstacle",
                 "bidask", "currency", "cs")
-
-
-def build_preset(name: str) -> InstanceDoc:
-    return load_instance(bundled_instance_path(name))
 
 
 def bundled_instance_path(name: str) -> str:

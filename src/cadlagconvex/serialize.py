@@ -50,6 +50,12 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
+def _list(doc, what: str) -> list:
+    if type(doc) is not list:
+        raise SchemaError(f"{what} must be a list")
+    return doc
+
+
 def _wrap(what: str):
     def deco(fn):
         def inner(*args, **kwargs):
@@ -205,6 +211,12 @@ def path_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomPath:
         s: StepPath(grid, tuple(_rat(v) for v in doc[s])) for s in tree.scenarios})
 
 
+@_wrap("dual pair")
+def dual_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> DualPair:
+    return DualPair(measure_from_json(_need(doc, "u"), tree, grid),
+                    measure_from_json(_need(doc, "ut"), tree, grid))
+
+
 def setmap_to_json(rsm: RandomSetMap) -> dict:
     return {
         s: {
@@ -314,10 +326,9 @@ def vector_measure_from_json(doc, grid: TimeGrid) -> VectorMeasure:
 
 @_wrap("currency duals")
 def _duals_from_json(doc, tree: ScenarioTree, grid: TimeGrid) -> tuple:
-    if type(doc) is not list:
-        raise SchemaError("currency duals must be a list")
     return tuple((vector_measure_from_json(_need(dd, "u"), grid),
-                  vector_measure_from_json(_need(dd, "ut"), grid)) for dd in doc)
+                  vector_measure_from_json(_need(dd, "ut"), grid))
+                 for dd in _list(doc, "currency duals"))
 
 
 _SCALAR = (scalar_process_from_json, scalar_process_to_json)
@@ -424,12 +435,8 @@ def _instance_doc_from_json(doc: dict) -> InstanceDoc:
         stmap = (setmap_from_json(doc["setmap_Stilde"], tree, grid)
                  if doc.get("setmap_Stilde") else None)
         inst = make_instance(tree, grid, h, mu, mutilde, htilde, smap, stmap)
-        duals = [
-            DualPair(measure_from_json(_need(d, "u"), tree, grid),
-                     measure_from_json(_need(d, "ut"), tree, grid))
-            for d in doc.get("duals", [])
-        ]
-        paths = [path_from_json(p, tree, grid) for p in doc.get("paths", [])]
+        duals = [dual_from_json(d, tree, grid) for d in _list(doc.get("duals", []), "duals")]
+        paths = [path_from_json(p, tree, grid) for p in _list(doc.get("paths", []), "paths")]
         model = model_from_json(doc.get("model"), tree, grid)
     except SchemaError:
         raise

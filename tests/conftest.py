@@ -11,7 +11,15 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cadlagconvex.plconvex import PLConvex, pl
+from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, is_finite
+from cadlagconvex.serialize import InstanceDoc, load_instance
+
+
+def preset(name: str) -> InstanceDoc:
+    """The bundled preset ``name``, loaded from its shipped file."""
+    return load_instance(bundled_instance_path(name))
+
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 slope_steps = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)

@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction as F
 
+from conftest import preset
+
 from cadlagconvex.duality import (DualPair, assumption_report,
                                   bruteforce_gap_bound, conj_bruteforce,
                                   conj_pointwise, eval_F, eval_Fhat,
@@ -23,7 +25,7 @@ from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_setmap, rand_tree)
 from cadlagconvex.plconvex import affine, indicator, support_fn
 from cadlagconvex.polycone import ConeMap, PolyCone, cone_hull, cs_regularity_check
-from cadlagconvex.presets import PRESET_NAMES, build_preset
+from cadlagconvex.presets import PRESET_NAMES
 from cadlagconvex.rationals import INF, NEG_INF, is_finite
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                                    expected_pairing, jensen_check)
@@ -203,7 +205,7 @@ def test_criterion_5_interchange_rules():
             if not rep["vacuous"]:
                 assert rep["lhs"] == rep["rhs"]
     # the canonical violating instance: point value escaping the next cell
-    bad = build_preset("michael-violation").instance
+    bad = preset("michael-violation").instance
     rep = interchange_det(bad, "cadlag")
     assert not rep["assumptions"]["michael"]
     assert rep["assumptions"]["michael_failing_slots"] == [1]
@@ -413,7 +415,7 @@ def test_criterion_8_market_presets():
         brute = conj_bruteforce(model.instance, d, B, delta)
         assert 0 <= closed - brute <= bruteforce_gap_bound(d, delta)
     # currency: members certify nonpositive pairing on sampled selections
-    doc = build_preset("currency")
+    doc = preset("currency")
     grid = doc.instance.grid
     cm = currency_model(doc.model.parts["solvency"])
     members = 0
@@ -426,7 +428,7 @@ def test_criterion_8_market_presets():
             assert vector_pairing(y, u, ut) <= 0
     assert members >= 2
     # bundled regularity instance passes; a one-slot mutation fails
-    cs_doc = build_preset("cs")
+    cs_doc = preset("cs")
     g_map, gt_map = cs_doc.model.parts["G"], cs_doc.model.parts["Gtilde"]
     assert cs_regularity_check(g_map, gt_map)["pass"]
     bigger = cone_hull([g_map.cell_cones[0],
@@ -485,7 +487,7 @@ def _refine_doc(idoc: InstanceDoc, factor: int) -> InstanceDoc:
 
 def test_criterion_9_refinement_invariance():
     for name in PRESET_NAMES:
-        idoc = build_preset(name)
+        idoc = preset(name)
         base = _collect_functionals(idoc)
         for k in (2, 3):
             fine = _refine_doc(idoc, k)

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import preset
+
 from cadlagconvex import cli
 from cadlagconvex.duality import (FINE, BudgetExceededError,
                                   _fixed_value_sets, _zero_start_cost,
@@ -26,7 +28,6 @@ from cadlagconvex.duality import (FINE, BudgetExceededError,
 from cadlagconvex.generators import (rand_finite_dual, rand_passing_instance,
                                      rand_setmap)
 from cadlagconvex.plconvex import PLConvex
-from cadlagconvex.presets import build_preset
 from cadlagconvex.rationals import INF, NEG_INF, rat, xmul, xneg, xsum
 from cadlagconvex.scenario import RandomSetMap
 
@@ -199,7 +200,7 @@ def eval_bound(inst) -> int:
 class TestEvalCount:
     @pytest.mark.parametrize("delta", [F(1, 100), F(1, 100000)])
     def test_evaluations_do_not_grow_as_delta_shrinks(self, delta, monkeypatch):
-        idoc = build_preset("basic")
+        idoc = preset("basic")
         inst = idoc.instance
         B = 2 * inst.magnitude_bound()
         bound = eval_bound(inst)

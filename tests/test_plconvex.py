@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from cadlagconvex import cli, generators, plconvex
 from cadlagconvex.generators import (COARSE_DENOMS, rand_passing_instance,
                                      rand_plconvex, rand_rational)
-from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval,
-                                   _interior_point, abs_fn, affine, indicator,
-                                   max_affine, pl, restrict, support_fn)
+from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval, abs_fn,
+                                   affine, indicator, max_affine, pl, restrict,
+                                   support_fn)
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, ext, is_finite, rat
 from cadlagconvex.scenario import (RandomIntegrand, ScenarioTree,
@@ -328,6 +328,18 @@ def test_minorant_certificate_builds_no_conjugate(monkeypatch):
 
 # -- the canonical-input shortcut of pl ------------------------------------------
 
+def interior_point(lo, hi):
+    """Reference copy of the probe pl() once used to find the one segment
+    meeting the open domain when no breakpoint lies inside it."""
+    if is_finite(lo) and is_finite(hi):
+        return (lo + hi) / 2
+    if is_finite(lo):
+        return lo + 1
+    if is_finite(hi):
+        return hi - 1
+    return F(0)
+
+
 def full_canonicalization(dom_lo, dom_hi, breakpoints, slopes, anchor_x, anchor_val):
     """Reference copy of pl() before it returned canonical input as given:
     every call restricts, merges equal slopes and re-anchors."""
@@ -358,7 +370,7 @@ def full_canonicalization(dom_lo, dom_hi, breakpoints, slopes, anchor_x, anchor_
         a, b_ = keep[0], keep[-1]
         bps2, sls2 = bps[a:b_ + 1], sls[a:b_ + 2]
     else:
-        j = bisect_left(bps, _interior_point(dom_lo, dom_hi))
+        j = bisect_left(bps, interior_point(dom_lo, dom_hi))
         bps2, sls2 = (), (sls[j],)
     m_bps, m_sls = [], [sls2[0]]
     for i, b in enumerate(bps2):
@@ -465,8 +477,16 @@ def test_pl_and_the_passing_draws_make_no_fraction_float_comparison(args, seed):
     (NEG_INF, F(0), [F(-1), F(1)], [F(0), F(1), F(2)], F(0), F(0)),  # kink outside
     (F(0), INF, [F(-1), F(0)], [F(0), F(1), F(2)], F(0), F(0)),      # kinks at or below
     (F(0), INF, [], [F(1)], F(1), F(2)),                             # anchor elsewhere
+    # kinks on and past the finite end, equal slopes on either side of it
+    (NEG_INF, F(1), [F(0), F(1), F(2)], [F(-1), F(0), F(0), F(1)], F(0), F(0)),
+    (F(-1), INF, [F(-2), F(-1), F(0), F(1)], [F(-1), F(0), F(0), F(1), F(1)], F(0), F(0)),
+    # no kink inside: every one beyond or on the finite end
+    (NEG_INF, F(-1), [F(0), F(1)], [F(1), F(2), F(3)], F(-1), F(0)),
+    (F(2), INF, [F(0), F(2)], [F(1), F(2), F(3)], F(2), F(0)),
+    (NEG_INF, INF, [F(-1), F(0), F(1)], [F(0), F(0), F(1), F(1)], F(0), F(0)),
 ])
 def test_pl_with_infinite_ends_makes_no_fraction_float_comparison(args):
+    """The restriction bisects the breakpoints against a finite end only."""
     with mixed_comparisons() as mixed:
         fn = pl(*args)
     assert mixed == []
@@ -662,6 +682,60 @@ def test_the_calculus_makes_no_fraction_float_comparison(seed, max_breaks, box, 
     assert mixed == []
 
 
+# -- inf_over against every knot -----------------------------------------------------
+
+def inf_over_by_knots(fn, constraint):
+    """Independent exact oracle for inf_over: over a closed interval a convex
+    piecewise-linear function is affine between the knots and finite ends
+    that lie in it, so its infimum is the least value among them, unless the
+    feasible interval runs out to an infinite end that the outer slope falls
+    towards.  The argmin runs between the outermost points of least value,
+    and on to an infinite feasible end when the outer segment there is flat."""
+    if constraint.is_empty:
+        return INF, EMPTY_INTERVAL
+    lo, hi = max(constraint.lo, fn.dom_lo), min(constraint.hi, fn.dom_hi)
+    if lo > hi:
+        return INF, EMPTY_INTERVAL
+    if (lo == NEG_INF and fn.slopes[0] > 0) or (hi == INF and fn.slopes[-1] < 0):
+        return NEG_INF, EMPTY_INTERVAL
+    points = [x for x in (*fn.knots(), lo, hi) if is_finite(x) and lo <= x <= hi] or [F(0)]
+    best = min(fn.eval(x) for x in points)
+    least = [x for x in points if fn.eval(x) == best]
+    arg_lo = NEG_INF if lo == NEG_INF and fn.slopes[0] == 0 and min(least) == min(points) \
+        else min(least)
+    arg_hi = INF if hi == INF and fn.slopes[-1] == 0 and max(least) == max(points) \
+        else max(least)
+    return best, RInterval(arg_lo, arg_hi)
+
+
+@st.composite
+def flat_tailed(draw):
+    """A canonical function whose slopes pass through 0 often, so a flat
+    segment often reaches an infinite domain end, on every kind of domain."""
+    lo, hi = draw(st.sampled_from([(NEG_INF, INF), (NEG_INF, F(1)), (F(-1), INF),
+                                   (F(-1), F(1)), (F(1, 2), F(1, 2))]))
+    kinks = sorted({x for x in draw(st.lists(st.fractions(-2, 2, max_denominator=2), max_size=3))
+                    if RInterval(lo, hi).contains(x) and x not in (lo, hi)})
+    slopes = [F(draw(st.sampled_from([-2, -1, 0, 0, 1])))]
+    for _ in kinks:
+        slopes.append(slopes[-1] + draw(st.sampled_from([F(1, 2), F(1), F(2)])))
+    anchor = lo if is_finite(lo) else (hi if is_finite(hi) else F(0))
+    return pl(lo, hi, kinks, slopes, anchor, draw(st.fractions(-2, 2, max_denominator=3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(flat_tailed(), flat_tailed(), plconvex_st()),
+       st.one_of(intervals(), intervals(),
+                 st.fractions(-3, 3, max_denominator=2).map(RInterval.singleton)))
+def test_inf_over_equals_the_knot_oracle(fn, constraint):
+    """Value and argmin interval exactly, on empty, singleton, half-line and
+    whole-line constraints, unbounded-below cases included."""
+    (val, arg), (want, want_arg) = fn.inf_over(constraint), inf_over_by_knots(fn, constraint)
+    assert (type(val), val) == (type(want), want)
+    assert (type(arg.lo), arg.lo, type(arg.hi), arg.hi) == \
+        (type(want_arg.lo), want_arg.lo, type(want_arg.hi), want_arg.hi)
+
+
 # -- canonical values built without pl ---------------------------------------------
 
 def rand_coarse_by_fraction(rng, lo=-3, hi=3):
@@ -717,6 +791,13 @@ def finite_value_by_sign(fn, x):
     return val
 
 
+def last_knot(fn):
+    """Reference copy of the PLConvex._last_knot that _tail_limit once read."""
+    if is_finite(fn.dom_hi):
+        return fn.dom_hi
+    return fn.breakpoints[-1] if fn.breakpoints else fn.anchor_x
+
+
 def eval_by_sign(fn, x):
     """Reference copy of PLConvex.eval and _tail_limit before they tested the
     domain ends with is_finite/xle, over finite_value_by_sign."""
@@ -726,7 +807,7 @@ def eval_by_sign(fn, x):
                 return INF
             s = fn.slopes[-1]
             return INF if s > 0 else (NEG_INF if s < 0 else
-                                      finite_value_by_sign(fn, fn._last_knot()))
+                                      finite_value_by_sign(fn, last_knot(fn)))
         if fn.dom_lo != NEG_INF:
             return INF
         s = fn.slopes[0]

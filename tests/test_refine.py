@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import preset
+
 import cadlagconvex
 from cadlagconvex import (duality, finmodels, polycone, scenario, serialize,
                           setmaps, timegrid)
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance)
-from cadlagconvex.presets import PRESET_NAMES, build_preset
+from cadlagconvex.presets import PRESET_NAMES
 from cadlagconvex.scenario import ScenarioTree
 from cadlagconvex.serialize import InstanceDoc, Model, instance_doc_to_json
 from cadlagconvex.timegrid import TimeGrid
@@ -67,7 +69,7 @@ def _assert_composes(idoc: InstanceDoc, a: int, b: int) -> None:
 @pytest.mark.parametrize("a, b", FACTORS)
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_refine_compositionally(name, a, b):
-    _assert_composes(build_preset(name), a, b)
+    _assert_composes(preset(name), a, b)
 
 
 @settings(max_examples=20, deadline=None)
@@ -77,7 +79,7 @@ def test_random_instances_refine_compositionally(seed, factors):
 
 
 def test_every_refinable_type_is_covered():
-    covered = {type(x) for name in PRESET_NAMES for x in _refinables(build_preset(name))}
+    covered = {type(x) for name in PRESET_NAMES for x in _refinables(preset(name))}
     assert _refinable_classes() - covered == {InstanceDoc, Model}
 
 
@@ -112,7 +114,7 @@ def _assert_shares(idoc: InstanceDoc, k: int) -> None:
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_refine_onto_one_grid_and_tree(name, k):
-    _assert_shares(build_preset(name), k)
+    _assert_shares(preset(name), k)
 
 
 @settings(max_examples=20, deadline=None)
@@ -123,7 +125,7 @@ def test_random_instances_refine_onto_one_grid_and_tree(seed, k):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_one_grid_and_one_tree_are_built_per_refinement(name, monkeypatch):
-    inst = build_preset(name).instance
+    inst = preset(name).instance
     built = {TimeGrid: 0, ScenarioTree: 0}
     for cls in built:
         def counted(self, _cls=cls, _orig=cls.__post_init__):
@@ -146,7 +148,7 @@ def _hash(x):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_the_memo_changes_no_equality_hash_repr_or_output(name):
-    idoc = build_preset(name)
+    idoc = preset(name)
     inst = idoc.instance
     grid, tree = inst.grid, inst.tree
     before = [(repr(x), _hash(x), [f.name for f in dataclasses.fields(x)])
@@ -159,7 +161,7 @@ def test_the_memo_changes_no_equality_hash_repr_or_output(name):
              for x in (grid, tree, inst)]
     assert after == before
     assert instance_doc_to_json(idoc) == text
-    twin = build_preset(name).instance
+    twin = preset(name).instance
     assert twin == inst and twin.refine(2) == inst.refine(2)
     assert twin.refine(2) is not inst.refine(2)
     twin_grid = TimeGrid(grid.times)
@@ -171,7 +173,7 @@ def test_the_memo_changes_no_equality_hash_repr_or_output(name):
 
 @pytest.mark.parametrize("factor", [1, 0, -1])
 def test_a_factor_below_two_raises_on_every_call(factor):
-    idoc = build_preset("basic")
+    idoc = preset("basic")
     inst = idoc.instance
     for _ in range(2):
         for x in (inst.grid, inst.tree, inst, idoc):

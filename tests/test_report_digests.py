@@ -28,11 +28,13 @@ import random
 
 import pytest
 
+from conftest import preset
+
 from cadlagconvex import cli
 from cadlagconvex.duality import assumption_report, interchange_det
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance, rand_plconvex)
-from cadlagconvex.presets import PRESET_NAMES, build_preset, bundled_instance_path
+from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.serialize import InstanceDoc, dump_instance, dump_report
 
 CHECKS = (("interchange-stoch", "--form", "F"), ("interchange-stoch", "--form", "Fhat"),
@@ -221,7 +223,7 @@ def generated_outcomes(seed: int, tmp_path, capsys) -> list:
 
 
 def preset_digests(name: str) -> list:
-    inst = build_preset(name).instance
+    inst = preset(name).instance
     out = [sha256(dump_report(assumption_report(inst), None))]
     for side in ("cadlag", "caglad"):
         try:

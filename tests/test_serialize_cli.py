@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plconvex_st
+from conftest import plconvex_st, preset
 
 from cadlagconvex import cli, presets, serialize
 from cadlagconvex.duality import Instance
 from cadlagconvex.finmodels import bidask_model, obstacle_model
 from cadlagconvex.generators import rand_passing_instance
-from cadlagconvex.presets import (PRESET_NAMES, build_preset,
-                                  bundled_instance_path)
+from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.serialize import (InstanceDoc, SchemaError, cone_from_json,
                                     cone_to_json, dump_instance,
                                     instance_doc_from_json,
@@ -162,7 +161,7 @@ class TestSerialization:
 
     def test_instance_round_trip(self):
         for name in PRESET_NAMES:
-            idoc = build_preset(name)
+            idoc = preset(name)
             doc = instance_doc_to_json(idoc)
             again = instance_doc_to_json(instance_doc_from_json(doc))
             assert doc == again
@@ -394,13 +393,13 @@ class TestBundledPresets:
         return instance_doc_to_json(InstanceDoc(inst, [], [], None))
 
     def test_obstacle_model_section_rebuilds_the_instance(self):
-        idoc = build_preset("obstacle")
+        idoc = preset("obstacle")
         parts = idoc.model.parts
         rebuilt = obstacle_model(parts["b"], parts["ycheck"])
         assert self.instance_json(rebuilt.instance) == self.instance_json(idoc.instance)
 
     def test_bidask_model_section_rebuilds_the_instance(self):
-        idoc = build_preset("bidask")
+        idoc = preset("bidask")
         parts = idoc.model.parts
         rebuilt = bidask_model(parts["b"], parts["a"], parts["ybar"])
         assert self.instance_json(rebuilt.instance) == self.instance_json(idoc.instance)
@@ -502,7 +501,8 @@ class TestWrittenBytes:
 
 DROP = object()  # a model edit that deletes the key
 
-# (preset, path to the edited value, new value or DROP, error message start)
+# (preset, path to the edited value, new value or DROP, error message start);
+# the model section, then the top-level dual and path lists
 MODEL_EDITS = [
     ("cs", ("model", "G"), DROP, "missing key 'G'"),
     ("cs", ("model", "Gtilde"), DROP, "missing key 'Gtilde'"),
@@ -524,6 +524,10 @@ MODEL_EDITS = [
     ("currency", ("model", "duals"), [5], "bad currency duals: "),
     ("currency", ("model", "duals"), 5, "currency duals must be a list"),
     ("currency", ("model", "duals"), None, "currency duals must be a list"),
+    ("currency", ("duals",), 5, "duals must be a list"),
+    ("currency", ("duals",), [5], "bad dual pair: "),
+    ("currency", ("duals",), {"u": {}, "ut": {}}, "duals must be a list"),
+    ("currency", ("paths",), 5, "paths must be a list"),
 ]
 
 OWN_THEOREM = {"obstacle": "support-ds", "bidask": "support-ds",
@@ -706,9 +710,10 @@ class TestCli:
         for i, case in enumerate(MODEL_EDITS)])
     def test_a_missing_model_key_exits_2(self, preset, path, value, message,
                                          tmp_path, capsys):
-        """Every malformed model section, not only a missing key, is refused
-        at load: a check that ignores the model, the model's own check and
-        refine all exit 2 with one line and write nothing."""
+        """Every malformed model section, not only a missing key, and every
+        dual or path list that is not a list of objects is refused at load: a
+        check that ignores the model, the model's own check and refine all
+        exit 2 with one line and write nothing."""
         with open(bundled(preset), encoding="utf-8") as fh:
             doc = json.load(fh)
         parent = doc
