@@ -1,27 +1,33 @@
 """Exact polyhedral cone calculus in small dimension.
 
-Cones are kept in generator (V) and half-space (H) form, with conversion by
-the double description sweep and feasibility questions answered by
-Fourier-Motzkin elimination; everything is rational and exact.  Rays and
-normals are canonicalized to coprime integer vectors, so representations are
-reproducible.  Intended for dimension <= 4 at desk scale.
+Cones are kept in generator (V) and half-space (H) form.  The double
+description sweep converts one form into the other, in integer arithmetic on
+coprime rays and normals, and every other question is answered from the
+forms it yields: membership by the half-space normals, redundancy of a
+generator by the half-spaces of the others.  Everything is exact and the
+representations are reproducible.  Intended for dimension <= 4
+(:data:`MAX_DIM`, the bound on cone files) at desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .rationals import Q, rat
 from .timegrid import TimeGrid, refine_cells, refine_slots
 
 Vec = Tuple[Fraction, ...]
+IntVec = Tuple[int, ...]
+
+MAX_DIM = 4  # the largest dimension a cone file may declare
 
 
 def vdot(a: Sequence[Q], b: Sequence[Q]) -> Q:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b))
 
 
 def canon_ray(v: Sequence) -> Optional[Vec]:
@@ -33,17 +39,19 @@ def canon_ray(v: Sequence) -> Optional[Vec]:
     return None if ints is None else tuple(Fraction(x) for x in ints)
 
 
-def _int_ray(v: Sequence) -> Optional[Tuple[int, ...]]:
+def _coprime(v: Sequence[int]) -> Optional[IntVec]:
+    """The integer vector divided by the gcd of its entries; None if zero."""
+    g = gcd(*v)
+    return None if g == 0 else tuple(x // g for x in v)
+
+
+def _int_ray(v: Sequence) -> Optional[IntVec]:
     """:func:`canon_ray` as a tuple of ``int``."""
     vec = tuple(rat(x) for x in v)
-    if all(x == 0 for x in vec):
-        return None
     denom = 1
     for x in vec:
         denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [x.numerator * (denom // x.denominator) for x in vec]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    return _coprime([x.numerator * (denom // x.denominator) for x in vec])
 
 
 def _ray_form(vectors: Iterable, dim: int, what: str) -> Tuple[Vec, ...]:
@@ -61,132 +69,91 @@ def _ray_form(vectors: Iterable, dim: int, what: str) -> Tuple[Vec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra and Fourier-Motzkin over the rationals
+# The double description sweep, on coprime integer rays and normals
 # ---------------------------------------------------------------------------
 
-def rank(vectors: Sequence[Sequence[Q]], dim: int) -> int:
-    rows = [list(v) for v in vectors]
-    r = 0
+def _null_space(rows: Sequence[IntVec], dim: int) -> List[IntVec]:
+    """A basis of {x | r . x = 0 for every row r}, by fraction-free
+    Gauss-Jordan elimination."""
+    rows = list(rows)
+    pivots: List[int] = []
     for col in range(dim):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        p = rows[r]
         for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+            c = rows[i][col]
+            if i != r and c:
+                rows[i] = _coprime([p[col] * a - c * b for a, b in zip(rows[i], p)]) \
+                    or (0,) * dim
+        pivots.append(col)
+    basis = []
+    for free in range(dim):
+        if free not in pivots:
+            v = [0] * dim
+            v[free] = prod(rows[i][col] for i, col in enumerate(pivots))
+            for i, col in enumerate(pivots):
+                v[col] = -rows[i][free] * v[free] // rows[i][col]
+            basis.append(_coprime(v))
+    return basis
 
 
-Row = Tuple[Tuple[Fraction, ...], Fraction]  # coeffs . x <= rhs
+def rank(rows: Sequence[IntVec], dim: int) -> int:
+    return dim - len(_null_space(rows, dim))
 
 
-def _canon_row(coeffs: Sequence[Q], rhs: Q) -> Row:
-    ray = canon_ray(tuple(coeffs) + (rhs,))
-    if ray is None:
-        return tuple(Fraction(0) for _ in coeffs), Fraction(0)
-    return ray[:-1], ray[-1]
+def _dd_sweep(halfspaces: Sequence[IntVec], dim: int) -> List[IntVec]:
+    """Generators of {x | a . x <= 0 for all a}: the double description sweep.
 
-
-def fm_feasible(rows: List[Row], nvars: int) -> bool:
-    """Exact feasibility of a system of <= inequalities by elimination.
-
-    Variables are eliminated in the order of cheapest pairing first, and a
-    derived row is dropped when its ancestor set exceeds the number of
-    eliminations plus one (such rows are implied by others, so feasibility
-    is unaffected); both controls keep the row count from exploding.
+    The rays lie on minimal faces but may still be redundant.  When the
+    normals span the space the cone is pointed, its minimal faces are its
+    extreme rays and the result does not depend on the order of the rows; so
+    the sweep starts from the simplicial cone of the first spanning rows and
+    holds only extreme rays throughout.  Otherwise it starts from +-e_i.
     """
-    table = {}
-    for idx, (c, r) in enumerate(rows):
-        key = _canon_row(c, r)
-        if key not in table:
-            table[key] = frozenset((idx,))
-    remaining = list(range(nvars))
-    eliminated = 0
-    while remaining:
-        counts = {}
-        for k in remaining:
-            pos = sum(1 for c, _ in table if c[k] > 0)
-            neg = sum(1 for c, _ in table if c[k] < 0)
-            counts[k] = pos * neg
-        k = min(remaining, key=lambda v: counts[v])
-        remaining.remove(k)
-        eliminated += 1
-        zero, pos, neg = {}, [], []
-        for (c, r), hist in table.items():
-            if c[k] == 0:
-                zero[(c, r)] = hist
-            elif c[k] > 0:
-                pos.append((c, r, hist))
-            else:
-                neg.append((c, r, hist))
-        table = zero
-        for cp, rp, hp in pos:
-            for cn, rn, hn in neg:
-                hist = hp | hn
-                if len(hist) > eliminated + 1:
-                    continue
-                lam, mu = -cn[k], cp[k]
-                c2 = tuple(lam * a + mu * b for a, b in zip(cp, cn))
-                key = _canon_row(c2, lam * rp + mu * rn)
-                if all(x == 0 for x in key[0]) and key[1] < 0:
-                    return False
-                if key not in table or len(table[key]) > len(hist):
-                    table[key] = hist
-    return all(r >= 0 for _, r in table)
-
-
-def _dd_rays(halfspaces: Sequence[Vec], dim: int) -> Tuple[Vec, ...]:
-    """Generators of {x | a . x <= 0 for all a}: the double description sweep."""
-    rays: List[Vec] = []
-    for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        rays.append(tuple(e))
-        e2 = list(e)
-        e2[i] = Fraction(-1)
-        rays.append(tuple(e2))
-    processed: List[Vec] = []
+    basis: List[IntVec] = []
+    for a in halfspaces:
+        if len(basis) < dim and rank(basis + [a], dim) > len(basis):
+            basis.append(a)
+    if len(basis) == dim:  # ray j spans the null space of the other rows
+        rays, processed = [], list(basis)
+        for j, b in enumerate(basis):
+            (v,) = _null_space(basis[:j] + basis[j + 1:], dim)
+            rays.append(v if vdot(b, v) < 0 else tuple(-x for x in v))
+    else:
+        rays = [tuple(s * (i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+        processed = []
     for a in halfspaces:
         inside, boundary, outside = [], [], []
         for r in rays:
             s = vdot(a, r)
             (inside if s < 0 else boundary if s == 0 else outside).append((r, s))
-        new: List[Vec] = [r for r, _ in inside] + [r for r, _ in boundary]
+        new: List[IntVec] = [r for r, _ in inside] + [r for r, _ in boundary]
         for p, sp in inside:
             for n, sn in outside:
-                w = canon_ray(tuple(sn * pi - sp * ni for pi, ni in zip(p, n)))
+                w = _coprime([sn * pi - sp * ni for pi, ni in zip(p, n)])
                 if w is not None:
                     new.append(w)
         processed.append(a)
         rays = _extreme_filter(sorted(set(new)), processed, dim)
-    return tuple(_reduce_rays(rays, dim))
+    return rays
 
 
-def _member_multipliers(x: Vec, gens: Sequence[Vec], dim: int) -> bool:
-    """x in cone(gens), by Fourier-Motzkin on the multiplier system."""
-    if all(v == 0 for v in x):
-        return True
-    if not gens:
-        return False
-    k = len(gens)
-    rows: List[Row] = []
-    for c in range(dim):
-        coeffs = tuple(g[c] for g in gens)
-        rows.append((coeffs, x[c]))
-        rows.append((tuple(-a for a in coeffs), -x[c]))
-    for j in range(k):
-        coeffs = tuple(Fraction(-1) if i == j else Fraction(0) for i in range(k))
-        rows.append((coeffs, Fraction(0)))
-    return fm_feasible(rows, k)
+def _dd_rays(halfspaces: Sequence[Vec], dim: int) -> Tuple[Vec, ...]:
+    """:func:`_dd_sweep` of the rational rows, with its redundant rays
+    removed."""
+    rays = _dd_sweep([_int_ray(a) for a in halfspaces], dim)
+    return tuple(canon_ray(r) for r in _reduce_rays(rays, dim))
 
 
 _REDUCE_CAP = 40
 
 
-def _extreme_filter(rays: List[Vec], halfspaces: Sequence[Vec], dim: int) -> List[Vec]:
+def _extreme_filter(rays: List[IntVec], halfspaces: Sequence[IntVec],
+                    dim: int) -> List[IntVec]:
     """Keep only rays on minimal faces; exact via ranks of active rows.
 
     With constraint rows of rank k, the faces of dimension (lineality + 1)
@@ -206,12 +173,23 @@ def _extreme_filter(rays: List[Vec], halfspaces: Sequence[Vec], dim: int) -> Lis
     return kept
 
 
-def _reduce_rays(rays: List[Vec], dim: int) -> List[Vec]:
+def _in_cone(x: IntVec, gens: Sequence[IntVec], dim: int) -> bool:
+    """x in cone(gens): N . x = 0 for a basis N of span(gens)'s orthogonal
+    complement, and x lies in the solid cone(gens, N, -N), whose polar the
+    sweep takes from its pointed start."""
+    perp = _null_space(gens, dim)
+    if any(vdot(n, x) for n in perp):
+        return False
+    solid = list(gens) + perp + [tuple(-c for c in n) for n in perp]
+    return all(vdot(a, x) <= 0 for a in _dd_sweep(solid, dim))
+
+
+def _reduce_rays(rays: List[IntVec], dim: int) -> List[IntVec]:
     """Drop generators lying in the cone of the others (when cheap enough).
 
     Redundancy removal is cosmetic: a redundant generating set still defines
-    the same cone, so the multiplier search is skipped for large families
-    where elimination would be expensive.
+    the same cone, so large families, where one sweep per ray is expensive,
+    are kept as they are.
     """
     if len(rays) > _REDUCE_CAP:
         return rays
@@ -219,7 +197,7 @@ def _reduce_rays(rays: List[Vec], dim: int) -> List[Vec]:
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1:]
-        if others and _member_multipliers(kept[i], others, dim):
+        if others and _in_cone(kept[i], others, dim):
             kept.pop(i)
         else:
             i += 1
@@ -287,28 +265,13 @@ class PolyCone:
     # -- predicates -------------------------------------------------------------
 
     def member(self, x: Sequence) -> bool:
-        """Exact membership; uses the H-form when present, else multipliers."""
+        """Exact membership: no half-space normal is positive on ``x``.
+
+        The half-spaces are swept from the generators on first use and cached.
+        """
         vec = tuple(rat(v) for v in x)
         if len(vec) != self.dim:
             raise ValueError("vector dimension mismatch")
-        if self._halfspaces is not None:
-            return all(vdot(a, vec) <= 0 for a in self._halfspaces)
-        return _member_multipliers(vec, self._generators, self.dim)
-
-    def member_v(self, x: Sequence) -> bool:
-        """Membership decided from the generators.
-
-        Uses Fourier-Motzkin on the multiplier system; elimination cost grows
-        with the number of generators, so large families route through the
-        (equally exact) half-space form instead.
-        """
-        vec = tuple(rat(v) for v in x)
-        if len(self.generators) > _REDUCE_CAP:
-            return self.member_h(vec)
-        return _member_multipliers(vec, self.generators, self.dim)
-
-    def member_h(self, x: Sequence) -> bool:
-        vec = tuple(rat(v) for v in x)
         return all(vdot(a, vec) <= 0 for a in self.halfspaces)
 
     def polar(self) -> "PolyCone":
@@ -321,17 +284,11 @@ class PolyCone:
 
     def pointed(self) -> bool:
         """K ∩ (-K) = {0}: the half-space normals span the whole space."""
-        return rank(self.halfspaces, self.dim) == self.dim
-
-    def pointed_direct(self) -> bool:
-        """Same test from the V-form: no generator's negation stays inside."""
-        gens = self.generators
-        return all(not _member_multipliers(tuple(-x for x in g), gens, self.dim)
-                   for g in gens)
+        return rank([_int_ray(a) for a in self.halfspaces], self.dim) == self.dim
 
     def solid(self) -> bool:
         """Nonempty interior: the generators span the whole space."""
-        return rank(self.generators, self.dim) == self.dim
+        return rank([_int_ray(g) for g in self.generators], self.dim) == self.dim
 
     def subcone_of(self, other: "PolyCone") -> bool:
         if self.dim != other.dim:
@@ -364,7 +321,7 @@ def cone_hull(cones: Sequence[PolyCone]) -> PolyCone:
     dim = cones[0].dim
     if any(k.dim != dim for k in cones):
         raise ValueError("cone dimension mismatch")
-    pooled = sorted({g for k in cones for g in k.generators})
+    pooled = sorted({_int_ray(g) for k in cones for g in k.generators})
     return PolyCone(dim, generators=_reduce_rays(pooled, dim))
 
 

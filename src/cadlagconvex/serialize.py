@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from .duality import DualPair, Instance, make_instance
 from .finmodels import ScalarProcess, VectorMeasure
 from .plconvex import PLConvex, RInterval, pl
-from .polycone import ConeMap, PolyCone
+from .polycone import MAX_DIM, ConeMap, PolyCone
 from .rationals import MAX_EXPONENT, ext, fmt, is_finite, rat
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree)
@@ -270,7 +270,11 @@ def cone_to_json(k: PolyCone) -> dict:
 
 @_wrap("cone")
 def cone_from_json(doc: dict) -> PolyCone:
-    dim = int(_need(doc, "dim"))
+    dim = _need(doc, "dim")
+    if type(dim) is float and dim.is_integer():
+        dim = int(dim)
+    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+        raise SchemaError(f"cone dim must be an integer from 1 to {MAX_DIM}, not {dim!r}")
     gens = doc.get("generators")
     hs = doc.get("halfspaces")
     if gens is None and hs is None:
@@ -374,7 +378,8 @@ class Model:
 
 def model_from_json(doc, tree: ScenarioTree, grid: TimeGrid) -> Optional[Model]:
     """None for an absent or null section; else an object whose keys are
-    exactly ``type`` and that type's keys in :data:`MODEL_KEYS`."""
+    exactly ``type`` and that type's keys in :data:`MODEL_KEYS`, whose cone
+    maps and currency dual atoms have one dimension."""
     if doc is None:
         return None
     if type(doc) is not dict:
@@ -386,8 +391,12 @@ def model_from_json(doc, tree: ScenarioTree, grid: TimeGrid) -> Optional[Model]:
     extra = sorted(set(doc) - {"type", *keys})
     if extra:
         raise SchemaError(f"unexpected key {extra[0]!r} in a {kind} model")
-    return Model(kind, {k: read(_need(doc, k), tree, grid)
-                        for k, (read, _) in keys.items()}, doc)
+    parts = {k: read(_need(doc, k), tree, grid) for k, (read, _) in keys.items()}
+    dims = {p.dim for p in parts.values() if isinstance(p, ConeMap)} | {
+        len(a) for pair in parts.get("duals", ()) for vm in pair for a in vm.atoms}
+    if len(dims) > 1:
+        raise SchemaError(f"{kind} model mixes dimensions {', '.join(map(str, sorted(dims)))}")
+    return Model(kind, parts, doc)
 
 
 # -- whole documents -------------------------------------------------------------

@@ -501,6 +501,8 @@ class TestWrittenBytes:
 
 DROP = object()  # a model edit that deletes the key
 
+CONE_3D = {"dim": 3, "generators": [["1", "0", "0"]], "halfspaces": []}
+
 # (preset, path to the edited value, new value or DROP, error message start);
 # the model section, then the top-level dual and path lists
 MODEL_EDITS = [
@@ -528,6 +530,26 @@ MODEL_EDITS = [
     ("currency", ("duals",), [5], "bad dual pair: "),
     ("currency", ("duals",), {"u": {}, "ut": {}}, "duals must be a list"),
     ("currency", ("paths",), 5, "paths must be a list"),
+    # one dimension across the cone maps and the dual atoms of a section
+    ("currency", ("model", "duals", 0, "u", 0), ["1", "2", "3"],
+     "currency model mixes dimensions 2, 3"),
+    ("currency", ("model", "duals", 1, "ut", 2), ["1"], "currency model mixes dimensions 1, 2"),
+    ("currency", ("model", "duals", 2, "u", 1), [], "currency model mixes dimensions 0, 2"),
+    ("cs", ("model", "Gtilde"), {"point_cones": [CONE_3D] * 3, "cell_cones": [CONE_3D] * 2},
+     "cs model mixes dimensions 2, 3"),
+    # a cone's dim is an integer from 1 to 4
+    ("cs", ("model", "G", "point_cones", 0, "dim"), 2.7,
+     "cone dim must be an integer from 1 to 4, not 2.7"),
+    ("cs", ("model", "G", "point_cones", 0, "dim"), "2",
+     "cone dim must be an integer from 1 to 4, not '2'"),
+    ("cs", ("model", "G", "point_cones", 0, "dim"), True,
+     "cone dim must be an integer from 1 to 4, not True"),
+    ("cs", ("model", "G", "point_cones", 0, "dim"), 0,
+     "cone dim must be an integer from 1 to 4, not 0"),
+    ("currency", ("model", "solvency", "cell_cones", 1, "dim"), 5,
+     "cone dim must be an integer from 1 to 4, not 5"),
+    ("cs", ("model", "Gtilde", "point_cones", 0), {"dim": 200, "generators": [], "halfspaces": []},
+     "cone dim must be an integer from 1 to 4, not 200"),
 ]
 
 OWN_THEOREM = {"obstacle": "support-ds", "bidask": "support-ds",

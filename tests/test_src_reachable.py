@@ -16,9 +16,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cadlagconvex"
 
-# slow references the tests compare the fast code against, and the random
-# set-map generator several test modules share
-TEST_ONLY = {"member_v", "pointed_direct", "rand_setmap"}
+# the random set-map generator several test modules share
+TEST_ONLY = {"rand_setmap"}
 
 
 def _defined_names():
