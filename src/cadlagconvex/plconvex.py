@@ -67,7 +67,10 @@ class RInterval:
 
     @property
     def is_empty(self) -> bool:
-        return not is_finite(self.lo) and self.lo == INF and self.hi == NEG_INF
+        # a float end is a sentinel (construction refuses any other float), so
+        # the type test stands in for is_finite without its call
+        lo = self.lo
+        return type(lo) is float and lo == INF and self.hi == NEG_INF
 
     # ends are compared with xle: no Fraction/float comparison
     def contains(self, x: Ext) -> bool:
@@ -353,8 +356,11 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
     Canonicalization drops breakpoints outside the open domain, merges equal
     adjacent slopes, moves the anchor to a deterministic point (first
     breakpoint, else a finite domain endpoint, else 0) and recomputes its
-    value.  Raises ``ValueError`` on non-convex slope data or an anchor
-    outside the domain.
+    value.  Raises ``ValueError`` on non-convex slope data, an anchor
+    outside the domain, or a float domain end other than +/-inf (NaN
+    included), with the message :class:`RInterval` gives for such an end.
+    A ``Fraction`` argument is taken as it is; anything else goes through
+    :func:`rat` or :func:`ext`.
 
     Input that is canonical already is returned as given once it has passed
     every check: each breakpoint lies strictly inside the open domain, no two
@@ -367,24 +373,29 @@ def pl(dom_lo: Ext, dom_hi: Ext, breakpoints: Iterable, slopes: Iterable,
     :class:`PLConvex` skip this function: their data is canonical by
     construction, so the shortcut above would return it as given.
     """
-    bps = tuple(rat(b) for b in breakpoints)
-    sls = tuple(rat(s) for s in slopes)
-    anchor_x = rat(anchor_x)
-    anchor_val = rat(anchor_val)
+    bps = tuple(b if type(b) is Fraction else rat(b) for b in breakpoints)
+    sls = tuple(s if type(s) is Fraction else rat(s) for s in slopes)
+    if type(anchor_x) is not Fraction:
+        anchor_x = rat(anchor_x)
+    if type(anchor_val) is not Fraction:
+        anchor_val = rat(anchor_val)
     if not (is_finite(dom_lo) or type(dom_lo) is float):
         dom_lo = ext(dom_lo)
     if not (is_finite(dom_hi) or type(dom_hi) is float):
         dom_hi = ext(dom_hi)
+    for end in (dom_lo, dom_hi):
+        if type(end) is float and end != INF and end != NEG_INF:  # NaN too
+            raise ValueError("interval endpoints must be rational or infinite")
     if ((not is_finite(dom_lo) and dom_lo == INF)
             or (not is_finite(dom_hi) and dom_hi == NEG_INF)
             or not xle(dom_lo, dom_hi)):
         raise ValueError("empty or inverted domain")
     if len(sls) != len(bps) + 1:
         raise ValueError("need exactly one slope per segment")
-    if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
+    if any(xle(bps[i + 1], bps[i]) for i in range(len(bps) - 1)):
         raise ValueError("breakpoints must be strictly increasing")
-    increasing = all(sls[i] < sls[i + 1] for i in range(len(sls) - 1))
-    if not increasing and any(sls[i] > sls[i + 1] for i in range(len(sls) - 1)):
+    increasing = not any(xle(sls[i + 1], sls[i]) for i in range(len(sls) - 1))
+    if not increasing and not all(xle(sls[i], sls[i + 1]) for i in range(len(sls) - 1)):
         raise ValueError("slopes must be nondecreasing (convexity)")
     # an infinite end is below or above every rational: no Fraction/float
     # comparison is needed on that side

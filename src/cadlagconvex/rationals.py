@@ -98,9 +98,16 @@ def is_finite(x: Ext) -> bool:
 def xle(a: Ext, b: Ext) -> bool:
     """a <= b on the extended line, comparing a Fraction only with a Fraction.
 
+    One object is ``<=`` itself, so ``a is b`` answers before any type test:
+    the loader's memo shares one ``Fraction`` per distinct string and
+    ``refine`` copies references, so most calls compare a value with itself.
+    The shortcut is exact because no NaN reaches here: ``RInterval`` and
+    :func:`~cadlagconvex.plconvex.pl` refuse every float but the sentinels.
     Two exact ``Fraction``s are compared by cross-multiplying (denominators
     are positive): ``Fraction.__le__`` would first check ``other`` against
     the ``numbers.Rational`` ABC, five times the cost."""
+    if a is b:
+        return True
     if type(a) is Fraction and type(b) is Fraction:
         return a.numerator * b.denominator <= b.numerator * a.denominator
     if is_finite(a):

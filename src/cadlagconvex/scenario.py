@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from .plconvex import PLConvex
+from .plconvex import PLConvex, once
 from .rationals import Ext, Q, rat, xmul, xsum
 from .setmaps import SetMap
 from .timegrid import (GridMeasure, StepPath, TimeGrid, eval_I, pairing,
@@ -74,8 +74,8 @@ class ScenarioTree:
         return max(slot - 1, 0)
 
     def mass(self, cell: Cell) -> Q:
-        """Probability of a set of scenarios, exact."""
-        return sum((self.prob(s) for s in cell), Fraction(0))
+        """Probability of a set of scenarios, exact; summed once per cell."""
+        return once(self, cell, lambda: sum((self.prob(s) for s in cell), Fraction(0)))
 
     def expectation(self, values: Mapping[str, Ext]) -> Ext:
         return xsum(xmul(self.prob(s), values[s]) for s in self.scenarios)
@@ -210,6 +210,13 @@ def unmeasurable_slot(tree: ScenarioTree, points: Mapping[str, Sequence],
     cells of partitions[i], or of partitions[i-1] when ``predictable``.
     ``cells[s][i]``, when given, is its data on the open cell (t_i, t_{i+1})
     and must be constant on partitions[i] either way.
+
+    Each scenario's value is tested against the cell's first by identity
+    before ``!=``: the loader shares one object among equal documents and
+    ``refine`` copies references, so most pairs are one object.  The
+    shortcut is exact because identity implies equality for every value
+    here (``Fraction``, ``PLConvex``, ``RInterval``, ``bool``; no NaN is
+    representable), and every pair that is not one object is still compared.
     """
     for i in range(tree.n_slots):
         checks = [(points, tree.pred_slot(i) if predictable else i)]
@@ -218,8 +225,10 @@ def unmeasurable_slot(tree: ScenarioTree, points: Mapping[str, Sequence],
         for data, slot in checks:
             for cell in tree.cells(slot):
                 first = data[cell[0]][i]
-                if any(data[s][i] != first for s in cell[1:]):
-                    return i
+                for s in cell[1:]:
+                    x = data[s][i]
+                    if x is not first and x != first:
+                        return i
     return None
 
 

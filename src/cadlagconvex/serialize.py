@@ -2,6 +2,9 @@
 
 All numerics are rational strings ('p/q', with 'inf'/'-inf' sentinels), so a
 file round-trips exactly.  Malformed documents raise :class:`SchemaError`.
+Where the schema has a list (a grid, atoms, breakpoints, an interval's two
+ends, a cone row), the document must hold a JSON array: a string or an object
+there is refused, not read by its characters or keys.
 
 A document repeats few distinct strings many times (the same knots, slopes,
 probabilities and interval ends), so :func:`instance_doc_from_json` parses
@@ -10,7 +13,8 @@ every ``*_from_json`` reader below consults, and drops it when it returns or
 raises.  The memo lives in a context variable, so it belongs to that one call
 and its thread; a reader called on its own parses every string afresh.  A bad
 string raises on first sight, exactly as without the memo, and is never
-stored.
+stored.  A list of rationals reads the context variable once, not once per
+string.
 
 The same memo maps each distinct function, interval or cone document, keyed
 by its strings, to one ``PLConvex``, ``RInterval`` or ``PolyCone``, so the
@@ -88,6 +92,37 @@ def _rat(value) -> Fraction:
     return q
 
 
+def _array(doc):
+    """``doc``, where the document must hold a list.
+
+    A string or an object there would be read by its characters or keys
+    (``"012"`` as the grid 0, 1, 2), so any iterable but a list raises.
+    A value that cannot be iterated at all is returned, to fail where it is
+    used with the message it always gave."""
+    if type(doc) is not list and hasattr(doc, "__iter__"):
+        raise TypeError(f"expected a list, not {type(doc).__name__}")
+    return doc
+
+
+def _rats(values) -> List[Fraction]:
+    """``[_rat(v) for v in values]`` for a list ``values`` (see :func:`_array`),
+    reading the memo once for the whole list rather than once per value."""
+    values = _array(values)
+    parsed = _PARSED.get()
+    if parsed is None:
+        return [rat(v) for v in values]
+    out = []
+    for v in values:
+        if isinstance(v, str):
+            q = parsed.get(v)
+            if q is None:
+                q = parsed[v] = rat(v)
+        else:
+            q = rat(v)
+        out.append(q)
+    return out
+
+
 def _ext(value):
     """:func:`ext` through the same memo; the sentinels are never stored."""
     parsed = _PARSED.get()
@@ -107,7 +142,7 @@ def interval_to_json(iv: RInterval) -> List[str]:
 
 @_wrap("interval")
 def interval_from_json(doc) -> RInterval:
-    lo, hi = doc
+    lo, hi = _array(doc)
     return _shared(RInterval, [lo, hi], lambda: RInterval(_ext(lo), _ext(hi)))
 
 
@@ -124,13 +159,11 @@ def plconvex_to_json(fn: PLConvex) -> dict:
 
 @_wrap("piecewise-linear function")
 def plconvex_from_json(doc: dict) -> PLConvex:
-    lo, hi = _need(doc, "dom")
-    ax, av = _need(doc, "anchor")
+    lo, hi = _array(_need(doc, "dom"))
+    ax, av = _array(_need(doc, "anchor"))
     return _shared(PLConvex, [lo, hi, ax, av, doc.get("breakpoints"), doc.get("slopes")],
-                   lambda: pl(_ext(lo), _ext(hi),
-                              [_rat(b) for b in _need(doc, "breakpoints")],
-                              [_rat(s) for s in _need(doc, "slopes")],
-                              _rat(ax), _rat(av)))
+                   lambda: pl(_ext(lo), _ext(hi), _rats(_need(doc, "breakpoints")),
+                              _rats(_need(doc, "slopes")), _rat(ax), _rat(av)))
 
 
 def _strings_key(doc: list) -> Optional[tuple]:
@@ -170,7 +203,7 @@ def grid_to_json(grid: TimeGrid) -> List[str]:
 
 @_wrap("grid")
 def grid_from_json(doc) -> TimeGrid:
-    return TimeGrid(tuple(_rat(t) for t in doc))
+    return TimeGrid(tuple(_rats(doc)))
 
 
 def tree_to_json(tree: ScenarioTree) -> dict:
@@ -184,10 +217,10 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 @_wrap("tree")
 def tree_from_json(doc: dict) -> ScenarioTree:
     probs_doc = _need(doc, "probs")
-    scenarios = tuple(doc.get("scenarios") or sorted(probs_doc))
+    scenarios = tuple(_array(doc.get("scenarios")) or sorted(probs_doc))
     probs = tuple(_rat(probs_doc[s]) for s in scenarios)
-    partitions = tuple(
-        tuple(tuple(cell) for cell in part) for part in _need(doc, "partitions"))
+    partitions = tuple(tuple(tuple(_array(cell)) for cell in _array(part))
+                       for part in _array(_need(doc, "partitions")))
     return ScenarioTree(scenarios, probs, partitions)
 
 
@@ -198,7 +231,7 @@ def measure_to_json(rm: RandomMeasure) -> dict:
 @_wrap("measure")
 def measure_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomMeasure:
     return RandomMeasure(tree, grid, {
-        s: GridMeasure(grid, tuple(_rat(a) for a in doc[s])) for s in tree.scenarios})
+        s: GridMeasure(grid, tuple(_rats(doc[s]))) for s in tree.scenarios})
 
 
 def path_to_json(rp: RandomPath) -> dict:
@@ -208,7 +241,7 @@ def path_to_json(rp: RandomPath) -> dict:
 @_wrap("path")
 def path_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomPath:
     return RandomPath(tree, grid, {
-        s: StepPath(grid, tuple(_rat(v) for v in doc[s])) for s in tree.scenarios})
+        s: StepPath(grid, tuple(_rats(doc[s]))) for s in tree.scenarios})
 
 
 @_wrap("dual pair")
@@ -282,8 +315,8 @@ def cone_from_json(doc: dict) -> PolyCone:
     if gens is not None and not hs:
         hs = None  # beside generators an empty list means "not given": computed lazily
     return _shared(PolyCone, [dim, gens, hs], lambda: PolyCone(
-        dim, generators=None if gens is None else [[_rat(x) for x in g] for g in gens],
-        halfspaces=None if hs is None else [[_rat(x) for x in a] for a in hs]))
+        dim, generators=None if gens is None else [_rats(g) for g in _array(gens)],
+        halfspaces=None if hs is None else [_rats(a) for a in _array(hs)]))
 
 
 def conemap_to_json(cm: ConeMap) -> dict:
@@ -312,8 +345,8 @@ def scalar_process_to_json(sp: ScalarProcess) -> dict:
 def scalar_process_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> ScalarProcess:
     return ScalarProcess(
         tree, grid,
-        {s: tuple(_rat(v) for v in _need(doc, "points")[s]) for s in tree.scenarios},
-        {s: tuple(_rat(v) for v in _need(doc, "cells")[s]) for s in tree.scenarios},
+        {s: tuple(_rats(_need(doc, "points")[s])) for s in tree.scenarios},
+        {s: tuple(_rats(_need(doc, "cells")[s])) for s in tree.scenarios},
         _need(doc, "flag"))
 
 
@@ -323,7 +356,7 @@ def vector_measure_to_json(vm: VectorMeasure) -> List[List[str]]:
 
 @_wrap("vector measure")
 def vector_measure_from_json(doc, grid: TimeGrid) -> VectorMeasure:
-    return VectorMeasure(grid, tuple(tuple(_rat(x) for x in a) for a in doc))
+    return VectorMeasure(grid, tuple(tuple(_rats(a)) for a in _array(doc)))
 
 
 # -- model sections ----------------------------------------------------------------

@@ -123,7 +123,8 @@ class GridMeasure:
 
     @property
     def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.atoms)
+        # the sign of a Fraction is its numerator's: an int compare, no ABC check
+        return all(a.numerator >= 0 for a in self.atoms)
 
     def total_variation(self) -> Q:
         return sum((abs(a) for a in self.atoms), Fraction(0))

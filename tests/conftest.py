@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from cadlagconvex.plconvex import PLConvex, pl
+from cadlagconvex.plconvex import PLConvex, RInterval, pl
 from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, is_finite
 from cadlagconvex.serialize import InstanceDoc, load_instance
@@ -19,6 +19,22 @@ from cadlagconvex.serialize import InstanceDoc, load_instance
 def preset(name: str) -> InstanceDoc:
     """The bundled preset ``name``, loaded from its shipped file."""
     return load_instance(bundled_instance_path(name))
+
+
+def rebuilt(x):
+    """x built again from new objects, field by field: equal to x and of its
+    type, but not x itself, so no identity shortcut can answer for it."""
+    if isinstance(x, float):
+        return float(str(x))
+    if isinstance(x, Fraction):
+        return type(x)(x.numerator, x.denominator)
+    if isinstance(x, RInterval):
+        return RInterval(rebuilt(x.lo), rebuilt(x.hi))
+    if isinstance(x, PLConvex):
+        return PLConvex(rebuilt(x.dom_lo), rebuilt(x.dom_hi),
+                        tuple(map(rebuilt, x.breakpoints)), tuple(map(rebuilt, x.slopes)),
+                        rebuilt(x.anchor_x), rebuilt(x.anchor_val))
+    raise TypeError(f"cannot rebuild {x!r}")
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)

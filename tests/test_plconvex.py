@@ -25,7 +25,7 @@ from cadlagconvex.serialize import load_instance
 from cadlagconvex.timegrid import TimeGrid
 
 from conftest import (conjugate_grid_oracle, inf_grid_oracle, plconvex_st,
-                      recession_quotient)
+                      rebuilt, recession_quotient)
 
 KINK = max_affine([(-1, 0), (2, -3)])  # max(-x, 2x - 3)
 BOX02 = RInterval(F(0), F(2))
@@ -169,6 +169,14 @@ class TestConstruction:
     def test_empty_or_inverted_domain_rejected(self, lo, hi):
         with pytest.raises(ValueError, match=r"^empty or inverted domain$"):
             pl(lo, hi, (), (F(0),), F(1), F(0))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1.5, INF), (0, 2.5), (F(0), 2.0), (float("nan"), INF), (NEG_INF, float("nan")),
+    ])
+    def test_a_finite_float_end_is_refused(self, lo, hi):
+        with pytest.raises(ValueError,
+                           match=r"^interval endpoints must be rational or infinite$"):
+            pl(lo, hi, (), (F(1),), F(2), F(0))
 
     @pytest.mark.parametrize("lo, hi", [(F(1), F(1)), ("1", "1")])
     def test_one_point_domain_builds(self, lo, hi):
@@ -351,6 +359,9 @@ def full_canonicalization(dom_lo, dom_hi, breakpoints, slopes, anchor_x, anchor_
         dom_lo = ext(dom_lo)
     if isinstance(dom_hi, str):
         dom_hi = ext(dom_hi)
+    for end in (dom_lo, dom_hi):
+        if isinstance(end, float) and end not in (INF, NEG_INF):
+            raise ValueError("interval endpoints must be rational or infinite")
     if ((not is_finite(dom_lo) and dom_lo == INF)
             or (not is_finite(dom_hi) and dom_hi == NEG_INF)
             or not (dom_lo <= dom_hi)):
@@ -411,11 +422,12 @@ def pl_arguments(draw):
     (equal adjacent slopes, breakpoints at or outside the domain ends, any
     anchor in the domain, one-point domains, infinite ends, ends given as
     strings), and now and then invalid data (an inverted domain, unsorted
-    breakpoints, a decreasing slope, a slope too many, an anchor outside)."""
+    breakpoints, a decreasing slope, a slope too many, an anchor outside, a
+    finite float or NaN end)."""
     kind, fault, a, b, anchor, value = draw(st.tuples(
         st.sampled_from(["line", "left", "right", "bounded", "point", "inverted"]),
-        st.sampled_from(["unsorted", "decreasing", "extra slope", "anchor", "text"]
-                        + [None] * 10),
+        st.sampled_from(["unsorted", "decreasing", "extra slope", "anchor", "text",
+                         "float end"] + [None] * 10),
         Q3, Q3, Q3, Q3))
     a, b = min(a, b), max(a, b)
     lo = {"line": NEG_INF, "left": NEG_INF, "inverted": b}.get(kind, a)
@@ -443,6 +455,9 @@ def pl_arguments(draw):
         anchor = hi + 1
     elif fault == "text":
         lo, hi = (x if isinstance(x, float) else str(x) for x in (lo, hi))
+    elif fault == "float end":
+        bad = draw(st.sampled_from([float(a), float(b) + 0.5, float("nan")]))
+        lo, hi = (bad, hi) if draw(st.booleans()) else (lo, bad)
     args = (lo, hi, bps, slopes, anchor, value)
     if draw(st.integers(0, 2)):
         return args
@@ -657,6 +672,14 @@ def test_interval_operations_match_plain_comparisons(a, b, x):
         assert got[0] is a
     elif b.issubset(a):
         assert got[0] is b
+
+
+@settings(max_examples=100, deadline=None)
+@given(intervals())
+def test_is_empty_equals_its_old_expression(iv):
+    """The type test stands in for is_finite, also on ends that are new objects."""
+    for a in (iv, rebuilt(iv)):
+        assert a.is_empty is (not is_finite(a.lo) and a.lo == INF and a.hi == NEG_INF)
 
 
 _points = st.one_of(st.sampled_from([INF, NEG_INF]),

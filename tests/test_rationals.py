@@ -15,6 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import rebuilt
+
 from cadlagconvex.plconvex import RInterval
 from cadlagconvex.rationals import (INF, MAX_EXPONENT, NEG_INF, ext, fmt, rat,
                                     xle)
@@ -176,6 +178,18 @@ def test_xle_is_plain_comparison(a, b):
     assert xle(a, b) is (a <= b)
     assert xle(a, a)
     assert xle(-a, -b) is (b <= a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extended_st, extended_st)
+def test_xle_on_equal_copies_is_plain_comparison(a, b):
+    """The identity shortcut answers only for one object; equal values that
+    are two objects still take the comparison, and agree with plain <=."""
+    a2, b2 = rebuilt(a), rebuilt(b)
+    assert a2 is not a and a2 == a and type(a2) is type(a)
+    for x, y in ((a, a2), (a2, a), (a, b2), (a2, b), (a2, b2)):
+        assert xle(x, y) is (x <= y)
+    assert xle(a, a2) and xle(a2, a)
 
 
 def old_interval_ends(lo, hi):

@@ -4,14 +4,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cadlagconvex.plconvex import abs_fn, affine, restrict, RInterval
+from conftest import rebuilt
+
+from cadlagconvex.plconvex import EMPTY_INTERVAL, abs_fn, affine, restrict, RInterval
+from cadlagconvex.rationals import NEG_INF
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                                    ScenarioTree, check_adapted,
                                    check_predictable, expected_pairing,
                                    jensen_check, minorant_certificate,
                                    optional_projection, paste,
-                                   predictable_atoms, predictable_projection)
+                                   predictable_atoms, predictable_projection,
+                                   unmeasurable_slot)
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid
 
 G3 = TimeGrid((0, 1, 2))
@@ -230,3 +236,104 @@ def test_tree_refinement_repeats_partitions():
     assert fine.n_slots == 5
     assert fine.partitions[1] == tree.partitions[0]
     assert fine.partitions[2] == tree.partitions[1]
+
+
+# -- the identity shortcut of unmeasurable_slot and the mass memo -----------------
+
+def unmeasurable_slot_by_inequality(tree, points, cells=None, predictable=False):
+    """Reference copy of unmeasurable_slot before it tested identity first:
+    each scenario of a cell is compared with the cell's first by != alone."""
+    for i in range(tree.n_slots):
+        checks = [(points, tree.pred_slot(i) if predictable else i)]
+        if cells is not None and i < tree.n_slots - 1:
+            checks.append((cells, i))
+        for data, slot in checks:
+            for cell in tree.cells(slot):
+                first = data[cell[0]][i]
+                if any(data[s][i] != first for s in cell[1:]):
+                    return i
+    return None
+
+
+SCENARIOS = ("a", "b", "c", "d", "e")
+# a few values of each kind the loader shares; an entry is one of them or a
+# copy of it rebuilt field by field
+POOLS = {
+    "fraction": (F(1, 2), F(1), F(-3, 4)),
+    "interval": (RInterval(F(0), F(1)), RInterval(NEG_INF, F(1)), EMPTY_INTERVAL),
+    "function": (abs_fn(), affine(F(1), F(0)), restrict(abs_fn(), RInterval(F(0), F(1)))),
+}
+
+
+@st.composite
+def trees(draw):
+    """Nested partitions of up to five scenarios; a cell splits now and then,
+    so cells of three or more scenarios are common."""
+    scenarios = SCENARIOS[:draw(st.integers(1, len(SCENARIOS)))]
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(scenarios),
+                            max_size=len(scenarios)))
+    partition, partitions = [scenarios], []
+    for _ in range(draw(st.integers(2, 4))):
+        finer = []
+        for cell in partition:
+            labels = [draw(st.sampled_from([0, 0, 0, 1])) for _ in cell]
+            finer += [tuple(s for s, k in zip(cell, labels) if k == side) for side in (0, 1)
+                      if side in labels]
+        partition = finer
+        partitions.append(tuple(partition))
+    return ScenarioTree(scenarios, tuple(F(w, sum(weights)) for w in weights),
+                        tuple(partitions))
+
+
+@st.composite
+def slot_families(draw):
+    """(tree, points, cells or None, predictable): slot data of one kind,
+    constant on the cells it must be constant on but for an entry now and
+    then, each entry either the pool's object or a copy rebuilt from it."""
+    tree = draw(trees())
+    pool = POOLS[draw(st.sampled_from(sorted(POOLS)))]
+    predictable = draw(st.booleans())
+
+    def family(n_slots, slot_of):
+        data = {s: [] for s in tree.scenarios}
+        for i in range(n_slots):
+            for cell in tree.cells(slot_of(i)):
+                k = draw(st.integers(0, len(pool) - 1))
+                for s in cell:
+                    v = pool[draw(st.integers(0, len(pool) - 1))
+                             if draw(st.integers(0, 7)) == 0 else k]
+                    data[s].append(rebuilt(v) if draw(st.booleans()) else v)
+        return data
+    points = family(tree.n_slots, tree.pred_slot if predictable else (lambda i: i))
+    cells = family(tree.n_slots - 1, lambda i: i) if draw(st.booleans()) else None
+    return tree, points, cells, predictable
+
+
+def _three_in_a_cell():
+    """One cell of three scenarios at slot 0 whose first two share a value and
+    whose third differs."""
+    tree = ScenarioTree(("a", "b", "c"), (F(1, 3),) * 3, ((("a", "b", "c"),),) * 2)
+    x = F(1)
+    return tree, {"a": [x, x], "b": [x, x], "c": [F(2), x]}, None, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_families())
+@example(_three_in_a_cell())
+def test_unmeasurable_slot_equals_the_inequality_reference(family):
+    """Identity answers only for pairs that are one object: equal copies and
+    every later scenario of a cell are still compared."""
+    tree, points, cells, predictable = family
+    assert unmeasurable_slot(tree, points, cells, predictable) == \
+        unmeasurable_slot_by_inequality(tree, points, cells, predictable)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees())
+def test_mass_equals_its_old_expression(tree):
+    """The memoised mass is the exact sum, the same object on each call."""
+    for partition in tree.partitions:
+        for cell in partition:
+            mass = tree.mass(cell)
+            assert type(mass) is F and mass == sum((tree.prob(s) for s in cell), F(0))
+            assert tree.mass(cell) is mass

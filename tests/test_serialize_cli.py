@@ -130,6 +130,15 @@ def old_jsonable(value):
     return repr(value)
 
 
+# what a list of rationals in a document may hold: canonical and other
+# strings, repeated ones, bad ones, and values that are not strings
+RAT_ITEMS = st.one_of(
+    st.sampled_from(["0", "1/2", "-3", "-3", " 7 ", "1e2", "0.25", "x", "1/0", "1e-9999",
+                     "", "inf"]),
+    st.integers(-3, 3), st.fractions(max_denominator=4),
+    st.sampled_from([1.0, None, True, ["1"], {}]))
+
+
 class Label(str):
     """A str subclass, as a report value."""
 
@@ -354,6 +363,28 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="not a rational: 1.0"):
             instance_doc_from_json(doc)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.lists(RAT_ITEMS, max_size=6), st.integers(), st.none()), st.booleans())
+    def test_rats_equals_rat_on_each_element(self, values, memo):
+        """One memo lookup per list reads what one per string did: the same
+        values and types, the same objects shared, the same exception."""
+        def read(parse):
+            token = serialize._PARSED.set({}) if memo else None
+            try:
+                got = parse(values)
+            except Exception as exc:  # the exception type and message are compared
+                return type(exc), str(exc)
+            finally:
+                if token is not None:
+                    serialize._PARSED.reset(token)
+            return [(type(q), q) for q in got], [[a is b for b in got] for a in got]
+        assert read(serialize._rats) == read(lambda vs: [serialize._rat(v) for v in vs])
+
+    @pytest.mark.parametrize("values, kind", [("012", "str"), ({"0": "1"}, "dict")])
+    def test_rats_refuses_a_string_or_an_object(self, values, kind):
+        with pytest.raises(TypeError, match=f"^expected a list, not {kind}$"):
+            serialize._rats(values)
+
     def test_reports_equal_ignores_timestamp(self):
         a = {"theorem": "x", "pass": True, "timestamp": 1.0}
         b = {"theorem": "x", "pass": True, "timestamp": 2.0}
@@ -550,9 +581,25 @@ MODEL_EDITS = [
      "cone dim must be an integer from 1 to 4, not 5"),
     ("cs", ("model", "Gtilde", "point_cones", 0), {"dim": 200, "generators": [], "halfspaces": []},
      "cone dim must be an integer from 1 to 4, not 200"),
+    # a string where a list belongs, once read by its characters
+    ("basic", ("grid",), "012", "bad grid: expected a list, not str"),
+    ("basic", ("mu",), {"up": "111", "dn": "111"}, "bad measure: expected a list, not str"),
+    ("basic", ("integrand_h", "functions", "up", 0, "breakpoints"), "0",
+     "bad piecewise-linear function: expected a list, not str"),
+    ("basic", ("integrand_h", "functions", "up", 0, "anchor"), "00",
+     "bad piecewise-linear function: expected a list, not str"),
+    ("basic", ("setmap_S", "up", "point_vals", 2), "02", "bad interval: expected a list, not str"),
+    ("basic", ("setmap_S", "up", "point_vals", 2), {"0": 0, "2": 0},
+     "bad interval: expected a list, not dict"),
+    ("basic", ("tree", "partitions", 0, 0), "dnup", "bad tree: expected a list, not str"),
+    ("cs", ("model", "G", "point_cones", 0, "generators", 0), "12",
+     "bad cone: expected a list, not str"),
+    ("obstacle", ("model", "b", "points", "up"), "132",
+     "bad scalar process: expected a list, not str"),
+    ("currency", ("model", "duals", 1, "u", 0), "00", "bad vector measure: expected a list, not str"),
 ]
 
-OWN_THEOREM = {"obstacle": "support-ds", "bidask": "support-ds",
+OWN_THEOREM = {"basic": "interchange-stoch", "obstacle": "support-ds", "bidask": "support-ds",
                "cs": "cs-regularity", "currency": "currency"}
 
 
@@ -732,8 +779,9 @@ class TestCli:
         for i, case in enumerate(MODEL_EDITS)])
     def test_a_missing_model_key_exits_2(self, preset, path, value, message,
                                          tmp_path, capsys):
-        """Every malformed model section, not only a missing key, and every
-        dual or path list that is not a list of objects is refused at load: a
+        """Every malformed model section, not only a missing key, every
+        dual or path list that is not a list of objects, and every string or
+        object where a list belongs is refused at load: a
         check that ignores the model, the model's own check and refine all
         exit 2 with one line and write nothing."""
         with open(bundled(preset), encoding="utf-8") as fh:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadlagconvex.plconvex import RInterval, abs_fn, indicator, restrict
 from cadlagconvex.rationals import INF
@@ -180,3 +182,16 @@ class TestRefinement:
             hk = [abs_fn()] * G3.refine(k).n_slots
             assert eval_I(hk, y.refine(k), mu.refine(k)) == eval_I(h, y, mu)
             assert eval_J(hk, theta.refine(k), mu.refine(k)) == eval_J(h, theta, mu)
+
+
+class Sub(F):
+    """A Fraction subclass, as an atom."""
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.fractions(), st.integers(-2, 2), st.fractions().map(Sub)),
+                min_size=3, max_size=3))
+def test_is_nonnegative_equals_its_old_expression(atoms):
+    """The numerator's sign stands in for a Fraction comparison with 0."""
+    m = GridMeasure(G3, atoms)
+    assert m.is_nonnegative is all(a >= 0 for a in m.atoms)
