@@ -2,9 +2,10 @@
 
 Cones are kept in generator (V) and half-space (H) form.  The double
 description sweep converts one form into the other, in integer arithmetic on
-coprime rays and normals, and every other question is answered from the
-forms it yields: membership by the half-space normals, redundancy of a
-generator by the half-spaces of the others.  Everything is exact and the
+coprime rays and normals.  It splits off the lineality space of its rows
+once and sweeps the pointed rest, so the generating set it returns is
+irredundant and no generator is tested for redundancy afterwards;
+membership is read off the half-space normals.  Everything is exact and the
 representations are reproducible.  Intended for dimension <= 4
 (:data:`MAX_DIM`, the bound on cone files) at desk scale.
 """
@@ -30,15 +31,6 @@ def vdot(a: Sequence[Q], b: Sequence[Q]) -> Q:
     return sum(map(mul, a, b))
 
 
-def canon_ray(v: Sequence) -> Optional[Vec]:
-    """Scale a rational vector to coprime integers, preserving direction.
-
-    Returns None for the zero vector.
-    """
-    ints = _int_ray(v)
-    return None if ints is None else tuple(Fraction(x) for x in ints)
-
-
 def _coprime(v: Sequence[int]) -> Optional[IntVec]:
     """The integer vector divided by the gcd of its entries; None if zero."""
     g = gcd(*v)
@@ -46,7 +38,8 @@ def _coprime(v: Sequence[int]) -> Optional[IntVec]:
 
 
 def _int_ray(v: Sequence) -> Optional[IntVec]:
-    """:func:`canon_ray` as a tuple of ``int``."""
+    """The rational vector scaled to coprime integers, preserving direction;
+    None for the zero vector."""
     vec = tuple(rat(x) for x in v)
     denom = 1
     for x in vec:
@@ -105,28 +98,31 @@ def rank(rows: Sequence[IntVec], dim: int) -> int:
     return dim - len(_null_space(rows, dim))
 
 
-def _dd_sweep(halfspaces: Sequence[IntVec], dim: int) -> List[IntVec]:
-    """Generators of {x | a . x <= 0 for all a}: the double description sweep.
+def _dd_sweep(rows: Sequence[IntVec], dim: int) -> List[IntVec]:
+    """Irredundant generators of {x | a . x <= 0 for every row a}: the double
+    description sweep.
 
-    The rays lie on minimal faces but may still be redundant.  When the
-    normals span the space the cone is pointed, its minimal faces are its
-    extreme rays and the result does not depend on the order of the rows; so
-    the sweep starts from the simplicial cone of the first spanning rows and
-    holds only extreme rays throughout.  Otherwise it starts from +-e_i.
+    The cone is its lineality space L, the null space of the rows, plus a
+    pointed cone in the orthogonal complement of L (Rockafellar, *Convex
+    Analysis*, section 18).  With b and -b appended as rows for each vector
+    b of a basis of L the rows span the space, so the sweep starts from the
+    simplicial cone of the first spanning rows and holds only extreme rays of
+    the pointed part, which do not depend on the order of the rows.  They
+    come sorted, then b, -b for each basis vector.  Projecting onto the
+    complement of L shows that none is a conic combination of the others.
     """
+    lines = [w for b in _null_space(rows, dim) for w in (b, tuple(-x for x in b))]
+    rows = list(rows) + lines
     basis: List[IntVec] = []
-    for a in halfspaces:
+    for a in rows:
         if len(basis) < dim and rank(basis + [a], dim) > len(basis):
             basis.append(a)
-    if len(basis) == dim:  # ray j spans the null space of the other rows
-        rays, processed = [], list(basis)
-        for j, b in enumerate(basis):
-            (v,) = _null_space(basis[:j] + basis[j + 1:], dim)
-            rays.append(v if vdot(b, v) < 0 else tuple(-x for x in v))
-    else:
-        rays = [tuple(s * (i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
-        processed = []
-    for a in halfspaces:
+    rays = []  # ray j spans the null space of the other basis rows
+    for j, b in enumerate(basis):
+        (v,) = _null_space(basis[:j] + basis[j + 1:], dim)
+        rays.append(v if vdot(b, v) < 0 else tuple(-x for x in v))
+    processed = list(basis)
+    for a in rows:
         inside, boundary, outside = [], [], []
         for r in rays:
             s = vdot(a, r)
@@ -139,69 +135,21 @@ def _dd_sweep(halfspaces: Sequence[IntVec], dim: int) -> List[IntVec]:
                     new.append(w)
         processed.append(a)
         rays = _extreme_filter(sorted(set(new)), processed, dim)
-    return rays
+    return rays + lines
 
 
-def _dd_rays(halfspaces: Sequence[Vec], dim: int) -> Tuple[Vec, ...]:
-    """:func:`_dd_sweep` of the rational rows, with its redundant rays
-    removed."""
-    rays = _dd_sweep([_int_ray(a) for a in halfspaces], dim)
-    return tuple(canon_ray(r) for r in _reduce_rays(rays, dim))
+def _dd_rays(rows: Sequence[Vec], dim: int) -> Tuple[Vec, ...]:
+    """:func:`_dd_sweep` of the rational rows, as rays of ``Fraction``."""
+    return tuple(tuple(map(Fraction, r)) for r in _dd_sweep([_int_ray(a) for a in rows], dim))
 
 
-_REDUCE_CAP = 40
-
-
-def _extreme_filter(rays: List[IntVec], halfspaces: Sequence[IntVec],
+def _extreme_filter(rays: List[IntVec], rows: Sequence[IntVec],
                     dim: int) -> List[IntVec]:
-    """Keep only rays on minimal faces; exact via ranks of active rows.
-
-    With constraint rows of rank k, the faces of dimension (lineality + 1)
-    are cut out by active sets of rank k - 1, and every cone element is a
-    conic combination of rays on such faces (rays inside the lineality space
-    have fully active rank k and are kept too).  Dropping rays interior to
-    higher faces therefore preserves the generated cone, pointed or not.
-    """
-    k = rank(halfspaces, dim)
-    if k <= 1:
-        return rays
-    kept = []
-    for r in rays:
-        active = [a for a in halfspaces if vdot(a, r) == 0]
-        if rank(active, dim) >= k - 1:
-            kept.append(r)
-    return kept
-
-
-def _in_cone(x: IntVec, gens: Sequence[IntVec], dim: int) -> bool:
-    """x in cone(gens): N . x = 0 for a basis N of span(gens)'s orthogonal
-    complement, and x lies in the solid cone(gens, N, -N), whose polar the
-    sweep takes from its pointed start."""
-    perp = _null_space(gens, dim)
-    if any(vdot(n, x) for n in perp):
-        return False
-    solid = list(gens) + perp + [tuple(-c for c in n) for n in perp]
-    return all(vdot(a, x) <= 0 for a in _dd_sweep(solid, dim))
-
-
-def _reduce_rays(rays: List[IntVec], dim: int) -> List[IntVec]:
-    """Drop generators lying in the cone of the others (when cheap enough).
-
-    Redundancy removal is cosmetic: a redundant generating set still defines
-    the same cone, so large families, where one sweep per ray is expensive,
-    are kept as they are.
-    """
-    if len(rays) > _REDUCE_CAP:
-        return rays
-    kept = list(rays)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if others and _in_cone(kept[i], others, dim):
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
+    """Keep the extreme rays of the cone cut out by ``rows``, which span the
+    space: those whose active rows have rank dim - 1.  The cone is pointed,
+    so its extreme rays generate it."""
+    return [r for r in rays
+            if rank([a for a in rows if vdot(a, r) == 0], dim) >= dim - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +262,16 @@ def cone_hull(cones: Sequence[PolyCone]) -> PolyCone:
     """Closed conic hull of finitely many polyhedral cones.
 
     Finitely generated cones are closed, so the hull is just the cone of the
-    pooled generators; redundant ones are removed.
+    pooled generators.  Its half-spaces are swept from them at once and its
+    generators, irredundant, back from the half-spaces on first use.
     """
     if not cones:
         raise ValueError("hull of an empty family")
     dim = cones[0].dim
     if any(k.dim != dim for k in cones):
         raise ValueError("cone dimension mismatch")
-    pooled = sorted({_int_ray(g) for k in cones for g in k.generators})
-    return PolyCone(dim, generators=_reduce_rays(pooled, dim))
+    pooled = [g for k in cones for g in k.generators]
+    return PolyCone(dim, halfspaces=_dd_rays(pooled, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,13 @@ def rat(value) -> Fraction:
     at once, where ``Fraction(str)`` would compute ``10 ** exp`` first, and so
     is a value whose reduced numerator or denominator has more than
     :data:`MAX_EXPONENT` digits, which ``str`` could not write back.
+
+    An exact ``Fraction`` is returned before any ``isinstance`` test: the
+    grid, path, measure and tree constructors send values that are already
+    ``Fraction`` through here on every build.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         if value.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() \

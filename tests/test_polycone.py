@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadlagconvex.polycone import (ConeMap, PolyCone, _reduce_rays, canon_ray,
-                                   cone_hull, cs_regularity_check, vdot)
+from cadlagconvex.polycone import (ConeMap, PolyCone, _int_ray, cone_hull,
+                                   cs_regularity_check, vdot)
 from cadlagconvex.rationals import rat
 from cadlagconvex.timegrid import TimeGrid
 
@@ -26,9 +26,9 @@ ORTH = PolyCone.orthant(2)
 # ---------------------------------------------------------------------------
 
 def _canon_row(coeffs, rhs):
-    ray = canon_ray(tuple(coeffs) + (rhs,))
+    ray = _int_ray(tuple(coeffs) + (rhs,))
     if ray is None:
-        return tuple(F(0) for _ in coeffs), F(0)
+        return (0,) * len(coeffs), 0
     return ray[:-1], ray[-1]
 
 
@@ -101,7 +101,8 @@ def pointed_direct(cone):
 
 
 def reduce_rays_by_multipliers(rays, dim):
-    """_reduce_rays with each redundancy decided by the multiplier system."""
+    """Drop, in order, each ray that lies in the cone of the rays left, each
+    redundancy decided by the multiplier system."""
     kept = list(rays)
     i = 0
     while i < len(kept):
@@ -114,7 +115,8 @@ def reduce_rays_by_multipliers(rays, dim):
 
 
 def canon_ray_by_fractions(v):
-    """The Fraction arithmetic canon_ray used before it went integer-only."""
+    """The canonical ray in the Fraction arithmetic used before it went
+    integer-only: coprime integers as Fractions, None for the zero vector."""
     vec = tuple(rat(x) for x in v)
     if all(x == 0 for x in vec):
         return None
@@ -132,9 +134,9 @@ def canon_ray_by_fractions(v):
 @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30)
                 | st.integers(-50, 50), min_size=1, max_size=4))
 def test_canon_ray_equals_the_fraction_arithmetic(v):
-    got, want = canon_ray(v), canon_ray_by_fractions(v)
+    got, want = _int_ray(v), canon_ray_by_fractions(v)
     assert got == want
-    assert got is None or all(type(x) is F and x.denominator == 1 for x in got)
+    assert got is None or all(type(x) is int for x in got)
 
 
 def polycone_forms_by_fraction_sort(dim, generators, halfspaces):
@@ -147,7 +149,7 @@ def polycone_forms_by_fraction_sort(dim, generators, halfspaces):
             continue
         rays = []
         for v in vectors:
-            r = canon_ray(v)
+            r = canon_ray_by_fractions(v)
             if r is None:
                 continue
             if len(r) != dim:
@@ -216,18 +218,65 @@ def generator_families(draw):
     return dim, family
 
 
+def drawn_points(data, gens, dim):
+    """The generators, an integer combination of them with weights from -1
+    to 2, and up to four points of the lattice [-3, 3]^dim."""
+    weights = data.draw(st.lists(st.integers(-1, 2), min_size=len(gens), max_size=len(gens)))
+    combination = tuple(sum(w * g[k] for w, g in zip(weights, gens)) for k in range(dim))
+    return list(gens) + [combination] + data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * dim), max_size=4))
+
+
+def assert_irredundant(gens, dim):
+    """No generator lies in the cone of the others, by the multiplier system."""
+    for i, g in enumerate(gens):
+        assert not member_multipliers(g, gens[:i] + gens[i + 1:], dim), g
+
+
+def lineality_dim(gens, dim):
+    """The dimension of K ∩ -K for K = cone(gens): it is spanned by the
+    generators whose negation lies in K, found by the multiplier system."""
+    inside = [[float(x) for x in g] for g in gens
+              if member_multipliers(tuple(-x for x in g), gens, dim)]
+    return int(np.linalg.matrix_rank(np.array(inside))) if inside else 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(generator_families(), st.data())
 def test_double_description_equals_the_multiplier_reference(family, data):
+    """The hull's generators, swept there and back, are irredundant and span
+    the reference's cone; on a pointed cone they are its extreme rays, which
+    is the reference, and otherwise at most two more per lineality dimension."""
     dim, gens = family
-    assert _reduce_rays(gens, dim) == reduce_rays_by_multipliers(gens, dim)
     cone = PolyCone.from_generators(gens, dim)
-    weights = data.draw(st.lists(st.integers(-1, 2), min_size=len(gens), max_size=len(gens)))
-    combination = tuple(sum(w * g[k] for w, g in zip(weights, gens)) for k in range(dim))
-    points = gens + [combination] + data.draw(st.lists(
-        st.tuples(*[st.integers(-3, 3)] * dim), max_size=4))
-    for x in points:
+    reference = reduce_rays_by_multipliers(list(cone.generators), dim)
+    hull = cone_hull([cone])
+    swept = list(hull.generators)
+    assert_irredundant(swept, dim)
+    assert all(member_multipliers(g, reference, dim) for g in swept)
+    assert all(member_multipliers(g, swept, dim) for g in reference)
+    assert hull.same_cone(PolyCone.from_generators(reference, dim))
+    if pointed_direct(cone):
+        assert swept == reference
+    assert len(swept) <= 2 * lineality_dim(reference, dim) + len(reference)
+    for x in drawn_points(data, gens, dim):
         assert cone.member(x) == member_v(cone, x)
+
+
+LINE_HALFSPACES = [(3, 2, 3, 5), (18, 5, 4, 2), (21, 14, 29, 47), (22, -7, 18, 9)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_a_cone_with_a_lineality_line_lists_six_irredundant_generators(data):
+    """A sweep started from +-e_i listed 2,552 generators for this cone: its
+    lineality line, both ways, and the four extreme rays of the rest."""
+    cone = PolyCone(4, halfspaces=LINE_HALFSPACES)
+    gens = list(cone.generators)
+    assert len(gens) == 6
+    assert_irredundant(gens, 4)
+    for x in drawn_points(data, gens, 4):
+        assert all(vdot(a, x) <= 0 for a in LINE_HALFSPACES) == member_v(cone, x)
 
 
 def test_generators_of_a_cone_with_a_lineality_line_generate_all_of_it():

@@ -9,6 +9,7 @@ import fractions
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -233,3 +234,31 @@ interval_end_st = st.one_of(
 @given(interval_end_st, interval_end_st)
 def test_interval_raises_as_before(lo, hi):
     assert interval_outcome(RInterval, lo, hi) == interval_outcome(old_interval_ends, lo, hi)
+
+
+# -- rat: an exact Fraction is returned itself ----------------------------------
+
+def rat_before_the_type_shortcut(value):
+    """Reference copy of rat's dispatch before an exact Fraction returned
+    first, with Fraction(str) for a string (the tests above hold rat's string
+    path to it): any Fraction as it is, an int or a bool as a Fraction, and
+    TypeError for anything else."""
+    if isinstance(value, str):
+        return F(value)
+    if isinstance(value, F):
+        return value
+    if isinstance(value, int):
+        return F(value)
+    raise TypeError(f"not a rational: {value!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(fractions_st, fractions_st.map(Sub), st.booleans(), st.integers(),
+                 canonical, mutated(),
+                 st.sampled_from([0.5, INF, float("nan"), None, 1j, [1], (1, 2), b"1",
+                                  Decimal("1.5")])))
+def test_rat_returns_a_fraction_itself_and_all_else_as_before(value):
+    assume(not (isinstance(value, str) and HUGE_EXPONENT.search(value)))
+    assert outcome(rat, value) == outcome(rat_before_the_type_shortcut, value)
+    if isinstance(value, F):
+        assert rat(value) is value
