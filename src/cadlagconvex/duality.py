@@ -45,15 +45,13 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from .plconvex import RInterval, indicator, once
 from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
-                       check_predictable, expected_pairing, paste,
-                       predictable_atoms)
+                       check_predictable, expected_pairing)
 from .setmaps import SetMap, escaping_slots, michael_check
 from .timegrid import StepPath, TimeGrid, eval_I, eval_J, refined_once
 
@@ -387,12 +385,13 @@ def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]],
 def _coordinate_infima(inst: Instance, sets: Dict[str, List[RInterval]], charges):
     """Minimize every coordinate's charged cost over its feasible interval.
 
-    Returns the cost terms, whether some coordinate is empty, per charge
-    each scenario's minimizers nearest 0 by slot (None if not attained; a
-    charge without mass takes the previous charge's point, the first one the
-    feasible point nearest 0), and the right-hand side: every charged atom,
-    the one at t_0 of a lagged charge included, against the integrand's
-    infimum over the line.
+    At most one charge has mass at a coordinate, as on the FINE grid, where
+    mu is 0 at the inserted slots, the only ones charged as a left limit;
+    two would need one joint minimization.  Returns the cost terms, whether
+    some coordinate is empty, each scenario's minimizers nearest 0 by slot
+    (None if not attained; the feasible point nearest 0 where no charge has
+    mass), and the right-hand side: every charged atom, the one at t_0 of a
+    lagged charge included, against the integrand's infimum over the line.
     """
     tree, n = inst.tree, inst.grid.n_slots
     rhs = tree.expectation({
@@ -401,21 +400,22 @@ def _coordinate_infima(inst: Instance, sets: Dict[str, List[RInterval]], charges
         for s in tree.scenarios})
     costs: List[Ext] = []
     infeasible = False
-    picks = [{s: [None] * n for s in tree.scenarios} for _ in charges]
+    path = {s: [None] * n for s in tree.scenarios}
     for i, cell, mass, feas, terms in _coordinates(inst, sets, RInterval.whole_line(),
                                                    charges):
         if feas.is_empty:
             infeasible = True
             continue
+        charged = [(atom, fn) for atom, fn in terms if atom > 0]
+        assert len(charged) <= 1, f"two charges with mass at slot {i}"
         point = feas.nearest_to(Fraction(0))
-        for chosen, (atom, fn) in zip_longest(picks, terms, fillvalue=(0, None)):
-            if atom > 0:
-                val, argmin = fn.inf_over(feas)
-                costs.append(xmul(mass, xmul(atom, val)))
-                point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
-            for s in cell:
-                chosen[s][i] = point
-    return costs, infeasible, picks, rhs
+        for atom, fn in charged:
+            val, argmin = fn.inf_over(feas)
+            costs.append(xmul(mass, xmul(atom, val)))
+            point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
+        for s in cell:
+            path[s][i] = point
+    return costs, infeasible, path, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -677,14 +677,15 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
 
 
 def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
-    """Interchange over adapted paths, with the pasting witness.
+    """Interchange over adapted paths, with an explicit witness.
 
     The left side minimizes per (partition cell, slot) since the objective
     separates across the tree; for the hatted form this runs on the refined
-    coordinates.  When every slot infimum is attained, an explicit adapted
-    witness path is assembled (for the hatted form by pasting the
-    left-limit-optimal path into the cells announcing the predictable atoms)
-    and its primal value is asserted to equal the left side exactly.
+    coordinates.  When every slot infimum is attained, the minimizers form
+    an adapted witness, whose primal value is asserted to equal the left
+    side exactly.  For the hatted form it is the ``scenario.paste`` of the
+    left-limit-optimal path into the cells announcing the predictable atoms,
+    as the tests check: on the refined grid no coordinate has two charges.
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
@@ -694,7 +695,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     tree, n = r.tree, r.grid.n_slots
     sets = _fixed_value_sets(r) if hatted else {
         s: [r.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios}
-    costs, infeasible, picks, rhs = _coordinate_infima(r, sets, _charges(r, hatted))
+    costs, infeasible, path, rhs = _coordinate_infima(r, sets, _charges(r, hatted))
     if hatted:
         infeasible = infeasible or not all(_zero_start_ok(r, s) for s in tree.scenarios)
         costs.append(_zero_start_cost(r))
@@ -709,12 +710,10 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
         "assumptions_ok": assumptions["all_ok"],
         "witness": None,
     }
-    if infeasible or any(v is None for chosen in picks for vals in chosen.values()
-                         for v in vals):
+    if infeasible or any(v is None for vals in path.values() for v in vals):
         return out
-    y = [RandomPath(tree, r.grid, {s: StepPath(r.grid, tuple(vals[s])) for s in tree.scenarios})
-         for vals in picks]
-    witness = paste(y[0], y[1], predictable_atoms(r.mutilde)) if hatted else y[0]
+    witness = RandomPath(tree, r.grid, {s: StepPath(r.grid, tuple(path[s]))
+                                        for s in tree.scenarios})
     achieved = (eval_Fhat if hatted else eval_F)(r, witness)
     assert achieved == lhs, "witness must achieve the infimum exactly"
     out["witness"] = witness

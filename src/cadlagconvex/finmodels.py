@@ -1,26 +1,31 @@
 """Market-model presets built from the generic duality machinery.
 
-Obstacle constraints (half-line maps above an optional lower bound), bid-ask
-interval constraints with their left regularizations, and cone-valued
-currency-market constraints with polar membership certificates.  Each preset
-carries a closed-form support function that the generic ``support_DS`` and
-the brute-force oracle must reproduce.
+Bid-ask bands S_t = [b_t, a_t] between an optional bid and ask, with their
+left regularizations, and cone-valued currency-market constraints with polar
+membership certificates.  The obstacle is the band with no ask, the
+half-line [b_t, +inf): :func:`band_setmap` builds both constraint maps and
+one closed form prices both supports, the ask (+inf without one) against
+the positive parts of the dual atoms and the bid against the negative
+parts.  Each closed form is what the generic ``support_DS`` and the
+brute-force oracle must reproduce.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .duality import DualPair, Instance, indicator_integrand, make_instance
 from .plconvex import RInterval
 from .polycone import ConeMap, PolyCone, cone_hull, vdot
-from .rationals import Ext, INF, Q, rat
+from .rationals import Ext, INF, Q, rat, xmul, xsum
 from .scenario import (RandomMeasure, RandomPath, RandomSetMap, ScenarioTree,
                        check_adapted, unmeasurable_slot)
-from .setmaps import SetMap
+from .setmaps import SetMap, escaping_slots
 from .timegrid import TimeGrid, refine_cells, refine_slots
 
 
@@ -107,20 +112,14 @@ def left_lsc_reg(a: ScalarProcess) -> ScalarProcess:
 
 def right_usc_slots(b: ScalarProcess) -> Dict[str, List[int]]:
     """Slots violating right upper semicontinuity (point below the next cell)."""
-    out = {}
-    for s in b.tree.scenarios:
-        out[s] = [i for i in range(b.grid.n_cells)
-                  if not (b.points[s][i] >= b.cells[s][i])]
-    return out
+    return {s: escaping_slots(b.points[s], b.cells[s], 0, operator.ge)
+            for s in b.tree.scenarios}
 
 
 def right_lsc_slots(a: ScalarProcess) -> Dict[str, List[int]]:
     """Slots violating right lower semicontinuity (point above the next cell)."""
-    out = {}
-    for s in a.tree.scenarios:
-        out[s] = [i for i in range(a.grid.n_cells)
-                  if not (a.points[s][i] <= a.cells[s][i])]
-    return out
+    return {s: escaping_slots(a.points[s], a.cells[s], 0, operator.le)
+            for s in a.tree.scenarios}
 
 
 def _jordan(x: Q) -> Tuple[Q, Q]:
@@ -128,8 +127,41 @@ def _jordan(x: Q) -> Tuple[Q, Q]:
 
 
 # ---------------------------------------------------------------------------
-# Obstacle constraints: S_t is the half-line above an optional bound
+# Bands S_t = [b_t, a_t]; the obstacle is the band with a = +inf
 # ---------------------------------------------------------------------------
+
+def band_setmap(b: ScalarProcess, a: Optional[ScalarProcess] = None) -> RandomSetMap:
+    """The map whose point and cell values are [b, a] in each scenario, or
+    [b, +inf) when ``a`` is None."""
+    def band(s: str, side: str) -> Tuple[RInterval, ...]:
+        his = repeat(INF) if a is None else getattr(a, side)[s]
+        return tuple(map(RInterval, getattr(b, side)[s], his))
+    return RandomSetMap(b.tree, b.grid, {
+        s: SetMap(b.grid, band(s, "points"), band(s, "cells")) for s in b.tree.scenarios})
+
+
+def _band_support(b: ScalarProcess, b_vec: ScalarProcess, a: Optional[ScalarProcess],
+                  a_under: Optional[ScalarProcess], d: DualPair) -> Ext:
+    """E[sum of a u+ - b u- over the optional atoms plus a_under ut+ - b_vec ut-
+    over the predictable atoms after t_0], with the Jordan parts u+, u- of
+    each atom.  With no ask (``a`` and ``a_under`` None) a positive part
+    costs ``xmul(INF, u+)``: +inf when it is positive, 0 when it is zero.
+    """
+    def terms(s: str):
+        for lo, hi, m, first in ((b, a, d.u, 0), (b_vec, a_under, d.ut, 1)):
+            for i, atom in enumerate(m.measures[s].atoms[first:], first):
+                plus, minus = _jordan(atom)
+                yield xmul(INF if hi is None else hi.points[s][i], plus)
+                yield -lo.points[s][i] * minus
+    return b.tree.expectation({s: xsum(terms(s)) for s in b.tree.scenarios})
+
+
+def _model_instance(smap: RandomSetMap) -> Instance:
+    """The hard constraint y in S: the indicators of S, charged by no measure."""
+    zero = RandomMeasure.zero(smap.tree, smap.grid)
+    return make_instance(smap.tree, smap.grid, indicator_integrand(smap, "optional"), zero,
+                         S=smap)
+
 
 @dataclass(frozen=True)
 class ObstacleModel:
@@ -148,24 +180,11 @@ def obstacle_model(b: ScalarProcess, ycheck: RandomPath) -> ObstacleModel:
         raise ValueError(f"bound is not right-usc at slots {bad}")
     if not check_adapted(ycheck):
         raise ValueError("dominating path must be adapted")
+    smap = band_setmap(b)
     for s in b.tree.scenarios:
-        vals = ycheck.paths[s].values
-        for i in range(b.grid.n_slots):
-            if vals[i] < b.points[s][i]:
-                raise ValueError(f"dominating path below the bound at slot {i}")
-        for i in range(b.grid.n_cells):
-            if vals[i] < b.cells[s][i]:
-                raise ValueError(f"dominating path below the bound on cell {i}")
-    maps = {
-        s: SetMap(b.grid,
-                  tuple(RInterval(p, INF) for p in b.points[s]),
-                  tuple(RInterval(c, INF) for c in b.cells[s]))
-        for s in b.tree.scenarios
-    }
-    smap = RandomSetMap(b.tree, b.grid, maps)
-    h = indicator_integrand(smap, "optional")
-    inst = make_instance(b.tree, b.grid, h, RandomMeasure.zero(b.tree, b.grid), S=smap)
-    return ObstacleModel(b, left_usc_reg(b), ycheck, inst)
+        if not smap.maps[s].is_selection(ycheck.paths[s]):
+            raise ValueError(f"dominating path below the bound in {s!r}")
+    return ObstacleModel(b, left_usc_reg(b), ycheck, _model_instance(smap))
 
 
 def obstacle_support(model: ObstacleModel, d: DualPair) -> Ext:
@@ -175,24 +194,8 @@ def obstacle_support(model: ObstacleModel, d: DualPair) -> Ext:
     Atoms of the predictable measure at t_0 pair against the pinched start
     {0} and contribute nothing, any sign.
     """
-    tree = model.b.tree
-    vals: Dict[str, Ext] = {}
-    for s in tree.scenarios:
-        u = d.u.measures[s].atoms
-        ut = d.ut.measures[s].atoms
-        if any(a > 0 for a in u) or any(a > 0 for a in ut[1:]):
-            vals[s] = INF
-            continue
-        total = sum((model.b.points[s][i] * u[i] for i in range(len(u))), Fraction(0))
-        total += sum((model.b_vec.points[s][i] * ut[i] for i in range(1, len(ut))),
-                     Fraction(0))
-        vals[s] = total
-    return tree.expectation(vals)
+    return _band_support(model.b, model.b_vec, None, None, d)
 
-
-# ---------------------------------------------------------------------------
-# Bid-ask spreads: S_t = [b_t, a_t]
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BidAskModel:
@@ -230,18 +233,7 @@ def bidask_model(b: ScalarProcess, a: ScalarProcess, ybar: RandomPath) -> BidAsk
                 raise ValueError(f"separation fails on cell {i} in {s!r}")
             if i >= 1 and not (b_vec.points[s][i] < lefts[i] < a_under.points[s][i]):
                 raise ValueError(f"left separation fails at slot {i} in {s!r}")
-    maps = {
-        s: SetMap(b.grid,
-                  tuple(RInterval(lo, hi)
-                        for lo, hi in zip(b.points[s], a.points[s])),
-                  tuple(RInterval(lo, hi)
-                        for lo, hi in zip(b.cells[s], a.cells[s])))
-        for s in b.tree.scenarios
-    }
-    smap = RandomSetMap(b.tree, b.grid, maps)
-    h = indicator_integrand(smap, "optional")
-    inst = make_instance(b.tree, b.grid, h, RandomMeasure.zero(b.tree, b.grid), S=smap)
-    return BidAskModel(b, a, b_vec, a_under, ybar, inst)
+    return BidAskModel(b, a, b_vec, a_under, ybar, _model_instance(band_setmap(b, a)))
 
 
 def bidask_support(model: BidAskModel, d: DualPair) -> Ext:
@@ -252,20 +244,7 @@ def bidask_support(model: BidAskModel, d: DualPair) -> Ext:
     positive part and the left-usc regularization of the bid the negative
     part.  Atoms at t_0 of the predictable measure contribute nothing.
     """
-    tree = model.b.tree
-    vals: Dict[str, Ext] = {}
-    for s in tree.scenarios:
-        total = Fraction(0)
-        for i, atom in enumerate(d.u.measures[s].atoms):
-            plus, minus = _jordan(atom)
-            total += model.a.points[s][i] * plus - model.b.points[s][i] * minus
-        for i, atom in enumerate(d.ut.measures[s].atoms):
-            if i == 0:
-                continue
-            plus, minus = _jordan(atom)
-            total += model.a_under.points[s][i] * plus - model.b_vec.points[s][i] * minus
-        vals[s] = total
-    return tree.expectation(vals)
+    return _band_support(model.b, model.b_vec, model.a, model.a_under, d)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .rationals import Q, rat
+from .setmaps import escaping_slots
 from .timegrid import TimeGrid, refine_cells, refine_slots
 
 Vec = Tuple[Fraction, ...]
@@ -314,8 +315,7 @@ class ConeMap:
                        tuple(k.polar() for k in self.cell_cones))
 
     def right_isc(self) -> bool:
-        return all(self.point_cones[i].subcone_of(self.cell_cones[i])
-                   for i in range(self.grid.n_cells))
+        return not escaping_slots(self.point_cones, self.cell_cones, 0, PolyCone.subcone_of)
 
     def refine(self, factor: int) -> "ConeMap":
         """New grid times take the surrounding cell's cone."""

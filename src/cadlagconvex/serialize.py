@@ -4,7 +4,9 @@ All numerics are rational strings ('p/q', with 'inf'/'-inf' sentinels), so a
 file round-trips exactly.  Malformed documents raise :class:`SchemaError`.
 Where the schema has a list (a grid, atoms, breakpoints, an interval's two
 ends, a cone row), the document must hold a JSON array: a string or an object
-there is refused, not read by its characters or keys.
+there is refused, not read by its characters or keys.  A JSON boolean is no
+rational, and an ``obstacle`` or ``bidask`` model section must describe the
+file's ``setmap_S`` (:func:`finmodels.band_setmap`).
 
 A document repeats few distinct strings many times (the same knots, slopes,
 probabilities and interval ends), so :func:`instance_doc_from_json` parses
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .duality import DualPair, Instance, make_instance
-from .finmodels import ScalarProcess, VectorMeasure
+from .finmodels import ScalarProcess, VectorMeasure, band_setmap
 from .plconvex import PLConvex, RInterval, pl
 from .polycone import MAX_DIM, ConeMap, PolyCone
 from .rationals import MAX_EXPONENT, ext, fmt, is_finite, rat
@@ -81,11 +83,18 @@ def _wrap(what: str):
 _PARSED: ContextVar[Optional[Dict[object, object]]] = ContextVar("_PARSED", default=None)
 
 
+def _nonstring(conv, value):
+    """``conv(value)``, refusing a JSON boolean (``rat(True)`` is 1)."""
+    if type(value) is bool:
+        raise TypeError(f"not a rational: {value}")
+    return conv(value)
+
+
 def _rat(value) -> Fraction:
     """:func:`rat`, through the memo of the document being read, if any."""
     parsed = _PARSED.get()
     if parsed is None or not isinstance(value, str):
-        return rat(value)
+        return _nonstring(rat, value)
     q = parsed.get(value)
     if q is None:
         q = parsed[value] = rat(value)
@@ -110,7 +119,7 @@ def _rats(values) -> List[Fraction]:
     values = _array(values)
     parsed = _PARSED.get()
     if parsed is None:
-        return [rat(v) for v in values]
+        return [_nonstring(rat, v) for v in values]
     out = []
     for v in values:
         if isinstance(v, str):
@@ -118,7 +127,7 @@ def _rats(values) -> List[Fraction]:
             if q is None:
                 q = parsed[v] = rat(v)
         else:
-            q = rat(v)
+            q = _nonstring(rat, v)
         out.append(q)
     return out
 
@@ -127,7 +136,7 @@ def _ext(value):
     """:func:`ext` through the same memo; the sentinels are never stored."""
     parsed = _PARSED.get()
     if parsed is None or not isinstance(value, str):
-        return ext(value)
+        return _nonstring(ext, value)
     q = parsed.get(value)
     if q is None:
         q = ext(value)
@@ -480,6 +489,9 @@ def _instance_doc_from_json(doc: dict) -> InstanceDoc:
         duals = [dual_from_json(d, tree, grid) for d in _list(doc.get("duals", []), "duals")]
         paths = [path_from_json(p, tree, grid) for p in _list(doc.get("paths", []), "paths")]
         model = model_from_json(doc.get("model"), tree, grid)
+        if model is not None and model.kind in ("obstacle", "bidask") and \
+                band_setmap(model.parts["b"], model.parts.get("a")) != inst.S:
+            raise SchemaError(f"the {model.kind} model's band differs from setmap_S")
     except SchemaError:
         raise
     except ValueError as exc:

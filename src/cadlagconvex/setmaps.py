@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .plconvex import EMPTY_INTERVAL, RInterval
 from .rationals import Q, rat
@@ -70,15 +70,11 @@ class SetMap:
         return all(not self.attainable_at(i).is_empty for i in range(self.grid.n_slots))
 
     def is_selection(self, y: StepPath) -> bool:
-        """Membership of a step path: point and cell constraints slot-wise."""
+        """Membership of a step path, which holds its value at t_i on the
+        following cell: each value lies in :meth:`attainable_at`."""
         if y.grid != self.grid:
             raise ValueError("grid mismatch")
-        for i, v in enumerate(y.values):
-            if not self.point_vals[i].contains(v):
-                return False
-            if i < self.grid.n_cells and not self.open_vals[i].contains(v):
-                return False
-        return True
+        return all(self.attainable_at(i).contains(v) for i, v in enumerate(y.values))
 
     def refine(self, factor: int) -> "SetMap":
         """New grid times take the surrounding cell's value."""
@@ -87,13 +83,15 @@ class SetMap:
                       refine_cells(self.open_vals, factor))
 
 
-def escaping_slots(points: Sequence[RInterval], cells: Sequence[RInterval],
-                   lag: int) -> List[int]:
+def escaping_slots(points: Sequence, cells: Sequence, lag: int,
+                   inside: Callable[[object, object], bool] = RInterval.issubset) -> List[int]:
     """Slots i, in increasing order, whose point value is not inside the
     following cell value cells[i] (``lag`` 0, i < N; right inner
     semicontinuity) or the preceding one cells[i - 1] (``lag`` 1, i >= 1).
-    The points and the cells may come from two mappings."""
-    return [i + lag for i, cell in enumerate(cells) if not points[i + lag].issubset(cell)]
+    The points and the cells may come from two mappings.  ``inside`` is the
+    inclusion: of intervals, of cones (``PolyCone.subcone_of``), or ``>=``
+    (``<=``) for the bid (ask) of a band, the band's own right regularity."""
+    return [i + lag for i, cell in enumerate(cells) if not inside(points[i + lag], cell)]
 
 
 def right_isc_check(sm: SetMap) -> bool:

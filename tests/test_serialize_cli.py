@@ -17,10 +17,11 @@ from conftest import plconvex_st, preset
 
 from cadlagconvex import cli, presets, serialize
 from cadlagconvex.duality import Instance
-from cadlagconvex.finmodels import bidask_model, obstacle_model
+from cadlagconvex.finmodels import (ScalarProcess, band_setmap, bidask_model,
+                                    obstacle_model)
 from cadlagconvex.generators import rand_passing_instance
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
-from cadlagconvex.serialize import (InstanceDoc, SchemaError, cone_from_json,
+from cadlagconvex.serialize import (InstanceDoc, Model, SchemaError, cone_from_json,
                                     cone_to_json, dump_instance,
                                     instance_doc_from_json,
                                     instance_doc_to_json, load_instance,
@@ -28,7 +29,8 @@ from cadlagconvex.serialize import (InstanceDoc, SchemaError, cone_from_json,
                                     plconvex_to_json, reports_equal)
 from cadlagconvex.plconvex import RInterval, pl
 from cadlagconvex.rationals import INF, NEG_INF, fmt
-from cadlagconvex.scenario import RandomIntegrand
+from cadlagconvex.scenario import RandomIntegrand, RandomPath, ScenarioTree
+from cadlagconvex.timegrid import StepPath, TimeGrid
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..",
                             "src", "cadlagconvex", "instances")
@@ -435,6 +437,34 @@ class TestBundledPresets:
         rebuilt = bidask_model(parts["b"], parts["a"], parts["ybar"])
         assert self.instance_json(rebuilt.instance) == self.instance_json(idoc.instance)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_refinement_of_a_preset_loads(self, name, tmp_path, capsys):
+        for factor in ("2", "3", "4", "10"):
+            out = tmp_path / f"x{factor}.json"
+            assert cli.main(["refine", bundled_instance_path(name), "--factor", factor,
+                             "-o", str(out)]) == 0
+            idoc = load_instance(str(out))
+            if name in ("obstacle", "bidask"):
+                parts = idoc.model.parts
+                assert band_setmap(parts["b"], parts.get("a")) == idoc.instance.S
+
+    def test_a_refined_obstacle_keeps_its_band_but_not_the_model_h(self, tmp_path, capsys):
+        # an inserted slot copies h from slot i but takes the cell value for S,
+        # so the loader compares S, not the instance the model would build
+        tree, grid = ScenarioTree.deterministic(3), TimeGrid((0, 1, 2))
+        b = ScalarProcess(tree, grid, {"w": (2, 3, 2)}, {"w": (1, 3)}, "optional")
+        ycheck = RandomPath(tree, grid, {"w": StepPath(grid, (3, 3, 3))})
+        coarse = tmp_path / "obstacle.json"
+        dump_instance(InstanceDoc(obstacle_model(b, ycheck).instance, [], [],
+                                  Model("obstacle", {"b": b, "ycheck": ycheck})), str(coarse))
+        fine = tmp_path / "fine.json"
+        assert cli.main(["refine", str(coarse), "--factor", "2", "-o", str(fine)]) == 0
+        idoc = load_instance(str(fine))
+        parts = idoc.model.parts
+        rebuilt = obstacle_model(parts["b"], parts["ycheck"]).instance
+        assert [f.name for f in dataclasses.fields(Instance)
+                if getattr(rebuilt, f.name) != getattr(idoc.instance, f.name)] == ["h"]
+
     @pytest.mark.parametrize("name", ["nosuch", "../basic", "basic.json", ""])
     def test_a_name_outside_the_list_never_reaches_the_filesystem(
             self, name, tmp_path, capsys):
@@ -597,6 +627,20 @@ MODEL_EDITS = [
     ("obstacle", ("model", "b", "points", "up"), "132",
      "bad scalar process: expected a list, not str"),
     ("currency", ("model", "duals", 1, "u", 0), "00", "bad vector measure: expected a list, not str"),
+    # a band model must describe the constraint map of its instance
+    ("obstacle", ("model", "b", "points", "up", 2), "1",
+     "the obstacle model's band differs from setmap_S"),
+    ("bidask", ("model", "a", "points", "up", 2), "4",
+     "the bidask model's band differs from setmap_S"),
+    ("bidask", ("model", "b", "cells", "dn", 1), "0",
+     "the bidask model's band differs from setmap_S"),
+    # a JSON boolean is no rational, although rat(True) is 1
+    ("basic", ("mu", "up", 0), True, "bad measure: not a rational: True"),
+    ("basic", ("grid", 1), True, "bad grid: not a rational: True"),
+    ("basic", ("setmap_S", "up", "point_vals", 2, 0), False, "bad interval: not a rational: False"),
+    ("basic", ("tree", "probs", "up"), True, "bad tree: not a rational: True"),
+    ("obstacle", ("model", "b", "cells", "up", 1), True,
+     "bad scalar process: not a rational: True"),
 ]
 
 OWN_THEOREM = {"basic": "interchange-stoch", "obstacle": "support-ds", "bidask": "support-ds",
