@@ -158,11 +158,12 @@ def _check_subdiff(idoc: InstanceDoc, args) -> Dict:
     for pk, y in enumerate(idoc.paths):
         if not check_adapted(y):
             raise SchemaError(f"path {pk} is not adapted")
-        if eval_Fhat(inst, y) == INF:
+        primal = eval_Fhat(inst, y)
+        if primal == INF:
             entries.append({"path": pk, "skipped": "infinite primal value"})
             continue
         for dk, d in enumerate(idoc.duals):
-            rep = subdiff_check(inst, y, d)
+            rep = subdiff_check(inst, y, d, primal)
             ok = ok and rep["equivalence_ok"]
             entries.append({"path": pk, "dual": dk,
                             "all_inclusions": rep["all_inclusions"],

@@ -14,11 +14,9 @@ path on the instance's own grid, where the left limit at t_i is the previous
 slot's value.  The sup/inf underlying conjugates and interchange rules ranges
 over paths on *refinements* of the grid, where a path may jump inside a cell,
 making the value at t_i and the left limit at t_i independent coordinates.
-All such computations route through the refined instance
-``inst.refine(FINE)`` (inserted times carry zero mass), which keeps the
-oracle an honest path search while matching the pointwise formulas exactly.
-``Instance.refine`` builds it once per instance, so the entry points that
-need it each ask for it and share one copy.
+These read the coordinates of ``inst.refine(FINE)`` (inserted times carry
+zero mass) from the coarse instance, by ``_fine_coordinates``; only the
+oracle, an honest path search, and the hatted witness build that instance.
 
 On that grid the objective separates across (partition cell, slot), so the
 oracle, both interchange rules, the properness diagnostic and the feasible
@@ -294,10 +292,9 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
 
     Sums slot support values of the point constraint intervals against the
     atoms; homogeneity makes the result independent of any reference measure.
-    Returns the -inf sentinel when no selection exists.
+    Returns the -inf sentinel when no selection exists: a fine coordinate is empty.
     """
-    if any(v.is_empty for sets in _fixed_value_sets(inst.refine(FINE)).values()
-           for v in sets):
+    if any(feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst, RInterval.whole_line())):
         return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
@@ -382,39 +379,67 @@ def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]],
             yield i, cell, tree.mass(cell), bound.intersect(sets[s][i]), terms
 
 
-def _coordinate_infima(inst: Instance, sets: Dict[str, List[RInterval]], charges):
-    """Minimize every coordinate's charged cost over its feasible interval.
+def _fine_coordinates(inst: Instance, bound: RInterval):
+    """``_coordinates(r, _fixed_value_sets(r), bound, _charges(r, True))``
+    for ``r = inst.refine(FINE)``, read from ``inst`` without building r.
+
+    Coarse slot i is fine slot 2i; fine slot 2i+1 has the cells of
+    partitions[i], zero atoms, h_i, htilde_{i+1} and, as point and cell
+    values of S and Stilde, their cell values of slot i.  Skipping r's
+    constructor loses no rejection, as refinement keeps measurability: slot
+    2i+1 carries open-cell data of slot i, constant on partitions[i]; the
+    predictable htilde_{i+1} and Stilde's point value at t_{i+1} are
+    constant on partitions[i], the predecessor partition of fine slot 2i+2;
+    and the inserted atoms are 0.
+    """
+    tree, n, zero = inst.tree, inst.grid.n_slots, Fraction(0)
+    for j in range(2 * n - 1):
+        i, inside = divmod(j, 2)
+        for cell in tree.cells(i):
+            s = cell[0]
+            sm, stm = inst.s_map(s), inst.st_map(s)
+            v = sm.open_vals[i] if inside else sm.point_vals[i]
+            terms = [(zero if inside else inst.mu.measures[s].atoms[i], inst.h.functions[s][i])]
+            if i < n - 1:  # _value_sets and _charges on the fine slot j
+                v = v.intersect(sm.open_vals[i]).intersect(stm.open_vals[i]).intersect(
+                    stm.point_vals[i + 1] if inside else stm.open_vals[i])
+                terms.append((inst.mutilde.measures[s].atoms[i + 1] if inside else zero,
+                              inst.htilde.functions[s][i + 1]))
+            yield j, cell, tree.mass(cell), bound.intersect(v), terms
+
+
+def _coordinate_infima(inst: Instance, coords, charges):
+    """Minimize each coordinate's charged cost over its feasible interval.
 
     At most one charge has mass at a coordinate, as on the FINE grid, where
     mu is 0 at the inserted slots, the only ones charged as a left limit;
     two would need one joint minimization.  Returns the cost terms, whether
     some coordinate is empty, each scenario's minimizers nearest 0 by slot
     (None if not attained; the feasible point nearest 0 where no charge has
-    mass), and the right-hand side: every charged atom, the one at t_0 of a
-    lagged charge included, against the integrand's infimum over the line.
+    mass), and the right-hand side: every charged atom of ``inst`` (the FINE
+    grid adds none), the one at t_0 of a lagged charge included, against the
+    integrand's infimum over the line.  ``coords`` is ``_coordinates`` or
+    ``_fine_coordinates``.
     """
-    tree, n = inst.tree, inst.grid.n_slots
-    rhs = tree.expectation({
+    rhs = inst.tree.expectation({
         s: xsum(xmul(a, fn.min_on_line()) for m, fam, _ in charges
                 for a, fn in zip(m.measures[s].atoms, fam.functions[s]) if a > 0)
-        for s in tree.scenarios})
-    costs: List[Ext] = []
-    infeasible = False
-    path = {s: [None] * n for s in tree.scenarios}
-    for i, cell, mass, feas, terms in _coordinates(inst, sets, RInterval.whole_line(),
-                                                   charges):
+        for s in inst.tree.scenarios})
+    costs, infeasible, path = [], False, {s: [] for s in inst.tree.scenarios}
+    for i, cell, mass, feas, terms in coords:
+        point = None
         if feas.is_empty:
             infeasible = True
-            continue
-        charged = [(atom, fn) for atom, fn in terms if atom > 0]
-        assert len(charged) <= 1, f"two charges with mass at slot {i}"
-        point = feas.nearest_to(Fraction(0))
-        for atom, fn in charged:
-            val, argmin = fn.inf_over(feas)
-            costs.append(xmul(mass, xmul(atom, val)))
-            point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
+        else:
+            charged = [(atom, fn) for atom, fn in terms if atom > 0]
+            assert len(charged) <= 1, f"two charges with mass at slot {i}"
+            point = feas.nearest_to(Fraction(0))
+            for atom, fn in charged:
+                val, argmin = fn.inf_over(feas)
+                costs.append(xmul(mass, xmul(atom, val)))
+                point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
         for s in cell:
-            path[s][i] = point
+            path[s].append(point)
     return costs, infeasible, path, rhs
 
 
@@ -431,13 +456,12 @@ def assumption_report(inst: Instance) -> Dict:
     left start, properness (a feasible point with finite cost exists) and
     the constructive affine minorants.  A slot-wise condition is computed as
     its failing slots, which the report lists under ``failing_slots``.
+    Properness is read on the ``_fine_coordinates``.
     """
-    r = inst.refine(FINE)
     # a scenario is improper on a fine coordinate that is empty or on which
     # a charged integrand is +inf throughout
     improper = set()
-    for _, cell, _, feas, terms in _coordinates(r, _fixed_value_sets(r), RInterval.whole_line(),
-                                                _charges(r, True)):
+    for _, cell, _, feas, terms in _fine_coordinates(inst, RInterval.whole_line()):
         if feas.is_empty or any(atom > 0 and feas.intersect(fn.domain).is_empty
                                 for atom, fn in terms):
             improper.update(cell)
@@ -560,7 +584,8 @@ def bruteforce_gap_bound(d: DualPair, delta) -> Q:
 # Subdifferential characterization
 # ---------------------------------------------------------------------------
 
-def subdiff_check(inst: Instance, y: RandomPath, d: DualPair) -> Dict:
+def subdiff_check(inst: Instance, y: RandomPath, d: DualPair,
+                  primal: Optional[Ext] = None) -> Dict:
     """Slot-wise subgradient inclusions versus the exact Fenchel identity.
 
     The four inclusions: the density of u lies in the subdifferential of h
@@ -568,8 +593,9 @@ def subdiff_check(inst: Instance, y: RandomPath, d: DualPair) -> Dict:
     normal cone of the point constraint set; and the two analogues for the
     predictable side at the left limits.  Their conjunction is equivalent to
     primal value plus conjugate equalling the pairing, which is also checked.
+    ``primal`` is ``eval_Fhat(inst, y)``, computed here unless passed in.
     """
-    primal = eval_Fhat(inst, y)
+    primal = eval_Fhat(inst, y) if primal is None else primal
     if primal == INF:
         raise ValueError("path has infinite primal value")
     # u against h and S at the path values, ut against htilde and Stilde at the left limits
@@ -649,7 +675,8 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
 
     closure_holds = all(
         feas[i].intersect(fns[i].domain) == feas[i] for i in range(n))
-    costs, infeasible, _, rhs = _coordinate_infima(inst, {s: feas}, charges)
+    costs, infeasible, _, rhs = _coordinate_infima(
+        inst, _coordinates(inst, {s: feas}, RInterval.whole_line(), charges), charges)
     lhs = INF if infeasible else xsum(costs)
     vacuous = lhs == INF
     if vacuous:
@@ -680,25 +707,26 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     """Interchange over adapted paths, with an explicit witness.
 
     The left side minimizes per (partition cell, slot) since the objective
-    separates across the tree; for the hatted form this runs on the refined
-    coordinates.  When every slot infimum is attained, the minimizers form
-    an adapted witness, whose primal value is asserted to equal the left
-    side exactly.  For the hatted form it is the ``scenario.paste`` of the
+    separates across the tree; for the hatted form this runs on the
+    ``_fine_coordinates``.  When every slot infimum is attained, the
+    minimizers form an adapted witness, whose primal value is asserted to
+    equal the left side exactly.  For the hatted form, built only then on
+    ``inst.refine(FINE)``, it is the ``scenario.paste`` of the
     left-limit-optimal path into the cells announcing the predictable atoms,
     as the tests check: on the refined grid no coordinate has two charges.
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
     assumptions = assumption_report(inst)
-    hatted = form == "Fhat"
-    r = inst.refine(FINE) if hatted else inst
-    tree, n = r.tree, r.grid.n_slots
-    sets = _fixed_value_sets(r) if hatted else {
-        s: [r.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios}
-    costs, infeasible, path, rhs = _coordinate_infima(r, sets, _charges(r, hatted))
+    hatted, tree, n = form == "Fhat", inst.tree, inst.grid.n_slots
+    whole, charges = RInterval.whole_line(), _charges(inst, hatted)
+    coords = _fine_coordinates(inst, whole) if hatted else _coordinates(inst, {
+        s: [inst.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios},
+        whole, charges)
+    costs, infeasible, path, rhs = _coordinate_infima(inst, coords, charges)
     if hatted:
-        infeasible = infeasible or not all(_zero_start_ok(r, s) for s in tree.scenarios)
-        costs.append(_zero_start_cost(r))
+        infeasible = infeasible or not all(_zero_start_ok(inst, s) for s in tree.scenarios)
+        costs.append(_zero_start_cost(inst))
     lhs = INF if infeasible else xsum(costs)
     out = {
         "form": form,
@@ -712,7 +740,8 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     }
     if infeasible or any(v is None for vals in path.values() for v in vals):
         return out
-    witness = RandomPath(tree, r.grid, {s: StepPath(r.grid, tuple(path[s]))
+    r = inst.refine(FINE) if hatted else inst
+    witness = RandomPath(r.tree, r.grid, {s: StepPath(r.grid, tuple(path[s]))
                                         for s in tree.scenarios})
     achieved = (eval_Fhat if hatted else eval_F)(r, witness)
     assert achieved == lhs, "witness must achieve the infimum exactly"

@@ -351,7 +351,9 @@ def test_two_charges_with_mass_at_one_coordinate_are_refused():
     mut = RandomMeasure(tree, grid, {"w": GridMeasure(grid, (0, 3))})
     inst = make_instance(tree, grid, h, mu, mut, ht)
     with pytest.raises(AssertionError, match="two charges with mass at slot 0"):
-        _coordinate_infima(inst, _fixed_value_sets(inst), _charges(inst, True))
+        _coordinate_infima(inst, _coordinates(inst, _fixed_value_sets(inst), RInterval.whole_line(),
+                                              _charges(inst, True)), _charges(inst, True))
     r = inst.refine(FINE)
-    _coordinate_infima(r, _fixed_value_sets(r), _charges(r, True))
+    _coordinate_infima(r, _coordinates(r, _fixed_value_sets(r), RInterval.whole_line(),
+                                       _charges(r, True)), _charges(r, True))
     assert interchange_stoch(inst, "Fhat")["witness"] is not None

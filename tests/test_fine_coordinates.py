@@ -1,0 +1,305 @@
+"""The coordinates of the refined grid read from the coarse instance.
+
+``_fine_coordinates(inst, bound)`` against ``_coordinates`` on the
+materialised ``inst.refine(FINE)``, tuple by tuple, and the entry points that
+switched to it against copies of their bodies on the refined instance.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cadlagconvex.duality import (FINE, Instance, _charges, _coordinate_infima,
+                                  _coordinates, _fine_coordinates, _fixed_value_sets,
+                                  _off_domain, _zero_start_cost, _zero_start_ok,
+                                  assumption_report, eval_F, eval_Fhat, interchange_stoch,
+                                  support_DS)
+from cadlagconvex.generators import (_per_cell, rand_finite_dual, rand_interval,
+                                     rand_passing_instance)
+from cadlagconvex.plconvex import RInterval
+from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
+from cadlagconvex.rationals import INF, NEG_INF, xmul, xsum
+from cadlagconvex.scenario import RandomPath, RandomSetMap
+from cadlagconvex.serialize import load_instance
+from cadlagconvex.setmaps import SetMap, escaping_slots
+from cadlagconvex.timegrid import StepPath
+
+# -- inputs ------------------------------------------------------------------------
+
+
+def with_random_constraints(rng, inst):
+    """``inst`` with S and Stilde drawn per partition cell: point values of S
+    on partitions[i], of Stilde on partitions[i-1] (partitions[0] at slot 0),
+    cell values of both on partitions[i].  Unlike the default constraint
+    system, Stilde's point value at t_{i+1} and its cell value on (t_i,
+    t_{i+1}) then differ."""
+    tree, grid = inst.tree, inst.grid
+
+    def draw(predictable):
+        points = [_per_cell(rng, tree, tree.pred_slot(i) if predictable else i,
+                            lambda: rand_interval(rng)) for i in range(grid.n_slots)]
+        cells = [_per_cell(rng, tree, i, lambda: rand_interval(rng))
+                 for i in range(grid.n_cells)]
+        return RandomSetMap(tree, grid, {
+            s: SetMap(grid, tuple(p[s] for p in points), tuple(c[s] for c in cells))
+            for s in tree.scenarios})
+    return Instance(tree, grid, inst.h, inst.mu, inst.mutilde, inst.htilde,
+                    draw(False), draw(True))
+
+
+def drawn_instance(seed, kind):
+    rng = random.Random(seed)
+    inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
+                                 with_htilde=kind != "plain")
+    return (with_random_constraints(rng, inst) if kind == "constrained" else inst), rng
+
+
+KINDS = ("plain", "htilde", "constrained")
+
+
+def preset_docs():
+    """Each bundled preset and its x2 refinement."""
+    for name in PRESET_NAMES:
+        doc = load_instance(bundled_instance_path(name))
+        yield name, doc
+        yield f"{name}-x2", doc.refine(2)
+
+
+PRESETS = dict(preset_docs())
+
+
+def bounds(inst):
+    big = inst.magnitude_bound()
+    return (RInterval.whole_line(), RInterval(-big, big), RInterval(F(-1, 2), F(1)))
+
+
+# -- the generator against the materialised refinement ------------------------------
+
+def typed(x):
+    return type(x), x
+
+
+def assert_same_coordinates(inst, bound):
+    r = inst.refine(FINE)
+    want = list(_coordinates(r, _fixed_value_sets(r), bound, _charges(r, True)))
+    got = list(_fine_coordinates(inst, bound))
+    assert len(got) == len(want)
+    for (i, cell, mass, feas, terms), (wi, wcell, wmass, wfeas, wterms) in zip(got, want):
+        assert (i, cell) == (wi, wcell)
+        assert typed(mass) == typed(wmass)
+        assert feas.is_empty == wfeas.is_empty
+        if not feas.is_empty:
+            assert (typed(feas.lo), typed(feas.hi)) == (typed(wfeas.lo), typed(wfeas.hi))
+        assert len(terms) == len(wterms)
+        for (atom, fn), (watom, wfn) in zip(terms, wterms):
+            assert typed(atom) == typed(watom)
+            assert fn is wfn
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS))
+def test_fine_coordinates_equal_those_of_the_refined_instance(seed, kind):
+    inst, _ = drawn_instance(seed, kind)
+    for bound in bounds(inst):
+        assert_same_coordinates(inst, bound)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_fine_coordinates_of_every_preset_equal_those_of_its_refinement(name):
+    inst = PRESETS[name].instance
+    for bound in bounds(inst):
+        assert_same_coordinates(inst, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS))
+def test_the_refined_constructor_accepts_every_drawn_instance(seed, kind):
+    # refinement keeps measurability, so skipping the constructor of the
+    # refined instance loses no rejection: here it runs, unmemoised
+    inst, _ = drawn_instance(seed, kind)
+    assert isinstance(Instance._refine(inst, FINE), Instance)
+
+
+def test_the_refined_constructor_accepts_every_preset():
+    for doc in PRESETS.values():
+        assert isinstance(Instance._refine(doc.instance, FINE), Instance)
+
+
+# -- the entry points against their bodies on the refined instance ------------------
+
+def refined_assumption_report(inst):
+    """assumption_report as it read properness from inst.refine(FINE)."""
+    r = inst.refine(FINE)
+    improper = set()
+    for _, cell, _, feas, terms in _coordinates(r, _fixed_value_sets(r), RInterval.whole_line(),
+                                                _charges(r, True)):
+        if feas.is_empty or any(atom > 0 and feas.intersect(fn.domain).is_empty
+                                for atom, fn in terms):
+            improper.update(cell)
+    zero = RInterval.singleton(F(0))
+    per_scenario = {}
+    for s in inst.tree.scenarios:
+        smap, stmap = inst.s_map(s), inst.st_map(s)
+        hfns, htfns = inst.h.functions[s], inst.htilde.functions[s]
+        proper = _zero_start_ok(inst, s) and s not in improper and (
+            inst.mutilde.measures[s].atoms[0] == 0 or htfns[0].domain.contains(F(0)))
+        checks = {
+            "s_is_cl_dom_h": _off_domain(smap.point_vals, hfns)
+            + _off_domain(smap.open_vals, hfns),
+            "stilde_is_cl_dom_htilde": _off_domain(stmap.point_vals[1:], htfns, 1),
+            "slot0_pinched": stmap.point_vals[0] == zero and htfns[0].domain == zero,
+            "michael_S": escaping_slots(smap.point_vals, smap.open_vals, 0),
+            "michael_Stilde": escaping_slots(stmap.point_vals, stmap.open_vals, 1),
+            "cross_S_in_Stilde_cells": escaping_slots(smap.point_vals, stmap.open_vals, 0),
+            "cross_Stilde_in_S_cells": escaping_slots(stmap.point_vals, smap.open_vals, 1),
+            "s_contains_dom_h": all(fn.domain.issubset(v)
+                                    for fn, v in zip(hfns, smap.point_vals)),
+            "proper": proper,
+        }
+        per_scenario[s] = {k: v if isinstance(v, bool) else not v
+                           for k, v in checks.items()}
+        per_scenario[s]["failing_slots"] = {
+            k: v for k, v in checks.items() if not isinstance(v, bool) and v}
+    summary = {k: all(flags[k] for flags in per_scenario.values()) for k in checks}
+    all_ok = all(v for k, v in summary.items() if k != "s_contains_dom_h")
+    summary["minorant_h"] = summary["minorant_htilde"] = True
+    summary["all_ok"] = all_ok
+    return {"per_scenario": per_scenario, "summary": summary, "all_ok": all_ok}
+
+
+def refined_support_DS(inst, d):
+    """support_DS as it tested emptiness on inst.refine(FINE)."""
+    if any(v.is_empty for sets in _fixed_value_sets(inst.refine(FINE)).values()
+           for v in sets):
+        return NEG_INF
+    vals = {}
+    for s in inst.tree.scenarios:
+        smap, stmap = inst.s_map(s), inst.st_map(s)
+        terms = [smap.point_vals[i].support(a)
+                 for i, a in enumerate(d.u.measures[s].atoms)]
+        terms += [stmap.point_vals[i].support(a)
+                  for i, a in enumerate(d.ut.measures[s].atoms)]
+        vals[s] = xsum(terms)
+    return inst.tree.expectation(vals)
+
+
+def sets_coordinate_infima(inst, sets, charges):
+    """_coordinate_infima as it read the coordinates of ``inst`` from per-slot sets."""
+    tree, n = inst.tree, inst.grid.n_slots
+    rhs = tree.expectation({
+        s: xsum(xmul(a, fn.min_on_line()) for m, fam, _ in charges
+                for a, fn in zip(m.measures[s].atoms, fam.functions[s]) if a > 0)
+        for s in tree.scenarios})
+    costs, infeasible = [], False
+    path = {s: [None] * n for s in tree.scenarios}
+    for i, cell, mass, feas, terms in _coordinates(inst, sets, RInterval.whole_line(), charges):
+        if feas.is_empty:
+            infeasible = True
+            continue
+        charged = [(atom, fn) for atom, fn in terms if atom > 0]
+        assert len(charged) <= 1
+        point = feas.nearest_to(F(0))
+        for atom, fn in charged:
+            val, argmin = fn.inf_over(feas)
+            costs.append(xmul(mass, xmul(atom, val)))
+            point = None if argmin.is_empty else argmin.nearest_to(F(0))
+        for s in cell:
+            path[s][i] = point
+    return costs, infeasible, path, rhs
+
+
+def refined_interchange_stoch(inst, form):
+    """interchange_stoch as it minimized over the coordinates of inst.refine(FINE)."""
+    assumptions = refined_assumption_report(inst)
+    hatted = form == "Fhat"
+    r = inst.refine(FINE) if hatted else inst
+    tree, n = r.tree, r.grid.n_slots
+    sets = _fixed_value_sets(r) if hatted else {
+        s: [r.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios}
+    costs, infeasible, path, rhs = sets_coordinate_infima(r, sets, _charges(r, hatted))
+    if hatted:
+        infeasible = infeasible or not all(_zero_start_ok(r, s) for s in tree.scenarios)
+        costs.append(_zero_start_cost(r))
+    lhs = INF if infeasible else xsum(costs)
+    out = {"form": form, "lhs": lhs, "rhs": rhs, "vacuous": lhs == INF,
+           "ok": lhs == INF or lhs == rhs, "assumptions": assumptions["summary"],
+           "assumptions_ok": assumptions["all_ok"], "witness": None}
+    if infeasible or any(v is None for vals in path.values() for v in vals):
+        return out
+    witness = RandomPath(tree, r.grid, {s: StepPath(r.grid, tuple(path[s]))
+                                        for s in tree.scenarios})
+    achieved = (eval_Fhat if hatted else eval_F)(r, witness)
+    assert achieved == lhs
+    out["witness"] = witness
+    out["witness_value"] = achieved
+    return out
+
+
+def same(x, y):
+    """Equal, with equal types all the way down (dicts, lists, tuples)."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(map(same, x, y))
+    return x == y
+
+
+def assert_entry_points_equal_the_refined_bodies(inst, duals):
+    assert same(assumption_report(inst), refined_assumption_report(inst))
+    for d in duals:
+        assert same(support_DS(inst, d), refined_support_DS(inst, d))
+    for form in ("F", "Fhat"):
+        new, old = interchange_stoch(inst, form), refined_interchange_stoch(inst, form)
+        assert same({k: v for k, v in new.items() if k != "witness"},
+                    {k: v for k, v in old.items() if k != "witness"})
+        assert new["witness"] == old["witness"]
+        if new["witness"] is not None:
+            assert all(same(p.values, q.values) for p, q in
+                       zip(new["witness"].paths.values(), old["witness"].paths.values()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS))
+def test_entry_points_equal_their_bodies_on_the_refined_instance(seed, kind):
+    inst, rng = drawn_instance(seed, kind)
+    assert_entry_points_equal_the_refined_bodies(inst, [rand_finite_dual(rng, inst)
+                                                        for _ in range(2)])
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_entry_points_on_every_preset_equal_their_bodies_on_the_refined_instance(name):
+    doc = PRESETS[name]
+    assert_entry_points_equal_the_refined_bodies(doc.instance, doc.duals)
+
+
+def test_the_drawn_cases_hold_both_outcomes():
+    # the inputs above reach empty fine coordinates, improper scenarios and
+    # interchange witnesses, so the equalities are not vacuous
+    seen = set()
+    for seed in range(60):
+        for kind in KINDS:
+            inst, rng = drawn_instance(seed, kind)
+            d = rand_finite_dual(rng, inst)
+            seen.add(("support", support_DS(inst, d) == NEG_INF))
+            seen.add(("proper", assumption_report(inst)["summary"]["proper"]))
+            seen.add(("witness", interchange_stoch(inst, "Fhat")["witness"] is None))
+    assert seen == {(k, v) for k in ("support", "proper", "witness") for v in (True, False)}
+
+
+def test_fine_coordinates_do_not_refine(monkeypatch):
+    def refuse(inst, factor):
+        raise AssertionError("refined instance built")
+
+    inst, rng = drawn_instance(7, "constrained")
+    d = rand_finite_dual(rng, inst)
+    monkeypatch.setattr(Instance, "_refine", refuse)
+    list(_fine_coordinates(inst, RInterval.whole_line()))
+    assumption_report(inst)
+    support_DS(inst, d)
+    _coordinate_infima(inst, _fine_coordinates(inst, RInterval.whole_line()),
+                       _charges(inst, True))

@@ -936,14 +936,15 @@ class TestCli:
         assert not missing.exists()
 
     # refined instances built per verify call, whatever the number of dual
-    # pairs: one of the instance the assumption report (and the interchange
-    # rule or the oracle) reads; support_DS reads the same oracle instance
-    @pytest.mark.parametrize("theorem, report_builds, formula_builds", [
-        ("subdiff", 1, 0), ("interchange-stoch", 1, 0), ("conjugate", 1, 0),
-        ("support-ds", 1, 0),
+    # pairs: the assumption report, support_DS and the interchange infima
+    # read the fine coordinates from the coarse instance and build none; the
+    # oracle (conjugate, support-ds) builds one, and so does the Fhat witness
+    @pytest.mark.parametrize("theorem, check_builds, report_builds", [
+        ("subdiff", 0, 0), ("interchange-stoch", 1, 0), ("interchange-stoch --form F", 0, 0),
+        ("conjugate", 1, 0), ("support-ds", 1, 0),
     ])
-    def test_verify_refines_once_per_entry_point(self, theorem, report_builds,
-                                                 formula_builds, monkeypatch, capsys):
+    def test_verify_refines_once_per_entry_point(self, theorem, check_builds,
+                                                 report_builds, monkeypatch, capsys):
         assert len(load_instance(bundled("basic")).duals) > 1
         builds = []
         build = Instance._refine
@@ -953,9 +954,9 @@ class TestCli:
             return build(inst, factor)
 
         monkeypatch.setattr(Instance, "_refine", counting)
-        assert self.run("verify", bundled("basic"), "--theorem", theorem) == 0
+        assert self.run("verify", bundled("basic"), "--theorem", *theorem.split()) == 0
         capsys.readouterr()
-        assert builds == [2] * (report_builds + formula_builds)
+        assert builds == [2] * (check_builds + report_builds)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "{bad}", "--theorem", "conjugate"),
