@@ -28,7 +28,7 @@ from .duality import (BudgetExceededError, Instance, assumption_report,
                       interchange_stoch, make_instance, subdiff_check,
                       support_DS)
 from .finmodels import currency_model, vector_pairing
-from .plconvex import support_fn
+from .plconvex import once, support_fn
 from .polycone import cs_regularity_check
 from .rationals import INF, NEG_INF, is_finite, rat
 from .scenario import check_adapted, jensen_check
@@ -139,9 +139,11 @@ def _check_conjugate(idoc: InstanceDoc, args) -> Dict:
 
 
 def _constraint_indicator(inst: Instance) -> Instance:
-    """The instance with h replaced by the indicator of S and htilde defaulted."""
-    return make_instance(inst.tree, inst.grid, indicator_integrand(inst.S, "optional"),
-                         inst.mu, inst.mutilde, None, inst.S, inst.Stilde)
+    """The instance with h replaced by the indicator of S and htilde defaulted;
+    built once per instance, so a reloaded file reuses its refinement."""
+    return once(inst, "constraint_indicator", lambda: make_instance(
+        inst.tree, inst.grid, indicator_integrand(inst.S, "optional"),
+        inst.mu, inst.mutilde, None, inst.S, inst.Stilde))
 
 
 def _check_support_ds(idoc: InstanceDoc, args) -> Dict:

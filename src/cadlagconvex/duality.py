@@ -148,7 +148,11 @@ class Instance:
                         self.S.refine(factor), self.Stilde.refine(factor))
 
     def magnitude_bound(self) -> Q:
-        """Largest |breakpoint|, |slope knot| or finite constraint endpoint."""
+        """Largest |breakpoint|, |slope knot| or finite constraint endpoint,
+        and at least 1; computed once per instance."""
+        return once(self, "magnitude_bound", self._magnitude_bound)
+
+    def _magnitude_bound(self) -> Q:
         best = Fraction(1)
         # scenarios and inserted slots share function objects: visit each once
         distinct = {id(fn): fn for fam in (self.h, self.htilde)

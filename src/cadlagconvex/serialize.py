@@ -24,6 +24,19 @@ scenarios of a cell share one function object and the conjugate it builds
 once, and the slots of a set-valued or cone map share their repeated values.
 A document holding anything but strings, integers and nulls is read afresh;
 one that fails raises at each sight, unstored.
+
+Python code that loads one file several times in one process, as by calling
+``cli.main(["verify", path, ...])`` once per theorem, parses it once:
+:func:`load_instance` keeps one slot, the text of the last file that parsed
+completely and its :class:`InstanceDoc`.  A file whose text equals it, at
+any path, gets that same document back without being parsed; any other text
+is parsed and replaces the slot.  The key is the text, not the path or its
+modification time, so an edited file is always parsed again.  The shared
+document is read-only by convention (:class:`InstanceDoc`), and it keeps the
+memos its objects built (conjugates, refinements), so later checks on the
+file reuse them.  Each ``cadlag-convex`` command is a new process whose slot
+starts empty, so it gains nothing.  A file that fails to read or parse raises
+as before and leaves the slot as it was.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ import os
 import stat
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .duality import DualPair, Instance, make_instance
 from .finmodels import ScalarProcess, VectorMeasure, band_setmap
@@ -444,13 +457,19 @@ def model_from_json(doc, tree: ScenarioTree, grid: TimeGrid) -> Optional[Model]:
 # -- whole documents -------------------------------------------------------------
 
 class InstanceDoc:
-    """A parsed instance file: the instance plus its duals, paths and model."""
+    """A parsed instance file: the instance plus its duals, paths and model.
 
-    def __init__(self, instance: Instance, duals: List[DualPair],
-                 paths: List[RandomPath], model: Optional[Model]):
+    :func:`load_instance` hands one document to every load of the same text,
+    so nothing may change one after it is built.  ``duals`` and ``paths`` are
+    stored as tuples; the instance and its parts are frozen dataclasses; and
+    no caller writes to ``model.parts`` or ``model.doc``, which stay a dict
+    and the JSON section as loaded."""
+
+    def __init__(self, instance: Instance, duals: Sequence[DualPair],
+                 paths: Sequence[RandomPath], model: Optional[Model]):
         self.instance = instance
-        self.duals = duals
-        self.paths = paths
+        self.duals = tuple(duals)
+        self.paths = tuple(paths)
         self.model = model
 
     def refine(self, factor: int) -> "InstanceDoc":
@@ -517,13 +536,32 @@ def instance_doc_to_json(idoc: InstanceDoc) -> dict:
     }
 
 
+# (text, document) of the last instance file that parsed completely
+_LAST: Optional[Tuple[str, InstanceDoc]] = None
+
+
 def load_instance(path: str) -> InstanceDoc:
+    """The document in the file at ``path``; raises :class:`SchemaError`.
+
+    The file is read whole every time.  When its text equals that of the
+    last file that parsed completely, whatever its path, the document parsed
+    then is returned, the same object: callers share it and must not change
+    it.  Other text is parsed and takes the one slot; a file that cannot be
+    read, decoded or parsed raises with the message it always gave and is
+    never stored."""
+    global _LAST
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        last = _LAST
+        if last is not None and last[0] == text:
+            return last[1]
+        doc = json.loads(text)
     except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise SchemaError(f"cannot read instance file: {exc}") from exc
-    return instance_doc_from_json(doc)
+    idoc = instance_doc_from_json(doc)
+    _LAST = (text, idoc)  # one assignment: a text is never seen with another's document
+    return idoc
 
 
 def dump_instance(idoc: InstanceDoc, path: str) -> None:

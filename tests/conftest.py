@@ -5,20 +5,35 @@ calculus: grid searches evaluate functions pointwise in floating point, so
 they stay independent of the exact code paths they check.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from cadlagconvex import serialize
 from cadlagconvex.plconvex import PLConvex, RInterval, pl
 from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, is_finite
-from cadlagconvex.serialize import InstanceDoc, load_instance
+from cadlagconvex.serialize import InstanceDoc, instance_doc_from_json
+
+
+def forget_last_load() -> None:
+    """Empty the one-document slot of ``load_instance``: its next call parses."""
+    serialize._LAST = None
+
+
+@pytest.fixture(autouse=True)
+def _no_document_from_an_earlier_test():
+    forget_last_load()
 
 
 def preset(name: str) -> InstanceDoc:
-    """The bundled preset ``name``, loaded from its shipped file."""
-    return load_instance(bundled_instance_path(name))
+    """The bundled preset ``name``, parsed afresh from its shipped file: new
+    objects on every call, never the document ``load_instance`` holds."""
+    with open(bundled_instance_path(name), encoding="utf-8") as fh:
+        return instance_doc_from_json(json.load(fh))
 
 
 def rebuilt(x):

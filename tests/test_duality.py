@@ -21,14 +21,16 @@ from cadlagconvex.generators import (rand_coarse, rand_feasible_path,
                                      rand_passing_instance, rand_plconvex,
                                      rand_setmap)
 from cadlagconvex.plconvex import (RInterval, abs_fn, indicator, pl, restrict)
-from cadlagconvex.presets import bundled_instance_path
-from cadlagconvex.rationals import INF, NEG_INF, xsum
+from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
+from cadlagconvex.rationals import INF, NEG_INF, is_finite, xsum
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                                    RandomSetMap, ScenarioTree,
                                    expected_pairing)
 from cadlagconvex.serialize import load_instance
 from cadlagconvex.setmaps import SetMap
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid, eval_I
+
+from conftest import forget_last_load, preset
 
 G2 = TimeGrid((0, 1))
 G3 = TimeGrid((0, 1, 2))
@@ -259,6 +261,7 @@ class TestConjBruteforce:
         idoc = load_instance(bundled_instance_path("basic"))
         want = (conj_bruteforce(idoc.instance, idoc.duals[0], B=4, delta=F(1, 4)),
                 assumption_report(idoc.instance))
+        forget_last_load()  # new objects, whose refinement is not yet built
         idoc = load_instance(bundled_instance_path("basic"))
         inst, d = idoc.instance, idoc.duals[0]
         builds = []
@@ -712,6 +715,53 @@ class TestFixedValueSets:
         twin = dataclasses.replace(inst)
         assert _fixed_value_sets(twin) == _fixed_value_sets(inst)
         assert _fixed_value_sets(twin) is not _fixed_value_sets(inst)
+
+
+class TestMagnitudeBound:
+    @staticmethod
+    def reference(inst):
+        """1 and every |knot| and finite |constraint end|, scenario by scenario."""
+        return max([F(1)]
+                   + [abs(b) for fam in (inst.h, inst.htilde)
+                      for fns in fam.functions.values() for fn in fns for b in fn.knots()]
+                   + [abs(x) for rsm in (inst.S, inst.Stilde) for sm in rsm.maps.values()
+                      for iv in sm.point_vals + sm.open_vals for x in (iv.lo, iv.hi)
+                      if is_finite(x)])
+
+    def check(self, inst):
+        for x in (inst, inst.refine(FINE)):
+            want = self.reference(x)
+            got = x.magnitude_bound()
+            assert (got, type(got)) == (want, F)
+            assert x.magnitude_bound() is got
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+    def test_equals_the_largest_magnitude(self, seed, with_htilde, constrained):
+        rng = random.Random(seed)
+        inst = rand_passing_instance(rng, max_scenarios=4, max_cells=4,
+                                     with_htilde=with_htilde)
+        if constrained:  # half-lines and points among the constraint values
+            smap = rand_setmap(rng, inst.grid)
+            S = RandomSetMap(inst.tree, inst.grid, {s: smap for s in inst.tree.scenarios})
+            inst = make_instance(inst.tree, inst.grid, inst.h, inst.mu, inst.mutilde,
+                                 inst.htilde, S, S.vec_map())
+        self.check(inst)
+
+    @pytest.mark.parametrize("iv", [RInterval(F(-9), INF), RInterval(F(9), INF),
+                                    RInterval(NEG_INF, F(-9)), RInterval(F(-9), F(-9))])
+    def test_a_half_line_or_a_point_counts_its_finite_end(self, iv):
+        tree = ScenarioTree.deterministic(2)
+        S = RandomSetMap(tree, G2, {"w": SetMap(G2, (iv, iv), (iv,))})
+        # htilde given, so no indicator of S brings the end in as a knot
+        htilde = RandomIntegrand(tree, G2, {"w": (abs_fn(), abs_fn())}, "predictable")
+        inst = det_instance([abs_fn(), abs_fn()], (1, 1), grid=G2, S=S, htilde=htilde)
+        self.check(inst)
+        assert inst.magnitude_bound() == 9
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_equals_the_largest_magnitude_on_the_presets(self, name):
+        self.check(preset(name).instance)
 
 
 def kernel_case(seed, kind):

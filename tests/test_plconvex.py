@@ -24,8 +24,8 @@ from cadlagconvex.scenario import (RandomIntegrand, ScenarioTree,
 from cadlagconvex.serialize import load_instance
 from cadlagconvex.timegrid import TimeGrid
 
-from conftest import (conjugate_grid_oracle, inf_grid_oracle, plconvex_st,
-                      rebuilt, recession_quotient)
+from conftest import (conjugate_grid_oracle, forget_last_load, inf_grid_oracle,
+                      plconvex_st, rebuilt, recession_quotient)
 
 KINK = max_affine([(-1, 0), (2, -3)])  # max(-x, 2x - 3)
 BOX02 = RInterval(F(0), F(2))
@@ -971,6 +971,7 @@ def test_sampled_checks_call_pl_only_to_load(theorem, capsys):
     indicators, support and recession functions) are built without pl()."""
     path = str(bundled_instance_path("basic"))
     loads = _pl_calls(lambda: load_instance(path))
+    forget_last_load()  # so that verify parses the file again
     calls = _pl_calls(lambda: cli.main(["verify", path, "--theorem", theorem]))
     assert '"pass": true' in capsys.readouterr().out
     assert (loads, calls) == (4, 4)
