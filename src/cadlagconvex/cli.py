@@ -355,7 +355,7 @@ def _read_report(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CommandError(f"cannot read reports: {exc}") from exc
 
 
@@ -363,7 +363,11 @@ def cmd_report_diff(args) -> int:
     a, b = _read_report(args.a), _read_report(args.b)
     if not isinstance(a, dict) or not isinstance(b, dict):
         raise CommandError("cannot read reports: a report must be a JSON object")
-    if reports_equal(a, b):
+    try:
+        same = reports_equal(a, b)
+    except RecursionError as exc:  # decoded, but too deep to compare
+        raise CommandError(f"cannot read reports: {exc}") from exc
+    if same:
         print("reports agree (timestamps ignored)")
         return EXIT_PASS
     print("reports differ")

@@ -298,7 +298,7 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
     atoms; homogeneity makes the result independent of any reference measure.
     Returns the -inf sentinel when no selection exists: a fine coordinate is empty.
     """
-    if any(feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst, RInterval.whole_line())):
+    if any(feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)):
         return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
@@ -383,8 +383,8 @@ def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]],
             yield i, cell, tree.mass(cell), bound.intersect(sets[s][i]), terms
 
 
-def _fine_coordinates(inst: Instance, bound: RInterval):
-    """``_coordinates(r, _fixed_value_sets(r), bound, _charges(r, True))``
+def _fine_coordinates(inst: Instance):
+    """``_coordinates(r, _fixed_value_sets(r), whole line, _charges(r, True))``
     for ``r = inst.refine(FINE)``, read from ``inst`` without building r.
 
     Coarse slot i is fine slot 2i; fine slot 2i+1 has the cells of
@@ -409,7 +409,7 @@ def _fine_coordinates(inst: Instance, bound: RInterval):
                     stm.point_vals[i + 1] if inside else stm.open_vals[i])
                 terms.append((inst.mutilde.measures[s].atoms[i + 1] if inside else zero,
                               inst.htilde.functions[s][i + 1]))
-            yield j, cell, tree.mass(cell), bound.intersect(v), terms
+            yield j, cell, tree.mass(cell), v, terms
 
 
 def _coordinate_infima(inst: Instance, coords, charges):
@@ -465,7 +465,7 @@ def assumption_report(inst: Instance) -> Dict:
     # a scenario is improper on a fine coordinate that is empty or on which
     # a charged integrand is +inf throughout
     improper = set()
-    for _, cell, _, feas, terms in _fine_coordinates(inst, RInterval.whole_line()):
+    for _, cell, _, feas, terms in _fine_coordinates(inst):
         if feas.is_empty or any(atom > 0 and feas.intersect(fn.domain).is_empty
                                 for atom, fn in terms):
             improper.update(cell)
@@ -723,10 +723,10 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
         raise ValueError("form must be 'F' or 'Fhat'")
     assumptions = assumption_report(inst)
     hatted, tree, n = form == "Fhat", inst.tree, inst.grid.n_slots
-    whole, charges = RInterval.whole_line(), _charges(inst, hatted)
-    coords = _fine_coordinates(inst, whole) if hatted else _coordinates(inst, {
+    charges = _charges(inst, hatted)
+    coords = _fine_coordinates(inst) if hatted else _coordinates(inst, {
         s: [inst.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios},
-        whole, charges)
+        RInterval.whole_line(), charges)
     costs, infeasible, path, rhs = _coordinate_infima(inst, coords, charges)
     if hatted:
         infeasible = infeasible or not all(_zero_start_ok(inst, s) for s in tree.scenarios)

@@ -11,19 +11,18 @@ file's ``setmap_S`` (:func:`finmodels.band_setmap`).
 A document repeats few distinct strings many times (the same knots, slopes,
 probabilities and interval ends), so :func:`instance_doc_from_json` parses
 each distinct string once: it opens a memo from string to ``Fraction`` that
-every ``*_from_json`` reader below consults, and drops it when it returns or
-raises.  The memo lives in a context variable, so it belongs to that one call
-and its thread; a reader called on its own parses every string afresh.  A bad
-string raises on first sight, exactly as without the memo, and is never
-stored.  A list of rationals reads the context variable once, not once per
-string.
+``_rat``, the one reader of document rationals, consults, and drops it when
+it returns or raises.  The memo lives in a context variable, so it belongs to
+that one call and its thread; a reader called on its own parses every string
+afresh.  A bad string raises on first sight, exactly as without the memo, and
+is never stored.
 
 The same memo maps each distinct function, interval or cone document, keyed
-by its strings, to one ``PLConvex``, ``RInterval`` or ``PolyCone``, so the
-scenarios of a cell share one function object and the conjugate it builds
-once, and the slots of a set-valued or cone map share their repeated values.
-A document holding anything but strings, integers and nulls is read afresh;
-one that fails raises at each sight, unstored.
+by the ``repr`` of its parts, to one ``PLConvex``, ``RInterval`` or
+``PolyCone``, so the scenarios of a cell share one function object and the
+conjugate it builds once, and the slots of a set-valued or cone map share
+their repeated values.  Parts that differ in JSON type alone (``1`` and
+``"1"``) give two equal objects; one that fails raises at each sight, unstored.
 
 Python code that loads one file several times in one process, as by calling
 ``cli.main(["verify", path, ...])`` once per theorem, parses it once:
@@ -52,7 +51,7 @@ from .duality import DualPair, Instance, make_instance
 from .finmodels import ScalarProcess, VectorMeasure, band_setmap
 from .plconvex import PLConvex, RInterval, pl
 from .polycone import MAX_DIM, ConeMap, PolyCone
-from .rationals import MAX_EXPONENT, ext, fmt, is_finite, rat
+from .rationals import MAX_EXPONENT, Ext, ext, fmt, is_finite, rat
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree)
 from .setmaps import SetMap
@@ -91,26 +90,26 @@ def _wrap(what: str):
 
 # -- scalars and intervals ----------------------------------------------------
 
-# string -> Fraction, (class, document key) -> PLConvex or PolyCone; set only while
-# instance_doc_from_json runs
+# string -> Fraction, (class, repr of the parts) -> RInterval, PLConvex or PolyCone;
+# set only while instance_doc_from_json runs
 _PARSED: ContextVar[Optional[Dict[object, object]]] = ContextVar("_PARSED", default=None)
 
 
-def _nonstring(conv, value):
-    """``conv(value)``, refusing a JSON boolean (``rat(True)`` is 1)."""
-    if type(value) is bool:
-        raise TypeError(f"not a rational: {value}")
-    return conv(value)
-
-
-def _rat(value) -> Fraction:
-    """:func:`rat`, through the memo of the document being read, if any."""
+def _rat(value, conv=None) -> Ext:
+    """``conv(value)``, ``conv`` being :func:`rat` (the default, looked up at
+    each call) or :func:`ext`, through the memo of the document being read, if
+    any.  A JSON boolean is refused (``rat(True)`` is 1); only a finite value
+    is stored, so ``"inf"`` read by :func:`ext` stays an error for :func:`rat`."""
     parsed = _PARSED.get()
-    if parsed is None or not isinstance(value, str):
-        return _nonstring(rat, value)
+    if parsed is None or type(value) is not str:
+        if type(value) is bool:
+            raise TypeError(f"not a rational: {value}")
+        return (conv or rat)(value)
     q = parsed.get(value)
     if q is None:
-        q = parsed[value] = rat(value)
+        q = (conv or rat)(value)
+        if is_finite(q):
+            parsed[value] = q
     return q
 
 
@@ -127,35 +126,8 @@ def _array(doc):
 
 
 def _rats(values) -> List[Fraction]:
-    """``[_rat(v) for v in values]`` for a list ``values`` (see :func:`_array`),
-    reading the memo once for the whole list rather than once per value."""
-    values = _array(values)
-    parsed = _PARSED.get()
-    if parsed is None:
-        return [_nonstring(rat, v) for v in values]
-    out = []
-    for v in values:
-        if isinstance(v, str):
-            q = parsed.get(v)
-            if q is None:
-                q = parsed[v] = rat(v)
-        else:
-            q = _nonstring(rat, v)
-        out.append(q)
-    return out
-
-
-def _ext(value):
-    """:func:`ext` through the same memo; the sentinels are never stored."""
-    parsed = _PARSED.get()
-    if parsed is None or not isinstance(value, str):
-        return _nonstring(ext, value)
-    q = parsed.get(value)
-    if q is None:
-        q = ext(value)
-        if is_finite(q):
-            parsed[value] = q
-    return q
+    """``[_rat(v) for v in values]`` for a list ``values`` (see :func:`_array`)."""
+    return [_rat(v) for v in _array(values)]
 
 
 def interval_to_json(iv: RInterval) -> List[str]:
@@ -165,7 +137,7 @@ def interval_to_json(iv: RInterval) -> List[str]:
 @_wrap("interval")
 def interval_from_json(doc) -> RInterval:
     lo, hi = _array(doc)
-    return _shared(RInterval, [lo, hi], lambda: RInterval(_ext(lo), _ext(hi)))
+    return _shared(RInterval, [lo, hi], lambda: RInterval(_rat(lo, ext), _rat(hi, ext)))
 
 
 # -- piecewise-linear functions ------------------------------------------------
@@ -184,37 +156,23 @@ def plconvex_from_json(doc: dict) -> PLConvex:
     lo, hi = _array(_need(doc, "dom"))
     ax, av = _array(_need(doc, "anchor"))
     return _shared(PLConvex, [lo, hi, ax, av, doc.get("breakpoints"), doc.get("slopes")],
-                   lambda: pl(_ext(lo), _ext(hi), _rats(_need(doc, "breakpoints")),
+                   lambda: pl(_rat(lo, ext), _rat(hi, ext), _rats(_need(doc, "breakpoints")),
                               _rats(_need(doc, "slopes")), _rat(ax), _rat(av)))
 
 
-def _strings_key(doc: list) -> Optional[tuple]:
-    """The list as nested tuples when it holds only strings, integers, None and
-    such lists, else None."""
-    key = []
-    for x in doc:
-        t = type(x)
-        if t is list:
-            x = _strings_key(x)
-            if x is None:
-                return None
-        elif t is not str and t is not int and x is not None:
-            return None
-        key.append(x)
-    return tuple(key)
-
-
 def _shared(kind: type, parts: list, build):
-    """build(), made once per ``kind`` and key of ``parts`` in the document
-    being read; afresh when there is no memo or ``parts`` has no key."""
+    """build(), made once per ``kind`` and ``repr(parts)`` in the document
+    being read, and afresh when there is no memo.  The ``repr`` of JSON data
+    tells ``"1"``, ``1``, ``1.0`` and ``true`` apart, so only parts equal in
+    value and JSON type share an object; a build that raises stores nothing."""
     parsed = _PARSED.get()
-    key = None if parsed is None else _strings_key(parts)
-    if key is None:
+    if parsed is None:
         return build()
-    key = (kind, key)
-    if key not in parsed:
-        parsed[key] = build()
-    return parsed[key]
+    key = (kind, repr(parts))
+    obj = parsed.get(key)
+    if obj is None:
+        obj = parsed[key] = build()
+    return obj
 
 
 # -- grid-level objects ---------------------------------------------------------
@@ -548,7 +506,8 @@ def load_instance(path: str) -> InstanceDoc:
     then is returned, the same object: callers share it and must not change
     it.  Other text is parsed and takes the one slot; a file that cannot be
     read, decoded or parsed raises with the message it always gave and is
-    never stored."""
+    never stored.  A document nested too deep to decode or parse within the
+    recursion limit cannot be read either."""
     global _LAST
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -556,10 +515,11 @@ def load_instance(path: str) -> InstanceDoc:
         last = _LAST
         if last is not None and last[0] == text:
             return last[1]
-        doc = json.loads(text)
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        idoc = instance_doc_from_json(json.loads(text))
+    except SchemaError:
+        raise
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8 decoding
         raise SchemaError(f"cannot read instance file: {exc}") from exc
-    idoc = instance_doc_from_json(doc)
     _LAST = (text, idoc)  # one assignment: a text is never seen with another's document
     return idoc
 

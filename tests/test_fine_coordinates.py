@@ -1,6 +1,6 @@
 """The coordinates of the refined grid read from the coarse instance.
 
-``_fine_coordinates(inst, bound)`` against ``_coordinates`` on the
+``_fine_coordinates(inst)`` against ``_coordinates`` on the
 materialised ``inst.refine(FINE)``, tuple by tuple, and the entry points that
 switched to it against copies of their bodies on the refined instance.
 """
@@ -83,9 +83,12 @@ def typed(x):
 
 
 def assert_same_coordinates(inst, bound):
+    """The generator's coordinates, each interval cut to ``bound`` here, are
+    those ``_coordinates`` yields on the refinement with that bound."""
     r = inst.refine(FINE)
     want = list(_coordinates(r, _fixed_value_sets(r), bound, _charges(r, True)))
-    got = list(_fine_coordinates(inst, bound))
+    got = [(i, cell, mass, bound.intersect(feas), terms)
+           for i, cell, mass, feas, terms in _fine_coordinates(inst)]
     assert len(got) == len(want)
     for (i, cell, mass, feas, terms), (wi, wcell, wmass, wfeas, wterms) in zip(got, want):
         assert (i, cell) == (wi, wcell)
@@ -298,8 +301,7 @@ def test_fine_coordinates_do_not_refine(monkeypatch):
     inst, rng = drawn_instance(7, "constrained")
     d = rand_finite_dual(rng, inst)
     monkeypatch.setattr(Instance, "_refine", refuse)
-    list(_fine_coordinates(inst, RInterval.whole_line()))
+    list(_fine_coordinates(inst))
     assumption_report(inst)
     support_DS(inst, d)
-    _coordinate_infima(inst, _fine_coordinates(inst, RInterval.whole_line()),
-                       _charges(inst, True))
+    _coordinate_infima(inst, _fine_coordinates(inst), _charges(inst, True))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 import time
 from fractions import Fraction as F
 from importlib import resources
@@ -192,7 +193,8 @@ class TestSerialization:
 
     def test_shared_cones_keep_each_document_s_forms(self):
         # dim 2.0 and integer rows are keyed too, the dimension is part of the
-        # key (no rows: the whole space), and a float row is read afresh
+        # key (no rows: the whole space), and a float row has a key of its own,
+        # so it raises at each sight and is never stored
         docs = [doc for doc, _, _ in CONE_FORMS] + [
             {"dim": 3, "halfspaces": []},
             {"dim": 2.0, "generators": [["1", "0"], ["0", "2"]]},
@@ -354,7 +356,7 @@ class TestSerialization:
         finally:
             serialize._PARSED.reset(token)
 
-    def test_a_function_holding_more_than_strings_is_read_afresh(self):
+    def test_a_function_differing_in_json_type_alone_is_another_object(self):
         doc = basic_doc()
         doc["integrand_h"]["functions"]["dn"][0] = {**BASIC_UP_0, "slopes": [-1, 1]}
         h = instance_doc_from_json(doc).instance.h
@@ -365,11 +367,36 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="not a rational: 1.0"):
             instance_doc_from_json(doc)
 
+    def test_intervals_differing_in_json_type_alone_are_two_equal_objects(self):
+        doc = basic_doc()
+        doc["setmap_S"]["up"]["point_vals"][0] = [1, 2]
+        doc["setmap_S"]["dn"]["point_vals"][0] = ["1", "2"]
+        S = instance_doc_from_json(doc).instance.S
+        up, dn = S.maps["up"].point_vals[0], S.maps["dn"].point_vals[0]
+        assert up == dn == RInterval(F(1), F(2))
+        assert up is not dn
+
+    def test_a_bool_after_an_equal_int_still_raises(self):
+        # True == 1 and hash(True) == hash(1): a key that compared the parts by
+        # value would hand the later part the object built for the earlier one
+        doc = basic_doc()
+        doc["setmap_S"]["up"]["point_vals"][:2] = [[1, "2"], [True, "2"]]
+        with pytest.raises(SchemaError) as err:
+            instance_doc_from_json(doc)
+        assert str(err.value) == "bad interval: not a rational: True"
+        with open(bundled("cs"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["model"]["G"]["point_cones"][:2] = [{"dim": 2, "halfspaces": [[1, 0]]},
+                                                {"dim": 2, "halfspaces": [[True, 0]]}]
+        with pytest.raises(SchemaError) as err:
+            instance_doc_from_json(doc)
+        assert str(err.value) == "bad cone: not a rational: True"
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.lists(RAT_ITEMS, max_size=6), st.integers(), st.none()), st.booleans())
     def test_rats_equals_rat_on_each_element(self, values, memo):
-        """One memo lookup per list reads what one per string did: the same
-        values and types, the same objects shared, the same exception."""
+        """A list reads what ``_rat`` reads on each element: the same values
+        and types, the same objects shared, the same exception."""
         def read(parse):
             token = serialize._PARSED.set({}) if memo else None
             try:
@@ -911,6 +938,44 @@ class TestCli:
         monkeypatch.setenv(cli.duality.BUDGET_ENV_VAR, value)
         assert self.run("verify", bundled("basic"), "--theorem", "conjugate") == 2
         assert_one_error_line(capsys, f"bad argument: {cli.duality.BUDGET_ENV_VAR}")
+
+    def test_a_file_nested_100000_deep_exits_2(self, tmp_path, capsys):
+        # json gives up with a RecursionError, which is no ValueError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert self.run("verify", str(deep), "--theorem", "conjugate") == 2
+        assert_one_error_line(capsys, "schema error: cannot read instance file: ")
+        assert self.run("report-diff", str(deep), str(deep)) == 2
+        assert_one_error_line(capsys, "cannot read reports: ")
+
+    def test_breakpoints_nested_to_the_recursion_limit_exit_2(self, tmp_path, capsys):
+        # decoding, loading or comparing gives out first, by Python version;
+        # each is one line and exit 2
+        depth = sys.getrecursionlimit()
+        doc = basic_doc()
+        doc["integrand_h"]["functions"]["up"][0]["breakpoints"] = "NEST"
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps(doc).replace('"NEST"', "[" * depth + '"0"' + "]" * depth))
+        assert self.run("verify", str(deep), "--theorem", "conjugate") == 2
+        assert_one_error_line(capsys, "schema error: ")
+        assert self.run("report-diff", str(deep), str(deep)) == 2
+        assert_one_error_line(capsys, "cannot read reports: ")
+
+    @pytest.mark.parametrize("module, name, argv, prefix", [
+        (serialize, "pl", ("verify", bundled("basic"), "--theorem", "conjugate"),
+         "schema error: cannot read instance file: "),
+        (cli, "reports_equal", ("report-diff", bundled("basic"), bundled("basic")),
+         "cannot read reports: "),
+    ])
+    def test_a_recursion_error_after_decoding_exits_2(self, module, name, argv, prefix,
+                                                      monkeypatch, capsys):
+        # where it arises past the decoder depends on the Python version and
+        # the stack depth, so it is raised here by hand, while loading or comparing
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(module, name, too_deep)
+        assert self.run(*argv) == 2
+        assert_one_error_line(capsys, prefix + "maximum recursion depth exceeded\n")
 
     def test_report_diff_on_a_non_object_exits_2(self, tmp_path, capsys):
         listed = tmp_path / "list.json"
