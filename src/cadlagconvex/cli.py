@@ -37,22 +37,18 @@ from .serialize import (InstanceDoc, SchemaError, dump_instance, dump_report,
 from .setmaps import michael_check, projection_selection
 
 EXIT_PASS, EXIT_FAIL, EXIT_SCHEMA, EXIT_BUDGET, EXIT_ASSUMPTION = 0, 1, 2, 3, 4
+MAX_LINE = 1000  # a longer stderr line, which may quote a whole input value, is cut
 
 
 class CommandError(Exception):
     """A rejected command; ``main`` prints the message as it is and exits 2."""
 
 
-def _instance_functions(inst: Instance):
-    for fam in (inst.h, inst.htilde):
-        for fns in fam.functions.values():
-            yield from fns
-
-
 def _check_sampled(idoc: InstanceDoc, args, fails) -> Dict:
     """Count the instance's integrands and --count random ones where fails(fn)."""
     rng = random.Random(args.seed)
-    fns = list(_instance_functions(idoc.instance))
+    fns = [fn for fam in (idoc.instance.h, idoc.instance.htilde)
+           for slots in fam.functions.values() for fn in slots]
     fns += [generators.rand_plconvex(rng) for _ in range(args.count)]
     failures = [i for i, fn in enumerate(fns) if fails(fn)]
     return {"lhs": len(fns), "rhs": len(fns) - len(failures),
@@ -441,7 +437,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         line, code = f"budget exceeded: {exc}", EXIT_BUDGET
     except OSError as exc:  # load_instance and _read_report turn read errors into the above
         line, code = f"cannot write output: {exc}", EXIT_SCHEMA
-    print(line, file=sys.stderr)
+    print(line if len(line) <= MAX_LINE else line[:MAX_LINE - 3] + "...", file=sys.stderr)
     return code
 
 

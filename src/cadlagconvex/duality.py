@@ -26,7 +26,7 @@ slot i is charged by mu_i h_i and, in the hatted form, as the left limit at
 t_{i+1} by mutilde_{i+1} htilde_{i+1}.  The generator ``_coordinates`` yields
 each (slot, cell) with the feasible interval shared by the cell's scenarios
 and the (atom, integrand) of every charge there; the callers differ only in
-the per-slot sets, the bounding interval and the charges they pass.
+the per-slot sets and the charges they pass.
 
 Each coordinate is evaluated once, on the data of the cell's first
 scenario.  That is exact: the constructors of :class:`Instance` and
@@ -49,7 +49,7 @@ from .plconvex import RInterval, indicator, once
 from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
-                       check_predictable, expected_pairing)
+                       check_predictable, expected_integral, expected_pairing)
 from .setmaps import SetMap, escaping_slots, michael_check
 from .timegrid import StepPath, TimeGrid, eval_I, eval_J, refined_once
 
@@ -224,13 +224,6 @@ class DualPair:
     def refine(self, factor: int) -> "DualPair":
         return DualPair(self.u.refine(factor), self.ut.refine(factor))
 
-    def total_variation_expectation(self) -> Q:
-        tree = self.u.tree
-        vals = {s: self.u.measures[s].total_variation()
-                + self.ut.measures[s].total_variation()
-                for s in tree.scenarios}
-        return tree.expectation(vals)
-
 
 # ---------------------------------------------------------------------------
 # Primal evaluation (paths on the instance's own grid)
@@ -244,14 +237,9 @@ def _require_adapted_path(y: RandomPath) -> None:
 def eval_F(inst: Instance, y: RandomPath) -> Ext:
     """E I_h(y) plus the indicator of y being a selection of S."""
     _require_adapted_path(y)
-    vals: Dict[str, Ext] = {}
-    for s in inst.tree.scenarios:
-        path = y.paths[s]
-        if not inst.s_map(s).is_selection(path):
-            vals[s] = INF
-            continue
-        vals[s] = eval_I(inst.h.functions[s], path, inst.mu.measures[s])
-    return inst.tree.expectation(vals)
+    if not all(inst.s_map(s).is_selection(y.paths[s]) for s in inst.tree.scenarios):
+        return INF
+    return expected_integral(inst.h, y, inst.mu)
 
 
 def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
@@ -296,9 +284,11 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
 
     Sums slot support values of the point constraint intervals against the
     atoms; homogeneity makes the result independent of any reference measure.
-    Returns the -inf sentinel when no selection exists: a fine coordinate is empty.
+    Returns the -inf sentinel when no selection exists: some scenario's
+    Stilde(0) misses the pinned left limit 0, or a fine coordinate is empty.
     """
-    if any(feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)):
+    if not all(_zero_start_ok(inst, s) for s in inst.tree.scenarios) or any(
+            feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)):
         return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
@@ -328,9 +318,8 @@ def _value_sets(smap: SetMap, stmap: SetMap) -> Tuple[RInterval, ...]:
     for i in range(n):
         v = smap.point_vals[i]
         if i < n - 1:
-            v = v.intersect(smap.open_vals[i]).intersect(stmap.open_vals[i])
-        if i + 1 < n:
-            v = v.intersect(stmap.point_vals[i + 1])
+            v = v.intersect(smap.open_vals[i]).intersect(stmap.open_vals[i]).intersect(
+                stmap.point_vals[i + 1])
         out.append(v)
     return tuple(out)
 
@@ -364,15 +353,14 @@ def _charges(inst: Instance, hatted: bool) -> List[Tuple[RandomMeasure, RandomIn
     return [(inst.mu, inst.h, 0)] + ([(inst.mutilde, inst.htilde, 1)] if hatted else [])
 
 
-def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]],
-                 bound: RInterval, charges):
+def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]], charges):
     """Yield (slot, cell, mass, feasible interval, terms) for every coordinate.
 
     A coordinate is one partition cell at one slot; its feasible interval is
-    ``bound`` intersected with the slot's set, and ``terms`` holds the
-    (atom, integrand) of each charge at ``slot + lag`` that is still a grid
-    slot.  Both are the same for every scenario of the cell, so only the
-    first one's are read.
+    the slot's set, and ``terms`` holds the (atom, integrand) of each charge
+    at ``slot + lag`` that is still a grid slot.  Both are the same for every
+    scenario of the cell, so only the first one's are read.  A caller that
+    searches a bounded range cuts the interval itself.
     """
     tree, n = inst.tree, inst.grid.n_slots
     for i in range(n):
@@ -380,12 +368,12 @@ def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]],
             s = cell[0]
             terms = [(m.measures[s].atoms[i + lag], fam.functions[s][i + lag])
                      for m, fam, lag in charges if i + lag < n]
-            yield i, cell, tree.mass(cell), bound.intersect(sets[s][i]), terms
+            yield i, cell, tree.mass(cell), sets[s][i], terms
 
 
 def _fine_coordinates(inst: Instance):
-    """``_coordinates(r, _fixed_value_sets(r), whole line, _charges(r, True))``
-    for ``r = inst.refine(FINE)``, read from ``inst`` without building r.
+    """``_coordinates(r, _fixed_value_sets(r), _charges(r, True))`` for
+    ``r = inst.refine(FINE)``, read from ``inst`` without building r.
 
     Coarse slot i is fine slot 2i; fine slot 2i+1 has the cells of
     partitions[i], zero atoms, h_i, htilde_{i+1} and, as point and cell
@@ -412,7 +400,7 @@ def _fine_coordinates(inst: Instance):
             yield j, cell, tree.mass(cell), v, terms
 
 
-def _coordinate_infima(inst: Instance, coords, charges):
+def _coordinate_infima(inst: Instance, coords):
     """Minimize each coordinate's charged cost over its feasible interval.
 
     At most one charge has mass at a coordinate, as on the FINE grid, where
@@ -420,17 +408,16 @@ def _coordinate_infima(inst: Instance, coords, charges):
     two would need one joint minimization.  Returns the cost terms, whether
     some coordinate is empty, each scenario's minimizers nearest 0 by slot
     (None if not attained; the feasible point nearest 0 where no charge has
-    mass), and the right-hand side: every charged atom of ``inst`` (the FINE
-    grid adds none), the one at t_0 of a lagged charge included, against the
-    integrand's infimum over the line.  ``coords`` is ``_coordinates`` or
+    mass), and the right-hand side: the cell's mass times every charged atom
+    of the coordinates, empty ones included, against the integrand's infimum
+    over the line.  A lagged charge's atom at t_0 is in no coordinate, so
+    the caller adds it.  ``coords`` is ``_coordinates`` or
     ``_fine_coordinates``.
     """
-    rhs = inst.tree.expectation({
-        s: xsum(xmul(a, fn.min_on_line()) for m, fam, _ in charges
-                for a, fn in zip(m.measures[s].atoms, fam.functions[s]) if a > 0)
-        for s in inst.tree.scenarios})
-    costs, infeasible, path = [], False, {s: [] for s in inst.tree.scenarios}
+    costs, rhs, infeasible = [], [], False
+    path = {s: [] for s in inst.tree.scenarios}
     for i, cell, mass, feas, terms in coords:
+        rhs += [xmul(mass, xmul(atom, fn.min_on_line())) for atom, fn in terms if atom > 0]
         point = None
         if feas.is_empty:
             infeasible = True
@@ -444,7 +431,7 @@ def _coordinate_infima(inst: Instance, coords, charges):
                 point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
         for s in cell:
             path[s].append(point)
-    return costs, infeasible, path, rhs
+    return costs, infeasible, path, xsum(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +524,11 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     tree, n = r.tree, r.grid.n_slots
     needed = 0
     coords = []
-    for i, cell, mass, constraint, terms in _coordinates(
-            r, _fixed_value_sets(r), RInterval(-B, B), _charges(r, True)):
+    box = RInterval(-B, B)
+    for i, cell, mass, feas, terms in _coordinates(r, _fixed_value_sets(r), _charges(r, True)):
         # lattice indices k of the points -B + k*delta in the constraint,
         # which lies in [-B, B], so 0 <= k <= 2B/delta
+        constraint = box.intersect(feas)
         if constraint.is_empty:
             k_lo, k_hi = 0, -1
         else:
@@ -581,7 +569,9 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
 
 def bruteforce_gap_bound(d: DualPair, delta) -> Q:
     """The explicit lattice gap bound delta * E[sum |u| + sum |ut|]."""
-    return rat(delta) * d.total_variation_expectation()
+    return rat(delta) * d.u.tree.expectation({
+        s: d.u.measures[s].total_variation() + d.ut.measures[s].total_variation()
+        for s in d.u.tree.scenarios})
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +633,6 @@ def subdiff_check(inst: Instance, y: RandomPath, d: DualPair,
 # Interchange rules
 # ---------------------------------------------------------------------------
 
-def _single_scenario(inst: Instance) -> str:
-    if len(inst.tree.scenarios) != 1:
-        raise ValueError("deterministic interchange needs a single scenario")
-    return inst.tree.scenarios[0]
-
-
 def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
     """Interchange of infimum and integration, deterministic case.
 
@@ -659,8 +643,9 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
     assumptions hold; otherwise the slot-wise gap is reported, and the
     statement is vacuous when the left side is +inf.
     """
-    s = _single_scenario(inst)
-    n = inst.grid.n_slots
+    if len(inst.tree.scenarios) != 1:
+        raise ValueError("deterministic interchange needs a single scenario")
+    s, n = inst.tree.scenarios[0], inst.grid.n_slots
     if side == "cadlag":
         sm, charges, lag = inst.s_map(s), _charges(inst, False), 0
         feas = [sm.attainable_at(i) for i in range(n)]
@@ -679,8 +664,7 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
 
     closure_holds = all(
         feas[i].intersect(fns[i].domain) == feas[i] for i in range(n))
-    costs, infeasible, _, rhs = _coordinate_infima(
-        inst, _coordinates(inst, {s: feas}, RInterval.whole_line(), charges), charges)
+    costs, infeasible, _, rhs = _coordinate_infima(inst, _coordinates(inst, {s: feas}, charges))
     lhs = INF if infeasible else xsum(costs)
     vacuous = lhs == INF
     if vacuous:
@@ -718,19 +702,24 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     ``inst.refine(FINE)``, it is the ``scenario.paste`` of the
     left-limit-optimal path into the cells announcing the predictable atoms,
     as the tests check: on the refined grid no coordinate has two charges.
+    The right side charges each atom against its integrand's infimum over
+    the line; the hatted form adds mutilde_0 htilde_0 at the pinned start.
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
     assumptions = assumption_report(inst)
     hatted, tree, n = form == "Fhat", inst.tree, inst.grid.n_slots
-    charges = _charges(inst, hatted)
     coords = _fine_coordinates(inst) if hatted else _coordinates(inst, {
         s: [inst.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios},
-        RInterval.whole_line(), charges)
-    costs, infeasible, path, rhs = _coordinate_infima(inst, coords, charges)
+        _charges(inst, False))
+    costs, infeasible, path, rhs = _coordinate_infima(inst, coords)
     if hatted:
+        # the left limit at t_0 is pinned to 0 and is in no coordinate
         infeasible = infeasible or not all(_zero_start_ok(inst, s) for s in tree.scenarios)
         costs.append(_zero_start_cost(inst))
+        rhs = xsum([rhs, tree.expectation({
+            s: xmul(inst.mutilde.measures[s].atoms[0],
+                    inst.htilde.functions[s][0].min_on_line()) for s in tree.scenarios})])
     lhs = INF if infeasible else xsum(costs)
     out = {
         "form": form,

@@ -270,8 +270,7 @@ def rand_feasible_path(rng: random.Random, inst: Instance) -> RandomPath:
     tree, grid = inst.tree, inst.grid
     vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * grid.n_slots
                                                  for s in tree.scenarios}
-    for i, cell, _, feas, terms in _coordinates(inst, _fixed_value_sets(inst),
-                                                RInterval.whole_line(), _charges(inst, True)):
+    for i, cell, _, feas, terms in _coordinates(inst, _fixed_value_sets(inst), _charges(inst, True)):
         for _, fn in terms:
             feas = feas.intersect(fn.domain)
         if feas.is_empty:

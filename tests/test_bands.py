@@ -303,7 +303,7 @@ def per_charge_paths(r, sets, charges):
     point nearest 0."""
     tree, n = r.tree, r.grid.n_slots
     picks = [{s: [None] * n for s in tree.scenarios} for _ in charges]
-    for i, cell, mass, feas, terms in _coordinates(r, sets, RInterval.whole_line(), charges):
+    for i, cell, mass, feas, terms in _coordinates(r, sets, charges):
         if feas.is_empty:
             continue
         point = feas.nearest_to(F(0))
@@ -351,9 +351,7 @@ def test_two_charges_with_mass_at_one_coordinate_are_refused():
     mut = RandomMeasure(tree, grid, {"w": GridMeasure(grid, (0, 3))})
     inst = make_instance(tree, grid, h, mu, mut, ht)
     with pytest.raises(AssertionError, match="two charges with mass at slot 0"):
-        _coordinate_infima(inst, _coordinates(inst, _fixed_value_sets(inst), RInterval.whole_line(),
-                                              _charges(inst, True)), _charges(inst, True))
+        _coordinate_infima(inst, _coordinates(inst, _fixed_value_sets(inst), _charges(inst, True)))
     r = inst.refine(FINE)
-    _coordinate_infima(r, _coordinates(r, _fixed_value_sets(r), RInterval.whole_line(),
-                                       _charges(r, True)), _charges(r, True))
+    _coordinate_infima(r, _coordinates(r, _fixed_value_sets(r), _charges(r, True)))
     assert interchange_stoch(inst, "Fhat")["witness"] is not None

@@ -541,6 +541,19 @@ class TestSupportDS:
                             Stilde=smap.vec_map())
         assert support_DS(inst, det_dual(inst, (0, 0, 0))) == NEG_INF
 
+    def test_stilde_at_0_missing_0_gives_sentinel(self):
+        # the left limit at t_0 is pinned to 0, so no path is a selection
+        # when Stilde(0) misses 0, though every fine coordinate is nonempty
+        box = RInterval(F(0), F(2))
+        tree = ScenarioTree.deterministic(2)
+        inst = det_instance([indicator(box)] * 2, (0, 0), grid=G2,
+                            S=RandomSetMap(tree, G2, {"w": SetMap.constant(G2, box)}),
+                            Stilde=RandomSetMap(tree, G2, {"w": SetMap(
+                                G2, (RInterval(F(1), F(2)), box), (box,))}))
+        d = det_dual(inst, (1, 0), (0, 1))
+        assert support_DS(inst, d) == NEG_INF
+        assert conj_bruteforce(inst, d, B=4, delta=F(1, 2)) == NEG_INF
+
 
 class TestProperties:
     def test_adapted_paths_solid_and_max_stable(self):
@@ -865,8 +878,7 @@ class TestChargeLayout:
         for x, hatted in itertools.product((inst, inst.refine(FINE)), (False, True)):
             n, sets = x.grid.n_slots, _fixed_value_sets(x)
             seen = []
-            for i, cell, mass, feas, terms in _coordinates(
-                    x, sets, RInterval.whole_line(), _charges(x, hatted)):
+            for i, cell, mass, feas, terms in _coordinates(x, sets, _charges(x, hatted)):
                 assert mass == sum(x.tree.prob(s) for s in cell)
                 for s in cell:
                     seen.append((i, s))

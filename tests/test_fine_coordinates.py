@@ -84,9 +84,10 @@ def typed(x):
 
 def assert_same_coordinates(inst, bound):
     """The generator's coordinates, each interval cut to ``bound`` here, are
-    those ``_coordinates`` yields on the refinement with that bound."""
+    those ``_coordinates`` yields on the refinement, cut to that bound."""
     r = inst.refine(FINE)
-    want = list(_coordinates(r, _fixed_value_sets(r), bound, _charges(r, True)))
+    want = [(i, cell, mass, bound.intersect(feas), terms) for i, cell, mass, feas, terms
+            in _coordinates(r, _fixed_value_sets(r), _charges(r, True))]
     got = [(i, cell, mass, bound.intersect(feas), terms)
            for i, cell, mass, feas, terms in _fine_coordinates(inst)]
     assert len(got) == len(want)
@@ -137,8 +138,7 @@ def refined_assumption_report(inst):
     """assumption_report as it read properness from inst.refine(FINE)."""
     r = inst.refine(FINE)
     improper = set()
-    for _, cell, _, feas, terms in _coordinates(r, _fixed_value_sets(r), RInterval.whole_line(),
-                                                _charges(r, True)):
+    for _, cell, _, feas, terms in _coordinates(r, _fixed_value_sets(r), _charges(r, True)):
         if feas.is_empty or any(atom > 0 and feas.intersect(fn.domain).is_empty
                                 for atom, fn in terms):
             improper.update(cell)
@@ -174,9 +174,10 @@ def refined_assumption_report(inst):
 
 
 def refined_support_DS(inst, d):
-    """support_DS as it tested emptiness on inst.refine(FINE)."""
-    if any(v.is_empty for sets in _fixed_value_sets(inst.refine(FINE)).values()
-           for v in sets):
+    """support_DS as it tested the pinned start and emptiness on inst.refine(FINE)."""
+    r = inst.refine(FINE)
+    if not all(_zero_start_ok(r, s) for s in r.tree.scenarios) or any(
+            v.is_empty for sets in _fixed_value_sets(r).values() for v in sets):
         return NEG_INF
     vals = {}
     for s in inst.tree.scenarios:
@@ -198,7 +199,7 @@ def sets_coordinate_infima(inst, sets, charges):
         for s in tree.scenarios})
     costs, infeasible = [], False
     path = {s: [None] * n for s in tree.scenarios}
-    for i, cell, mass, feas, terms in _coordinates(inst, sets, RInterval.whole_line(), charges):
+    for i, cell, mass, feas, terms in _coordinates(inst, sets, charges):
         if feas.is_empty:
             infeasible = True
             continue
@@ -304,4 +305,4 @@ def test_fine_coordinates_do_not_refine(monkeypatch):
     list(_fine_coordinates(inst))
     assumption_report(inst)
     support_DS(inst, d)
-    _coordinate_infima(inst, _fine_coordinates(inst), _charges(inst, True))
+    _coordinate_infima(inst, _fine_coordinates(inst))

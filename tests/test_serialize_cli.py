@@ -977,6 +977,37 @@ class TestCli:
         assert self.run(*argv) == 2
         assert_one_error_line(capsys, prefix + "maximum recursion depth exceeded\n")
 
+    @pytest.mark.parametrize("edit, prefix", [
+        (lambda doc: doc["integrand_h"]["functions"]["up"][0].update(
+            breakpoints=[["0"] * 100_000]), "schema error: bad piecewise-linear function: "),
+        (lambda doc: doc.update(grid=["x" * 100_000] + doc["grid"][1:]),
+         "schema error: bad grid: "),
+    ], ids=["breakpoints", "grid"])
+    def test_a_stderr_line_quoting_a_huge_value_is_cut(self, edit, prefix, tmp_path, capsys):
+        # the message quotes the whole value; main cuts the line it prints
+        doc = basic_doc()
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert self.run("verify", str(bad), "--theorem", "conjugate") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert len(captured.err) == 1001 and captured.err.endswith("...\n")
+
+    def test_support_ds_without_0_in_stilde_at_0_verifies_minus_inf(self, tmp_path, capsys):
+        # the left limit at t_0 is pinned to 0, so no path is a selection and
+        # the support of the empty set is -inf, as the lattice search finds
+        doc = basic_doc()
+        for s in ("up", "dn"):
+            doc["setmap_Stilde"][s]["point_vals"][0] = ["1", "2"]
+        pinned = tmp_path / "pinned.json"
+        pinned.write_text(json.dumps(doc))
+        assert self.run("verify", str(pinned), "--theorem", "support-ds") == 0
+        duals = json.loads(capsys.readouterr().out)["details"]["duals"]
+        assert [(e["formula"], e["bruteforce"], e["verified"]) for e in duals] == \
+            [("-inf", "-inf", True)] * 2
+
     def test_report_diff_on_a_non_object_exits_2(self, tmp_path, capsys):
         listed = tmp_path / "list.json"
         listed.write_text("[1, 2]")
@@ -1058,7 +1089,8 @@ class TestCli:
         assert self.run(*involution, "--count", "3") == 0
         capsys.readouterr()
         assert self.run(*involution) == 0
-        own = len(list(cli._instance_functions(load_instance(bundled("basic")).instance)))
+        inst = load_instance(bundled("basic")).instance
+        own = sum(len(fns) for fam in (inst.h, inst.htilde) for fns in fam.functions.values())
         assert json.loads(capsys.readouterr().out)["lhs"] == own + 100
         with pytest.raises(SystemExit) as exc:
             self.run("verify", bundled("basic"), "--theorem", "no-such-theorem")
