@@ -17,6 +17,9 @@ making the value at t_i and the left limit at t_i independent coordinates.
 These read the coordinates of ``inst.refine(FINE)`` (inserted times carry
 zero mass) from the coarse instance, by ``_fine_coordinates``; only the
 oracle, an honest path search, and the hatted witness build that instance.
+The paper pins the left limit at t_0 to 0; ``_pinned_start`` is the one
+place that states it, as coordinates of slot -1 that ``_fine_coordinates``
+yields first, so no reader of that walk has code of its own for it.
 
 On that grid the objective separates across (partition cell, slot), so the
 oracle, both interchange rules, the properness diagnostic and the feasible
@@ -250,7 +253,7 @@ def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
         path = y.paths[s]
-        if not _zero_start_ok(inst, s) or not all(
+        if not inst.st_map(s).point_vals[0].contains(Fraction(0)) or not all(
                 v.contains(x) for v, x in zip(_fixed_value_sets(inst)[s], path.values)):
             vals[s] = INF
             continue
@@ -267,7 +270,10 @@ def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
 # ---------------------------------------------------------------------------
 
 def conj_pointwise(inst: Instance, d: DualPair) -> Ext:
-    """E[J of h* at u against mu, plus J of htilde* at ut against mutilde]."""
+    """E[J of h* at u against mu, plus J of htilde* at ut against mutilde], or
+    -inf when a fine coordinate, the pinned start's included, is empty."""
+    if any(feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)):
+        return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
         hstar = tuple(fn.conjugate() for fn in inst.h.functions[s])
@@ -284,11 +290,10 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
 
     Sums slot support values of the point constraint intervals against the
     atoms; homogeneity makes the result independent of any reference measure.
-    Returns the -inf sentinel when no selection exists: some scenario's
-    Stilde(0) misses the pinned left limit 0, or a fine coordinate is empty.
+    Returns the -inf sentinel when no selection exists: some fine coordinate
+    is empty, the pinned start's included (Stilde(0) misses 0).
     """
-    if not all(_zero_start_ok(inst, s) for s in inst.tree.scenarios) or any(
-            feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)):
+    if any(feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)):
         return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
@@ -324,24 +329,9 @@ def _value_sets(smap: SetMap, stmap: SetMap) -> Tuple[RInterval, ...]:
     return tuple(out)
 
 
-def _zero_start_ok(inst: Instance, scenario: str) -> bool:
-    return inst.st_map(scenario).point_vals[0].contains(Fraction(0))
-
-
 def _off_domain(values: Tuple[RInterval, ...], fns, first: int = 0) -> List[int]:
     """Slots i >= first where ``values[i - first]`` is not the closed domain of fns[i]."""
     return [i for i, v in enumerate(values, first) if v != fns[i].domain]
-
-
-def _zero_start_cost(inst: Instance) -> Ext:
-    """E[mutilde_0 htilde_0(0)]: the charge on the forced left limit 0 at time 0."""
-    terms = []
-    for s in inst.tree.scenarios:
-        m0 = inst.mutilde.measures[s].atoms[0]
-        if m0 > 0:
-            h0 = inst.htilde.functions[s][0].eval(Fraction(0))
-            terms.append(xmul(inst.tree.prob(s), xmul(m0, h0)))
-    return xsum(terms)
 
 
 def _charges(inst: Instance, hatted: bool) -> List[Tuple[RandomMeasure, RandomIntegrand, int]]:
@@ -371,9 +361,21 @@ def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]], charges):
             yield i, cell, tree.mass(cell), sets[s][i], terms
 
 
+def _pinned_start(inst: Instance):
+    """The left limit at t_0, pinned to 0: per cell of partitions[0], slot -1
+    with {0} meet Stilde(0) and the charge (mutilde_0, htilde_0), which are
+    predictable, so constant on the cell.  It is no value of the path."""
+    zero = RInterval.singleton(Fraction(0))
+    for cell in inst.tree.cells(0):
+        s = cell[0]
+        yield (-1, cell, inst.tree.mass(cell), zero.intersect(inst.st_map(s).point_vals[0]),
+               [(inst.mutilde.measures[s].atoms[0], inst.htilde.functions[s][0])])
+
+
 def _fine_coordinates(inst: Instance):
-    """``_coordinates(r, _fixed_value_sets(r), _charges(r, True))`` for
-    ``r = inst.refine(FINE)``, read from ``inst`` without building r.
+    """The ``_pinned_start``, then ``_coordinates(r, _fixed_value_sets(r),
+    _charges(r, True))`` for ``r = inst.refine(FINE)``, read from ``inst``
+    without building r.
 
     Coarse slot i is fine slot 2i; fine slot 2i+1 has the cells of
     partitions[i], zero atoms, h_i, htilde_{i+1} and, as point and cell
@@ -384,6 +386,7 @@ def _fine_coordinates(inst: Instance):
     constant on partitions[i], the predecessor partition of fine slot 2i+2;
     and the inserted atoms are 0.
     """
+    yield from _pinned_start(inst)
     tree, n, zero = inst.tree, inst.grid.n_slots, Fraction(0)
     for j in range(2 * n - 1):
         i, inside = divmod(j, 2)
@@ -410,9 +413,9 @@ def _coordinate_infima(inst: Instance, coords):
     (None if not attained; the feasible point nearest 0 where no charge has
     mass), and the right-hand side: the cell's mass times every charged atom
     of the coordinates, empty ones included, against the integrand's infimum
-    over the line.  A lagged charge's atom at t_0 is in no coordinate, so
-    the caller adds it.  ``coords`` is ``_coordinates`` or
-    ``_fine_coordinates``.
+    over the line.  ``coords`` is ``_coordinates`` or ``_fine_coordinates``;
+    the pinned start's slot -1 adds to the costs and the right-hand side but
+    to no path.
     """
     costs, rhs, infeasible = [], [], False
     path = {s: [] for s in inst.tree.scenarios}
@@ -429,8 +432,9 @@ def _coordinate_infima(inst: Instance, coords):
                 val, argmin = fn.inf_over(feas)
                 costs.append(xmul(mass, xmul(atom, val)))
                 point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
-        for s in cell:
-            path[s].append(point)
+        if i >= 0:
+            for s in cell:
+                path[s].append(point)
     return costs, infeasible, path, xsum(rhs)
 
 
@@ -447,7 +451,7 @@ def assumption_report(inst: Instance) -> Dict:
     left start, properness (a feasible point with finite cost exists) and
     the constructive affine minorants.  A slot-wise condition is computed as
     its failing slots, which the report lists under ``failing_slots``.
-    Properness is read on the ``_fine_coordinates``.
+    Properness is read on the ``_fine_coordinates``, pinned start included.
     """
     # a scenario is improper on a fine coordinate that is empty or on which
     # a charged integrand is +inf throughout
@@ -461,8 +465,6 @@ def assumption_report(inst: Instance) -> Dict:
     for s in inst.tree.scenarios:
         smap, stmap = inst.s_map(s), inst.st_map(s)
         hfns, htfns = inst.h.functions[s], inst.htilde.functions[s]
-        proper = _zero_start_ok(inst, s) and s not in improper and (
-            inst.mutilde.measures[s].atoms[0] == 0 or htfns[0].domain.contains(Fraction(0)))
         # each condition as its failing slots, or as a flag if not slot-wise
         checks = {
             "s_is_cl_dom_h": _off_domain(smap.point_vals, hfns)
@@ -475,7 +477,7 @@ def assumption_report(inst: Instance) -> Dict:
             "cross_Stilde_in_S_cells": escaping_slots(stmap.point_vals, smap.open_vals, 1),
             "s_contains_dom_h": all(fn.domain.issubset(v)
                                     for fn, v in zip(hfns, smap.point_vals)),
-            "proper": proper,
+            "proper": s not in improper,
         }
         per_scenario[s] = {k: v if isinstance(v, bool) else not v
                            for k, v in checks.items()}
@@ -521,7 +523,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     budget = resolve_budget(budget)
     r = inst.refine(FINE)
     rd = d.refine(FINE)
-    tree, n = r.tree, r.grid.n_slots
+    n = r.grid.n_slots
     needed = 0
     coords = []
     box = RInterval(-B, B)
@@ -539,12 +541,12 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     if needed > budget:
         raise BudgetExceededError(needed, budget)
 
-    # constant part: the forced left limit 0 at time 0
-    if not all(_zero_start_ok(r, s) for s in tree.scenarios):
-        return NEG_INF
-    total: Ext = xneg(_zero_start_cost(r))
-    if total == NEG_INF:
-        return NEG_INF
+    total: Ext = Fraction(0)  # less the cost of the pinned start, paired with no atom
+    for _, _, mass, feas, terms in _pinned_start(r):
+        cost = xsum([xmul(mass * atom, fn.eval(Fraction(0))) for atom, fn in terms if atom > 0])
+        if feas.is_empty or cost == INF:
+            return NEG_INF
+        total -= cost
 
     # one evaluation per coordinate, on the cell's first scenario, weighted
     # by the cell's mass: the data is constant on the cell (module docstring)
@@ -703,7 +705,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     left-limit-optimal path into the cells announcing the predictable atoms,
     as the tests check: on the refined grid no coordinate has two charges.
     The right side charges each atom against its integrand's infimum over
-    the line; the hatted form adds mutilde_0 htilde_0 at the pinned start.
+    the line, the hatted form's mutilde_0 htilde_0 at the pinned start too.
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
@@ -713,13 +715,6 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
         s: [inst.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios},
         _charges(inst, False))
     costs, infeasible, path, rhs = _coordinate_infima(inst, coords)
-    if hatted:
-        # the left limit at t_0 is pinned to 0 and is in no coordinate
-        infeasible = infeasible or not all(_zero_start_ok(inst, s) for s in tree.scenarios)
-        costs.append(_zero_start_cost(inst))
-        rhs = xsum([rhs, tree.expectation({
-            s: xmul(inst.mutilde.measures[s].atoms[0],
-                    inst.htilde.functions[s][0].min_on_line()) for s in tree.scenarios})])
     lhs = INF if infeasible else xsum(costs)
     out = {
         "form": form,

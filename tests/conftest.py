@@ -13,9 +13,10 @@ import pytest
 from hypothesis import strategies as st
 
 from cadlagconvex import serialize
+from cadlagconvex.duality import Instance
 from cadlagconvex.plconvex import PLConvex, RInterval, pl
 from cadlagconvex.presets import bundled_instance_path
-from cadlagconvex.rationals import INF, NEG_INF, is_finite
+from cadlagconvex.rationals import INF, NEG_INF, Ext, is_finite, xmul, xsum
 from cadlagconvex.serialize import InstanceDoc, instance_doc_from_json
 
 
@@ -50,6 +51,25 @@ def rebuilt(x):
                         tuple(map(rebuilt, x.breakpoints)), tuple(map(rebuilt, x.slopes)),
                         rebuilt(x.anchor_x), rebuilt(x.anchor_val))
     raise TypeError(f"cannot rebuild {x!r}")
+
+
+# The pinned left limit 0 at t_0 as the library stated it before it became
+# the coordinates of ``duality._pinned_start``; the reference bodies of the
+# oracle, the properness loop and the refined entry points use these copies.
+
+def _zero_start_ok(inst: Instance, scenario: str) -> bool:
+    return inst.st_map(scenario).point_vals[0].contains(Fraction(0))
+
+
+def _zero_start_cost(inst: Instance) -> Ext:
+    """E[mutilde_0 htilde_0(0)]: the charge on the forced left limit 0 at time 0."""
+    terms = []
+    for s in inst.tree.scenarios:
+        m0 = inst.mutilde.measures[s].atoms[0]
+        if m0 > 0:
+            h0 = inst.htilde.functions[s][0].eval(Fraction(0))
+            terms.append(xmul(inst.tree.prob(s), xmul(m0, h0)))
+    return xsum(terms)
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)

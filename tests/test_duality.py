@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cadlagconvex.duality import (FINE, BudgetExceededError, DualPair, Instance,
                                   _charges, _coordinates, _fixed_value_sets,
-                                  _zero_start_ok, assumption_report, bruteforce_gap_bound,
+                                  assumption_report, bruteforce_gap_bound,
                                   conj_bruteforce, conj_pointwise, eval_F,
                                   eval_Fhat, indicator_integrand, interchange_det,
                                   interchange_stoch, make_instance,
@@ -30,7 +30,7 @@ from cadlagconvex.serialize import load_instance
 from cadlagconvex.setmaps import SetMap
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid, eval_I
 
-from conftest import forget_last_load, preset
+from conftest import _zero_start_ok, forget_last_load, preset
 
 G2 = TimeGrid((0, 1))
 G3 = TimeGrid((0, 1, 2))
@@ -236,6 +236,27 @@ class TestConjPointwise:
         assert conj_pointwise(inst, d) == 3
         brute = conj_bruteforce(inst, d, B=4, delta=F(1, 100))
         assert 0 <= conj_pointwise(inst, d) - brute <= bruteforce_gap_bound(d, F(1, 100))
+
+    def test_empty_fine_coordinate_gives_sentinel(self):
+        # no path is feasible, so Fhat is +inf everywhere and its conjugate is
+        # -inf: Stilde(0) misses the pinned left limit 0, or the point value
+        # at t_1 misses the cells around it
+        box, unit = RInterval(F(0), F(2)), RInterval(F(0), F(1))
+        tree2, tree3 = ScenarioTree.deterministic(2), ScenarioTree.deterministic(3)
+        gapped = SetMap(G3, (unit, RInterval(F(3), F(4)), unit), (unit, unit))
+        cases = [
+            det_instance([abs_fn()] * 2, (1, 1), grid=G2,
+                         S=RandomSetMap(tree2, G2, {"w": SetMap.constant(G2, box)}),
+                         Stilde=RandomSetMap(tree2, G2, {"w": SetMap(
+                             G2, (RInterval(F(1), F(2)), box), (box,))})),
+            det_instance([abs_fn()] * 3, (1, 1, 1), grid=G3,
+                         S=RandomSetMap(tree3, G3, {"w": gapped}),
+                         Stilde=RandomSetMap(tree3, G3, {"w": gapped}).vec_map()),
+        ]
+        for inst in cases:
+            d = det_dual(inst, (F(1, 2),) * inst.grid.n_slots, (1,) * inst.grid.n_slots)
+            assert conj_pointwise(inst, d) == NEG_INF
+            assert conj_bruteforce(inst, d, B=4, delta=F(1, 2)) == NEG_INF
 
 
 class TestConjBruteforce:

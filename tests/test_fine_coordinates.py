@@ -1,8 +1,8 @@
 """The coordinates of the refined grid read from the coarse instance.
 
-``_fine_coordinates(inst)`` against ``_coordinates`` on the
-materialised ``inst.refine(FINE)``, tuple by tuple, and the entry points that
-switched to it against copies of their bodies on the refined instance.
+``_fine_coordinates(inst)`` against the pinned start and ``_coordinates`` on
+the materialised ``inst.refine(FINE)``, tuple by tuple, and the entry points
+that switched to it against copies of their bodies on the refined instance.
 """
 
 import random
@@ -12,20 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _zero_start_cost, _zero_start_ok
+
 from cadlagconvex.duality import (FINE, Instance, _charges, _coordinate_infima,
                                   _coordinates, _fine_coordinates, _fixed_value_sets,
-                                  _off_domain, _zero_start_cost, _zero_start_ok,
-                                  assumption_report, eval_F, eval_Fhat, interchange_stoch,
-                                  support_DS)
+                                  _off_domain, assumption_report, eval_F, eval_Fhat,
+                                  interchange_stoch, support_DS)
 from cadlagconvex.generators import (_per_cell, rand_finite_dual, rand_interval,
                                      rand_passing_instance)
 from cadlagconvex.plconvex import RInterval
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, xmul, xsum
-from cadlagconvex.scenario import RandomPath, RandomSetMap
+from cadlagconvex.scenario import RandomMeasure, RandomPath, RandomSetMap
 from cadlagconvex.serialize import load_instance
 from cadlagconvex.setmaps import SetMap, escaping_slots
-from cadlagconvex.timegrid import StepPath
+from cadlagconvex.timegrid import GridMeasure, StepPath
 
 # -- inputs ------------------------------------------------------------------------
 
@@ -50,14 +51,32 @@ def with_random_constraints(rng, inst):
                     draw(False), draw(True))
 
 
+def with_charged_start(rng, inst):
+    """``inst`` with a positive mutilde_0 drawn per cell of partitions[0]: the
+    drawn htilde_0 is pinned at 0 with a value c >= 0, so the pinned start
+    pays c times that atom."""
+    tree, grid = inst.tree, inst.grid
+    start = _per_cell(rng, tree, 0, lambda: F(rng.randint(1, 3), rng.choice((1, 2))))
+    mutilde = RandomMeasure(tree, grid, {
+        s: GridMeasure(grid, (start[s],) + m.atoms[1:]) for s, m in inst.mutilde.measures.items()})
+    return Instance(tree, grid, inst.h, inst.mu, mutilde, inst.htilde, inst.S, inst.Stilde)
+
+
 def drawn_instance(seed, kind):
     rng = random.Random(seed)
     inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
                                  with_htilde=kind != "plain")
-    return (with_random_constraints(rng, inst) if kind == "constrained" else inst), rng
+    redraw = {"constrained": with_random_constraints, "charged-start": with_charged_start}
+    return (redraw[kind](rng, inst) if kind in redraw else inst), rng
 
 
-KINDS = ("plain", "htilde", "constrained")
+KINDS = ("plain", "htilde", "constrained", "charged-start")
+
+
+def charged_start(inst):
+    """Whether the pinned start pays a nonzero charge."""
+    return any(inst.mutilde.measures[s].atoms[0] > 0
+               and inst.htilde.functions[s][0].eval(F(0)) != 0 for s in inst.tree.scenarios)
 
 
 def preset_docs():
@@ -82,12 +101,29 @@ def typed(x):
     return type(x), x
 
 
+def refined_pinned_start(r):
+    """The coordinates of slot -1 of the refinement ``r``, from its own data:
+    per cell of partitions[0], the left limit 0 cut by every scenario's
+    Stilde(0), charged by mutilde_0 htilde_0."""
+    out = []
+    for cell in r.tree.cells(0):
+        feas = RInterval.singleton(F(0))
+        for s in cell:
+            feas = feas.intersect(r.st_map(s).point_vals[0])
+        s = cell[0]
+        out.append((-1, cell, r.tree.mass(cell), feas,
+                    [(r.mutilde.measures[s].atoms[0], r.htilde.functions[s][0])]))
+    return out
+
+
 def assert_same_coordinates(inst, bound):
     """The generator's coordinates, each interval cut to ``bound`` here, are
-    those ``_coordinates`` yields on the refinement, cut to that bound."""
+    the pinned start and those ``_coordinates`` yields on the refinement, cut
+    to that bound."""
     r = inst.refine(FINE)
     want = [(i, cell, mass, bound.intersect(feas), terms) for i, cell, mass, feas, terms
-            in _coordinates(r, _fixed_value_sets(r), _charges(r, True))]
+            in refined_pinned_start(r) + list(_coordinates(r, _fixed_value_sets(r),
+                                                           _charges(r, True)))]
     got = [(i, cell, mass, bound.intersect(feas), terms)
            for i, cell, mass, feas, terms in _fine_coordinates(inst)]
     assert len(got) == len(want)
@@ -282,8 +318,9 @@ def test_entry_points_on_every_preset_equal_their_bodies_on_the_refined_instance
 
 
 def test_the_drawn_cases_hold_both_outcomes():
-    # the inputs above reach empty fine coordinates, improper scenarios and
-    # interchange witnesses, so the equalities are not vacuous
+    # the inputs above reach empty fine coordinates, improper scenarios,
+    # interchange witnesses and a charged pinned start, so the equalities are
+    # not vacuous
     seen = set()
     for seed in range(60):
         for kind in KINDS:
@@ -292,7 +329,9 @@ def test_the_drawn_cases_hold_both_outcomes():
             seen.add(("support", support_DS(inst, d) == NEG_INF))
             seen.add(("proper", assumption_report(inst)["summary"]["proper"]))
             seen.add(("witness", interchange_stoch(inst, "Fhat")["witness"] is None))
-    assert seen == {(k, v) for k in ("support", "proper", "witness") for v in (True, False)}
+            seen.add(("charged start", charged_start(inst)))
+    assert seen == {(k, v) for k in ("support", "proper", "witness", "charged start")
+                    for v in (True, False)}
 
 
 def test_fine_coordinates_do_not_refine(monkeypatch):

@@ -1008,6 +1008,31 @@ class TestCli:
         assert [(e["formula"], e["bruteforce"], e["verified"]) for e in duals] == \
             [("-inf", "-inf", True)] * 2
 
+    def test_conjugate_without_0_in_stilde_at_0_verifies_minus_inf(self, tmp_path, capsys):
+        # no path is feasible, so Fhat is +inf everywhere and its conjugate
+        # is -inf, as the lattice search finds
+        doc = basic_doc()
+        for s in ("up", "dn"):
+            doc["setmap_Stilde"][s]["point_vals"][0] = ["1", "2"]
+        pinned = tmp_path / "pinned.json"
+        pinned.write_text(json.dumps(doc))
+        assert self.run("verify", str(pinned), "--theorem", "conjugate") == 0
+        duals = json.loads(capsys.readouterr().out)["details"]["duals"]
+        assert [(e["pointwise"], e["bruteforce"], e["verified"]) for e in duals] == \
+            [("-inf", "-inf", True)] * 2
+
+    def test_subdiff_with_every_path_skipped_fails(self, tmp_path, capsys):
+        # a check that verified no (path, dual) pair has not passed
+        doc = basic_doc()
+        doc["paths"] = [{s: ["9"] * len(v) for s, v in p.items()} for p in doc["paths"]]
+        skipped = tmp_path / "skipped.json"
+        skipped.write_text(json.dumps(doc))
+        assert self.run("verify", str(skipped), "--theorem", "subdiff") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert report["details"]["pairs"] == [
+            {"path": k, "skipped": "infinite primal value"} for k in range(len(doc["paths"]))]
+
     def test_report_diff_on_a_non_object_exits_2(self, tmp_path, capsys):
         listed = tmp_path / "list.json"
         listed.write_text("[1, 2]")
