@@ -22,14 +22,13 @@ place that states it, as coordinates of slot -1 that ``_fine_coordinates``
 yields first, so no reader of that walk has code of its own for it.
 
 On that grid the objective separates across (partition cell, slot), so the
-oracle, both interchange rules, the properness diagnostic and the feasible
-path generator work one coordinate at a time.  ``_charges`` is the one place
-that decides which (measure, integrand) pays at a coordinate: the value at
-slot i is charged by mu_i h_i and, in the hatted form, as the left limit at
-t_{i+1} by mutilde_{i+1} htilde_{i+1}.  The generator ``_coordinates`` yields
-each (slot, cell) with the feasible interval shared by the cell's scenarios
-and the (atom, integrand) of every charge there; the callers differ only in
-the per-slot sets and the charges they pass.
+oracle, both interchange rules, the properness diagnostic, ``eval_Fhat``'s
+constraints and the feasible path generator work one coordinate at a time.
+``_coordinates(inst, hatted)`` is the one statement of a fixed-grid
+coordinate's feasible set and charges: the value at slot i lies in what S
+lets a right-continuous selection take and pays mu_i h_i; in the hatted form
+it is also the left limit at t_{i+1}, so Stilde's values on (t_i, t_{i+1})
+and at t_{i+1} cut it and mutilde_{i+1} htilde_{i+1} charges it.
 
 Each coordinate is evaluated once, on the data of the cell's first
 scenario.  That is exact: the constructors of :class:`Instance` and
@@ -46,6 +45,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .plconvex import RInterval, indicator, once
@@ -232,37 +232,35 @@ class DualPair:
 # Primal evaluation (paths on the instance's own grid)
 # ---------------------------------------------------------------------------
 
-def _require_adapted_path(y: RandomPath) -> None:
+def _require_adapted_path(inst: Instance, y: RandomPath) -> None:
     if not check_adapted(y):
         raise ValueError("path must be adapted")
+    if y.grid != inst.S.grid:
+        raise ValueError("grid mismatch")
+    if y.tree != inst.tree:
+        raise ValueError("path must be adapted to the instance's tree")
 
 
 def eval_F(inst: Instance, y: RandomPath) -> Ext:
-    """E I_h(y) plus the indicator of y being a selection of S."""
-    _require_adapted_path(y)
+    """E I_h(y) plus the indicator of y being a selection of S; y is adapted to inst.tree."""
+    _require_adapted_path(inst, y)
     if not all(inst.s_map(s).is_selection(y.paths[s]) for s in inst.tree.scenarios):
         return INF
     return expected_integral(inst.h, y, inst.mu)
 
 
 def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
-    """The hatted functional: adds the left-limit costs and constraints."""
-    _require_adapted_path(y)
-    if y.grid != inst.S.grid:
-        raise ValueError("grid mismatch")
-    vals: Dict[str, Ext] = {}
-    for s in inst.tree.scenarios:
-        path = y.paths[s]
-        if not inst.st_map(s).point_vals[0].contains(Fraction(0)) or not all(
-                v.contains(x) for v, x in zip(_fixed_value_sets(inst)[s], path.values)):
-            vals[s] = INF
-            continue
-        vals[s] = xsum([
-            eval_I(inst.h.functions[s], path, inst.mu.measures[s]),
-            eval_I(inst.htilde.functions[s], StepPath(inst.grid, path.left_values()),
-                   inst.mutilde.measures[s]),
-        ])
-    return inst.tree.expectation(vals)
+    """The hatted functional: adds the left-limit costs, and the constraints of
+    the ``_pinned_start`` at 0 and of ``_coordinates(inst, True)`` at y's values."""
+    _require_adapted_path(inst, y)
+    if not all(feas.contains(y.paths[cell[0]].values[i] if i >= 0 else Fraction(0))
+               for i, cell, _, feas, _ in chain(_pinned_start(inst), _coordinates(inst, True))):
+        return INF
+    return inst.tree.expectation({s: xsum([
+        eval_I(inst.h.functions[s], y.paths[s], inst.mu.measures[s]),
+        eval_I(inst.htilde.functions[s], StepPath(inst.grid, y.paths[s].left_values()),
+               inst.mutilde.measures[s]),
+    ]) for s in inst.tree.scenarios})
 
 
 # ---------------------------------------------------------------------------
@@ -307,58 +305,36 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
 
 
 # ---------------------------------------------------------------------------
-# Effective feasible value sets
+# Coordinates: feasible sets and charges per (slot, cell)
 # ---------------------------------------------------------------------------
-
-def _fixed_value_sets(inst: Instance) -> Dict[str, Tuple[RInterval, ...]]:
-    """Per scenario, the per-slot feasible values of fixed-grid paths for the
-    hatted functional; built once per instance."""
-    return once(inst, "fixed_value_sets", lambda: {
-        s: _value_sets(inst.s_map(s), inst.st_map(s)) for s in inst.tree.scenarios})
-
-
-def _value_sets(smap: SetMap, stmap: SetMap) -> Tuple[RInterval, ...]:
-    n = len(smap.point_vals)
-    out = []
-    for i in range(n):
-        v = smap.point_vals[i]
-        if i < n - 1:
-            v = v.intersect(smap.open_vals[i]).intersect(stmap.open_vals[i]).intersect(
-                stmap.point_vals[i + 1])
-        out.append(v)
-    return tuple(out)
-
 
 def _off_domain(values: Tuple[RInterval, ...], fns, first: int = 0) -> List[int]:
     """Slots i >= first where ``values[i - first]`` is not the closed domain of fns[i]."""
     return [i for i, v in enumerate(values, first) if v != fns[i].domain]
 
 
-def _charges(inst: Instance, hatted: bool) -> List[Tuple[RandomMeasure, RandomIntegrand, int]]:
-    """(measure, integrand, lag) of each charge on the value at a slot i.
-
-    The value pays mu_i h_i; in the hatted form it is also the left limit
-    at t_{i+1}, which pays mutilde_{i+1} htilde_{i+1}.
-    """
-    return [(inst.mu, inst.h, 0)] + ([(inst.mutilde, inst.htilde, 1)] if hatted else [])
-
-
-def _coordinates(inst: Instance, sets: Dict[str, List[RInterval]], charges):
+def _coordinates(inst: Instance, hatted: bool):
     """Yield (slot, cell, mass, feasible interval, terms) for every coordinate.
 
-    A coordinate is one partition cell at one slot; its feasible interval is
-    the slot's set, and ``terms`` holds the (atom, integrand) of each charge
-    at ``slot + lag`` that is still a grid slot.  Both are the same for every
-    scenario of the cell, so only the first one's are read.  A caller that
-    searches a bounded range cuts the interval itself.
+    At slot i the value lies in ``S.attainable_at(i)`` and pays mu_i h_i; in
+    the hatted form, for i < n-1, it is also the left limit at t_{i+1}: Stilde
+    cuts it on (t_i, t_{i+1}) and at t_{i+1}, and mutilde_{i+1} htilde_{i+1}
+    charges it.  ``terms`` holds each charge's (atom, integrand).  Both are the
+    same for every scenario of the cell, so only the first one's are read.  A
+    caller that searches a bounded range cuts the interval itself.
     """
     tree, n = inst.tree, inst.grid.n_slots
     for i in range(n):
         for cell in tree.cells(i):
             s = cell[0]
-            terms = [(m.measures[s].atoms[i + lag], fam.functions[s][i + lag])
-                     for m, fam, lag in charges if i + lag < n]
-            yield i, cell, tree.mass(cell), sets[s][i], terms
+            v = inst.s_map(s).attainable_at(i)
+            terms = [(inst.mu.measures[s].atoms[i], inst.h.functions[s][i])]
+            if hatted and i < n - 1:
+                stm = inst.st_map(s)
+                v = v.intersect(stm.open_vals[i]).intersect(stm.point_vals[i + 1])
+                terms.append((inst.mutilde.measures[s].atoms[i + 1],
+                              inst.htilde.functions[s][i + 1]))
+            yield i, cell, tree.mass(cell), v, terms
 
 
 def _pinned_start(inst: Instance):
@@ -373,9 +349,8 @@ def _pinned_start(inst: Instance):
 
 
 def _fine_coordinates(inst: Instance):
-    """The ``_pinned_start``, then ``_coordinates(r, _fixed_value_sets(r),
-    _charges(r, True))`` for ``r = inst.refine(FINE)``, read from ``inst``
-    without building r.
+    """The ``_pinned_start``, then ``_coordinates(r, True)`` for
+    ``r = inst.refine(FINE)``, read from ``inst`` without building r.
 
     Coarse slot i is fine slot 2i; fine slot 2i+1 has the cells of
     partitions[i], zero atoms, h_i, htilde_{i+1} and, as point and cell
@@ -395,7 +370,7 @@ def _fine_coordinates(inst: Instance):
             sm, stm = inst.s_map(s), inst.st_map(s)
             v = sm.open_vals[i] if inside else sm.point_vals[i]
             terms = [(zero if inside else inst.mu.measures[s].atoms[i], inst.h.functions[s][i])]
-            if i < n - 1:  # _value_sets and _charges on the fine slot j
+            if i < n - 1:  # the hatted cut and charge of _coordinates on fine slot j
                 v = v.intersect(sm.open_vals[i]).intersect(stm.open_vals[i]).intersect(
                     stm.point_vals[i + 1] if inside else stm.open_vals[i])
                 terms.append((inst.mutilde.measures[s].atoms[i + 1] if inside else zero,
@@ -527,7 +502,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     needed = 0
     coords = []
     box = RInterval(-B, B)
-    for i, cell, mass, feas, terms in _coordinates(r, _fixed_value_sets(r), _charges(r, True)):
+    for i, cell, mass, feas, terms in _coordinates(r, True):
         # lattice indices k of the points -B + k*delta in the constraint,
         # which lies in [-B, B], so 0 <= k <= 2B/delta
         constraint = box.intersect(feas)
@@ -649,24 +624,24 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
         raise ValueError("deterministic interchange needs a single scenario")
     s, n = inst.tree.scenarios[0], inst.grid.n_slots
     if side == "cadlag":
-        sm, charges, lag = inst.s_map(s), _charges(inst, False), 0
-        feas = [sm.attainable_at(i) for i in range(n)]
+        sm, fns, lag = inst.s_map(s), inst.h.functions[s], 0
+        coords = list(_coordinates(inst, False))
         failing = michael_check(sm)["failing_slots"]
     elif side == "caglad":
         # a caglad path's slot i is its left limit at t_i, charged by htilde_i
-        sm, charges, lag = inst.st_map(s), [(inst.mutilde, inst.htilde, 0)], 1
-        feas = [sm.point_vals[0]] + [
-            sm.point_vals[i].intersect(sm.open_vals[i - 1]) for i in range(1, n)]
+        sm, fns, lag = inst.st_map(s), inst.htilde.functions[s], 1
+        coords = [(i, (s,), inst.tree.mass((s,)),
+                   sm.point_vals[i].intersect(sm.open_vals[i - 1]) if i else sm.point_vals[0],
+                   [(inst.mutilde.measures[s].atoms[i], fns[i])]) for i in range(n)]
         failing = escaping_slots(sm.point_vals, sm.open_vals, 1)
     else:
         raise ValueError("side must be 'cadlag' or 'caglad'")
-    fns = charges[0][1].functions[s]
     image_closure = not (_off_domain(sm.point_vals, fns)
                          + _off_domain(sm.open_vals, fns, lag))
 
-    closure_holds = all(
-        feas[i].intersect(fns[i].domain) == feas[i] for i in range(n))
-    costs, infeasible, _, rhs = _coordinate_infima(inst, _coordinates(inst, {s: feas}, charges))
+    closure_holds = all(feas.intersect(terms[0][1].domain) == feas
+                        for _, _, _, feas, terms in coords)
+    costs, infeasible, _, rhs = _coordinate_infima(inst, coords)
     lhs = INF if infeasible else xsum(costs)
     vacuous = lhs == INF
     if vacuous:
@@ -710,10 +685,8 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
     assumptions = assumption_report(inst)
-    hatted, tree, n = form == "Fhat", inst.tree, inst.grid.n_slots
-    coords = _fine_coordinates(inst) if hatted else _coordinates(inst, {
-        s: [inst.s_map(s).attainable_at(i) for i in range(n)] for s in tree.scenarios},
-        _charges(inst, False))
+    hatted, tree = form == "Fhat", inst.tree
+    coords = _fine_coordinates(inst) if hatted else _coordinates(inst, False)
     costs, infeasible, path, rhs = _coordinate_infima(inst, coords)
     lhs = INF if infeasible else xsum(costs)
     out = {

@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .duality import (DualPair, Instance, _charges, _coordinates,
-                       _fixed_value_sets, assumption_report, make_instance)
+from .duality import (DualPair, Instance, _coordinates, _pinned_start,
+                       assumption_report, make_instance)
 from .plconvex import PLConvex, RInterval, _canonical, _canonical_anchor, pl
 from .rationals import INF, NEG_INF, is_finite, xle
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
@@ -266,15 +267,19 @@ def _finite_dual_atom(rng: random.Random, fn: PLConvex, mass: Fraction) -> Fract
 
 
 def rand_feasible_path(rng: random.Random, inst: Instance) -> RandomPath:
-    """Adapted path with finite hatted value, drawn per partition cell."""
+    """Adapted path with finite hatted value, drawn per partition cell in the
+    set of its ``_coordinates(inst, True)`` cut by its integrands' domains.
+    ValueError if a cut set, or the ``_pinned_start``'s (never drawn), is empty."""
     tree, grid = inst.tree, inst.grid
     vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * grid.n_slots
                                                  for s in tree.scenarios}
-    for i, cell, _, feas, terms in _coordinates(inst, _fixed_value_sets(inst), _charges(inst, True)):
+    for i, cell, _, feas, terms in chain(_pinned_start(inst), _coordinates(inst, True)):
         for _, fn in terms:
             feas = feas.intersect(fn.domain)
         if feas.is_empty:
             raise ValueError("instance has no feasible fixed-grid path")
+        if i < 0:
+            continue
         pick = feas.nearest_to(rand_coarse(rng, -2, 2))
         for s in cell:
             vals[s][i] = pick

@@ -7,6 +7,7 @@ they stay independent of the exact code paths they check.
 
 import json
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from cadlagconvex.duality import Instance
 from cadlagconvex.plconvex import PLConvex, RInterval, pl
 from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, Ext, is_finite, xmul, xsum
+from cadlagconvex.scenario import RandomIntegrand, RandomMeasure
 from cadlagconvex.serialize import InstanceDoc, instance_doc_from_json
+from cadlagconvex.setmaps import SetMap
 
 
 def forget_last_load() -> None:
@@ -70,6 +73,58 @@ def _zero_start_cost(inst: Instance) -> Ext:
             h0 = inst.htilde.functions[s][0].eval(Fraction(0))
             terms.append(xmul(inst.tree.prob(s), xmul(m0, h0)))
     return xsum(terms)
+
+
+# The fixed-grid coordinates as the library stated them before
+# ``duality._coordinates(inst, hatted)`` read its own sets and charges:
+# per-scenario sets, a charge list and the walk over both.  The reference
+# bodies of the oracle, the properness loop, the feasible path, the infima
+# and the interchange witness use these copies; ``_fixed_value_sets`` builds
+# afresh on every call, where the library's copy kept one per instance.
+
+def _fixed_value_sets(inst: Instance) -> Dict[str, Tuple[RInterval, ...]]:
+    """Per scenario, the per-slot feasible values of fixed-grid paths for the
+    hatted functional."""
+    return {s: _value_sets(inst.s_map(s), inst.st_map(s)) for s in inst.tree.scenarios}
+
+
+def _value_sets(smap: SetMap, stmap: SetMap) -> Tuple[RInterval, ...]:
+    n = len(smap.point_vals)
+    out = []
+    for i in range(n):
+        v = smap.point_vals[i]
+        if i < n - 1:
+            v = v.intersect(smap.open_vals[i]).intersect(stmap.open_vals[i]).intersect(
+                stmap.point_vals[i + 1])
+        out.append(v)
+    return tuple(out)
+
+
+def _charges(inst: Instance, hatted: bool) -> List[Tuple[RandomMeasure, RandomIntegrand, int]]:
+    """(measure, integrand, lag) of each charge on the value at a slot i.
+
+    The value pays mu_i h_i; in the hatted form it is also the left limit
+    at t_{i+1}, which pays mutilde_{i+1} htilde_{i+1}.
+    """
+    return [(inst.mu, inst.h, 0)] + ([(inst.mutilde, inst.htilde, 1)] if hatted else [])
+
+
+def sets_coordinates(inst: Instance, sets: Dict[str, List[RInterval]], charges):
+    """Yield (slot, cell, mass, feasible interval, terms) for every coordinate.
+
+    A coordinate is one partition cell at one slot; its feasible interval is
+    the slot's set, and ``terms`` holds the (atom, integrand) of each charge
+    at ``slot + lag`` that is still a grid slot.  Both are the same for every
+    scenario of the cell, so only the first one's are read.  A caller that
+    searches a bounded range cuts the interval itself.
+    """
+    tree, n = inst.tree, inst.grid.n_slots
+    for i in range(n):
+        for cell in tree.cells(i):
+            s = cell[0]
+            terms = [(m.measures[s].atoms[i + lag], fam.functions[s][i + lag])
+                     for m, fam, lag in charges if i + lag < n]
+            yield i, cell, tree.mass(cell), sets[s][i], terms
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadlagconvex.duality import (FINE, DualPair, _charges, _coordinate_infima,
-                                  _coordinates, _fixed_value_sets,
+from conftest import _charges, _fixed_value_sets, sets_coordinates
+
+from cadlagconvex.duality import (FINE, DualPair, _coordinate_infima, _coordinates,
                                   interchange_stoch, make_instance)
 from cadlagconvex.finmodels import (ScalarProcess, band_setmap, bidask_model,
                                     bidask_support, obstacle_model,
@@ -303,7 +304,7 @@ def per_charge_paths(r, sets, charges):
     point nearest 0."""
     tree, n = r.tree, r.grid.n_slots
     picks = [{s: [None] * n for s in tree.scenarios} for _ in charges]
-    for i, cell, mass, feas, terms in _coordinates(r, sets, charges):
+    for i, cell, mass, feas, terms in sets_coordinates(r, sets, charges):
         if feas.is_empty:
             continue
         point = feas.nearest_to(F(0))
@@ -351,7 +352,7 @@ def test_two_charges_with_mass_at_one_coordinate_are_refused():
     mut = RandomMeasure(tree, grid, {"w": GridMeasure(grid, (0, 3))})
     inst = make_instance(tree, grid, h, mu, mut, ht)
     with pytest.raises(AssertionError, match="two charges with mass at slot 0"):
-        _coordinate_infima(inst, _coordinates(inst, _fixed_value_sets(inst), _charges(inst, True)))
+        _coordinate_infima(inst, _coordinates(inst, True))
     r = inst.refine(FINE)
-    _coordinate_infima(r, _coordinates(r, _fixed_value_sets(r), _charges(r, True)))
+    _coordinate_infima(r, _coordinates(r, True))
     assert interchange_stoch(inst, "Fhat")["witness"] is not None

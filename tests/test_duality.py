@@ -1,7 +1,7 @@
 """Primal/dual functionals, conjugate formulas, interchange rules."""
 
-import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadlagconvex.duality import (FINE, BudgetExceededError, DualPair, Instance,
-                                  _charges, _coordinates, _fixed_value_sets,
-                                  assumption_report, bruteforce_gap_bound,
+                                  _coordinates, assumption_report, bruteforce_gap_bound,
                                   conj_bruteforce, conj_pointwise, eval_F,
                                   eval_Fhat, indicator_integrand, interchange_det,
                                   interchange_stoch, make_instance,
@@ -26,11 +25,11 @@ from cadlagconvex.rationals import INF, NEG_INF, is_finite, xsum
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                                    RandomSetMap, ScenarioTree,
                                    expected_pairing)
-from cadlagconvex.serialize import load_instance
+from cadlagconvex.serialize import instance_doc_from_json, load_instance
 from cadlagconvex.setmaps import SetMap
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid, eval_I
 
-from conftest import _zero_start_ok, forget_last_load, preset
+from conftest import _fixed_value_sets, _zero_start_ok, forget_last_load, preset
 
 G2 = TimeGrid((0, 1))
 G3 = TimeGrid((0, 1, 2))
@@ -100,6 +99,17 @@ class TestEvalF:
         y = det_path(det_instance([box] * 3, (1, 1, 1), grid=G3), (value,) * 3)
         for evaluate in (eval_F, eval_Fhat):
             with pytest.raises(ValueError, match="grid mismatch"):
+                evaluate(inst, y)
+
+    def test_a_path_adapted_only_to_another_tree_is_rejected(self):
+        # up and dn share one cell at t_0 in basic; this tree splits them
+        inst = preset("basic").instance
+        split = ScenarioTree(inst.tree.scenarios, inst.tree.probs,
+                             ((("up",), ("dn",)),) + inst.tree.partitions[1:])
+        y = RandomPath(split, inst.grid, {"up": StepPath(inst.grid, (1, 0, 0)),
+                                          "dn": StepPath(inst.grid, (-1, 0, 0))})
+        for evaluate in (eval_F, eval_Fhat):
+            with pytest.raises(ValueError, match="adapted to the instance's tree"):
                 evaluate(inst, y)
 
 
@@ -711,46 +721,6 @@ class TestProperties:
             assert 0 <= pointwise - brute <= bruteforce_gap_bound(d, delta)
 
 
-class TestFixedValueSets:
-    @staticmethod
-    def fresh(inst, s):
-        """The sets built slot by slot from the definition, without the memo."""
-        smap, stmap = inst.s_map(s), inst.st_map(s)
-        n = inst.grid.n_slots
-        out = []
-        for i in range(n):
-            parts = [smap.point_vals[i]]
-            if i < n - 1:
-                parts += [smap.open_vals[i], stmap.open_vals[i]]
-            if i + 1 < n:
-                parts.append(stmap.point_vals[i + 1])
-            if any(p.is_empty for p in parts) or max(p.lo for p in parts) > min(p.hi for p in parts):
-                out.append(RInterval(INF, NEG_INF))
-            else:
-                out.append(RInterval(max(p.lo for p in parts), min(p.hi for p in parts)))
-        return tuple(out)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
-    def test_the_memo_equals_a_fresh_build(self, seed, constrained):
-        rng = random.Random(seed)
-        inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
-                                     with_htilde=constrained)
-        if constrained:  # one random map for every scenario, so adapted
-            smap = rand_setmap(rng, inst.grid)
-            S = RandomSetMap(inst.tree, inst.grid, {s: smap for s in inst.tree.scenarios})
-            inst = make_instance(inst.tree, inst.grid, inst.h, inst.mu, inst.mutilde,
-                                 inst.htilde, S, S.vec_map())
-        for x in (inst, inst.refine(FINE)):
-            sets = _fixed_value_sets(x)
-            assert sets == {s: self.fresh(x, s) for s in x.tree.scenarios}
-            assert _fixed_value_sets(x) is sets
-        # an equal instance keeps its own memo, with equal sets
-        twin = dataclasses.replace(inst)
-        assert _fixed_value_sets(twin) == _fixed_value_sets(inst)
-        assert _fixed_value_sets(twin) is not _fixed_value_sets(inst)
-
-
 class TestMagnitudeBound:
     @staticmethod
     def reference(inst):
@@ -833,11 +803,16 @@ KERNEL_KINDS = ("passing", "shared-random", "constrained")
 
 def feasible_path_slot_loop(rng, inst):
     """rand_feasible_path as it was before it read the charged integrands from
-    _coordinates, with the coordinate loop written out; kept only as the
-    reference of the test below."""
+    _coordinates, with the coordinate loop written out and the pinned start
+    tested from the instance's own data; kept only as the reference of the
+    test below."""
     tree, grid = inst.tree, inst.grid
     n = grid.n_slots
     whole = RInterval.whole_line()
+    for s in tree.scenarios:
+        # the left limit 0 at t_0 must lie in Stilde(0) and in htilde_0's domain
+        if not (_zero_start_ok(inst, s) and inst.htilde.functions[s][0].domain.contains(F(0))):
+            raise ValueError("instance has no feasible fixed-grid path")
     sets = {}
     for s in tree.scenarios:
         # the value at t_i is charged by h_i and, as a left limit, by htilde_{i+1}
@@ -891,15 +866,43 @@ def path_outcome(rng, inst, draw):
 
 
 class TestChargeLayout:
+    @staticmethod
+    def fresh(inst, s, hatted):
+        """Scenario s's set at each slot, built from the definition: the
+        attainable values of S and, in the hatted form, Stilde's values on
+        the following cell and at the following time."""
+        smap, stmap = inst.s_map(s), inst.st_map(s)
+        n = inst.grid.n_slots
+        out = []
+        for i in range(n):
+            parts = [smap.point_vals[i]]
+            if i < n - 1:
+                parts.append(smap.open_vals[i])
+                if hatted:
+                    parts += [stmap.open_vals[i], stmap.point_vals[i + 1]]
+            if any(p.is_empty for p in parts) or max(p.lo for p in parts) > min(p.hi for p in parts):
+                out.append(RInterval(INF, NEG_INF))
+            else:
+                out.append(RInterval(max(p.lo for p in parts), min(p.hi for p in parts)))
+        return tuple(out)
+
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
-    def test_every_scenario_of_a_cell_has_the_coordinate_s_terms(self, seed, with_htilde):
-        inst = rand_passing_instance(random.Random(seed), max_scenarios=3, max_cells=3,
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+    def test_every_scenario_of_a_cell_has_the_coordinate_s_set_and_terms(
+            self, seed, with_htilde, constrained):
+        rng = random.Random(seed)
+        inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3,
                                      with_htilde=with_htilde)
+        if constrained:  # S and Stilde each one random map for every scenario
+            S, Stilde = (RandomSetMap(inst.tree, inst.grid, dict.fromkeys(
+                inst.tree.scenarios, rand_setmap(rng, inst.grid))) for _ in range(2))
+            inst = make_instance(inst.tree, inst.grid, inst.h, inst.mu, inst.mutilde,
+                                 inst.htilde, S, Stilde)
         for x, hatted in itertools.product((inst, inst.refine(FINE)), (False, True)):
-            n, sets = x.grid.n_slots, _fixed_value_sets(x)
+            n = x.grid.n_slots
+            sets = {s: self.fresh(x, s, hatted) for s in x.tree.scenarios}
             seen = []
-            for i, cell, mass, feas, terms in _coordinates(x, sets, _charges(x, hatted)):
+            for i, cell, mass, feas, terms in _coordinates(x, hatted):
                 assert mass == sum(x.tree.prob(s) for s in cell)
                 for s in cell:
                     seen.append((i, s))
@@ -912,6 +915,18 @@ class TestChargeLayout:
                     assert terms == want
                     assert feas == sets[s][i]
             assert sorted(seen) == sorted(itertools.product(range(n), x.tree.scenarios))
+
+    def test_rand_feasible_path_keeps_the_pinned_start(self):
+        # Stilde(0) = [1, 2] misses the left limit 0 at t_0: no path is feasible
+        with open(bundled_instance_path("basic"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for s in ("up", "dn"):
+            doc["setmap_Stilde"][s]["point_vals"][0] = ["1", "2"]
+        inst = instance_doc_from_json(doc).instance
+        rng = random.Random(0)
+        assert eval_Fhat(inst, random_adapted_path(rng, inst)) == INF
+        with pytest.raises(ValueError, match="no feasible fixed-grid path"):
+            rand_feasible_path(rng, inst)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from(KERNEL_KINDS))

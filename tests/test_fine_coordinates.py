@@ -2,7 +2,8 @@
 
 ``_fine_coordinates(inst)`` against the pinned start and ``_coordinates`` on
 the materialised ``inst.refine(FINE)``, tuple by tuple, and the entry points
-that switched to it against copies of their bodies on the refined instance.
+that switched to it against copies of their bodies on the refined instance;
+and ``eval_Fhat``, which walks ``_coordinates``, against its per-scenario body.
 """
 
 import random
@@ -12,21 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _zero_start_cost, _zero_start_ok
+from conftest import (_charges, _fixed_value_sets, _zero_start_cost, _zero_start_ok,
+                      sets_coordinates)
 
-from cadlagconvex.duality import (FINE, Instance, _charges, _coordinate_infima,
-                                  _coordinates, _fine_coordinates, _fixed_value_sets,
-                                  _off_domain, assumption_report, eval_F, eval_Fhat,
-                                  interchange_stoch, support_DS)
-from cadlagconvex.generators import (_per_cell, rand_finite_dual, rand_interval,
-                                     rand_passing_instance)
+from cadlagconvex.duality import (FINE, Instance, _coordinate_infima, _coordinates,
+                                  _fine_coordinates, _off_domain, assumption_report,
+                                  eval_F, eval_Fhat, interchange_stoch, support_DS)
+from cadlagconvex.generators import (_per_cell, rand_coarse, rand_finite_dual,
+                                     rand_interval, rand_passing_instance)
 from cadlagconvex.plconvex import RInterval
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, xmul, xsum
 from cadlagconvex.scenario import RandomMeasure, RandomPath, RandomSetMap
 from cadlagconvex.serialize import load_instance
 from cadlagconvex.setmaps import SetMap, escaping_slots
-from cadlagconvex.timegrid import GridMeasure, StepPath
+from cadlagconvex.timegrid import GridMeasure, StepPath, eval_I
 
 # -- inputs ------------------------------------------------------------------------
 
@@ -122,8 +123,7 @@ def assert_same_coordinates(inst, bound):
     to that bound."""
     r = inst.refine(FINE)
     want = [(i, cell, mass, bound.intersect(feas), terms) for i, cell, mass, feas, terms
-            in refined_pinned_start(r) + list(_coordinates(r, _fixed_value_sets(r),
-                                                           _charges(r, True)))]
+            in refined_pinned_start(r) + list(_coordinates(r, True))]
     got = [(i, cell, mass, bound.intersect(feas), terms)
            for i, cell, mass, feas, terms in _fine_coordinates(inst)]
     assert len(got) == len(want)
@@ -174,7 +174,7 @@ def refined_assumption_report(inst):
     """assumption_report as it read properness from inst.refine(FINE)."""
     r = inst.refine(FINE)
     improper = set()
-    for _, cell, _, feas, terms in _coordinates(r, _fixed_value_sets(r), _charges(r, True)):
+    for _, cell, _, feas, terms in sets_coordinates(r, _fixed_value_sets(r), _charges(r, True)):
         if feas.is_empty or any(atom > 0 and feas.intersect(fn.domain).is_empty
                                 for atom, fn in terms):
             improper.update(cell)
@@ -235,7 +235,7 @@ def sets_coordinate_infima(inst, sets, charges):
         for s in tree.scenarios})
     costs, infeasible = [], False
     path = {s: [None] * n for s in tree.scenarios}
-    for i, cell, mass, feas, terms in _coordinates(inst, sets, charges):
+    for i, cell, mass, feas, terms in sets_coordinates(inst, sets, charges):
         if feas.is_empty:
             infeasible = True
             continue
@@ -332,6 +332,82 @@ def test_the_drawn_cases_hold_both_outcomes():
             seen.add(("charged start", charged_start(inst)))
     assert seen == {(k, v) for k in ("support", "proper", "witness", "charged start")
                     for v in (True, False)}
+
+
+# -- eval_Fhat against its per-scenario body ------------------------------------------
+
+def scenario_eval_Fhat(inst, y):
+    """eval_Fhat as it tested the left limit 0 at t_0 and the fixed value sets
+    scenario by scenario (its adaptedness check aside)."""
+    if y.grid != inst.S.grid:
+        raise ValueError("grid mismatch")
+    vals = {}
+    for s in inst.tree.scenarios:
+        path = y.paths[s]
+        if not inst.st_map(s).point_vals[0].contains(F(0)) or not all(
+                v.contains(x) for v, x in zip(_fixed_value_sets(inst)[s], path.values)):
+            vals[s] = INF
+            continue
+        vals[s] = xsum([
+            eval_I(inst.h.functions[s], path, inst.mu.measures[s]),
+            eval_I(inst.htilde.functions[s], StepPath(inst.grid, path.left_values()),
+                   inst.mutilde.measures[s]),
+        ])
+    return inst.tree.expectation(vals)
+
+
+def drawn_path(rng, inst):
+    """An adapted path on the instance's tree, one value per partition cell:
+    mostly the point nearest a random one of the cell's fixed value set cut
+    by the domains of h_i and htilde_{i+1}, sometimes that of a wider set
+    (S's attainable values, cut or not by Stilde's cell value), sometimes
+    the random point itself."""
+    tree, grid = inst.tree, inst.grid
+    sets = _fixed_value_sets(inst)
+    vals = {s: [None] * grid.n_slots for s in tree.scenarios}
+    for i in range(grid.n_slots):
+        for cell in tree.cells(i):
+            x, k, s = rand_coarse(rng), rng.random(), cell[0]
+            wide = inst.s_map(s).attainable_at(i)
+            narrow = sets[s][i].intersect(inst.h.functions[s][i].domain)
+            if i < grid.n_cells:
+                narrow = narrow.intersect(inst.htilde.functions[s][i + 1].domain)
+                if k < 0.935:
+                    wide = wide.intersect(inst.st_map(s).open_vals[i])
+            target = narrow if k < 0.9 else wide if k < 0.97 else RInterval.whole_line()
+            if not target.is_empty:
+                x = target.nearest_to(x)
+            for t in cell:
+                vals[t][i] = x
+    return RandomPath(tree, grid, {s: StepPath(grid, tuple(v)) for s, v in vals.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS))
+def test_eval_Fhat_equals_its_per_scenario_body(seed, kind):
+    inst, rng = drawn_instance(seed, kind)
+    for _ in range(3):
+        y = drawn_path(rng, inst)
+        assert same(eval_Fhat(inst, y), scenario_eval_Fhat(inst, y))
+
+
+def test_the_drawn_paths_hold_both_outcomes():
+    # finite and +inf values, and paths whose every value lies in its set
+    # with the left limit 0 inside Stilde(0) and outside it; eval_Fhat
+    # equals the body on each
+    seen = set()
+    for seed in range(100):
+        for kind in KINDS:
+            inst, rng = drawn_instance(seed, kind)
+            for _ in range(3):
+                y = drawn_path(rng, inst)
+                want = scenario_eval_Fhat(inst, y)
+                assert same(eval_Fhat(inst, y), want)
+                seen.add(("finite", want != INF))
+                if all(v.contains(x) for s in inst.tree.scenarios
+                       for v, x in zip(_fixed_value_sets(inst)[s], y.paths[s].values)):
+                    seen.add(("pin", all(_zero_start_ok(inst, s) for s in inst.tree.scenarios)))
+    assert seen == {(k, v) for k in ("finite", "pin") for v in (True, False)}
 
 
 def test_fine_coordinates_do_not_refine(monkeypatch):

@@ -18,11 +18,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import _zero_start_cost, _zero_start_ok, preset
+from conftest import _fixed_value_sets, _zero_start_cost, _zero_start_ok, preset
 
 from cadlagconvex import cli
-from cadlagconvex.duality import (FINE, BudgetExceededError,
-                                  _fixed_value_sets, conj_bruteforce,
+from cadlagconvex.duality import (FINE, BudgetExceededError, conj_bruteforce,
                                   make_instance, resolve_budget)
 from cadlagconvex.generators import (rand_finite_dual, rand_passing_instance,
                                      rand_setmap)
