@@ -9,6 +9,15 @@ error, bad argument or unwritable output, 3 brute-force budget exceeded,
 
 A command reports a problem by raising; :func:`main` is the one place that
 turns an exception into a stderr line and an exit code.
+
+Importing this module loads the core calculus only.  The market, cone and
+generator modules are imported by the check bodies that run them:
+``finmodels`` (and ``polycone``) by ``currency``, ``polycone`` by
+``cs-regularity``, ``generators`` by ``involution`` and
+``recession-support``; reading a model section loads them too (see
+:mod:`cadlagconvex.serialize`).  Each import sits inside the function and
+reads the module attribute on every call, so a wrapper installed on that
+attribute (as the bench tracer does) sees the call.
 """
 
 from __future__ import annotations
@@ -21,15 +30,13 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from . import duality, generators, presets
+from . import duality, presets
 from .duality import (BudgetExceededError, Instance, assumption_report,
                       bruteforce_gap_bound, conj_bruteforce, conj_pointwise,
                       eval_Fhat, indicator_integrand, interchange_det,
                       interchange_stoch, make_instance, subdiff_check,
                       support_DS)
-from .finmodels import currency_model, vector_pairing
 from .plconvex import once, support_fn
-from .polycone import cs_regularity_check
 from .rationals import INF, NEG_INF, is_finite, rat
 from .scenario import check_adapted, jensen_check
 from .serialize import (InstanceDoc, SchemaError, dump_instance, dump_report,
@@ -46,10 +53,11 @@ class CommandError(Exception):
 
 def _check_sampled(idoc: InstanceDoc, args, fails) -> Dict:
     """Count the instance's integrands and --count random ones where fails(fn)."""
+    from .generators import rand_plconvex
     rng = random.Random(args.seed)
     fns = [fn for fam in (idoc.instance.h, idoc.instance.htilde)
            for slots in fam.functions.values() for fn in slots]
-    fns += [generators.rand_plconvex(rng) for _ in range(args.count)]
+    fns += [rand_plconvex(rng) for _ in range(args.count)]
     failures = [i for i, fn in enumerate(fns) if fails(fn)]
     return {"lhs": len(fns), "rhs": len(fns) - len(failures),
             "gap": len(failures), "pass": not failures,
@@ -231,6 +239,7 @@ def _model_parts(idoc: InstanceDoc, args, kind: str) -> Dict:
 
 
 def _check_cs(idoc: InstanceDoc, args) -> Dict:
+    from .polycone import cs_regularity_check
     parts = _model_parts(idoc, args, "cs")
     rep = cs_regularity_check(parts["G"], parts["Gtilde"])
     return {"lhs": None, "rhs": None,
@@ -244,6 +253,7 @@ def _check_cs(idoc: InstanceDoc, args) -> Dict:
 
 
 def _check_currency(idoc: InstanceDoc, args) -> Dict:
+    from .finmodels import currency_model, vector_pairing
     parts = _model_parts(idoc, args, "currency")
     try:
         cm = currency_model(parts["solvency"])

@@ -270,7 +270,7 @@ def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
 def conj_pointwise(inst: Instance, d: DualPair) -> Ext:
     """E[J of h* at u against mu, plus J of htilde* at ut against mutilde], or
     -inf when a fine coordinate, the pinned start's included, is empty."""
-    if any(feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)):
+    if _no_selection(inst):
         return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
@@ -291,7 +291,7 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
     Returns the -inf sentinel when no selection exists: some fine coordinate
     is empty, the pinned start's included (Stilde(0) misses 0).
     """
-    if any(feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)):
+    if _no_selection(inst):
         return NEG_INF
     vals: Dict[str, Ext] = {}
     for s in inst.tree.scenarios:
@@ -378,6 +378,14 @@ def _fine_coordinates(inst: Instance):
             yield j, cell, tree.mass(cell), v, terms
 
 
+def _no_selection(inst: Instance) -> bool:
+    """Whether some ``_fine_coordinates`` set, the pinned start's included, is
+    empty, so that no selection of the constraints exists; a fact of the
+    instance alone, decided once per instance."""
+    return once(inst, "no_selection", lambda: any(
+        feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)))
+
+
 def _coordinate_infima(inst: Instance, coords):
     """Minimize each coordinate's charged cost over its feasible interval.
 
@@ -427,7 +435,14 @@ def assumption_report(inst: Instance) -> Dict:
     the constructive affine minorants.  A slot-wise condition is computed as
     its failing slots, which the report lists under ``failing_slots``.
     Properness is read on the ``_fine_coordinates``, pinned start included.
+
+    Decided once per instance: every call on it returns the same dict, which
+    callers read and never change.
     """
+    return once(inst, "assumption_report", lambda: _assumption_report(inst))
+
+
+def _assumption_report(inst: Instance) -> Dict:
     # a scenario is improper on a fine coordinate that is empty or on which
     # a charged integrand is +inf throughout
     improper = set()

@@ -268,14 +268,17 @@ def _finite_dual_atom(rng: random.Random, fn: PLConvex, mass: Fraction) -> Fract
 
 def rand_feasible_path(rng: random.Random, inst: Instance) -> RandomPath:
     """Adapted path with finite hatted value, drawn per partition cell in the
-    set of its ``_coordinates(inst, True)`` cut by its integrands' domains.
-    ValueError if a cut set, or the ``_pinned_start``'s (never drawn), is empty."""
+    set of its ``_coordinates(inst, True)`` cut by the domains of the
+    integrands charged there with a positive atom (``eval_I`` skips a zero
+    one).  ValueError if a cut set, or the ``_pinned_start``'s (never drawn),
+    is empty."""
     tree, grid = inst.tree, inst.grid
     vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * grid.n_slots
                                                  for s in tree.scenarios}
     for i, cell, _, feas, terms in chain(_pinned_start(inst), _coordinates(inst, True)):
-        for _, fn in terms:
-            feas = feas.intersect(fn.domain)
+        for atom, fn in terms:
+            if atom > 0:
+                feas = feas.intersect(fn.domain)
         if feas.is_empty:
             raise ValueError("instance has no feasible fixed-grid path")
         if i < 0:

@@ -8,6 +8,12 @@ there is refused, not read by its characters or keys.  A JSON boolean is no
 rational, and an ``obstacle`` or ``bidask`` model section must describe the
 file's ``setmap_S`` (:func:`finmodels.band_setmap`).
 
+The model-section readers import ``finmodels`` and ``polycone`` themselves,
+so a file without a model section loads neither: an ``obstacle``, ``bidask``
+or ``currency`` section loads ``finmodels`` (which imports ``polycone``), a
+``cs`` section ``polycone`` alone.  The writers only read attributes of the
+objects they are given and import nothing.
+
 A document repeats few distinct strings many times (the same knots, slopes,
 probabilities and interval ends), so :func:`instance_doc_from_json` parses
 each distinct string once: it opens a memo from string to ``Fraction`` that
@@ -45,17 +51,19 @@ import os
 import stat
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .duality import DualPair, Instance, make_instance
-from .finmodels import ScalarProcess, VectorMeasure, band_setmap
 from .plconvex import PLConvex, RInterval, pl
-from .polycone import MAX_DIM, ConeMap, PolyCone
 from .rationals import MAX_EXPONENT, Ext, ext, fmt, is_finite, rat
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree)
 from .setmaps import SetMap
 from .timegrid import GridMeasure, StepPath, TimeGrid
+
+if TYPE_CHECKING:  # for the annotations only; the readers import these themselves
+    from .finmodels import ScalarProcess, VectorMeasure
+    from .polycone import ConeMap, PolyCone
 
 
 class SchemaError(ValueError):
@@ -283,6 +291,7 @@ def cone_to_json(k: PolyCone) -> dict:
 
 @_wrap("cone")
 def cone_from_json(doc: dict) -> PolyCone:
+    from .polycone import MAX_DIM, PolyCone
     dim = _need(doc, "dim")
     if type(dim) is float and dim.is_integer():
         dim = int(dim)
@@ -308,6 +317,7 @@ def conemap_to_json(cm: ConeMap) -> dict:
 
 @_wrap("cone map")
 def conemap_from_json(doc: dict, grid: TimeGrid) -> ConeMap:
+    from .polycone import ConeMap
     return ConeMap(grid,
                    tuple(cone_from_json(k) for k in _need(doc, "point_cones")),
                    tuple(cone_from_json(k) for k in _need(doc, "cell_cones")))
@@ -323,6 +333,7 @@ def scalar_process_to_json(sp: ScalarProcess) -> dict:
 
 @_wrap("scalar process")
 def scalar_process_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> ScalarProcess:
+    from .finmodels import ScalarProcess
     return ScalarProcess(
         tree, grid,
         {s: tuple(_rats(_need(doc, "points")[s])) for s in tree.scenarios},
@@ -336,6 +347,7 @@ def vector_measure_to_json(vm: VectorMeasure) -> List[List[str]]:
 
 @_wrap("vector measure")
 def vector_measure_from_json(doc, grid: TimeGrid) -> VectorMeasure:
+    from .finmodels import VectorMeasure
     return VectorMeasure(grid, tuple(tuple(_rats(a)) for a in _array(doc)))
 
 
@@ -405,6 +417,7 @@ def model_from_json(doc, tree: ScenarioTree, grid: TimeGrid) -> Optional[Model]:
     if extra:
         raise SchemaError(f"unexpected key {extra[0]!r} in a {kind} model")
     parts = {k: read(_need(doc, k), tree, grid) for k, (read, _) in keys.items()}
+    from .polycone import ConeMap
     dims = {p.dim for p in parts.values() if isinstance(p, ConeMap)} | {
         len(a) for pair in parts.get("duals", ()) for vm in pair for a in vm.atoms}
     if len(dims) > 1:
@@ -466,9 +479,10 @@ def _instance_doc_from_json(doc: dict) -> InstanceDoc:
         duals = [dual_from_json(d, tree, grid) for d in _list(doc.get("duals", []), "duals")]
         paths = [path_from_json(p, tree, grid) for p in _list(doc.get("paths", []), "paths")]
         model = model_from_json(doc.get("model"), tree, grid)
-        if model is not None and model.kind in ("obstacle", "bidask") and \
-                band_setmap(model.parts["b"], model.parts.get("a")) != inst.S:
-            raise SchemaError(f"the {model.kind} model's band differs from setmap_S")
+        if model is not None and model.kind in ("obstacle", "bidask"):
+            from .finmodels import band_setmap
+            if band_setmap(model.parts["b"], model.parts.get("a")) != inst.S:
+                raise SchemaError(f"the {model.kind} model's band differs from setmap_S")
     except SchemaError:
         raise
     except ValueError as exc:

@@ -805,20 +805,30 @@ def feasible_path_slot_loop(rng, inst):
     """rand_feasible_path as it was before it read the charged integrands from
     _coordinates, with the coordinate loop written out and the pinned start
     tested from the instance's own data; kept only as the reference of the
-    test below."""
+    test below.  An integrand's domain cuts only where its atom is positive,
+    as eval_I skips a zero atom."""
     tree, grid = inst.tree, inst.grid
     n = grid.n_slots
     whole = RInterval.whole_line()
+
+    def charged_domain(fn, atom):
+        return fn.domain if atom > 0 else whole
     for s in tree.scenarios:
-        # the left limit 0 at t_0 must lie in Stilde(0) and in htilde_0's domain
-        if not (_zero_start_ok(inst, s) and inst.htilde.functions[s][0].domain.contains(F(0))):
+        # the left limit 0 at t_0 must lie in Stilde(0) and, if mutilde_0 charges
+        # it, in htilde_0's domain
+        start = charged_domain(inst.htilde.functions[s][0], inst.mutilde.measures[s].atoms[0])
+        if not (_zero_start_ok(inst, s) and start.contains(F(0))):
             raise ValueError("instance has no feasible fixed-grid path")
     sets = {}
     for s in tree.scenarios:
-        # the value at t_i is charged by h_i and, as a left limit, by htilde_{i+1}
-        ht_next = [fn.domain for fn in inst.htilde.functions[s][1:]] + [whole]
-        sets[s] = [v.intersect(fn.domain).intersect(dom) for v, fn, dom in
-                   zip(_fixed_value_sets(inst)[s], inst.h.functions[s], ht_next)]
+        # the value at t_i is charged by mu_i h_i and, as a left limit, by
+        # mutilde_{i+1} htilde_{i+1}
+        h_doms = [charged_domain(fn, a) for fn, a in
+                  zip(inst.h.functions[s], inst.mu.measures[s].atoms)]
+        ht_next = [charged_domain(fn, a) for fn, a in
+                   zip(inst.htilde.functions[s][1:], inst.mutilde.measures[s].atoms[1:])] + [whole]
+        sets[s] = [v.intersect(dom).intersect(tdom) for v, dom, tdom in
+                   zip(_fixed_value_sets(inst)[s], h_doms, ht_next)]
     vals = {s: [None] * n for s in tree.scenarios}
     for i in range(n):
         for cell in tree.cells(i):
@@ -927,6 +937,22 @@ class TestChargeLayout:
         assert eval_Fhat(inst, random_adapted_path(rng, inst)) == INF
         with pytest.raises(ValueError, match="no feasible fixed-grid path"):
             rand_feasible_path(rng, inst)
+
+    def test_rand_feasible_path_ignores_an_uncharged_domain(self):
+        # htilde_0 = indicator of {1} misses the pinned left limit 0, but
+        # mutilde_0 = 0 does not charge it, so eval_Fhat stays finite
+        with open(bundled_instance_path("basic"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        one = {"dom": ["1", "1"], "breakpoints": [], "slopes": ["0"], "anchor": ["1", "0"]}
+        for s in ("up", "dn"):
+            assert doc["mutilde"][s][0] == "0"
+            doc["integrand_htilde"]["functions"][s][0] = one
+        idoc = instance_doc_from_json(doc)
+        inst = idoc.instance
+        assert inst.htilde.functions["up"][0] == indicator(RInterval(F(1), F(1)))
+        assert is_finite(eval_Fhat(inst, idoc.paths[0]))
+        for seed in range(10):
+            assert is_finite(eval_Fhat(inst, rand_feasible_path(random.Random(seed), inst)))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from(KERNEL_KINDS))

@@ -6,6 +6,7 @@ that switched to it against copies of their bodies on the refined instance;
 and ``eval_Fhat``, which walks ``_coordinates``, against its per-scenario body.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 from conftest import (_charges, _fixed_value_sets, _zero_start_cost, _zero_start_ok,
                       sets_coordinates)
 
+from cadlagconvex import duality
 from cadlagconvex.duality import (FINE, Instance, _coordinate_infima, _coordinates,
                                   _fine_coordinates, _off_domain, assumption_report,
-                                  eval_F, eval_Fhat, interchange_stoch, support_DS)
+                                  conj_pointwise, eval_F, eval_Fhat, interchange_stoch,
+                                  support_DS)
 from cadlagconvex.generators import (_per_cell, rand_coarse, rand_finite_dual,
                                      rand_interval, rand_passing_instance)
 from cadlagconvex.plconvex import RInterval
@@ -421,3 +424,29 @@ def test_fine_coordinates_do_not_refine(monkeypatch):
     assumption_report(inst)
     support_DS(inst, d)
     _coordinate_infima(inst, _fine_coordinates(inst))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_instance_facts_walk_the_fine_coordinates_once(monkeypatch, kind):
+    # whether a fine coordinate is empty, and the assumption report, are facts
+    # of the instance alone: one walk each, however many duals are checked
+    walk = duality._fine_coordinates
+    walks = []
+
+    def counted(inst):
+        walks.append(inst)
+        return walk(inst)
+
+    monkeypatch.setattr(duality, "_fine_coordinates", counted)
+    for seed in range(10):
+        inst, rng = drawn_instance(seed, kind)
+        inst = dataclasses.replace(inst)  # no memo: rand_passing_instance read the report
+        duals = [rand_finite_dual(rng, inst) for _ in range(3)]
+        empty = any(feas.is_empty for _, _, _, feas, _ in walk(inst))
+        walks.clear()
+        reports = [assumption_report(inst) for _ in range(3)]
+        for d in duals:
+            assert (conj_pointwise(inst, d) == NEG_INF) == empty
+            assert (support_DS(inst, d) == NEG_INF) == empty
+        assert walks == [inst, inst]
+        assert reports[1] is reports[0] and reports[2] is reports[0]
