@@ -19,23 +19,29 @@ zero mass) from the coarse instance, by ``_fine_coordinates``; only the
 oracle, an honest path search, and the hatted witness build that instance.
 The paper pins the left limit at t_0 to 0; ``_pinned_start`` is the one
 place that states it, as coordinates of slot -1 that ``_fine_coordinates``
-yields first, so no reader of that walk has code of its own for it.
+and ``eval_Fhat`` walk first, so no reader of a walk has code of its own
+for it.
 
-On that grid the objective separates across (partition cell, slot), so the
-oracle, both interchange rules, the properness diagnostic, ``eval_Fhat``'s
-constraints and the feasible path generator work one coordinate at a time.
+On either grid the objective separates across (partition cell, slot), so
+both primal functionals, the oracle, both interchange rules, the properness
+diagnostic and the feasible path generator work one coordinate at a time.
 ``_coordinates(inst, hatted)`` is the one statement of a fixed-grid
 coordinate's feasible set and charges: the value at slot i lies in what S
 lets a right-continuous selection take and pays mu_i h_i; in the hatted form
 it is also the left limit at t_{i+1}, so Stilde's values on (t_i, t_{i+1})
-and at t_{i+1} cut it and mutilde_{i+1} htilde_{i+1} charges it.
+and at t_{i+1} cut it and mutilde_{i+1} htilde_{i+1} charges it.  A charge
+is an (atom, integrand) pair and costs the cell's mass times the atom times
+the integrand at the coordinate's value; every walk yields only those with
+a positive atom.  ``eval_F`` and ``eval_Fhat`` are one sum over a walk,
+``_price``.
 
 Each coordinate is evaluated once, on the data of the cell's first
 scenario.  That is exact: the constructors of :class:`Instance` and
-:class:`DualPair` reject unmeasurable data, so every integrand, measure,
-constraint set and dual atom a slot-i coordinate reads is constant on the
-cells of ``partitions[i]``, and the sum of the cell's per-scenario
-objectives is the cell's mass times one of them, exactly.
+:class:`DualPair` reject unmeasurable data and parts on another tree or
+grid, and ``_require_dual`` a dual pair on another one than the instance's,
+so every integrand, measure, constraint set and dual atom a slot-i
+coordinate reads is constant on the cells of ``partitions[i]``, and the sum
+of the cell's per-scenario objectives is the cell's mass times one of them.
 """
 
 from __future__ import annotations
@@ -52,9 +58,9 @@ from .plconvex import RInterval, indicator, once
 from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
-                       check_predictable, expected_integral, expected_pairing)
+                       check_predictable, expected_pairing)
 from .setmaps import SetMap, escaping_slots, michael_check
-from .timegrid import StepPath, TimeGrid, eval_I, eval_J, refined_once
+from .timegrid import StepPath, TimeGrid, eval_J, refined_once
 
 DEFAULT_BUDGET = 10 ** 7
 BUDGET_ENV_VAR = "CADLAG_CONVEX_BUDGET"
@@ -117,6 +123,8 @@ class Instance:
     Stilde: RandomSetMap
 
     def __post_init__(self):
+        for name in ("h", "mu", "mutilde", "htilde", "S", "Stilde"):
+            _require_on(self, name, getattr(self, name))
         if not self.mu.is_nonnegative or not self.mutilde.is_nonnegative:
             raise ValueError("mu and mutilde must be nonnegative")
         if self.h.flag != "optional" or not check_adapted(self.h):
@@ -170,6 +178,15 @@ class Instance:
                         if is_finite(side):
                             best = max(best, abs(side))
         return best
+
+
+def _require_on(inst: Instance, name: str, part) -> None:
+    """ValueError unless ``part`` lies on the instance's tree and grid; the
+    parts of one instance share them, so identity is tested first."""
+    for attr in ("tree", "grid"):
+        ours, theirs = getattr(inst, attr), getattr(part, attr)
+        if theirs is not ours and theirs != ours:
+            raise ValueError(f"{name} is not on the instance's {attr}")
 
 
 def domain_setmap(h: RandomIntegrand) -> RandomSetMap:
@@ -235,32 +252,37 @@ class DualPair:
 def _require_adapted_path(inst: Instance, y: RandomPath) -> None:
     if not check_adapted(y):
         raise ValueError("path must be adapted")
-    if y.grid != inst.S.grid:
+    if y.grid != inst.grid:
         raise ValueError("grid mismatch")
     if y.tree != inst.tree:
         raise ValueError("path must be adapted to the instance's tree")
 
 
+def _require_dual(inst: Instance, d: DualPair) -> None:
+    _require_on(inst, "dual pair", d.u)  # d.ut shares d.u's tree and grid
+
+
 def eval_F(inst: Instance, y: RandomPath) -> Ext:
     """E I_h(y) plus the indicator of y being a selection of S; y is adapted to inst.tree."""
-    _require_adapted_path(inst, y)
-    if not all(inst.s_map(s).is_selection(y.paths[s]) for s in inst.tree.scenarios):
-        return INF
-    return expected_integral(inst.h, y, inst.mu)
+    return _price(inst, y, _coordinates(inst, False))
 
 
 def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
-    """The hatted functional: adds the left-limit costs, and the constraints of
-    the ``_pinned_start`` at 0 and of ``_coordinates(inst, True)`` at y's values."""
+    """The hatted functional: adds the left-limit costs and Stilde's constraints, at 0 too."""
+    return _price(inst, y, chain(_pinned_start(inst), _coordinates(inst, True)))
+
+
+def _price(inst: Instance, y: RandomPath, coords) -> Ext:
+    """Sum of mass x atom x integrand at y's value on each coordinate's first
+    scenario, 0 at slot -1; +inf if such a value misses its coordinate's set."""
     _require_adapted_path(inst, y)
-    if not all(feas.contains(y.paths[cell[0]].values[i] if i >= 0 else Fraction(0))
-               for i, cell, _, feas, _ in chain(_pinned_start(inst), _coordinates(inst, True))):
-        return INF
-    return inst.tree.expectation({s: xsum([
-        eval_I(inst.h.functions[s], y.paths[s], inst.mu.measures[s]),
-        eval_I(inst.htilde.functions[s], StepPath(inst.grid, y.paths[s].left_values()),
-               inst.mutilde.measures[s]),
-    ]) for s in inst.tree.scenarios})
+    charges = []
+    for i, cell, mass, feas, terms in coords:
+        x = y.paths[cell[0]].values[i] if i >= 0 else Fraction(0)
+        if not feas.contains(x):
+            return INF
+        charges += [xmul(mass, xmul(atom, fn.eval(x))) for atom, fn in terms]
+    return xsum(charges)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +292,7 @@ def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
 def conj_pointwise(inst: Instance, d: DualPair) -> Ext:
     """E[J of h* at u against mu, plus J of htilde* at ut against mutilde], or
     -inf when a fine coordinate, the pinned start's included, is empty."""
+    _require_dual(inst, d)
     if _no_selection(inst):
         return NEG_INF
     vals: Dict[str, Ext] = {}
@@ -291,6 +314,7 @@ def support_DS(inst: Instance, d: DualPair) -> Ext:
     Returns the -inf sentinel when no selection exists: some fine coordinate
     is empty, the pinned start's included (Stilde(0) misses 0).
     """
+    _require_dual(inst, d)
     if _no_selection(inst):
         return NEG_INF
     vals: Dict[str, Ext] = {}
@@ -313,15 +337,20 @@ def _off_domain(values: Tuple[RInterval, ...], fns, first: int = 0) -> List[int]
     return [i for i, v in enumerate(values, first) if v != fns[i].domain]
 
 
+def _charged(terms) -> list:
+    """The terms with a positive atom: a zero atom charges nothing."""
+    return [(atom, fn) for atom, fn in terms if atom > 0]
+
+
 def _coordinates(inst: Instance, hatted: bool):
     """Yield (slot, cell, mass, feasible interval, terms) for every coordinate.
 
     At slot i the value lies in ``S.attainable_at(i)`` and pays mu_i h_i; in
     the hatted form, for i < n-1, it is also the left limit at t_{i+1}: Stilde
     cuts it on (t_i, t_{i+1}) and at t_{i+1}, and mutilde_{i+1} htilde_{i+1}
-    charges it.  ``terms`` holds each charge's (atom, integrand).  Both are the
-    same for every scenario of the cell, so only the first one's are read.  A
-    caller that searches a bounded range cuts the interval itself.
+    charges it.  ``terms`` holds the ``_charged`` (atom, integrand) pairs.  Both
+    are the same for every scenario of the cell, so only the first one's are
+    read.  A caller that searches a bounded range cuts the interval itself.
     """
     tree, n = inst.tree, inst.grid.n_slots
     for i in range(n):
@@ -334,7 +363,7 @@ def _coordinates(inst: Instance, hatted: bool):
                 v = v.intersect(stm.open_vals[i]).intersect(stm.point_vals[i + 1])
                 terms.append((inst.mutilde.measures[s].atoms[i + 1],
                               inst.htilde.functions[s][i + 1]))
-            yield i, cell, tree.mass(cell), v, terms
+            yield i, cell, tree.mass(cell), v, _charged(terms)
 
 
 def _pinned_start(inst: Instance):
@@ -345,37 +374,36 @@ def _pinned_start(inst: Instance):
     for cell in inst.tree.cells(0):
         s = cell[0]
         yield (-1, cell, inst.tree.mass(cell), zero.intersect(inst.st_map(s).point_vals[0]),
-               [(inst.mutilde.measures[s].atoms[0], inst.htilde.functions[s][0])])
+               _charged([(inst.mutilde.measures[s].atoms[0], inst.htilde.functions[s][0])]))
 
 
 def _fine_coordinates(inst: Instance):
     """The ``_pinned_start``, then ``_coordinates(r, True)`` for
     ``r = inst.refine(FINE)``, read from ``inst`` without building r.
 
-    Coarse slot i is fine slot 2i; fine slot 2i+1 has the cells of
-    partitions[i], zero atoms, h_i, htilde_{i+1} and, as point and cell
-    values of S and Stilde, their cell values of slot i.  Skipping r's
-    constructor loses no rejection, as refinement keeps measurability: slot
-    2i+1 carries open-cell data of slot i, constant on partitions[i]; the
-    predictable htilde_{i+1} and Stilde's point value at t_{i+1} are
-    constant on partitions[i], the predecessor partition of fine slot 2i+2;
-    and the inserted atoms are 0.
+    Coarse slot i is fine slot 2i, charged by mu_i h_i only; fine slot 2i+1
+    has the cells of partitions[i], is charged by mutilde_{i+1} htilde_{i+1}
+    only, and has as point and cell values of S and Stilde their cell values
+    of slot i.  Skipping r's constructor loses no rejection, as refinement
+    keeps measurability: slot 2i+1 carries open-cell data of slot i,
+    constant on partitions[i]; the predictable htilde_{i+1} and Stilde's
+    point value at t_{i+1} are constant on partitions[i], the predecessor
+    partition of fine slot 2i+2; and the inserted atoms are 0.
     """
     yield from _pinned_start(inst)
-    tree, n, zero = inst.tree, inst.grid.n_slots, Fraction(0)
+    tree, n = inst.tree, inst.grid.n_slots
     for j in range(2 * n - 1):
         i, inside = divmod(j, 2)
         for cell in tree.cells(i):
             s = cell[0]
             sm, stm = inst.s_map(s), inst.st_map(s)
             v = sm.open_vals[i] if inside else sm.point_vals[i]
-            terms = [(zero if inside else inst.mu.measures[s].atoms[i], inst.h.functions[s][i])]
-            if i < n - 1:  # the hatted cut and charge of _coordinates on fine slot j
+            if i < n - 1:  # the hatted cut of _coordinates on fine slot j
                 v = v.intersect(sm.open_vals[i]).intersect(stm.open_vals[i]).intersect(
                     stm.point_vals[i + 1] if inside else stm.open_vals[i])
-                terms.append((inst.mutilde.measures[s].atoms[i + 1] if inside else zero,
-                              inst.htilde.functions[s][i + 1]))
-            yield j, cell, tree.mass(cell), v, terms
+            terms = ([(inst.mutilde.measures[s].atoms[i + 1], inst.htilde.functions[s][i + 1])]
+                     if inside else [(inst.mu.measures[s].atoms[i], inst.h.functions[s][i])])
+            yield j, cell, tree.mass(cell), v, _charged(terms)
 
 
 def _no_selection(inst: Instance) -> bool:
@@ -391,34 +419,33 @@ def _coordinate_infima(inst: Instance, coords):
 
     At most one charge has mass at a coordinate, as on the FINE grid, where
     mu is 0 at the inserted slots, the only ones charged as a left limit;
-    two would need one joint minimization.  Returns the cost terms, whether
-    some coordinate is empty, each scenario's minimizers nearest 0 by slot
+    two would need one joint minimization.  Returns the infimum, +inf if
+    some coordinate is empty; each scenario's minimizers nearest 0 by slot
     (None if not attained; the feasible point nearest 0 where no charge has
-    mass), and the right-hand side: the cell's mass times every charged atom
+    mass); and the right-hand side: the cell's mass times every charged atom
     of the coordinates, empty ones included, against the integrand's infimum
     over the line.  ``coords`` is ``_coordinates`` or ``_fine_coordinates``;
-    the pinned start's slot -1 adds to the costs and the right-hand side but
-    to no path.
+    the pinned start's slot -1 adds to the infimum and the right-hand side
+    but to no path.
     """
-    costs, rhs, infeasible = [], [], False
+    costs, rhs = [], []
     path = {s: [] for s in inst.tree.scenarios}
     for i, cell, mass, feas, terms in coords:
-        rhs += [xmul(mass, xmul(atom, fn.min_on_line())) for atom, fn in terms if atom > 0]
+        rhs += [xmul(mass, xmul(atom, fn.min_on_line())) for atom, fn in terms]
         point = None
         if feas.is_empty:
-            infeasible = True
+            costs.append(INF)
         else:
-            charged = [(atom, fn) for atom, fn in terms if atom > 0]
-            assert len(charged) <= 1, f"two charges with mass at slot {i}"
+            assert len(terms) <= 1, f"two charges with mass at slot {i}"
             point = feas.nearest_to(Fraction(0))
-            for atom, fn in charged:
+            for atom, fn in terms:
                 val, argmin = fn.inf_over(feas)
                 costs.append(xmul(mass, xmul(atom, val)))
                 point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
         if i >= 0:
             for s in cell:
                 path[s].append(point)
-    return costs, infeasible, path, xsum(rhs)
+    return xsum(costs), path, xsum(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +474,7 @@ def _assumption_report(inst: Instance) -> Dict:
     # a charged integrand is +inf throughout
     improper = set()
     for _, cell, _, feas, terms in _fine_coordinates(inst):
-        if feas.is_empty or any(atom > 0 and feas.intersect(fn.domain).is_empty
-                                for atom, fn in terms):
+        if feas.is_empty or any(feas.intersect(fn.domain).is_empty for _, fn in terms):
             improper.update(cell)
     zero = RInterval.singleton(Fraction(0))
     per_scenario = {}
@@ -507,6 +533,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     closed segment every scenario's cost is affine, or +inf inside it, and
     the lattice maximum sits at one of the two candidates.
     """
+    _require_dual(inst, d)
     B, delta = rat(B), rat(delta)
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
@@ -533,7 +560,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
 
     total: Ext = Fraction(0)  # less the cost of the pinned start, paired with no atom
     for _, _, mass, feas, terms in _pinned_start(r):
-        cost = xsum([xmul(mass * atom, fn.eval(Fraction(0))) for atom, fn in terms if atom > 0])
+        cost = xsum([xmul(mass * atom, fn.eval(Fraction(0))) for atom, fn in terms])
         if feas.is_empty or cost == INF:
             return NEG_INF
         total -= cost
@@ -544,14 +571,13 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
         coeff = rd.u.measures[cell[0]].atoms[i]
         if i + 1 < n:
             coeff += rd.ut.measures[cell[0]].atoms[i + 1]
-        charged = [(m, fn) for m, fn in terms if m > 0]
         candidates = {k_lo, k_hi}
-        for _, fn in charged:
+        for _, fn in terms:
             for x in fn.knots():
                 k = (x + B) / delta
                 candidates.update((math.floor(k), math.ceil(k)))
         pts = [-B + k * delta for k in candidates if k_lo <= k <= k_hi]
-        costs = ((v, xsum(xmul(m, fn.eval(v)) for m, fn in charged)) for v in pts)
+        costs = ((v, xsum(xmul(m, fn.eval(v)) for m, fn in terms)) for v in pts)
         vals = [coeff * v - cost for v, cost in costs if is_finite(cost)]
         if not vals:
             return NEG_INF
@@ -581,6 +607,7 @@ def subdiff_check(inst: Instance, y: RandomPath, d: DualPair,
     primal value plus conjugate equalling the pairing, which is also checked.
     ``primal`` is ``eval_Fhat(inst, y)``, computed here unless passed in.
     """
+    _require_dual(inst, d)
     primal = eval_Fhat(inst, y) if primal is None else primal
     if primal == INF:
         raise ValueError("path has infinite primal value")
@@ -647,17 +674,15 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
         sm, fns, lag = inst.st_map(s), inst.htilde.functions[s], 1
         coords = [(i, (s,), inst.tree.mass((s,)),
                    sm.point_vals[i].intersect(sm.open_vals[i - 1]) if i else sm.point_vals[0],
-                   [(inst.mutilde.measures[s].atoms[i], fns[i])]) for i in range(n)]
+                   _charged([(inst.mutilde.measures[s].atoms[i], fns[i])])) for i in range(n)]
         failing = escaping_slots(sm.point_vals, sm.open_vals, 1)
     else:
         raise ValueError("side must be 'cadlag' or 'caglad'")
     image_closure = not (_off_domain(sm.point_vals, fns)
                          + _off_domain(sm.open_vals, fns, lag))
 
-    closure_holds = all(feas.intersect(terms[0][1].domain) == feas
-                        for _, _, _, feas, terms in coords)
-    costs, infeasible, _, rhs = _coordinate_infima(inst, coords)
-    lhs = INF if infeasible else xsum(costs)
+    closure_holds = all(feas.intersect(fns[i].domain) == feas for i, _, _, feas, _ in coords)
+    lhs, _, rhs = _coordinate_infima(inst, coords)
     vacuous = lhs == INF
     if vacuous:
         gap = None
@@ -702,8 +727,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     assumptions = assumption_report(inst)
     hatted, tree = form == "Fhat", inst.tree
     coords = _fine_coordinates(inst) if hatted else _coordinates(inst, False)
-    costs, infeasible, path, rhs = _coordinate_infima(inst, coords)
-    lhs = INF if infeasible else xsum(costs)
+    lhs, path, rhs = _coordinate_infima(inst, coords)
     out = {
         "form": form,
         "lhs": lhs,
@@ -714,7 +738,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
         "assumptions_ok": assumptions["all_ok"],
         "witness": None,
     }
-    if infeasible or any(v is None for vals in path.values() for v in vals):
+    if lhs == INF or any(v is None for vals in path.values() for v in vals):
         return out
     r = inst.refine(FINE) if hatted else inst
     witness = RandomPath(r.tree, r.grid, {s: StepPath(r.grid, tuple(path[s]))

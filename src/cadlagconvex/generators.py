@@ -16,11 +16,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .duality import (DualPair, Instance, _coordinates, _pinned_start,
                        assumption_report, make_instance)
-from .plconvex import PLConvex, RInterval, _canonical, _canonical_anchor, pl
+from .plconvex import PLConvex, _canonical, _canonical_anchor, pl
 from .rationals import INF, NEG_INF, is_finite, xle
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        ScenarioTree)
-from .setmaps import SetMap
 from .timegrid import GridMeasure, StepPath, TimeGrid
 
 COARSE_DENOMS = (1, 2, 4)
@@ -78,37 +77,6 @@ def rand_plconvex(rng: random.Random, max_breaks: int = 3) -> PLConvex:
     return _canonical(dom_lo, dom_hi, bps, tuple(Fraction(s, 12 * d) for s in slopes),
                       _canonical_anchor(dom_lo, dom_hi, bps),
                       Fraction(m * 48 * d + walk * e, 48 * d * e))
-
-
-def rand_interval(rng: random.Random) -> RInterval:
-    kind = rng.choice(["bounded", "bounded", "left", "right", "line", "point"])
-    if kind == "point":
-        x = rand_coarse(rng)
-        return RInterval(x, x)
-    if kind == "line":
-        return RInterval.whole_line()
-    if kind == "left":
-        return RInterval(NEG_INF, rand_coarse(rng))
-    if kind == "right":
-        return RInterval(rand_coarse(rng), INF)
-    a, b = rand_coarse(rng), rand_coarse(rng)
-    return RInterval(min(a, b), max(a, b))
-
-
-def rand_setmap(rng: random.Random, grid: TimeGrid,
-                regular: bool = False) -> SetMap:
-    """Random interval map; with ``regular`` the point values sit inside cells."""
-    cells = tuple(rand_interval(rng) for _ in range(grid.n_cells))
-    points: List[RInterval] = []
-    for i in range(grid.n_slots):
-        if regular and i < grid.n_cells:
-            base = cells[i]
-            lo = base.lo if rng.random() < 0.7 or not is_finite(base.lo) else base.lo + \
-                min(Fraction(1, 2), (base.hi - base.lo) / 2 if is_finite(base.hi) else Fraction(1, 2))
-            points.append(RInterval(lo, base.hi))
-        else:
-            points.append(rand_interval(rng))
-    return SetMap(grid, tuple(points), cells)
 
 
 def rand_grid(rng: random.Random, max_cells: int = 4) -> TimeGrid:
@@ -269,16 +237,14 @@ def _finite_dual_atom(rng: random.Random, fn: PLConvex, mass: Fraction) -> Fract
 def rand_feasible_path(rng: random.Random, inst: Instance) -> RandomPath:
     """Adapted path with finite hatted value, drawn per partition cell in the
     set of its ``_coordinates(inst, True)`` cut by the domains of the
-    integrands charged there with a positive atom (``eval_I`` skips a zero
-    one).  ValueError if a cut set, or the ``_pinned_start``'s (never drawn),
-    is empty."""
+    integrands charged there.  ValueError if a cut set, or the
+    ``_pinned_start``'s (never drawn), is empty."""
     tree, grid = inst.tree, inst.grid
     vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * grid.n_slots
                                                  for s in tree.scenarios}
     for i, cell, _, feas, terms in chain(_pinned_start(inst), _coordinates(inst, True)):
-        for atom, fn in terms:
-            if atom > 0:
-                feas = feas.intersect(fn.domain)
+        for _, fn in terms:
+            feas = feas.intersect(fn.domain)
         if feas.is_empty:
             raise ValueError("instance has no feasible fixed-grid path")
         if i < 0:

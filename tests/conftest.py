@@ -6,6 +6,7 @@ they stay independent of the exact code paths they check.
 """
 
 import json
+import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 from cadlagconvex import serialize
 from cadlagconvex.duality import Instance
+from cadlagconvex.generators import rand_coarse
 from cadlagconvex.plconvex import PLConvex, RInterval, pl
 from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, Ext, is_finite, xmul, xsum
 from cadlagconvex.scenario import RandomIntegrand, RandomMeasure
 from cadlagconvex.serialize import InstanceDoc, instance_doc_from_json
 from cadlagconvex.setmaps import SetMap
+from cadlagconvex.timegrid import TimeGrid
 
 
 def forget_last_load() -> None:
@@ -125,6 +128,39 @@ def sets_coordinates(inst: Instance, sets: Dict[str, List[RInterval]], charges):
             terms = [(m.measures[s].atoms[i + lag], fam.functions[s][i + lag])
                      for m, fam, lag in charges if i + lag < n]
             yield i, cell, tree.mass(cell), sets[s][i], terms
+
+
+# Random intervals and interval maps on the generators' coarse lattice.
+
+def rand_interval(rng: random.Random) -> RInterval:
+    kind = rng.choice(["bounded", "bounded", "left", "right", "line", "point"])
+    if kind == "point":
+        x = rand_coarse(rng)
+        return RInterval(x, x)
+    if kind == "line":
+        return RInterval.whole_line()
+    if kind == "left":
+        return RInterval(NEG_INF, rand_coarse(rng))
+    if kind == "right":
+        return RInterval(rand_coarse(rng), INF)
+    a, b = rand_coarse(rng), rand_coarse(rng)
+    return RInterval(min(a, b), max(a, b))
+
+
+def rand_setmap(rng: random.Random, grid: TimeGrid,
+                regular: bool = False) -> SetMap:
+    """Random interval map; with ``regular`` the point values sit inside cells."""
+    cells = tuple(rand_interval(rng) for _ in range(grid.n_cells))
+    points: List[RInterval] = []
+    for i in range(grid.n_slots):
+        if regular and i < grid.n_cells:
+            base = cells[i]
+            lo = base.lo if rng.random() < 0.7 or not is_finite(base.lo) else base.lo + \
+                min(Fraction(1, 2), (base.hi - base.lo) / 2 if is_finite(base.hi) else Fraction(1, 2))
+            points.append(RInterval(lo, base.hi))
+        else:
+            points.append(rand_interval(rng))
+    return SetMap(grid, tuple(points), cells)
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from conftest import preset
+from conftest import preset, rand_setmap
 
 from cadlagconvex.duality import (DualPair, assumption_report,
                                   bruteforce_gap_bound, conj_bruteforce,
@@ -21,8 +21,7 @@ from cadlagconvex.finmodels import (ScalarProcess, bidask_model, bidask_support,
                                     currency_model, obstacle_model,
                                     obstacle_support, vector_pairing)
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
-                                     rand_passing_instance, rand_plconvex,
-                                     rand_setmap, rand_tree)
+                                     rand_passing_instance, rand_plconvex, rand_tree)
 from cadlagconvex.plconvex import affine, indicator, support_fn
 from cadlagconvex.polycone import ConeMap, PolyCone, cone_hull, cs_regularity_check
 from cadlagconvex.presets import PRESET_NAMES

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _charges, _fixed_value_sets, sets_coordinates
+from conftest import _charges, _fixed_value_sets, rand_setmap, sets_coordinates
 
 from cadlagconvex.duality import (FINE, DualPair, _coordinate_infima, _coordinates,
                                   interchange_stoch, make_instance)
@@ -18,8 +18,7 @@ from cadlagconvex.finmodels import (ScalarProcess, band_setmap, bidask_model,
                                     bidask_support, obstacle_model,
                                     obstacle_support, right_lsc_slots,
                                     right_usc_slots)
-from cadlagconvex.generators import (rand_coarse, rand_grid, rand_passing_instance,
-                                     rand_setmap, rand_tree)
+from cadlagconvex.generators import rand_coarse, rand_grid, rand_passing_instance, rand_tree
 from cadlagconvex.plconvex import RInterval, abs_fn, pl, restrict
 from cadlagconvex.polycone import ConeMap, PolyCone
 from cadlagconvex.rationals import INF

@@ -1,5 +1,6 @@
 """Primal/dual functionals, conjugate formulas, interchange rules."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -16,9 +17,8 @@ from cadlagconvex.duality import (FINE, BudgetExceededError, DualPair, Instance,
                                   interchange_stoch, make_instance,
                                   subdiff_check, support_DS)
 from cadlagconvex.generators import (rand_coarse, rand_feasible_path,
-                                     rand_finite_dual, rand_grid, rand_interval,
-                                     rand_passing_instance, rand_plconvex,
-                                     rand_setmap)
+                                     rand_finite_dual, rand_grid,
+                                     rand_passing_instance, rand_plconvex)
 from cadlagconvex.plconvex import (RInterval, abs_fn, indicator, pl, restrict)
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, is_finite, xsum
@@ -29,7 +29,8 @@ from cadlagconvex.serialize import instance_doc_from_json, load_instance
 from cadlagconvex.setmaps import SetMap
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid, eval_I
 
-from conftest import _fixed_value_sets, _zero_start_ok, forget_last_load, preset
+from conftest import (_fixed_value_sets, _zero_start_ok, forget_last_load, preset,
+                      rand_interval, rand_setmap)
 
 G2 = TimeGrid((0, 1))
 G3 = TimeGrid((0, 1, 2))
@@ -62,6 +63,84 @@ def two_tree():
     half = F(1, 2)
     return ScenarioTree(("a", "b"), (half, half),
                         ((("a", "b"),), (("a",), ("b",))))
+
+
+def split_at_start(tree):
+    """``tree`` with its first partition split into single scenarios."""
+    return ScenarioTree(tree.scenarios, tree.probs,
+                        (tuple((s,) for s in tree.scenarios),) + tree.partitions[1:])
+
+
+def on_grid(part, grid):
+    """A measure, integrand or set-map family with the same data on ``grid``."""
+    if isinstance(part, RandomMeasure):
+        return RandomMeasure(part.tree, grid, {s: GridMeasure(grid, m.atoms)
+                                               for s, m in part.measures.items()})
+    if isinstance(part, RandomSetMap):
+        return RandomSetMap(part.tree, grid, {s: SetMap(grid, m.point_vals, m.open_vals)
+                                              for s, m in part.maps.items()})
+    return dataclasses.replace(part, grid=grid)
+
+
+def pinned_start_doc():
+    """The basic preset with Stilde(0) = [1, 2], which misses the left limit
+    0 at t_0: no path is feasible for the hatted functional."""
+    with open(bundled_instance_path("basic"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for s in ("up", "dn"):
+        doc["setmap_Stilde"][s]["point_vals"][0] = ["1", "2"]
+    return instance_doc_from_json(doc)
+
+
+class TestOneTreeAndGrid:
+    PARTS = ("h", "mu", "mutilde", "htilde", "S", "Stilde")
+    G013 = TimeGrid((0, 1, 3))  # basic's grid is (0, 1, 2)
+
+    @pytest.mark.parametrize("name", PARTS)
+    def test_an_instance_part_on_another_tree_is_refused(self, name):
+        inst = preset("basic").instance
+        part = dataclasses.replace(getattr(inst, name), tree=split_at_start(inst.tree))
+        with pytest.raises(ValueError, match=f"^{name} is not on the instance's tree$"):
+            dataclasses.replace(inst, **{name: part})
+
+    @pytest.mark.parametrize("name", PARTS)
+    def test_an_instance_part_on_another_grid_is_refused(self, name):
+        inst = preset("basic").instance
+        part = on_grid(getattr(inst, name), self.G013)
+        with pytest.raises(ValueError, match=f"^{name} is not on the instance's grid$"):
+            dataclasses.replace(inst, **{name: part})
+
+    def test_an_equal_tree_and_grid_are_accepted(self):
+        inst = preset("basic").instance
+        tree = ScenarioTree(inst.tree.scenarios, inst.tree.probs, inst.tree.partitions)
+        grid = TimeGrid(inst.grid.times)
+        assert tree is not inst.tree and grid is not inst.grid
+        mu = on_grid(dataclasses.replace(inst.mu, tree=tree), grid)
+        assert dataclasses.replace(inst, mu=mu).mu is mu
+
+    def dual_consumers(self, doc, d):
+        inst = doc.instance
+        return [lambda: conj_pointwise(inst, d), lambda: support_DS(inst, d),
+                lambda: conj_bruteforce(inst, d, 4, F(1, 100)),
+                lambda: subdiff_check(inst, doc.paths[0], d)]
+
+    def test_a_dual_pair_on_another_tree_is_refused(self):
+        # the dual's tree splits up and dn at t_0, where basic's does not
+        doc = preset("basic")
+        tree, grid = split_at_start(doc.instance.tree), doc.instance.grid
+        u = RandomMeasure(tree, grid, {"up": GridMeasure(grid, (1, 0, 0)),
+                                       "dn": GridMeasure(grid, (-1, 0, 0))})
+        d = DualPair(u, RandomMeasure.zero(tree, grid))
+        for consume in self.dual_consumers(doc, d):
+            with pytest.raises(ValueError, match="^dual pair is not on the instance's tree$"):
+                consume()
+
+    def test_a_dual_pair_on_another_grid_is_refused(self):
+        doc = preset("basic")
+        d = DualPair(*(on_grid(m, self.G013) for m in (doc.duals[0].u, doc.duals[0].ut)))
+        for consume in self.dual_consumers(doc, d):
+            with pytest.raises(ValueError, match="^dual pair is not on the instance's grid$"):
+                consume()
 
 
 class TestEvalF:
@@ -464,6 +543,31 @@ class TestInterchangeDet:
         rep = interchange_det(inst, "caglad")
         assert rep["ok"] and rep["lhs"] == rep["rhs"] == 0
 
+    def test_domain_closure_reads_an_uncharged_slot(self):
+        # mu_1 = 0 charges nothing at slot 1, yet h_1's domain [-1, 1] lies
+        # strictly inside S's attainable set [-2, 2] there
+        S = RandomSetMap(ScenarioTree.deterministic(3), G3,
+                         {"w": SetMap.constant(G3, RInterval(F(-2), F(2)))})
+        narrow = restrict(abs_fn(), RInterval(F(-1), F(1)))
+        rep = interchange_det(det_instance([abs_fn(), narrow, abs_fn()], (1, 0, 1),
+                                           grid=G3, S=S), "cadlag")
+        assert not rep["assumptions"]["domain_closure"] and not rep["assumptions_ok"]
+        assert rep["lhs"] == rep["rhs"] == 0 and rep["ok"]
+
+    def test_domain_closure_reads_an_uncharged_slot_on_the_caglad_side(self):
+        # mutilde_1 = 0 charges nothing at slot 1, yet htilde_1's domain
+        # [-1, 1] lies strictly inside Stilde's set [-2, 2] there
+        tree, wide = ScenarioTree.deterministic(3), RInterval(F(-2), F(2))
+        Stilde = RandomSetMap(tree, G3, {"w": SetMap.constant(G3, wide)})
+        narrow = restrict(abs_fn(), RInterval(F(-1), F(1)))
+        ht = RandomIntegrand(tree, G3, {"w": (abs_fn(), narrow, abs_fn())}, "predictable")
+        mut = RandomMeasure(tree, G3, {"w": GridMeasure(G3, (1, 0, 1))})
+        inst = det_instance([restrict(abs_fn(), wide)] * 3, (0, 0, 0), grid=G3,
+                            mutilde=mut, htilde=ht, Stilde=Stilde)
+        rep = interchange_det(inst, "caglad")
+        assert not rep["assumptions"]["domain_closure"] and not rep["assumptions_ok"]
+        assert rep["lhs"] == rep["rhs"] == 0 and rep["ok"]
+
     def test_requires_single_scenario(self):
         tree = two_tree()
         h = RandomIntegrand(tree, G2, {s: (abs_fn(),) * 2 for s in ("a", "b")}, "optional")
@@ -524,6 +628,26 @@ class TestInterchangeStoch:
         inst = make_instance(tree, G2, h, RandomMeasure.zero(tree, G2), mut, ht)
         rep = interchange_stoch(inst, "Fhat")
         assert rep["lhs"] == 0 and rep["rhs"] == -1 and not rep["ok"]
+
+
+    def test_an_empty_pinned_start_has_no_witness(self):
+        # every value coordinate is feasible and records a path value; only
+        # the pinned start is empty, so the infimum is +inf
+        rep = interchange_stoch(pinned_start_doc().instance, "Fhat")
+        assert rep["lhs"] == INF and rep["vacuous"] and rep["ok"]
+        assert rep["witness"] is None and "witness_value" not in rep
+
+    def test_an_infinite_pinned_charge_has_no_witness(self):
+        # the left limit 0 at t_0 is feasible, but mutilde_0 = 1 charges it
+        # with the indicator of {1}: no path attains the +inf infimum
+        inst = preset("basic").instance
+        tree, grid, one = inst.tree, inst.grid, indicator(RInterval(F(1), F(1)))
+        ht = RandomIntegrand(tree, grid, {s: (one,) + fns[1:] for s, fns
+                                          in inst.htilde.functions.items()}, "predictable")
+        mut = RandomMeasure(tree, grid, {s: GridMeasure(grid, (1,) + m.atoms[1:])
+                                         for s, m in inst.mutilde.measures.items()})
+        rep = interchange_stoch(dataclasses.replace(inst, htilde=ht, mutilde=mut), "Fhat")
+        assert rep["lhs"] == INF and rep["witness"] is None
 
 
 class TestSupportDS:
@@ -917,22 +1041,18 @@ class TestChargeLayout:
                 for s in cell:
                     seen.append((i, s))
                     # the value at t_i pays mu_i h_i and, as the left limit
-                    # at t_{i+1}, mutilde_{i+1} htilde_{i+1}
+                    # at t_{i+1}, mutilde_{i+1} htilde_{i+1}; a zero atom
+                    # charges nothing, so the walk leaves its term out
                     want = [(x.mu.measures[s].atoms[i], x.h.functions[s][i])]
                     if hatted and i + 1 < n:
                         want.append((x.mutilde.measures[s].atoms[i + 1],
                                      x.htilde.functions[s][i + 1]))
-                    assert terms == want
+                    assert terms == [(atom, fn) for atom, fn in want if atom > 0]
                     assert feas == sets[s][i]
             assert sorted(seen) == sorted(itertools.product(range(n), x.tree.scenarios))
 
     def test_rand_feasible_path_keeps_the_pinned_start(self):
-        # Stilde(0) = [1, 2] misses the left limit 0 at t_0: no path is feasible
-        with open(bundled_instance_path("basic"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for s in ("up", "dn"):
-            doc["setmap_Stilde"][s]["point_vals"][0] = ["1", "2"]
-        inst = instance_doc_from_json(doc).instance
+        inst = pinned_start_doc().instance
         rng = random.Random(0)
         assert eval_Fhat(inst, random_adapted_path(rng, inst)) == INF
         with pytest.raises(ValueError, match="no feasible fixed-grid path"):

@@ -18,13 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import _fixed_value_sets, _zero_start_cost, _zero_start_ok, preset
+from conftest import _fixed_value_sets, _zero_start_cost, _zero_start_ok, preset, rand_setmap
 
 from cadlagconvex import cli
 from cadlagconvex.duality import (FINE, BudgetExceededError, conj_bruteforce,
                                   make_instance, resolve_budget)
-from cadlagconvex.generators import (rand_finite_dual, rand_passing_instance,
-                                     rand_setmap)
+from cadlagconvex.generators import rand_finite_dual, rand_passing_instance
 from cadlagconvex.plconvex import PLConvex
 from cadlagconvex.rationals import INF, NEG_INF, rat, xmul, xneg, xsum
 from cadlagconvex.scenario import RandomSetMap

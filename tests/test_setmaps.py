@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from cadlagconvex.generators import rand_setmap
+
+from conftest import rand_setmap
+
 from cadlagconvex.plconvex import RInterval
 from cadlagconvex.setmaps import (SelectionPreconditionError, SetMap,
                                   escaping_slots, michael_check,

@@ -16,9 +16,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cadlagconvex"
 
-# the random set-map generator several test modules share
-TEST_ONLY = {"rand_setmap"}
-
 
 def _defined_names():
     for path in sorted(PACKAGE.glob("*.py")):
@@ -47,7 +44,7 @@ def test_every_definition_is_used_outside_the_tests():
         for path in (ROOT / top).rglob("*.py"):
             counts.update(_references(ast.parse(path.read_text(), str(path))))
     unused = sorted(f"{module}: {name}" for module, name in _defined_names()
-                    if name not in TEST_ONLY and not counts[name])
+                    if not counts[name])
     assert unused == []
 
 
