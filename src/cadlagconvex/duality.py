@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .plconvex import RInterval, indicator, once
 from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
@@ -164,20 +165,20 @@ class Instance:
         return once(self, "magnitude_bound", self._magnitude_bound)
 
     def _magnitude_bound(self) -> Q:
-        best = Fraction(1)
-        # scenarios and inserted slots share function objects: visit each once
-        distinct = {id(fn): fn for fam in (self.h, self.htilde)
-                    for fns in fam.functions.values() for fn in fns}
-        for fn in distinct.values():
-            for b in fn.knots():
-                best = max(best, abs(b))
-        for rsm in (self.S, self.Stilde):
-            for sm in rsm.maps.values():
-                for iv in sm.point_vals + sm.open_vals:
-                    for side in (iv.lo, iv.hi):
-                        if is_finite(side):
-                            best = max(best, abs(side))
-        return best
+        # scenarios and inserted slots share function and interval objects:
+        # visit each once
+        functions = {id(fn): fn for fam in (self.h, self.htilde)
+                     for fns in fam.functions.values() for fn in fns}
+        intervals = {id(iv): iv for rsm in (self.S, self.Stilde) for sm in rsm.maps.values()
+                     for iv in sm.point_vals + sm.open_vals}
+        values = chain((b for fn in functions.values() for b in fn.knots()),
+                       (side for iv in intervals.values() for side in (iv.lo, iv.hi)
+                        if is_finite(side)))
+        num, den = 1, 1  # the largest |v| so far, compared by cross-multiplying
+        for v in values:
+            if abs(v.numerator) * den > num * v.denominator:
+                num, den = abs(v.numerator), v.denominator
+        return Fraction(num, den)
 
 
 def _require_on(inst: Instance, name: str, part) -> None:
@@ -526,18 +527,34 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     The budget caps the number of lattice points in the search space, the
     points of each coordinate's feasible interval summed over coordinates;
     it is checked before anything is evaluated.  Only candidate points are
-    evaluated: the two ends of each coordinate's lattice range and the floor
+    scored: the two ends of each coordinate's lattice range and the floor
     and ceil lattice neighbours of every knot of the integrands the
     coordinate charges.  This is exact: no knot lies strictly between two
     consecutive candidates with a lattice point between them, so on that
     closed segment every scenario's cost is affine, or +inf inside it, and
     the lattice maximum sits at one of the two candidates.
+
+    Candidates are scored in integers, with the values of an exact rational
+    evaluation.  With B = P/R and delta = p/q, lattice point k is
+    (-P*q + k*p*R) / (R*q), and every lattice index (the range ends, the
+    knot neighbours, each integrand's domain cut and the ceil index of each
+    breakpoint, which picks the affine piece of ``PLConvex.int_pieces`` that
+    holds a candidate) is an integer floor or ceil division.  A coordinate's
+    candidates are compared as integer numerators over one denominator, and
+    one ``Fraction`` is built for the maximum.
     """
     _require_dual(inst, d)
     B, delta = rat(B), rat(delta)
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
     budget = resolve_budget(budget)
+    P, R, p, q = B.numerator, B.denominator, delta.numerator, delta.denominator
+
+    def index(x: Q, up: bool) -> int:
+        """The floor, or the ceil if ``up``, of the lattice index (x + B) / delta."""
+        num, den = (x.numerator * R + P * x.denominator) * q, x.denominator * R * p
+        return -(-num // den) if up else num // den
+
     r = inst.refine(FINE)
     rd = d.refine(FINE)
     n = r.grid.n_slots
@@ -551,8 +568,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
         if constraint.is_empty:
             k_lo, k_hi = 0, -1
         else:
-            k_lo = math.ceil((constraint.lo + B) / delta)
-            k_hi = math.floor((constraint.hi + B) / delta)
+            k_lo, k_hi = index(constraint.lo, True), index(constraint.hi, False)
         needed += max(0, k_hi - k_lo + 1)
         coords.append((i, cell, mass, k_lo, k_hi, terms))
     if needed > budget:
@@ -565,24 +581,73 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
             return NEG_INF
         total -= cost
 
-    # one evaluation per coordinate, on the cell's first scenario, weighted
-    # by the cell's mass: the data is constant on the cell (module docstring)
+    # lattice point k is (start + k*step) / D
+    D, start, step, top = R * q, -P * q, p * R, index(B, False)
+    lattice: Dict[int, _OnLattice] = {}  # by id: refined slots share functions
+
+    def on_lattice(fn) -> _OnLattice:
+        e, alphas, slopes = fn.int_pieces()
+        return _OnLattice(
+            e * D,
+            index(fn.dom_lo, True) if is_finite(fn.dom_lo) else 0,
+            index(fn.dom_hi, False) if is_finite(fn.dom_hi) else top,
+            {index(x, up) for x in fn.knots() for up in (False, True)},
+            tuple(index(b, True) for b in fn.breakpoints),
+            tuple((a * D + s * start, s * step) for a, s in zip(alphas, slopes)))
+
+    # one scoring per coordinate, on the cell's first scenario, weighted by
+    # the cell's mass: the data is constant on the cell (module docstring)
     for i, cell, mass, k_lo, k_hi, terms in coords:
         coeff = rd.u.measures[cell[0]].atoms[i]
         if i + 1 < n:
             coeff += rd.ut.measures[cell[0]].atoms[i + 1]
-        candidates = {k_lo, k_hi}
-        for _, fn in terms:
-            for x in fn.knots():
-                k = (x + B) / delta
-                candidates.update((math.floor(k), math.ceil(k)))
-        pts = [-B + k * delta for k in candidates if k_lo <= k <= k_hi]
-        costs = ((v, xsum(xmul(m, fn.eval(v)) for m, fn in terms)) for v in pts)
-        vals = [coeff * v - cost for v, cost in costs if is_finite(cost)]
-        if not vals:
+        charged = []
+        for atom, fn in terms:
+            if id(fn) not in lattice:
+                lattice[id(fn)] = on_lattice(fn)
+            charged.append((atom, lattice[id(fn)]))
+        lo = max([k_lo] + [fl.lo for _, fl in charged])  # the domain cuts
+        hi = min([k_hi] + [fl.hi for _, fl in charged])
+        ks = [k for k in {k_lo, k_hi}.union(*(fl.knots for _, fl in charged)) if lo <= k <= hi]
+        if not ks:
             return NEG_INF
-        total = xsum([total, mass * max(vals)])
+        # the value at lattice point k is (p0 + p1*k - sum m*(a + b*k)) / den
+        den = math.lcm(coeff.denominator * D, *(atom.denominator * fl.den for atom, fl in charged))
+        m0 = coeff.numerator * (den // (coeff.denominator * D))
+        scaled = [(atom.numerator * (den // (atom.denominator * fl.den)), fl.cuts, fl.pieces)
+                  for atom, fl in charged]
+        best = _best_numerator(ks, m0 * start, m0 * step, scaled)
+        total += Fraction(mass.numerator * best, mass.denominator * den)
     return total
+
+
+class _OnLattice(NamedTuple):
+    """An integrand on the lattice of ``conj_bruteforce``: at lattice point k
+    in ``[lo, hi]``, its domain cut, it is (a + b*k) / den with (a, b) =
+    ``pieces[bisect_right(cuts, k)]``; ``cuts`` holds the ceil lattice index
+    of each breakpoint and ``knots`` the floor and ceil ones of each knot."""
+
+    den: int
+    lo: int
+    hi: int
+    knots: Set[int]
+    cuts: Tuple[int, ...]
+    pieces: Tuple[Tuple[int, int], ...]
+
+
+def _best_numerator(ks, p0: int, p1: int, charges) -> int:
+    """The largest p0 + p1*k - sum m*(a + b*k) over the lattice indices k in
+    ``ks``, where (a, b) is the piece of each charge (m, cuts, pieces) that
+    holds k: the one after every breakpoint whose ceil index is at most k."""
+    best = None
+    for k in ks:
+        v = p0 + p1 * k
+        for m, cuts, pieces in charges:
+            a, b = pieces[bisect_right(cuts, k)]
+            v -= m * (a + b * k)
+        if best is None or v > best:
+            best = v
+    return best
 
 
 def bruteforce_gap_bound(d: DualPair, delta) -> Q:
@@ -605,8 +670,10 @@ def subdiff_check(inst: Instance, y: RandomPath, d: DualPair,
     normal cone of the point constraint set; and the two analogues for the
     predictable side at the left limits.  Their conjunction is equivalent to
     primal value plus conjugate equalling the pairing, which is also checked.
-    ``primal`` is ``eval_Fhat(inst, y)``, computed here unless passed in.
+    ``primal`` is ``eval_Fhat(inst, y)``, computed here unless passed in;
+    the path is checked against the instance either way.
     """
+    _require_adapted_path(inst, y)
     _require_dual(inst, d)
     primal = eval_Fhat(inst, y) if primal is None else primal
     if primal == INF:

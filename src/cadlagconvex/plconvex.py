@@ -14,6 +14,7 @@ only caches equal results), so concurrent read-only use is safe.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,6 +213,23 @@ class PLConvex:
                 prev = bps[j - 1]
                 j -= 1
         return val + slopes[j] * (x - prev)
+
+    def int_pieces(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """``(e, alphas, slopes)``, all ``int``, e > 0: on segment j, from
+        ``breakpoints[j - 1]`` to ``breakpoints[j]`` within the domain
+        closure, the function is ``(alphas[j] + slopes[j] * x) / e``.  The
+        affine pieces over one common denominator, built once per object."""
+        return once(self, "int_pieces", self._int_pieces)
+
+    def _int_pieces(self):
+        bps, slopes = self.breakpoints, self.slopes
+        x = bps[0] if bps else self.anchor_x  # a point of segment 0
+        alphas = [self._finite_value(x) - slopes[0] * x]
+        for b, s, t in zip(bps, slopes, slopes[1:]):  # the pieces meet at each breakpoint
+            alphas.append(alphas[-1] + (s - t) * b)
+        e = math.lcm(*(q.denominator for q in (*alphas, *slopes)))
+        return (e, tuple(a.numerator * (e // a.denominator) for a in alphas),
+                tuple(s.numerator * (e // s.denominator) for s in slopes))
 
     # -- structure ----------------------------------------------------------
 

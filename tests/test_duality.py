@@ -191,6 +191,16 @@ class TestEvalF:
             with pytest.raises(ValueError, match="adapted to the instance's tree"):
                 evaluate(inst, y)
 
+    def test_subdiff_check_rejects_such_a_path_with_its_primal_given(self):
+        # a primal passed in skips eval_Fhat, so the path is checked on its own
+        doc = preset("basic")
+        inst = doc.instance
+        y = RandomPath(split_at_start(inst.tree), inst.grid,
+                       {"up": StepPath(inst.grid, (1, 0, 0)), "dn": StepPath(inst.grid, (-1, 0, 0))})
+        for primal in (None, F(0)):
+            with pytest.raises(ValueError, match="^path must be adapted to the instance's tree$"):
+                subdiff_check(inst, y, doc.duals[0], primal)
+
 
 def fhat_slot_loop(inst, y):
     """eval_Fhat with the slot-by-slot feasibility loop it had before it read

@@ -1,14 +1,18 @@
 """The lattice oracle's candidate search against an every-point reference.
 
-``conj_bruteforce`` evaluates only the ends of each coordinate's lattice
-range and the lattice neighbours of the charged integrands' knots, and each
-(slot, cell) only once, on the cell's first scenario, weighted by the cell's
-mass.  The reference below is the search it replaced: it intersects the set
-of every scenario of the cell and sums the per-scenario objectives over
-every lattice point of every coordinate.  They must agree exactly, in value
-and type, and in the lattice-point count the budget is checked against.
+``conj_bruteforce`` scores only the ends of each coordinate's lattice
+range and the lattice neighbours of the charged integrands' knots, in
+integers, and each (slot, cell) only once, on the cell's first scenario,
+weighted by the cell's mass.  The reference below is the search it replaced:
+it intersects the set of every scenario of the cell and sums the
+per-scenario objectives over every lattice point of every coordinate, in
+Fractions.  They must agree exactly, in value and type, and in the
+lattice-point count the budget is checked against.  The lattice radius
+``Instance.magnitude_bound`` keeps its Fraction reference here too.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -20,13 +24,15 @@ from hypothesis import strategies as st
 
 from conftest import _fixed_value_sets, _zero_start_cost, _zero_start_ok, preset, rand_setmap
 
-from cadlagconvex import cli
+from cadlagconvex import cli, duality
 from cadlagconvex.duality import (FINE, BudgetExceededError, conj_bruteforce,
                                   make_instance, resolve_budget)
 from cadlagconvex.generators import rand_finite_dual, rand_passing_instance
 from cadlagconvex.plconvex import PLConvex
-from cadlagconvex.rationals import INF, NEG_INF, rat, xmul, xneg, xsum
+from cadlagconvex.presets import bundled_instance_path
+from cadlagconvex.rationals import INF, NEG_INF, is_finite, rat, xmul, xneg, xsum
 from cadlagconvex.scenario import RandomSetMap
+from cadlagconvex.serialize import dump_report
 
 
 def reference_conj_bruteforce(inst, d, B, delta, budget: Optional[int] = None):
@@ -171,12 +177,12 @@ class TestCandidateSearch:
 
 
 def eval_bound(inst) -> int:
-    """Most PLConvex.eval calls one conj_bruteforce call can make on ``inst``.
+    """Most integrand evaluations one conj_bruteforce call can make on ``inst``.
 
-    Per (slot, cell): each charged integrand of each scenario is evaluated
-    at most once per candidate, and there are at most two candidates per
-    knot of a charged integrand plus the two range ends.  The forced left
-    start adds one evaluation per scenario charged at time 0.
+    Per (slot, cell): each charged integrand of each scenario is read at
+    most once per scored candidate, and there are at most two candidates
+    per knot of a charged integrand plus the two range ends.  The forced
+    left start adds one evaluation per scenario charged at time 0.
     """
     r = inst.refine(FINE)
     tree, n = r.tree, r.grid.n_slots
@@ -197,27 +203,112 @@ def eval_bound(inst) -> int:
 class TestEvalCount:
     @pytest.mark.parametrize("delta", [F(1, 100), F(1, 100000)])
     def test_evaluations_do_not_grow_as_delta_shrinks(self, delta, monkeypatch):
+        """The pinned start calls PLConvex.eval; every other coordinate scores
+        its candidates in _best_numerator, each against every charge."""
         idoc = preset("basic")
         inst = idoc.instance
         B = 2 * inst.magnitude_bound()
         bound = eval_bound(inst)
         # the lattice grows with 1/delta; the bound on evaluations does not
         assert bound < math.floor(2 * B / delta)
-        original = PLConvex.eval
+        r = inst.refine(FINE)
+        coordinates = sum(len(r.tree.cells(i)) for i in range(r.grid.n_slots))
+        original_eval, original_score = PLConvex.eval, duality._best_numerator
         for d in idoc.duals:
-            calls = 0
+            calls = scored = 0
 
-            def counting_eval(fn, x):
+            def count(k):
                 nonlocal calls
-                calls += 1
+                calls += k
                 # stops an every-point search long before it ends
                 assert calls <= bound, f"more than {bound} evaluations"
-                return original(fn, x)
+
+            def counting_eval(fn, x):
+                count(1)
+                return original_eval(fn, x)
+
+            def counting_score(ks, p0, p1, charges):
+                nonlocal scored
+                scored += 1
+                count(len(ks) * len(charges))
+                return original_score(ks, p0, p1, charges)
 
             monkeypatch.setattr(PLConvex, "eval", counting_eval)
+            monkeypatch.setattr(duality, "_best_numerator", counting_score)
             value = conj_bruteforce(inst, d, B, delta, budget=10 ** 12)
-            monkeypatch.setattr(PLConvex, "eval", original)
+            monkeypatch.undo()
             assert value != NEG_INF
+            assert scored == coordinates and calls > 0
+
+
+# Bundled `basic` on a lattice whose 2B/delta = 182/3 is no integer: each of
+# its knots -2, ..., 2 falls strictly between two lattice points, so every
+# knot's floor and ceil index differ.  The reports were recorded before the
+# oracle scored its candidates in integers.
+NON_DYADIC = ("--B", "13/3", "--delta", "1/7")
+NON_DYADIC_REPORTS = {
+    "conjugate": (1, "c0d1ddda629ae6e64ca725b7ecbc476f1f6076b1aeaf538cd0986855e7f4560b", {
+        "assumptions_ok": True, "bound": "3/7", "gap": "2/7", "lhs": "3", "pass": False,
+        "rhs": "19/7", "theorem": "conjugate",
+        "details": {"B": "13/3", "delta": "1/7", "duals": [
+            {"bound": "3/7", "bruteforce": "19/7", "dual": 0, "gap": "2/7",
+             "pointwise": "3", "verified": True},
+            {"bound": "1/7", "bruteforce": "53/42", "dual": 1, "gap": "5/21",
+             "pointwise": "3/2", "verified": False}]}}),
+    "support-ds": (0, "bb8c99ad664c2512ab60c1a0c074c11750d2f664c800810bebdc90e028b3f797", {
+        "assumptions_ok": True, "bound": "3/7", "gap": "4/21", "lhs": "6", "pass": True,
+        "rhs": "122/21", "theorem": "support-ds",
+        "details": {"duals": [
+            {"bound": "3/7", "bruteforce": "122/21", "dual": 0, "formula": "6",
+             "gap": "4/21", "verified": True},
+            {"bound": "1/7", "bruteforce": "41/21", "dual": 1, "formula": "2",
+             "gap": "1/21", "verified": True}]}}),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(NON_DYADIC_REPORTS))
+def test_a_non_dyadic_lattice_keeps_its_reports(theorem, capsys):
+    assert 2 * F(13, 3) / F(1, 7) == F(182, 3)
+    code = cli.main(["verify", str(bundled_instance_path("basic")), "--theorem", theorem,
+                     *NON_DYADIC])
+    report = json.loads(capsys.readouterr().out)
+    del report["timestamp"]
+    want_code, want_sha256, want = NON_DYADIC_REPORTS[theorem]
+    assert {k: v for k, v in report.items() if k != "assumptions"} == want
+    assert all(a["ok"] for a in report["assumptions"])
+    assert code == want_code
+    text = dump_report(report, None)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want_sha256
+
+
+def reference_magnitude_bound(inst):
+    """Instance._magnitude_bound as it was in Fractions: max of |v| over the
+    knots of each distinct integrand and the finite constraint ends."""
+    best = F(1)
+    distinct = {id(fn): fn for fam in (inst.h, inst.htilde)
+                for fns in fam.functions.values() for fn in fns}
+    for fn in distinct.values():
+        for b in fn.knots():
+            best = max(best, abs(b))
+    for rsm in (inst.S, inst.Stilde):
+        for sm in rsm.maps.values():
+            for iv in sm.point_vals + sm.open_vals:
+                for side in (iv.lo, iv.hi):
+                    if is_finite(side):
+                        best = max(best, abs(side))
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_magnitude_bound_equals_its_fraction_reference(seed, with_htilde, constrained):
+    rng = random.Random(seed)
+    inst = rand_passing_instance(rng, max_scenarios=3, max_cells=3, with_htilde=with_htilde)
+    if constrained:
+        inst = with_shared_constraints(inst, rand_setmap(rng, inst.grid))
+    for case in (inst, cli._constraint_indicator(inst)):
+        got, want = case._magnitude_bound(), reference_magnitude_bound(case)
+        assert got == want and type(got) is F
 
 
 def test_the_support_oracle_holds_one_function_per_distinct_interval():

@@ -4,7 +4,7 @@ import contextlib
 import dataclasses
 import random
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +25,7 @@ from cadlagconvex.serialize import load_instance
 from cadlagconvex.timegrid import TimeGrid
 
 from conftest import (conjugate_grid_oracle, forget_last_load, inf_grid_oracle,
-                      plconvex_st, rebuilt, recession_quotient)
+                      plconvex_st, rand_interval, rebuilt, recession_quotient)
 
 KINK = max_affine([(-1, 0), (2, -3)])  # max(-x, 2x - 3)
 BOX02 = RInterval(F(0), F(2))
@@ -975,3 +975,57 @@ def test_sampled_checks_call_pl_only_to_load(theorem, capsys):
     calls = _pl_calls(lambda: cli.main(["verify", path, "--theorem", theorem]))
     assert '"pass": true' in capsys.readouterr().out
     assert (loads, calls) == (4, 4)
+
+
+# -- the integer pieces the lattice oracle scores with --------------------------------
+
+def piece_value(fn, x):
+    """fn at x in its domain closure, read from ``int_pieces``: the piece of
+    the segment after every breakpoint at or below x."""
+    e, alphas, slopes = fn.int_pieces()
+    j = bisect_right(fn.breakpoints, x)
+    return F(alphas[j] * x.denominator + slopes[j] * x.numerator, e * x.denominator)
+
+
+@st.composite
+def piece_functions(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["rand_plconvex", "indicator", "affine", "singleton"]))
+    if kind == "rand_plconvex":
+        return rand_plconvex(rng, 4)
+    if kind == "indicator":
+        return indicator(rand_interval(rng))
+    if kind == "affine":
+        return affine(rand_rational(rng), rand_rational(rng))
+    x = rand_rational(rng)
+    return pl(x, x, (), (0,), x, rand_rational(rng))
+
+
+@settings(max_examples=300, deadline=None)
+@given(piece_functions(), st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30),
+                                   max_size=6))
+def test_int_pieces_give_the_values_of_eval(fn, xs):
+    """At every knot (finite domain ends included) and at random rationals in
+    the domain, the pieces give eval's value as a Fraction; the memo holds
+    only ints, and neither its build nor a lookup compares a Fraction with a
+    float."""
+    points = list(fn.knots()) + [x for x in xs if fn.domain.contains(x)]
+    with mixed_comparisons() as mixed:
+        e, alphas, slopes = fn.int_pieces()
+        got = [piece_value(fn, x) for x in points]
+    assert mixed == []
+    assert all(type(k) is int for k in (e, *alphas, *slopes)) and e > 0
+    assert len(alphas) == len(slopes) == len(fn.slopes)
+    expected = [fn.eval(x) for x in points]
+    assert got == expected
+    assert all(type(v) is F for v in got + expected)
+    assert fn.int_pieces() is fn.int_pieces()
+
+
+def test_int_pieces_read_a_hand_built_anchor_on_any_segment():
+    # segment 0 is read at its right knot, which lies on it whatever the anchor
+    f = max_affine([(-1, 0), (F(1, 3), -1), (2, -3)])
+    for ax in (F(-5), *f.breakpoints, F(7, 2)):
+        raw = PLConvex(f.dom_lo, f.dom_hi, f.breakpoints, f.slopes, ax, f.eval(ax))
+        assert [piece_value(raw, x) for x in (F(-5), *f.breakpoints, F(7, 2))] == \
+            [f.eval(x) for x in (F(-5), *f.breakpoints, F(7, 2))]
