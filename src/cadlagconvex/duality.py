@@ -14,26 +14,22 @@ path on the instance's own grid, where the left limit at t_i is the previous
 slot's value.  The sup/inf underlying conjugates and interchange rules ranges
 over paths on *refinements* of the grid, where a path may jump inside a cell,
 making the value at t_i and the left limit at t_i independent coordinates.
-These read the coordinates of ``inst.refine(FINE)`` (inserted times carry
-zero mass) from the coarse instance, by ``_fine_coordinates``; only the
-oracle, an honest path search, and the hatted witness build that instance.
-The paper pins the left limit at t_0 to 0; ``_pinned_start`` is the one
-place that states it, as coordinates of slot -1 that ``_fine_coordinates``
-and ``eval_Fhat`` walk first, so no reader of a walk has code of its own
-for it.
-
 On either grid the objective separates across (partition cell, slot), so
 both primal functionals, the oracle, both interchange rules, the properness
-diagnostic and the feasible path generator work one coordinate at a time.
-``_coordinates(inst, hatted)`` is the one statement of a fixed-grid
-coordinate's feasible set and charges: the value at slot i lies in what S
-lets a right-continuous selection take and pays mu_i h_i; in the hatted form
-it is also the left limit at t_{i+1}, so Stilde's values on (t_i, t_{i+1})
-and at t_{i+1} cut it and mutilde_{i+1} htilde_{i+1} charges it.  A charge
-is an (atom, integrand) pair and costs the cell's mass times the atom times
-the integrand at the coordinate's value; every walk yields only those with
-a positive atom.  ``eval_F`` and ``eval_Fhat`` are one sum over a walk,
-``_price``.
+diagnostic and the feasible path generator work one coordinate at a time,
+on one walk: ``_coordinates(inst, hatted, factor)`` states the feasible set
+and charges of each coordinate of ``inst.refine(factor)`` (inserted times
+carry zero mass), read from the coarse instance, and in the hatted form
+first the left limit at t_0, which the paper pins to 0, as slot -1.  The
+value at slot i lies in what S lets a right-continuous selection take and
+pays mu_i h_i; in the hatted form it is also the left limit at the next
+time, so Stilde cuts it and, just before t_{i+1}, mutilde_{i+1} htilde_{i+1}
+charges it.  The fine walk is ``_coordinates(inst, True, FINE)``; only the
+oracle, an honest path search, and the hatted witness build the refined
+instance.  A charge is an (atom, integrand) pair and costs the cell's mass
+times the atom times the integrand at the coordinate's value; every walk
+yields only those with a positive atom.  ``eval_F`` and ``eval_Fhat`` are
+one sum over a walk, ``_price``.
 
 Each coordinate is evaluated once, on the data of the cell's first
 scenario.  That is exact: the constructors of :class:`Instance` and
@@ -270,7 +266,7 @@ def eval_F(inst: Instance, y: RandomPath) -> Ext:
 
 def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
     """The hatted functional: adds the left-limit costs and Stilde's constraints, at 0 too."""
-    return _price(inst, y, chain(_pinned_start(inst), _coordinates(inst, True)))
+    return _price(inst, y, _coordinates(inst, True))
 
 
 def _price(inst: Instance, y: RandomPath, coords) -> Ext:
@@ -343,76 +339,60 @@ def _charged(terms) -> list:
     return [(atom, fn) for atom, fn in terms if atom > 0]
 
 
-def _coordinates(inst: Instance, hatted: bool):
-    """Yield (slot, cell, mass, feasible interval, terms) for every coordinate.
+def _coordinates(inst: Instance, hatted: bool, factor: int = 1):
+    """Yield (slot, cell, mass, feasible interval, terms) for every coordinate
+    of ``inst.refine(factor)``, read from ``inst`` without building it; the
+    hatted form yields first the pinned start.
 
-    At slot i the value lies in ``S.attainable_at(i)`` and pays mu_i h_i; in
-    the hatted form, for i < n-1, it is also the left limit at t_{i+1}: Stilde
-    cuts it on (t_i, t_{i+1}) and at t_{i+1}, and mutilde_{i+1} htilde_{i+1}
-    charges it.  ``terms`` holds the ``_charged`` (atom, integrand) pairs.  Both
-    are the same for every scenario of the cell, so only the first one's are
-    read.  A caller that searches a bounded range cuts the interval itself.
+    Fine slot j lies in coarse slot i = j // factor, with the cells of
+    partitions[i].  At j = i * factor the value lies in ``S.attainable_at(i)``
+    and pays mu_i h_i; at an inserted slot it lies in S's cell value of slot
+    i and pays nothing, as the inserted mu atom is 0.  In the hatted form,
+    for i < n-1, the value is also the left limit at the next fine time, so
+    Stilde's cell value of slot i cuts it; only the slot just before t_{i+1}
+    meets Stilde's point value at t_{i+1} and pays mutilde_{i+1} htilde_{i+1}.
+    The pinned start is the left limit at t_0, pinned to 0: slot -1 per cell
+    of partitions[0], with {0} meet Stilde(0) and the charge mutilde_0
+    htilde_0; it is no value of the path.  ``terms`` holds the ``_charged``
+    (atom, integrand) pairs.  Both are the same for every scenario of the
+    cell, so only the first one's are read.  A caller that searches a
+    bounded range cuts the interval itself.
+
+    Not building ``inst.refine(factor)`` loses no rejection of its
+    constructor, as refinement keeps measurability: an inserted slot carries
+    cell data of slot i, constant on partitions[i], and so are the
+    predictable htilde_{i+1} and Stilde's point value at t_{i+1}.
     """
     tree, n = inst.tree, inst.grid.n_slots
-    for i in range(n):
+    if hatted:
+        zero = RInterval.singleton(Fraction(0))
+        for cell in tree.cells(0):
+            s = cell[0]
+            yield (-1, cell, tree.mass(cell), zero.intersect(inst.st_map(s).point_vals[0]),
+                   _charged([(inst.mutilde.measures[s].atoms[0], inst.htilde.functions[s][0])]))
+    for j in range(factor * (n - 1) + 1):
+        i, inside = divmod(j, factor)
         for cell in tree.cells(i):
             s = cell[0]
-            v = inst.s_map(s).attainable_at(i)
-            terms = [(inst.mu.measures[s].atoms[i], inst.h.functions[s][i])]
+            sm = inst.s_map(s)
+            v = sm.open_vals[i] if inside else sm.attainable_at(i)
+            terms = [] if inside else [(inst.mu.measures[s].atoms[i], inst.h.functions[s][i])]
             if hatted and i < n - 1:
                 stm = inst.st_map(s)
-                v = v.intersect(stm.open_vals[i]).intersect(stm.point_vals[i + 1])
-                terms.append((inst.mutilde.measures[s].atoms[i + 1],
-                              inst.htilde.functions[s][i + 1]))
-            yield i, cell, tree.mass(cell), v, _charged(terms)
-
-
-def _pinned_start(inst: Instance):
-    """The left limit at t_0, pinned to 0: per cell of partitions[0], slot -1
-    with {0} meet Stilde(0) and the charge (mutilde_0, htilde_0), which are
-    predictable, so constant on the cell.  It is no value of the path."""
-    zero = RInterval.singleton(Fraction(0))
-    for cell in inst.tree.cells(0):
-        s = cell[0]
-        yield (-1, cell, inst.tree.mass(cell), zero.intersect(inst.st_map(s).point_vals[0]),
-               _charged([(inst.mutilde.measures[s].atoms[0], inst.htilde.functions[s][0])]))
-
-
-def _fine_coordinates(inst: Instance):
-    """The ``_pinned_start``, then ``_coordinates(r, True)`` for
-    ``r = inst.refine(FINE)``, read from ``inst`` without building r.
-
-    Coarse slot i is fine slot 2i, charged by mu_i h_i only; fine slot 2i+1
-    has the cells of partitions[i], is charged by mutilde_{i+1} htilde_{i+1}
-    only, and has as point and cell values of S and Stilde their cell values
-    of slot i.  Skipping r's constructor loses no rejection, as refinement
-    keeps measurability: slot 2i+1 carries open-cell data of slot i,
-    constant on partitions[i]; the predictable htilde_{i+1} and Stilde's
-    point value at t_{i+1} are constant on partitions[i], the predecessor
-    partition of fine slot 2i+2; and the inserted atoms are 0.
-    """
-    yield from _pinned_start(inst)
-    tree, n = inst.tree, inst.grid.n_slots
-    for j in range(2 * n - 1):
-        i, inside = divmod(j, 2)
-        for cell in tree.cells(i):
-            s = cell[0]
-            sm, stm = inst.s_map(s), inst.st_map(s)
-            v = sm.open_vals[i] if inside else sm.point_vals[i]
-            if i < n - 1:  # the hatted cut of _coordinates on fine slot j
-                v = v.intersect(sm.open_vals[i]).intersect(stm.open_vals[i]).intersect(
-                    stm.point_vals[i + 1] if inside else stm.open_vals[i])
-            terms = ([(inst.mutilde.measures[s].atoms[i + 1], inst.htilde.functions[s][i + 1])]
-                     if inside else [(inst.mu.measures[s].atoms[i], inst.h.functions[s][i])])
+                v = v.intersect(stm.open_vals[i])
+                if inside == factor - 1:  # the slot just before t_{i+1}
+                    v = v.intersect(stm.point_vals[i + 1])
+                    terms.append((inst.mutilde.measures[s].atoms[i + 1],
+                                  inst.htilde.functions[s][i + 1]))
             yield j, cell, tree.mass(cell), v, _charged(terms)
 
 
 def _no_selection(inst: Instance) -> bool:
-    """Whether some ``_fine_coordinates`` set, the pinned start's included, is
-    empty, so that no selection of the constraints exists; a fact of the
-    instance alone, decided once per instance."""
+    """Whether some set of ``_coordinates(inst, True, FINE)``, the pinned
+    start's included, is empty, so that no selection of the constraints
+    exists; a fact of the instance alone, decided once per instance."""
     return once(inst, "no_selection", lambda: any(
-        feas.is_empty for _, _, _, feas, _ in _fine_coordinates(inst)))
+        feas.is_empty for _, _, _, feas, _ in _coordinates(inst, True, FINE)))
 
 
 def _coordinate_infima(inst: Instance, coords):
@@ -425,9 +405,9 @@ def _coordinate_infima(inst: Instance, coords):
     (None if not attained; the feasible point nearest 0 where no charge has
     mass); and the right-hand side: the cell's mass times every charged atom
     of the coordinates, empty ones included, against the integrand's infimum
-    over the line.  ``coords`` is ``_coordinates`` or ``_fine_coordinates``;
-    the pinned start's slot -1 adds to the infimum and the right-hand side
-    but to no path.
+    over the line.  ``coords`` is a ``_coordinates`` walk, such as
+    ``_coordinates(inst, True, FINE)``; the pinned start's slot -1 adds to
+    the infimum and the right-hand side but to no path.
     """
     costs, rhs = [], []
     path = {s: [] for s in inst.tree.scenarios}
@@ -462,7 +442,8 @@ def assumption_report(inst: Instance) -> Dict:
     left start, properness (a feasible point with finite cost exists) and
     the constructive affine minorants.  A slot-wise condition is computed as
     its failing slots, which the report lists under ``failing_slots``.
-    Properness is read on the ``_fine_coordinates``, pinned start included.
+    Properness is read on ``_coordinates(inst, True, FINE)``, pinned start
+    included.
 
     Decided once per instance: every call on it returns the same dict, which
     callers read and never change.
@@ -474,7 +455,7 @@ def _assumption_report(inst: Instance) -> Dict:
     # a scenario is improper on a fine coordinate that is empty or on which
     # a charged integrand is +inf throughout
     improper = set()
-    for _, cell, _, feas, terms in _fine_coordinates(inst):
+    for _, cell, _, feas, terms in _coordinates(inst, True, FINE):
         if feas.is_empty or any(feas.intersect(fn.domain).is_empty for _, fn in terms):
             improper.update(cell)
     zero = RInterval.singleton(Fraction(0))
@@ -556,12 +537,13 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
         return -(-num // den) if up else num // den
 
     r = inst.refine(FINE)
-    rd = d.refine(FINE)
-    n = r.grid.n_slots
     needed = 0
-    coords = []
+    coords, pinned = [], []
     box = RInterval(-B, B)
     for i, cell, mass, feas, terms in _coordinates(r, True):
+        if i < 0:  # the pinned start: no lattice, scored after the budget check
+            pinned.append((mass, feas, terms))
+            continue
         # lattice indices k of the points -B + k*delta in the constraint,
         # which lies in [-B, B], so 0 <= k <= 2B/delta
         constraint = box.intersect(feas)
@@ -575,7 +557,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
         raise BudgetExceededError(needed, budget)
 
     total: Ext = Fraction(0)  # less the cost of the pinned start, paired with no atom
-    for _, _, mass, feas, terms in _pinned_start(r):
+    for mass, feas, terms in pinned:
         cost = xsum([xmul(mass * atom, fn.eval(Fraction(0))) for atom, fn in terms])
         if feas.is_empty or cost == INF:
             return NEG_INF
@@ -598,9 +580,13 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     # one scoring per coordinate, on the cell's first scenario, weighted by
     # the cell's mass: the data is constant on the cell (module docstring)
     for i, cell, mass, k_lo, k_hi, terms in coords:
-        coeff = rd.u.measures[cell[0]].atoms[i]
-        if i + 1 < n:
-            coeff += rd.ut.measures[cell[0]].atoms[i + 1]
+        # the pairing coefficient of fine slot i, read from the coarse dual as
+        # GridMeasure.refine places it: u_k where FINE divides i, ut_{k+1}
+        # where FINE divides i + 1, 0 elsewhere
+        k, inside = divmod(i, FINE)
+        coeff = d.u.measures[cell[0]].atoms[k] if inside == 0 else Fraction(0)
+        if inside == FINE - 1:
+            coeff += d.ut.measures[cell[0]].atoms[k + 1]
         charged = []
         for atom, fn in terms:
             if id(fn) not in lattice:
@@ -779,10 +765,10 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     """Interchange over adapted paths, with an explicit witness.
 
     The left side minimizes per (partition cell, slot) since the objective
-    separates across the tree; for the hatted form this runs on the
-    ``_fine_coordinates``.  When every slot infimum is attained, the
-    minimizers form an adapted witness, whose primal value is asserted to
-    equal the left side exactly.  For the hatted form, built only then on
+    separates across the tree; for the hatted form this runs on
+    ``_coordinates(inst, True, FINE)``.  When every slot infimum is
+    attained, the minimizers form an adapted witness, whose primal value is
+    asserted to equal the left side exactly.  For the hatted form, built only then on
     ``inst.refine(FINE)``, it is the ``scenario.paste`` of the
     left-limit-optimal path into the cells announcing the predictable atoms,
     as the tests check: on the refined grid no coordinate has two charges.
@@ -793,7 +779,7 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
         raise ValueError("form must be 'F' or 'Fhat'")
     assumptions = assumption_report(inst)
     hatted, tree = form == "Fhat", inst.tree
-    coords = _fine_coordinates(inst) if hatted else _coordinates(inst, False)
+    coords = _coordinates(inst, hatted, FINE if hatted else 1)
     lhs, path, rhs = _coordinate_infima(inst, coords)
     out = {
         "form": form,

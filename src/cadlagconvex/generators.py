@@ -11,11 +11,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .duality import (DualPair, Instance, _coordinates, _pinned_start,
-                       assumption_report, make_instance)
+from .duality import (DualPair, Instance, _coordinates, assumption_report,
+                       make_instance)
 from .plconvex import PLConvex, _canonical, _canonical_anchor, pl
 from .rationals import INF, NEG_INF, is_finite, xle
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
@@ -237,12 +236,13 @@ def _finite_dual_atom(rng: random.Random, fn: PLConvex, mass: Fraction) -> Fract
 def rand_feasible_path(rng: random.Random, inst: Instance) -> RandomPath:
     """Adapted path with finite hatted value, drawn per partition cell in the
     set of its ``_coordinates(inst, True)`` cut by the domains of the
-    integrands charged there.  ValueError if a cut set, or the
-    ``_pinned_start``'s (never drawn), is empty."""
+    integrands charged there: the instance's own grid, not the fine walk
+    ``_coordinates(inst, True, FINE)``.  ValueError if a cut set, the pinned
+    start's (slot -1, never drawn) included, is empty."""
     tree, grid = inst.tree, inst.grid
     vals: Dict[str, List[Optional[Fraction]]] = {s: [None] * grid.n_slots
                                                  for s in tree.scenarios}
-    for i, cell, _, feas, terms in chain(_pinned_start(inst), _coordinates(inst, True)):
+    for i, cell, _, feas, terms in _coordinates(inst, True):
         for _, fn in terms:
             feas = feas.intersect(fn.domain)
         if feas.is_empty:

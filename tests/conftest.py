@@ -60,8 +60,10 @@ def rebuilt(x):
 
 
 # The pinned left limit 0 at t_0 as the library stated it before it became
-# the coordinates of ``duality._pinned_start``; the reference bodies of the
-# oracle, the properness loop and the refined entry points use these copies.
+# slot -1 of the hatted walk ``duality._coordinates(inst, True, FINE)``; the
+# reference bodies of the oracle, the properness loop and the refined entry
+# points use these copies, and the walk's slot -1 is checked against
+# ``refined_pinned_start``.
 
 def _zero_start_ok(inst: Instance, scenario: str) -> bool:
     return inst.st_map(scenario).point_vals[0].contains(Fraction(0))
@@ -78,12 +80,29 @@ def _zero_start_cost(inst: Instance) -> Ext:
     return xsum(terms)
 
 
+def refined_pinned_start(r: Instance):
+    """The coordinates of slot -1 of ``r``, from its own data: per cell of
+    partitions[0], the left limit 0 cut by every scenario's Stilde(0),
+    charged by mutilde_0 htilde_0 (a zero atom included)."""
+    out = []
+    for cell in r.tree.cells(0):
+        feas = RInterval.singleton(Fraction(0))
+        for s in cell:
+            feas = feas.intersect(r.st_map(s).point_vals[0])
+        s = cell[0]
+        out.append((-1, cell, r.tree.mass(cell), feas,
+                    [(r.mutilde.measures[s].atoms[0], r.htilde.functions[s][0])]))
+    return out
+
+
 # The fixed-grid coordinates as the library stated them before
 # ``duality._coordinates(inst, hatted)`` read its own sets and charges:
 # per-scenario sets, a charge list and the walk over both.  The reference
 # bodies of the oracle, the properness loop, the feasible path, the infima
-# and the interchange witness use these copies; ``_fixed_value_sets`` builds
-# afresh on every call, where the library's copy kept one per instance.
+# and the interchange witness use these copies, on ``inst.refine(FINE)``
+# where the library walks ``_coordinates(inst, True, FINE)``;
+# ``_fixed_value_sets`` builds afresh on every call, where the library's
+# copy kept one per instance.
 
 def _fixed_value_sets(inst: Instance) -> Dict[str, Tuple[RInterval, ...]]:
     """Per scenario, the per-slot feasible values of fixed-grid paths for the

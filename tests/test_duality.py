@@ -30,7 +30,7 @@ from cadlagconvex.setmaps import SetMap
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid, eval_I
 
 from conftest import (_fixed_value_sets, _zero_start_ok, forget_last_load, preset,
-                      rand_interval, rand_setmap)
+                      rand_interval, rand_setmap, refined_pinned_start)
 
 G2 = TimeGrid((0, 1))
 G3 = TimeGrid((0, 1, 2))
@@ -1042,24 +1042,38 @@ class TestChargeLayout:
                 inst.tree.scenarios, rand_setmap(rng, inst.grid))) for _ in range(2))
             inst = make_instance(inst.tree, inst.grid, inst.h, inst.mu, inst.mutilde,
                                  inst.htilde, S, Stilde)
-        for x, hatted in itertools.product((inst, inst.refine(FINE)), (False, True)):
-            n = x.grid.n_slots
-            sets = {s: self.fresh(x, s, hatted) for s in x.tree.scenarios}
-            seen = []
-            for i, cell, mass, feas, terms in _coordinates(x, hatted):
-                assert mass == sum(x.tree.prob(s) for s in cell)
-                for s in cell:
-                    seen.append((i, s))
-                    # the value at t_i pays mu_i h_i and, as the left limit
-                    # at t_{i+1}, mutilde_{i+1} htilde_{i+1}; a zero atom
-                    # charges nothing, so the walk leaves its term out
-                    want = [(x.mu.measures[s].atoms[i], x.h.functions[s][i])]
-                    if hatted and i + 1 < n:
-                        want.append((x.mutilde.measures[s].atoms[i + 1],
-                                     x.htilde.functions[s][i + 1]))
-                    assert terms == [(atom, fn) for atom, fn in want if atom > 0]
-                    assert feas == sets[s][i]
-            assert sorted(seen) == sorted(itertools.product(range(n), x.tree.scenarios))
+        # the walk at factor k against the definition on the materialised
+        # inst.refine(k), and the walk of that refinement, as the oracle runs it
+        for k, hatted in itertools.product((1, FINE, 3), (False, True)):
+            x = inst.refine(k) if k > 1 else inst
+            self.assert_is_the_definition(x, hatted, _coordinates(inst, hatted, k))
+            if k > 1:
+                self.assert_is_the_definition(x, hatted, _coordinates(x, hatted))
+
+    def assert_is_the_definition(self, x, hatted, walk):
+        n = x.grid.n_slots
+        sets = {s: self.fresh(x, s, hatted) for s in x.tree.scenarios}
+        coords = list(walk)
+        # the hatted walk starts with the pinned start, whose zero-atom
+        # charge it leaves out
+        start = [(i, cell, mass, feas, [(atom, fn) for atom, fn in terms if atom > 0])
+                 for i, cell, mass, feas, terms in refined_pinned_start(x)] if hatted else []
+        assert coords[:len(start)] == start
+        seen = []
+        for i, cell, mass, feas, terms in coords[len(start):]:
+            assert mass == sum(x.tree.prob(s) for s in cell)
+            for s in cell:
+                seen.append((i, s))
+                # the value at t_i pays mu_i h_i and, as the left limit
+                # at t_{i+1}, mutilde_{i+1} htilde_{i+1}; a zero atom
+                # charges nothing, so the walk leaves its term out
+                want = [(x.mu.measures[s].atoms[i], x.h.functions[s][i])]
+                if hatted and i + 1 < n:
+                    want.append((x.mutilde.measures[s].atoms[i + 1],
+                                 x.htilde.functions[s][i + 1]))
+                assert terms == [(atom, fn) for atom, fn in want if atom > 0]
+                assert feas == sets[s][i]
+        assert sorted(seen) == sorted(itertools.product(range(n), x.tree.scenarios))
 
     def test_rand_feasible_path_keeps_the_pinned_start(self):
         inst = pinned_start_doc().instance

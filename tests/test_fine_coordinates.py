@@ -1,12 +1,15 @@
 """The coordinates of the refined grid read from the coarse instance.
 
-``_fine_coordinates(inst)`` against the pinned start and ``_coordinates`` on
-the materialised ``inst.refine(FINE)``, tuple by tuple, and the entry points
-that switched to it against copies of their bodies on the refined instance;
-and ``eval_Fhat``, which walks ``_coordinates``, against its per-scenario body.
+``_coordinates(inst, hatted, k)`` against the pinned start of the
+materialised ``inst.refine(k)`` and the walk on it, tuple by tuple, at k = 2
+(``FINE``) and 3; the entry points that walk ``_coordinates(inst, True,
+FINE)`` against copies of their bodies on the refined instance; and
+``eval_Fhat``, which walks ``_coordinates(inst, True)``, against its
+per-scenario body.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (_charges, _fixed_value_sets, _zero_start_cost, _zero_start_ok,
-                      rand_interval, sets_coordinates)
+                      rand_interval, refined_pinned_start, sets_coordinates)
 
 from cadlagconvex import duality
 from cadlagconvex.duality import (FINE, Instance, _coordinate_infima, _coordinates,
-                                  _fine_coordinates, _off_domain, assumption_report,
-                                  conj_pointwise, eval_F, eval_Fhat, interchange_stoch,
-                                  support_DS)
+                                  _off_domain, assumption_report, conj_pointwise, eval_F,
+                                  eval_Fhat, interchange_stoch, support_DS)
 from cadlagconvex.generators import (_per_cell, rand_coarse, rand_finite_dual,
                                      rand_passing_instance)
 from cadlagconvex.plconvex import RInterval
@@ -105,30 +107,21 @@ def typed(x):
     return type(x), x
 
 
-def refined_pinned_start(r):
-    """The coordinates of slot -1 of the refinement ``r``, from its own data:
-    per cell of partitions[0], the left limit 0 cut by every scenario's
-    Stilde(0), charged by mutilde_0 htilde_0."""
-    out = []
-    for cell in r.tree.cells(0):
-        feas = RInterval.singleton(F(0))
-        for s in cell:
-            feas = feas.intersect(r.st_map(s).point_vals[0])
-        s = cell[0]
-        out.append((-1, cell, r.tree.mass(cell), feas,
-                    [(r.mutilde.measures[s].atoms[0], r.htilde.functions[s][0])]))
-    return out
+FACTORS = (FINE, 3)
 
 
-def assert_same_coordinates(inst, bound):
-    """The generator's coordinates, each interval cut to ``bound`` here, are
-    the pinned start, whose zero-atom charge the walk leaves out, and those
-    ``_coordinates`` yields on the refinement, cut to that bound."""
-    r = inst.refine(FINE)
+def assert_same_coordinates(inst, bound, factor, hatted):
+    """The walk's coordinates of ``inst.refine(factor)``, each interval cut to
+    ``bound`` here, are (hatted) the refinement's pinned start, whose
+    zero-atom charge the walk leaves out, and those the walk yields on the
+    materialised refinement past slot -1, cut to that bound."""
+    r = inst.refine(factor)
+    start = refined_pinned_start(r) if hatted else []
     want = [(i, cell, mass, bound.intersect(feas), [(a, fn) for a, fn in terms if a > 0])
-            for i, cell, mass, feas, terms in refined_pinned_start(r) + list(_coordinates(r, True))]
+            for i, cell, mass, feas, terms in start + [
+                c for c in _coordinates(r, hatted) if c[0] >= 0]]
     got = [(i, cell, mass, bound.intersect(feas), terms)
-           for i, cell, mass, feas, terms in _fine_coordinates(inst)]
+           for i, cell, mass, feas, terms in _coordinates(inst, hatted, factor)]
     assert len(got) == len(want)
     for (i, cell, mass, feas, terms), (wi, wcell, wmass, wfeas, wterms) in zip(got, want):
         assert (i, cell) == (wi, wcell)
@@ -146,15 +139,15 @@ def assert_same_coordinates(inst, bound):
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS))
 def test_fine_coordinates_equal_those_of_the_refined_instance(seed, kind):
     inst, _ = drawn_instance(seed, kind)
-    for bound in bounds(inst):
-        assert_same_coordinates(inst, bound)
+    for bound, factor, hatted in itertools.product(bounds(inst), FACTORS, (False, True)):
+        assert_same_coordinates(inst, bound, factor, hatted)
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_fine_coordinates_of_every_preset_equal_those_of_its_refinement(name):
     inst = PRESETS[name].instance
-    for bound in bounds(inst):
-        assert_same_coordinates(inst, bound)
+    for bound, factor, hatted in itertools.product(bounds(inst), FACTORS, (False, True)):
+        assert_same_coordinates(inst, bound, factor, hatted)
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,33 +413,35 @@ def test_fine_coordinates_do_not_refine(monkeypatch):
     inst, rng = drawn_instance(7, "constrained")
     d = rand_finite_dual(rng, inst)
     monkeypatch.setattr(Instance, "_refine", refuse)
-    list(_fine_coordinates(inst))
+    for factor, hatted in itertools.product(FACTORS, (False, True)):
+        list(_coordinates(inst, hatted, factor))
     assumption_report(inst)
     support_DS(inst, d)
-    _coordinate_infima(inst, _fine_coordinates(inst))
+    _coordinate_infima(inst, _coordinates(inst, True, FINE))
+    _coordinate_infima(inst, _coordinates(inst, True, 3))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_instance_facts_walk_the_fine_coordinates_once(monkeypatch, kind):
     # whether a fine coordinate is empty, and the assumption report, are facts
     # of the instance alone: one walk each, however many duals are checked
-    walk = duality._fine_coordinates
+    walk = duality._coordinates
     walks = []
 
-    def counted(inst):
-        walks.append(inst)
-        return walk(inst)
+    def counted(inst, hatted, factor=1):
+        walks.append((inst, hatted, factor))
+        return walk(inst, hatted, factor)
 
-    monkeypatch.setattr(duality, "_fine_coordinates", counted)
+    monkeypatch.setattr(duality, "_coordinates", counted)
     for seed in range(10):
         inst, rng = drawn_instance(seed, kind)
         inst = dataclasses.replace(inst)  # no memo: rand_passing_instance read the report
         duals = [rand_finite_dual(rng, inst) for _ in range(3)]
-        empty = any(feas.is_empty for _, _, _, feas, _ in walk(inst))
+        empty = any(feas.is_empty for _, _, _, feas, _ in walk(inst, True, FINE))
         walks.clear()
         reports = [assumption_report(inst) for _ in range(3)]
         for d in duals:
             assert (conj_pointwise(inst, d) == NEG_INF) == empty
             assert (support_DS(inst, d) == NEG_INF) == empty
-        assert walks == [inst, inst]
+        assert walks == [(inst, True, FINE)] * 2
         assert reports[1] is reports[0] and reports[2] is reports[0]
