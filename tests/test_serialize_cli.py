@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import time
+from collections import OrderedDict
 from fractions import Fraction as F
 from importlib import resources
 
@@ -151,6 +152,23 @@ def _containers(inner):
                      st.dictionaries(st.text(max_size=3), inner, max_size=4),
                      st.dictionaries(st.one_of(st.integers(-3, 3), st.text(max_size=2)),
                                      inner, max_size=3))
+
+
+# strings json.dumps escapes: non-ASCII, control characters and lone surrogates
+JSON_STRINGS = st.one_of(
+    st.text(max_size=4),
+    st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()),
+            max_size=4),
+    st.sampled_from(["", "\x00\x1f\x7f", "é\u2028ü", "\ud800", "x\udfffy", "\U0001f600",
+                     '"\\/\b\f\n\r\t']))
+
+json_trees = st.recursive(st.one_of(
+    st.none(), st.booleans(), JSON_STRINGS,
+    st.integers(), st.sampled_from([2 ** 64, -(10 ** 100), 10 ** 4000]),
+    st.floats(), st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 2.0])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=30)
 
 
 # what a report may hold
@@ -419,6 +437,58 @@ class TestSerialization:
         b = {"theorem": "x", "pass": True, "timestamp": 2.0}
         assert reports_equal(a, b)
         assert not reports_equal(a, {**b, "pass": False})
+
+    @pytest.mark.parametrize("number, spelling", [(1.5, "1.5"), (float("nan"), "nan")])
+    def test_reports_equal_tells_a_number_from_its_spelling(self, number, spelling):
+        a = {"theorem": "x", "lhs": number}
+        assert reports_equal(a, dict(a))
+        assert not reports_equal(a, {"theorem": "x", "lhs": spelling})
+
+    def test_report_diff_tells_a_number_from_its_spelling(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('{"theorem": "x", "lhs": NaN}')
+        b.write_text('{"theorem": "x", "lhs": "nan"}')
+        assert cli.main(["report-diff", str(a), str(b)]) == 1
+        assert capsys.readouterr().out == "reports differ\n"
+
+    # -- the indented writer is json.dumps ------------------------------------------
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_trees)
+    def test_indented_equals_json_dumps(self, value):
+        assert serialize._indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_values)
+    def test_indented_equals_json_dumps_on_reports(self, value):
+        value = serialize.jsonable(value)
+        assert serialize._indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_indented_writes_subclasses_and_refuses_as_json_does(self):
+        class Row(list):
+            pass
+        value = {Label("k"): [Label("v"), True], "d": OrderedDict(b=Row([1, ()]), a={}),
+                 "n": (F(1),)}
+        with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+            serialize._indented(value)
+        del value["n"]
+        assert serialize._indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_json_dumps_writes_from_python_3_13_on(self):
+        assert (serialize._dumps is serialize._indented) == (sys.version_info < (3, 13))
+
+    def test_a_loaded_float_dim_is_written_back_unquoted(self, tmp_path):
+        with open(bundled("cs"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["model"]["G"]["point_cones"][0]["dim"] = 2.0
+        src, out = tmp_path / "cs.json", tmp_path / "again.json"
+        src.write_text(json.dumps(doc))
+        dump_instance(load_instance(str(src)), str(out))
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert '"dim": 2.0,' in text
 
     # -- jsonable is unchanged -------------------------------------------------------
 
