@@ -10,10 +10,10 @@ file's ``setmap_S`` (:func:`finmodels.band_setmap`).
 
 Every instance file and report is written as ASCII only, indented by 2
 spaces, with sorted keys and a trailing newline: exactly
-``json.dumps(value, indent=2, sort_keys=True) + "\\n"``.  Before Python 3.13
-``json`` indents through a pure-Python encoder, so on 3.10-3.12 the text
-comes from :func:`_indented`, which writes the same bytes in about half the
-time; from 3.13 on ``json.dumps`` indents in C, faster still, and writes it.
+``json.dumps(value, indent=2, sort_keys=True) + "\\n"``.  The text comes
+from :func:`_indented`, which writes those bytes on every Python version:
+before 3.13 ``json`` indents through a pure-Python encoder, and on 3.11
+``_indented`` takes less than half its time.
 
 The model-section readers import ``finmodels`` and ``polycone`` themselves,
 so a file without a model section loads neither: an ``obstacle``, ``bidask``
@@ -56,7 +56,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-import sys
 from contextvars import ContextVar
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -549,6 +548,16 @@ def load_instance(path: str) -> InstanceDoc:
 _quoted = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
 
 
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str as itself, a float, int,
+    bool or ``None`` as the string of its JSON text, any other key refused."""
+    if isinstance(key, str):
+        return _quoted(key)
+    if key is None or isinstance(key, (float, int)):
+        return _quoted(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _indented(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, written without
     ``json``'s indenting encoder, which is pure Python before 3.13.
@@ -557,9 +566,8 @@ def _indented(value, indent: str = "\n") -> str:
     ``None``, booleans, ints, dicts, lists and tuples are written here, a
     subclass of the last three as its base type, and any other value (a
     float, a subclass of str or int, an unknown type) by ``json.dumps(value)``,
-    so it is written or refused exactly as there.  Keys must be strings, as
-    in every document this module writes: another key raises ``TypeError``,
-    where ``json.dumps`` would write some as strings."""
+    so it is written or refused exactly as there.  Keys are sorted as they
+    are and written by :func:`_key`, as ``json.dumps`` writes them."""
     kind = type(value)
     if kind is str:
         return _quoted(value)
@@ -570,7 +578,7 @@ def _indented(value, indent: str = "\n") -> str:
         items = []
         for key in sorted(value):
             item = value[key]
-            items.append(_quoted(key) + ": " + (
+            items.append((_quoted(key) if type(key) is str else _key(key)) + ": " + (
                 _quoted(item) if type(item) is str else _indented(item, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
@@ -595,17 +603,9 @@ def _indented(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-# the text of every written file and report: json.dumps indents in C from 3.13 on
-if sys.version_info >= (3, 13):
-    def _dumps(value) -> str:
-        return json.dumps(value, indent=2, sort_keys=True)
-else:
-    _dumps = _indented
-
-
 def dump_instance(idoc: InstanceDoc, path: str) -> None:
     try:  # build the text before opening the path: a failure leaves no file
-        text = _dumps(instance_doc_to_json(idoc)) + "\n"
+        text = _indented(instance_doc_to_json(idoc)) + "\n"
     except ValueError as exc:  # str() of a Fraction with too many digits
         raise SchemaError(f"cannot write a value of more than {MAX_EXPONENT} digits") from exc
     _write_text(path, text)
@@ -652,7 +652,7 @@ def jsonable(value):
 
 
 def dump_report(report: dict, path: Optional[str]) -> str:
-    text = _dumps(jsonable(report)) + "\n"
+    text = _indented(jsonable(report)) + "\n"
     if path:
         _write_text(path, text)
     return text

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import time
 from collections import OrderedDict
@@ -28,7 +29,7 @@ from cadlagconvex.serialize import (InstanceDoc, Model, SchemaError, cone_from_j
                                     instance_doc_from_json,
                                     instance_doc_to_json, load_instance,
                                     path_from_json, plconvex_from_json,
-                                    plconvex_to_json, reports_equal)
+                                    plconvex_to_json, reports_equal, tree_to_json)
 from cadlagconvex.plconvex import RInterval, pl
 from cadlagconvex.rationals import INF, NEG_INF, fmt
 from cadlagconvex.scenario import RandomIntegrand, RandomPath, ScenarioTree
@@ -167,7 +168,9 @@ json_trees = st.recursive(st.one_of(
     st.integers(), st.sampled_from([2 ** 64, -(10 ** 100), 10 ** 4000]),
     st.floats(), st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 2.0])),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-                            st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+                            st.dictionaries(JSON_STRINGS, inner, max_size=4),
+                            st.dictionaries(st.integers() | st.floats() | st.booleans(), inner,
+                                            max_size=3)),
     max_leaves=30)
 
 
@@ -476,8 +479,22 @@ class TestSerialization:
         del value["n"]
         assert serialize._indented(value) == json.dumps(value, indent=2, sort_keys=True)
 
-    def test_json_dumps_writes_from_python_3_13_on(self):
-        assert (serialize._dumps is serialize._indented) == (sys.version_info < (3, 13))
+    @pytest.mark.parametrize("value", [{None: 0}, {True: 0, 2: 1, 1.5: 2}, {(1,): 0},
+                                       {1: 0, "1": 1}, {-0.0: 0, float("nan"): 1}])
+    def test_indented_writes_and_refuses_keys_as_json_does(self, value):
+        try:
+            expected = json.dumps(value, indent=2, sort_keys=True)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+                serialize._indented(value)
+        else:
+            assert serialize._indented(value) == expected
+
+    def test_a_tree_with_int_scenario_ids_is_written_as_json_does(self):
+        half = F(1, 2)
+        doc = tree_to_json(ScenarioTree((1, 2), (half, half), (((1, 2),), ((1,), (2,)))))
+        assert serialize._indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert '"1": "1/2"' in serialize._indented(doc)
 
     def test_a_loaded_float_dim_is_written_back_unquoted(self, tmp_path):
         with open(bundled("cs"), encoding="utf-8") as fh:
