@@ -28,6 +28,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional
 
 from . import duality, presets
@@ -422,21 +423,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command and map what it raises to one stderr line and an exit code.
 
     Only rejected input is mapped; any other exception propagates.  The
-    parser is built on the first call and reused: ``parse_args`` returns a
-    fresh namespace and every default is immutable, so no state carries over
-    between calls.  Building it takes about ten times as long as parsing; it
-    is not built at import time."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    parser is built on the first call and reused (``functools.cache``):
+    ``parse_args`` returns a fresh namespace and every default is immutable,
+    so no state carries over between calls.  Building it takes about ten
+    times as long as parsing; it is not built at import time.  Per-object
+    memos are ``plconvex.once`` when keyed, ``cached_property`` otherwise."""
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CommandError as exc:

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .rationals import INF, NEG_INF, Ext, Q, ext, is_finite, rat, xle, xmul
@@ -27,7 +28,10 @@ def once(obj, key, build: Callable[[], object]):
     """``build()``, made once per frozen ``obj`` and hashable ``key``.
 
     The memo sits in ``vars(obj)`` outside the dataclass fields, so ``==``,
-    ``hash`` and ``repr`` ignore it; a build that raises stores nothing."""
+    ``hash`` and ``repr`` ignore it; a build that raises stores nothing.  It
+    keeps keyed per-object memos: a refinement by its factor, a conjugate or
+    report by its name.  A lazy attribute without arguments is a
+    ``functools.cached_property``, which also writes to ``vars(obj)``."""
     memo = vars(obj).setdefault("_memo", {})
     if key not in memo:
         memo[key] = build()
@@ -218,10 +222,7 @@ class PLConvex:
         """``(e, alphas, slopes)``, all ``int``, e > 0: on segment j, from
         ``breakpoints[j - 1]`` to ``breakpoints[j]`` within the domain
         closure, the function is ``(alphas[j] + slopes[j] * x) / e``.  The
-        affine pieces over one common denominator, built once per object."""
-        return once(self, "int_pieces", self._int_pieces)
-
-    def _int_pieces(self):
+        affine pieces over one common denominator."""
         bps, slopes = self.breakpoints, self.slopes
         x = bps[0] if bps else self.anchor_x  # a point of segment 0
         alphas = [self._finite_value(x) - slopes[0] * x]
@@ -233,10 +234,10 @@ class PLConvex:
 
     # -- structure ----------------------------------------------------------
 
-    @property
+    @cached_property
     def domain(self) -> RInterval:
         """``[dom_lo, dom_hi]``, built once per object."""
-        return once(self, "domain", lambda: RInterval(self.dom_lo, self.dom_hi))
+        return RInterval(self.dom_lo, self.dom_hi)
 
     def knots(self) -> Tuple[Q, ...]:
         """Finite domain endpoints and breakpoints, increasing."""

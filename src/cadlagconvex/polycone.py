@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -170,28 +171,22 @@ class PolyCone:
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
-        self._generators: Optional[Tuple[Vec, ...]] = None
-        self._halfspaces: Optional[Tuple[Vec, ...]] = None
         if generators is not None:
-            self._generators = _ray_form(generators, dim, "generator")
+            self.generators = _ray_form(generators, dim, "generator")
         if halfspaces is not None:  # a zero normal is a trivial inequality
-            self._halfspaces = _ray_form(halfspaces, dim, "half-space")
-        if self._generators is None and self._halfspaces is None:
+            self.halfspaces = _ray_form(halfspaces, dim, "half-space")
+        if generators is None and halfspaces is None:
             raise ValueError("need generators or half-spaces")
 
     # -- forms ----------------------------------------------------------------
 
-    @property
+    @cached_property
     def generators(self) -> Tuple[Vec, ...]:
-        if self._generators is None:
-            self._generators = _dd_rays(self._halfspaces, self.dim)
-        return self._generators
+        return _dd_rays(self.halfspaces, self.dim)
 
-    @property
+    @cached_property
     def halfspaces(self) -> Tuple[Vec, ...]:
-        if self._halfspaces is None:
-            self._halfspaces = _dd_rays(self._generators, self.dim)
-        return self._halfspaces
+        return _dd_rays(self.generators, self.dim)
 
     @classmethod
     def from_generators(cls, generators: Iterable, dim: int) -> "PolyCone":
@@ -228,7 +223,7 @@ class PolyCone:
         if not self.generators:
             return PolyCone.whole_space(self.dim)
         out = PolyCone(self.dim, halfspaces=self.generators)
-        out._generators = self.halfspaces
+        out.generators = self.halfspaces
         return out
 
     def pointed(self) -> bool:
@@ -255,8 +250,7 @@ class PolyCone:
     __hash__ = None
 
     def __repr__(self):
-        gens = self._generators if self._generators is not None else "?"
-        return f"PolyCone(dim={self.dim}, generators={gens})"
+        return f"PolyCone(dim={self.dim}, generators={vars(self).get('generators', '?')})"
 
 
 def cone_hull(cones: Sequence[PolyCone]) -> PolyCone:
@@ -303,11 +297,6 @@ class ConeMap:
     @classmethod
     def constant(cls, grid: TimeGrid, cone: PolyCone) -> "ConeMap":
         return cls(grid, (cone,) * grid.n_slots, (cone,) * grid.n_cells)
-
-    def vec_map(self) -> "ConeMap":
-        """Left-limit mapping: {0} at t_0, preceding cell cone afterwards."""
-        points = (PolyCone.zero(self.dim),) + self.cell_cones
-        return ConeMap(self.grid, points, self.cell_cones)
 
     def polar_map(self) -> "ConeMap":
         return ConeMap(self.grid,

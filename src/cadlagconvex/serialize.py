@@ -39,10 +39,11 @@ their repeated values.  Parts that differ in JSON type alone (``1`` and
 
 Python code that loads one file several times in one process, as by calling
 ``cli.main(["verify", path, ...])`` once per theorem, parses it once:
-:func:`load_instance` keeps one slot, the text of the last file that parsed
-completely and its :class:`InstanceDoc`.  A file whose text equals it, at
-any path, gets that same document back without being parsed; any other text
-is parsed and replaces the slot.  The key is the text, not the path or its
+:func:`load_instance` keeps one slot, a ``functools.lru_cache(maxsize=1)``
+keyed by the text of the last file that parsed completely and holding its
+:class:`InstanceDoc`.  A file whose text equals it, at any path, gets that
+same document back without being parsed; any other text is parsed and
+replaces the slot.  The key is the text, not the path or its
 modification time, so an edited file is always parsed again.  The shared
 document is read-only by convention (:class:`InstanceDoc`), and it keeps the
 memos its objects built (conjugates, refinements), so later checks on the
@@ -58,7 +59,8 @@ import os
 import stat
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from .duality import DualPair, Instance, make_instance
 from .plconvex import PLConvex, RInterval, pl
@@ -515,8 +517,10 @@ def instance_doc_to_json(idoc: InstanceDoc) -> dict:
     }
 
 
-# (text, document) of the last instance file that parsed completely
-_LAST: Optional[Tuple[str, InstanceDoc]] = None
+@lru_cache(maxsize=1)
+def _parsed(text: str) -> InstanceDoc:
+    """The document in ``text``, kept for the last text that parsed completely."""
+    return instance_doc_from_json(json.loads(text))
 
 
 def load_instance(path: str) -> InstanceDoc:
@@ -529,20 +533,14 @@ def load_instance(path: str) -> InstanceDoc:
     read, decoded or parsed raises with the message it always gave and is
     never stored.  A document nested too deep to decode or parse within the
     recursion limit cannot be read either."""
-    global _LAST
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        last = _LAST
-        if last is not None and last[0] == text:
-            return last[1]
-        idoc = instance_doc_from_json(json.loads(text))
+        return _parsed(text)
     except SchemaError:
         raise
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8 decoding
         raise SchemaError(f"cannot read instance file: {exc}") from exc
-    _LAST = (text, idoc)  # one assignment: a text is never seen with another's document
-    return idoc
 
 
 _quoted = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
@@ -603,12 +601,17 @@ def _indented(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def dump_instance(idoc: InstanceDoc, path: str) -> None:
-    try:  # build the text before opening the path: a failure leaves no file
-        text = _indented(instance_doc_to_json(idoc)) + "\n"
+def _text(to_json: Callable[[object], object], value: object) -> str:
+    """The file text of ``to_json(value)``, built before a file is opened so
+    that a value too long to write leaves none."""
+    try:
+        return _indented(to_json(value)) + "\n"
     except ValueError as exc:  # str() of a Fraction with too many digits
         raise SchemaError(f"cannot write a value of more than {MAX_EXPONENT} digits") from exc
-    _write_text(path, text)
+
+
+def dump_instance(idoc: InstanceDoc, path: str) -> None:
+    _write_text(path, _text(instance_doc_to_json, idoc))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -652,7 +655,7 @@ def jsonable(value):
 
 
 def dump_report(report: dict, path: Optional[str]) -> str:
-    text = _indented(jsonable(report)) + "\n"
+    text = _text(jsonable, report)
     if path:
         _write_text(path, text)
     return text

@@ -28,7 +28,7 @@ from cadlagconvex.timegrid import TimeGrid
 
 def forget_last_load() -> None:
     """Empty the one-document slot of ``load_instance``: its next call parses."""
-    serialize._LAST = None
+    serialize._parsed.cache_clear()
 
 
 @pytest.fixture(autouse=True)

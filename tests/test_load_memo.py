@@ -105,16 +105,16 @@ def test_a_file_refined_in_place_is_parsed_again(theorem, basic, capsys):
 def test_a_malformed_edit_exits_2_and_is_not_stored(basic, old, new, capsys):
     argv = ("verify", basic, "--theorem", "conjugate")
     assert run(argv, capsys)[0] == 0
-    last = serialize._LAST
     with open(basic, encoding="utf-8") as fh:
         text = fh.read()
+    last = serialize._parsed(text)
     with open(basic, "w", encoding="utf-8") as fh:
         fh.write(text.replace(old, new, 1))
     for _ in range(2):
         code, out, err = run(argv, capsys)
         assert (code, out, len(err.splitlines())) == (2, "", 1)
         assert err.startswith("schema error:") and "Traceback" not in err
-        assert serialize._LAST is last
+        assert serialize._parsed(text) is last
 
 
 def test_the_same_text_at_another_path_is_the_same_document(basic, tmp_path):

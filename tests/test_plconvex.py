@@ -1019,7 +1019,6 @@ def test_int_pieces_give_the_values_of_eval(fn, xs):
     expected = [fn.eval(x) for x in points]
     assert got == expected
     assert all(type(v) is F for v in got + expected)
-    assert fn.int_pieces() is fn.int_pieces()
 
 
 def test_int_pieces_read_a_hand_built_anchor_on_any_segment():

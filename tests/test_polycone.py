@@ -194,7 +194,7 @@ def test_cone_forms_equal_the_fraction_sort(data):
             PolyCone(dim, generators=gens, halfspaces=halfs)
         return
     cone = PolyCone(dim, generators=gens, halfspaces=halfs)
-    got = (cone._generators, cone._halfspaces)
+    got = (vars(cone).get("generators"), vars(cone).get("halfspaces"))
     assert got == want
     for form in got:
         for ray in form or ():
@@ -450,12 +450,3 @@ class TestRegularity:
             cs_regularity_check(g_map, other)
 
 
-def test_vec_map_shifts_cells():
-    g = TimeGrid((0, 1, 2))
-    a = PolyCone.from_generators([(1, 0)], 2)
-    b = PolyCone.from_generators([(0, 1)], 2)
-    cm = ConeMap(g, (a, b, a), (b, a))
-    vec = cm.vec_map()
-    assert vec.point_cones[0] == PolyCone.zero(2)
-    assert vec.point_cones[1] == b
-    assert vec.point_cones[2] == a

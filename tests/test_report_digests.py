@@ -11,7 +11,9 @@ draws and the other ten are multi-scenario draws with finite infima, whose
 reports carry values and a witness.  The bundled presets add the full
 assumption report with its ``failing_slots`` and both sides of the
 deterministic interchange rule, and the two model presets add the reports of
-their own theorems.  The digests were recorded before the slot conditions of
+their own theorems.  A tests-only instance pins the four checks that walk
+``Stilde`` where its value at a grid time is narrower than the cell
+before it.  The digests were recorded before the slot conditions of
 ``duality`` were given one definition each; the model-report digests before
 the model section came to be parsed at load.
 
@@ -35,7 +37,7 @@ from cadlagconvex.duality import assumption_report, interchange_det
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance, rand_plconvex)
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
-from cadlagconvex.serialize import InstanceDoc, dump_instance, dump_report
+from cadlagconvex.serialize import InstanceDoc, dump_instance, dump_report, load_instance
 
 CHECKS = (("interchange-stoch", "--form", "F"), ("interchange-stoch", "--form", "Fhat"),
           ("subdiff",), ("conjugate",), ("support-ds",))
@@ -198,6 +200,43 @@ DRAWS_SHA256 = {
     3: "069a336efa1a331e11bc5a9a658c963ecd721ac82ed4509d5988b472890448c7",
 }
 
+# A deterministic instance whose Stilde(t_1) = [-1, 1] is narrower than the
+# cell value [-2, 2] before it, and whose htilde_2 has mass, so its reports
+# depend on the last fine slot of each refined cell reading Stilde at the
+# cell's right end: read from the cell value instead, the lattice oracle
+# gives 55/8 against the closed form's 31/8 (conjugate) and 43/4 against
+# 31/4 (support-ds).
+ABS_2 = {"dom": ["-2", "2"], "breakpoints": ["0"], "slopes": ["-1", "1"], "anchor": ["0", "0"]}
+ODD_SLOT_DOC = {
+    "grid": ["0", "1", "2"],
+    "tree": {"scenarios": ["w"], "probs": {"w": "1"}, "partitions": [[["w"]]] * 3},
+    "integrand_h": {"flag": "optional", "functions": {"w": [ABS_2] * 3}},
+    "integrand_htilde": {"flag": "predictable", "functions": {"w": [
+        {"dom": ["0", "0"], "breakpoints": [], "slopes": ["0"], "anchor": ["0", "0"]},
+        *[{"dom": ["-1", "1"], "breakpoints": ["1/2"], "slopes": ["-1", "2"],
+           "anchor": ["1/2", "0"]}] * 2]}},
+    "mu": {"w": ["1", "1", "1"]},
+    "mutilde": {"w": ["0", "0", "1"]},
+    "setmap_S": {"w": {"point_vals": [["-2", "2"]] * 3, "open_vals": [["-2", "2"]] * 2}},
+    "setmap_Stilde": {"w": {"point_vals": [["0", "0"], ["-1", "1"], ["-1", "1"]],
+                            "open_vals": [["-2", "2"]] * 2}},
+    "duals": [{"u": {"w": ["1/2", "3/2", "1/4"]}, "ut": {"w": ["0", "3", "-1/4"]}}],
+    "paths": [{"w": ["1/2", "1/2", "1/4"]}],
+    "model": None,
+}
+
+# (exit code, sha256 of the report without its timestamp) per check on it
+ODD_SLOT_SHA256 = {
+    ("conjugate",): (
+        0, "e444273dd11425c531df71de6f23fcc6612413d27816ecfcfbd210d4ba330b3c"),
+    ("support-ds",): (
+        0, "708058c1e9ce7b33e615390f4c3a82e2b1c1260a2b4dfdd03a75d23ed692abd1"),
+    ("interchange-stoch", "--form", "Fhat"): (
+        0, "5cc00863f4a47d5fda654c71152f1cd3cd6710e0532eb23a8f4c9e9de12e4c98"),
+    ("subdiff",): (
+        0, "510f0b495cf152811afef3da42f2373818365d89d1985cb809b51acd45fa828d"),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -281,3 +320,11 @@ def test_sampled_draws_keep_their_fields(seed):
     text = repr([(typed_fields(fn), typed_fields(fn.conjugate())) for fn in fns]
                 + [rng.getstate()])
     assert sha256(text) == DRAWS_SHA256[seed]
+
+
+@pytest.mark.parametrize("check", sorted(ODD_SLOT_SHA256))
+def test_odd_slot_stilde_reports_keep_their_bytes(check, tmp_path, capsys):
+    path = tmp_path / "odd-slot.json"
+    path.write_text(json.dumps(ODD_SLOT_DOC))
+    assert assumption_report(load_instance(str(path)).instance)["all_ok"]
+    assert verify_outcome(str(path), check, capsys) == ODD_SLOT_SHA256[check]

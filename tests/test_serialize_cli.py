@@ -208,8 +208,8 @@ class TestSerialization:
     @pytest.mark.parametrize("doc, gens, rows", CONE_FORMS)
     def test_cone_from_json_keeps_the_forms_given(self, doc, gens, rows):
         cone = cone_from_json(doc)
-        assert cone._generators == gens
-        assert cone._halfspaces == rows
+        assert vars(cone).get("generators") == gens
+        assert vars(cone).get("halfspaces") == rows
         assert cone_from_json(cone_to_json(cone)) == cone
 
     def test_shared_cones_keep_each_document_s_forms(self):
@@ -231,8 +231,8 @@ class TestSerialization:
             serialize._PARSED.reset(token)
         for doc, cone in zip(docs * 2, shared):
             fresh = cone_from_json(doc)
-            assert (cone.dim, cone._generators, cone._halfspaces) == \
-                (fresh.dim, fresh._generators, fresh._halfspaces)
+            assert (cone.dim, vars(cone).get("generators"), vars(cone).get("halfspaces")) == \
+                (fresh.dim, vars(fresh).get("generators"), vars(fresh).get("halfspaces"))
         assert all(a is b for a, b in zip(shared[:len(docs)], shared[len(docs):]))
 
     def test_cone_without_either_form_is_a_schema_error(self):
@@ -932,6 +932,25 @@ class TestCli:
         assert out.read_text() == "kept\n" if existing else not out.exists()
         assert self.run("refine", str(edited), "--factor", "2", "-o", str(out)) == 0
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("theorem", ["jensen", "subdiff"])
+    def test_a_report_value_fmt_cannot_write_exits_2(self, theorem, existing, tmp_path, capsys):
+        # each atom loads (2,710 and 2,672 digits); the reports of these two
+        # checks hold a value with more than 4300
+        doc = basic_doc()
+        for atoms in doc["mu"].values():
+            atoms[0], atoms[2] = "1/" + str(2 ** 9000), "1/" + str(3 ** 5600)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        if existing:
+            report.write_text("kept\n")
+        assert self.run("verify", str(edited), "--theorem", theorem,
+                        "--report", str(report)) == 2
+        assert_one_error_line(capsys, "schema error: cannot write a value of more than "
+                                      "4300 digits")
+        assert report.read_text() == "kept\n" if existing else not report.exists()
+
     @pytest.mark.parametrize("preset, path, value, message", [
         pytest.param(*case, id=f"{case[0]}-{OWN_THEOREM[case[0]]}-path{i}")
         for i, case in enumerate(MODEL_EDITS)])
@@ -1179,7 +1198,7 @@ class TestCli:
         assert not out.exists()
 
     def test_parser_is_built_once(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+        cli._parser.cache_clear()
         builds = []
         build = cli.build_parser
 

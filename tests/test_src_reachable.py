@@ -5,8 +5,9 @@ A name defined in ``src/cadlagconvex`` must be referenced in the code of
 reaches it.  A reference is a name, an attribute, an imported name, or a
 string constant that is one identifier, since ``bench/layertrace.py`` names
 its targets as ``(owner, "attr")``.  A mention in a docstring or a comment
-is not a reference.  Code that only the tests call belongs in the tests or
-nowhere.
+is not a reference.  A method is matched by its name only, so it counts as
+used when another class's method of that name is.  Code that only the tests
+call belongs in the tests or nowhere.
 """
 
 import ast
