@@ -254,7 +254,7 @@ def _check_cs(idoc: InstanceDoc, args) -> Dict:
 
 
 def _check_currency(idoc: InstanceDoc, args) -> Dict:
-    from .finmodels import currency_model, vector_pairing
+    from .finmodels import currency_model
     parts = _model_parts(idoc, args, "currency")
     try:
         cm = currency_model(parts["solvency"])
@@ -268,8 +268,7 @@ def _check_currency(idoc: InstanceDoc, args) -> Dict:
         mem = cm.is_member(u, ut)
         entry = {"dual": k, "member": mem["member"]}
         if mem["member"]:
-            worst = max(vector_pairing(cm.sample_selection(rng), u, ut)
-                        for _ in range(args.count))
+            worst = cm.max_sampled_pairing(rng, u, ut, args.count)
             entry["max_sampled_pairing"] = worst
             entry["polarity_ok"] = worst <= 0
             ok = ok and worst <= 0

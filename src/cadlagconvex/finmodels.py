@@ -2,12 +2,12 @@
 
 Bid-ask bands S_t = [b_t, a_t] between an optional bid and ask, with their
 left regularizations, and cone-valued currency-market constraints with polar
-membership certificates.  The obstacle is the band with no ask, the
-half-line [b_t, +inf): :func:`band_setmap` builds both constraint maps and
-one closed form prices both supports, the ask (+inf without one) against
-the positive parts of the dual atoms and the bid against the negative
-parts.  Each closed form is what the generic ``support_DS`` and the
-brute-force oracle must reproduce.
+membership certificates and a sampled polarity check.  The obstacle is the
+band with no ask, the half-line [b_t, +inf): :func:`band_setmap` builds both
+constraint maps and one closed form prices both supports, the ask (+inf
+without one) against the positive parts of the dual atoms and the bid
+against the negative parts.  Each closed form is what the generic
+``support_DS`` and the brute-force oracle must reproduce.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .duality import DualPair, Instance, indicator_integrand, make_instance
@@ -309,6 +310,12 @@ class CurrencyModel:
     G at its slot and each atom of the predictable measure into the
     preceding cell cone (the polar of the left-limit constraint).  Cone
     membership is scale invariant, so atom directions need no normalization.
+
+    The polarity of a member is checked by sampling: a selection takes at
+    each slot a combination, with coefficients ``randint(0, 4)``, of the
+    generators of the cone it can reach there, and every sampled pairing
+    must be <= 0.  :meth:`max_sampled_pairing` scores the samples through
+    the integer pairing table of :meth:`generator_pairings`.
     """
 
     solvency: ConeMap
@@ -344,21 +351,54 @@ class CurrencyModel:
         """:meth:`attainable_cone` of every slot, built once per model."""
         return tuple(self.attainable_cone(i) for i in range(self.grid.n_slots))
 
+    def _draw_coefficients(self, rng) -> List[List[int]]:
+        """The coefficients of one sampled selection: ``rng.randint(0, 4)``
+        per generator of each attainable cone, in slot order, then generator
+        order.  A slot whose cone has no generators draws nothing."""
+        randint = rng.randint
+        return [[randint(0, 4) for _ in cone.generators] for cone in self._attainable_cones]
+
     def sample_selection(self, rng) -> VectorPath:
-        """Random rational selection: nonnegative combinations of generators."""
-        values = []
-        for cone in self._attainable_cones:
-            gens = cone.generators
-            dim = self.solvency.dim
-            if not gens:
-                values.append(tuple(Fraction(0) for _ in range(dim)))
-                continue
-            coeffs = [Fraction(rng.randint(0, 4)) for _ in gens]
-            vec = tuple(
-                sum((c * g[k] for c, g in zip(coeffs, gens)), Fraction(0))
-                for k in range(dim))
-            values.append(vec)
-        return VectorPath(self.grid, tuple(values))
+        """Random rational selection: at each slot, the combination of the
+        attainable cone's generators with the coefficients of
+        :meth:`_draw_coefficients` (the zero vector where there are none)."""
+        dim = self.solvency.dim
+        return VectorPath(self.grid, tuple(
+            tuple(sum((c * g[k] for c, g in zip(coeffs, cone.generators)), Fraction(0))
+                  for k in range(dim))
+            for cone, coeffs in zip(self._attainable_cones, self._draw_coefficients(rng))))
+
+    def generator_pairings(self, u: VectorMeasure,
+                           ut: VectorMeasure) -> Tuple[Tuple[Q, ...], ...]:
+        """The pairing table: per slot i and generator g_ij of its attainable
+        cone, w_ij = <g_ij, u_i> + <g_ij, ut_{i+1}>, without the ut term at
+        the last slot.  It is :func:`vector_pairing` of the path that is g_ij
+        at slot i and 0 elsewhere, so a selection with coefficients c_ij
+        pairs to sum c_ij w_ij."""
+        rows = []
+        for i, cone in enumerate(self._attainable_cones):
+            c = u.atoms[i]
+            if i < self.grid.n_cells:
+                c = tuple(map(operator.add, c, ut.atoms[i + 1]))
+            rows.append(tuple(vdot(g, c) for g in cone.generators))
+        return tuple(rows)
+
+    def max_sampled_pairing(self, rng, u: VectorMeasure, ut: VectorMeasure,
+                            count: int) -> Fraction:
+        """``max(vector_pairing(self.sample_selection(rng), u, ut) for _ in
+        range(count))``, drawing the same numbers from ``rng``.
+
+        The pairing table goes over one common denominator L as integers W,
+        so each sample scores as the integer sum of c_ij W_ij; the largest is
+        returned as one ``Fraction(best, L)``.
+        """
+        table = [w for row in self.generator_pairings(u, ut) for w in row]
+        denom = lcm(*(w.denominator for w in table))
+        scaled = [w.numerator * (denom // w.denominator) for w in table]
+        best = max(sum(map(operator.mul, chain.from_iterable(self._draw_coefficients(rng)),
+                           scaled))
+                   for _ in range(count))
+        return Fraction(best, denom)
 
 
 def currency_model(solvency: ConeMap) -> CurrencyModel:

@@ -6,12 +6,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadlagconvex import cli, finmodels
 from cadlagconvex.duality import (DualPair, bruteforce_gap_bound,
                                   conj_bruteforce, support_DS)
-from cadlagconvex.finmodels import (ScalarProcess, VectorMeasure,
-                                    bidask_model, bidask_support,
+from cadlagconvex.finmodels import (CurrencyModel, ScalarProcess, VectorMeasure,
+                                    VectorPath, bidask_model, bidask_support,
                                     currency_model, left_lsc_reg, left_usc_reg,
                                     obstacle_model, obstacle_support,
                                     right_usc_slots, vector_pairing)
@@ -19,6 +21,7 @@ from cadlagconvex.polycone import ConeMap, PolyCone
 from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF
 from cadlagconvex.scenario import RandomMeasure, RandomPath, ScenarioTree
+from cadlagconvex.serialize import load_instance
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid
 
 G3 = TimeGrid((0, 1, 2))
@@ -280,3 +283,186 @@ class TestCurrency:
         halfplane = PolyCone.from_generators([(1, 0), (-1, 0), (0, 1)], 2)
         with pytest.raises(ValueError):
             currency_model(ConeMap.constant(self.grid(), halfplane))
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel of the currency check against the sampling loop
+# ---------------------------------------------------------------------------
+
+def reference_max(cm, rng, u, ut, count):
+    """The reference for the kernel: the largest pairing of ``count``
+    selections, each sampled and paired as a path."""
+    return max(vector_pairing(cm.sample_selection(rng), u, ut) for _ in range(count))
+
+
+def assert_kernel_matches(cm, duals, seed, count):
+    """The duals in turn on one generator, as ``_check_currency`` runs them:
+    equal values, all of type Fraction, and the same generator state after
+    each dual, so no dual draws more or fewer numbers than the sampler."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for u, ut in duals:
+        got = cm.max_sampled_pairing(rng, u, ut, count)
+        want = reference_max(cm, ref, u, ut, count)
+        assert got == want
+        assert type(got) is F and type(want) is F
+        assert rng.getstate() == ref.getstate()
+
+
+def coefficient_selection(cm, rng):
+    """A sampled selection from its definition: ``rng.randint(0, 4)`` per
+    generator of each attainable cone, slot by slot, generator by generator,
+    and nothing drawn at a slot whose cone has no generators."""
+    dim = cm.solvency.dim
+    values = []
+    for i in range(cm.grid.n_slots):
+        vec = [F(0)] * dim
+        for g in cm.attainable_cone(i).generators:
+            c = rng.randint(0, 4)
+            vec = [x + c * gk for x, gk in zip(vec, g)]
+        values.append(tuple(vec))
+    return VectorPath(cm.grid, tuple(values))
+
+
+def assert_pairings_are_unit_paths(cm, u, ut):
+    """w_ij is the pairing of the path that is g_ij at slot i and 0 elsewhere."""
+    zero = (F(0),) * cm.solvency.dim
+    table = cm.generator_pairings(u, ut)
+    assert len(table) == cm.grid.n_slots
+    for i, row in enumerate(table):
+        gens = cm.attainable_cone(i).generators
+        assert len(row) == len(gens)
+        for g, w in zip(gens, row):
+            unit = VectorPath(cm.grid, tuple(g if k == i else zero
+                                             for k in range(cm.grid.n_slots)))
+            assert w == vector_pairing(unit, u, ut)
+
+
+def assert_selection_draws(cm, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert cm.sample_selection(rng) == coefficient_selection(cm, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.fixture(scope="module")
+def currency_files(tmp_path_factory):
+    """The currency preset and its ``refine --factor 2`` file, as loaded."""
+    path = bundled_instance_path("currency")
+    fine = str(tmp_path_factory.mktemp("currency") / "currency2.json")
+    assert cli.main(["refine", path, "--factor", "2", "-o", fine]) == 0
+    return [load_instance(p).model.parts for p in (path, fine)]
+
+
+COUNTS = (1, 2, 7, 50)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("count", COUNTS)
+def test_kernel_equals_the_sampling_loop_on_the_preset(currency_files, which, count):
+    parts = currency_files[which]
+    cm = currency_model(parts["solvency"])
+    duals = parts["duals"]
+    members = [d for d in duals if cm.is_member(*d)["member"]]
+    assert 0 < len(members) < len(duals)  # the non-member has a positive w_ij
+    for seed in range(4):
+        assert_kernel_matches(cm, members, seed, count)  # the CLI's sequence
+        assert_kernel_matches(cm, duals, seed, count)
+        for d in duals:
+            assert_kernel_matches(cm, [d], seed, count)
+    for u, ut in duals:
+        assert_pairings_are_unit_paths(cm, u, ut)
+    assert_selection_draws(cm, 5)
+
+
+def _vm(grid, atoms):
+    return VectorMeasure(grid, tuple(tuple(F(x) for x in a) for a in atoms))
+
+
+def test_kernel_on_a_cone_with_no_generators():
+    # the whole plane as the solvency cone at t_1 leaves {0} attainable there
+    grid = TimeGrid((0, 1, 2, 3))
+    plane = PolyCone.from_generators([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    neg = PolyCone.orthant(2).polar()
+    solvency = ConeMap(grid, (neg, plane, neg, neg), (neg, plane, neg))
+    cm = CurrencyModel(solvency, solvency.polar_map(), {})
+    assert [len(cm.attainable_cone(i).generators) for i in range(4)] == [2, 0, 2, 2]
+    duals = [
+        (_vm(grid, ((-1, F(-1, 2)), (1, 1), (F(1, 3), -2), (-1, -1))),
+         _vm(grid, ((0, 0), (F(-1, 5), 0), (3, 3), (0, 1)))),
+        (_vm(grid, ((1, 0), (0, 0), (0, 0), (0, 0))),
+         _vm(grid, ((0, 0),) * 4)),
+    ]
+    assert cm.generator_pairings(*duals[0])[1] == ()
+    for count in COUNTS:
+        for seed in range(3):
+            assert_kernel_matches(cm, duals, seed, count)
+    for u, ut in duals:
+        assert_pairings_are_unit_paths(cm, u, ut)
+    assert_selection_draws(cm, 11)
+
+
+def test_kernel_with_no_generators_anywhere_draws_nothing():
+    grid = TimeGrid((0, 1))
+    line = PolyCone.from_generators([(1,), (-1,)], 1)
+    cm = CurrencyModel(ConeMap.constant(grid, line), ConeMap.constant(grid, line.polar()), {})
+    u = _vm(grid, ((F(2, 3),), (-1,)))
+    rng = random.Random(3)
+    state = rng.getstate()
+    got = cm.max_sampled_pairing(rng, u, u, 5)
+    assert got == 0 and type(got) is F and rng.getstate() == state
+
+
+def test_kernel_refuses_a_zero_count_like_max():
+    cm = currency_model(ConeMap.constant(G3, PolyCone.orthant(2).polar()))
+    z = _vm(G3, ((0, 0),) * 3)
+    with pytest.raises(ValueError):
+        cm.max_sampled_pairing(random.Random(0), z, z, 0)
+
+
+_atoms = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_weights = st.fractions(min_value=0, max_value=3, max_denominator=6)
+
+
+@st.composite
+def currency_cases(draw):
+    """A solvency cone map of integer families (zero, repeated and opposite
+    rays, so also cones whose attainable cone is {0}), and one to three
+    duals whose atoms are each a nonnegative rational combination of the
+    solvency cone they must point into, or any rational vector: members,
+    non-members and tables with positive entries."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    grid = TimeGrid(tuple(range(n + 1)))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+
+    def cone():
+        return PolyCone.from_generators(draw(st.lists(vec, max_size=4)), dim)
+
+    solvency = ConeMap(grid, tuple(cone() for _ in range(n + 1)),
+                       tuple(cone() for _ in range(n)))
+
+    def atom(k):
+        if k is not None and draw(st.booleans()):
+            ws = draw(st.lists(_weights, min_size=len(k.generators),
+                               max_size=len(k.generators)))
+            return tuple(sum((w * g[j] for w, g in zip(ws, k.generators)), F(0))
+                         for j in range(dim))
+        return tuple(draw(st.lists(_atoms, min_size=dim, max_size=dim)))
+
+    def dual():
+        u = VectorMeasure(grid, tuple(atom(k) for k in solvency.point_cones))
+        ut = VectorMeasure(grid, (atom(None),) + tuple(atom(k) for k in solvency.cell_cones))
+        return u, ut
+
+    duals = [dual() for _ in range(draw(st.integers(1, 3)))]
+    return CurrencyModel(solvency, solvency.polar_map(), {}), duals
+
+
+@settings(max_examples=150, deadline=None)
+@given(currency_cases(), st.integers(1, 50), st.integers(0, 2 ** 32))
+def test_kernel_equals_the_sampling_loop_on_drawn_cone_maps(case, count, seed):
+    cm, duals = case
+    assert_kernel_matches(cm, duals, seed, count)
+    for u, ut in duals:
+        assert_pairings_are_unit_paths(cm, u, ut)
+    assert_selection_draws(cm, seed)

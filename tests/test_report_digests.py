@@ -22,6 +22,13 @@ counts; so the functions they draw are pinned too, with their conjugates and
 the generator state after the last draw.  Both sets of digests were recorded
 before ``rand_plconvex`` and ``conjugate_at_slope`` moved to integer
 arithmetic.
+
+The third sampled check, ``currency``, reports the largest sampled pairing
+of each member dual, which is 0 for both member duals of the bundled
+preset.  A tests-only currency file whose member duals pair strictly
+negatively with every generator pins that value per seed; its digests were
+recorded before the check scored its samples through the integer pairing
+table.
 """
 
 import hashlib
@@ -34,6 +41,7 @@ from conftest import preset
 
 from cadlagconvex import cli
 from cadlagconvex.duality import assumption_report, interchange_det
+from cadlagconvex.finmodels import currency_model
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance, rand_plconvex)
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
@@ -238,6 +246,50 @@ ODD_SLOT_SHA256 = {
 }
 
 
+# A tests-only currency file on four grid times whose solvency cones change
+# from slot to slot.  Duals 0 and 2 are members, and each pairs strictly
+# negatively with every generator of every attainable cone, so the largest
+# sampled pairing is negative and depends on every coefficient drawn; dual 0
+# also carries an atom at t_0 of its predictable measure, which pairs with
+# nothing.  Dual 1 is no member and draws nothing.
+ZERO_FN = {"dom": ["-inf", "inf"], "breakpoints": [], "slopes": ["0"], "anchor": ["0", "0"]}
+PINNED_FN = {"dom": ["0", "0"], "breakpoints": [], "slopes": ["0"], "anchor": ["0", "0"]}
+LINE = ["-inf", "inf"]
+CONES = ({"dim": 2, "generators": [["-1", "0"], ["0", "-1"]]},
+         {"dim": 2, "generators": [["-2", "-1"], ["-1", "-2"]]},
+         {"dim": 2, "generators": [["-3", "-1"], ["1", "-2"]]},
+         {"dim": 2, "generators": [["-1", "0"], ["-1", "-1"]]})
+CURRENCY_DOC = {
+    "grid": ["0", "1", "2", "3"],
+    "tree": {"scenarios": ["w"], "probs": {"w": "1"}, "partitions": [[["w"]]] * 4},
+    "integrand_h": {"flag": "optional", "functions": {"w": [ZERO_FN] * 4}},
+    "integrand_htilde": {"flag": "predictable", "functions": {"w": [PINNED_FN] + [ZERO_FN] * 3}},
+    "mu": {"w": ["0"] * 4},
+    "mutilde": {"w": ["0"] * 4},
+    "setmap_S": {"w": {"point_vals": [LINE] * 4, "open_vals": [LINE] * 3}},
+    "setmap_Stilde": {"w": {"point_vals": [["0", "0"]] + [LINE] * 3, "open_vals": [LINE] * 3}},
+    "duals": [],
+    "paths": [],
+    "model": {"type": "currency",
+              "solvency": {"point_cones": list(CONES), "cell_cones": list(CONES[:3])},
+              "duals": [
+                  {"u": [["-1/2", "-1/3"], ["-3/2", "-5/4"], ["-2", "-3/2"], ["-7/3", "-1/2"]],
+                   "ut": [["5", "7"], ["-1/4", "0"], ["-1", "-1"], ["0", "-1/5"]]},
+                  {"u": [["1/2", "0"], ["0", "0"], ["0", "0"], ["0", "0"]],
+                   "ut": [["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]},
+                  {"u": [["-1/7", "-2/7"], ["-1", "-1"], ["-1", "-3/2"], ["-1", "-1/3"]],
+                   "ut": [["0", "0"], ["0", "0"], ["-1/6", "-1/6"], ["-2", "-2/3"]]},
+              ]},
+}
+
+# (exit code, sha256 of the report without its timestamp) of
+# ``verify --theorem currency --count 50`` on it, per --seed
+CURRENCY_SHA256 = {
+    1: (0, "6e37da38bd45bda10c229c14a3cc99ea88203cfb37f1d46513a4d33da93996fe"),
+    2: (0, "cab5b2242a294874c2a304b7b6b1f016de30d32e4e0ac5fe1d10f0ff772d213f"),
+    3: (0, "8f10e806bc8dd2b124615e531fa773dca3b3789c640c4ddbbf24e3218b4fafaa"),
+}
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -328,3 +380,29 @@ def test_odd_slot_stilde_reports_keep_their_bytes(check, tmp_path, capsys):
     path.write_text(json.dumps(ODD_SLOT_DOC))
     assert assumption_report(load_instance(str(path)).instance)["all_ok"]
     assert verify_outcome(str(path), check, capsys) == ODD_SLOT_SHA256[check]
+
+
+@pytest.fixture
+def currency_doc_path(tmp_path):
+    path = tmp_path / "currency-negative.json"
+    path.write_text(json.dumps(CURRENCY_DOC))
+    return str(path)
+
+
+def test_currency_doc_members_pair_negatively_with_every_generator(currency_doc_path):
+    parts = load_instance(currency_doc_path).model.parts
+    cm = currency_model(parts["solvency"])
+    members = []
+    for u, ut in parts["duals"]:
+        members.append(cm.is_member(u, ut)["member"])
+        if members[-1]:
+            table = [w for row in cm.generator_pairings(u, ut) for w in row]
+            assert len(table) == 8 and all(w < 0 for w in table)
+    assert members == [True, False, True]
+    assert len(set(CURRENCY_SHA256.values())) == len(CURRENCY_SHA256)
+
+
+@pytest.mark.parametrize("seed", sorted(CURRENCY_SHA256))
+def test_currency_sampled_reports_keep_their_bytes(seed, currency_doc_path, capsys):
+    check = ("currency", "--count", "50", "--seed", str(seed))
+    assert verify_outcome(currency_doc_path, check, capsys) == CURRENCY_SHA256[seed]
