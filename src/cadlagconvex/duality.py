@@ -28,8 +28,9 @@ charges it.  The fine walk is ``_coordinates(inst, True, FINE)``; only the
 oracle, an honest path search, and the hatted witness build the refined
 instance.  A charge is an (atom, integrand) pair and costs the cell's mass
 times the atom times the integrand at the coordinate's value; every walk
-yields only those with a positive atom.  ``eval_F`` and ``eval_Fhat`` are
-one sum over a walk, ``_price``.
+holds only those with a positive atom.  ``eval_F`` and ``eval_Fhat`` are
+one sum over a walk, ``_price``.  Each walk is built once per instance and
+(hatted, factor) and shared, read-only, by every reader of that instance.
 
 Each coordinate is evaluated once, on the data of the cell's first
 scenario.  That is exact: the constructors of :class:`Instance` and
@@ -335,14 +336,16 @@ def _off_domain(values: Tuple[RInterval, ...], fns, first: int = 0) -> List[int]
 
 
 def _charged(terms) -> list:
-    """The terms with a positive atom: a zero atom charges nothing."""
-    return [(atom, fn) for atom, fn in terms if atom > 0]
+    """The terms with a positive atom: a zero atom charges nothing.  Every
+    atom is a ``GridMeasure`` atom, so a ``Fraction``, whose sign is its
+    numerator's."""
+    return [(atom, fn) for atom, fn in terms if atom.numerator > 0]
 
 
-def _coordinates(inst: Instance, hatted: bool, factor: int = 1):
-    """Yield (slot, cell, mass, feasible interval, terms) for every coordinate
+def _coordinates(inst: Instance, hatted: bool, factor: int = 1) -> Tuple:
+    """The (slot, cell, mass, feasible interval, terms) of every coordinate
     of ``inst.refine(factor)``, read from ``inst`` without building it; the
-    hatted form yields first the pinned start.
+    hatted form holds first the pinned start.
 
     Fine slot j lies in coarse slot i = j // factor, with the cells of
     partitions[i].  At j = i * factor the value lies in ``S.attainable_at(i)``
@@ -358,33 +361,48 @@ def _coordinates(inst: Instance, hatted: bool, factor: int = 1):
     cell, so only the first one's are read.  A caller that searches a
     bounded range cuts the interval itself.
 
+    The walk is a fact of the instance: it is built once per instance and
+    form through :func:`plconvex.once`, under the key ``("coordinates",
+    hatted, factor)``, and every call returns the same tuple.  Its readers
+    share it, ``terms`` lists included, and never change it.
+
     Not building ``inst.refine(factor)`` loses no rejection of its
     constructor, as refinement keeps measurability: an inserted slot carries
     cell data of slot i, constant on partitions[i], and so are the
     predictable htilde_{i+1} and Stilde's point value at t_{i+1}.
     """
+    return once(inst, ("coordinates", hatted, factor),
+                lambda: _build_coordinates(inst, hatted, factor))
+
+
+def _build_coordinates(inst: Instance, hatted: bool, factor: int) -> Tuple:
+    """The walk of :func:`_coordinates`, built afresh."""
     tree, n = inst.tree, inst.grid.n_slots
+    S, Stilde = inst.S.maps, inst.Stilde.maps
+    mu, mutilde = inst.mu.measures, inst.mutilde.measures
+    h, htilde = inst.h.functions, inst.htilde.functions
+    coords = []
     if hatted:
         zero = RInterval.singleton(Fraction(0))
         for cell in tree.cells(0):
             s = cell[0]
-            yield (-1, cell, tree.mass(cell), zero.intersect(inst.st_map(s).point_vals[0]),
-                   _charged([(inst.mutilde.measures[s].atoms[0], inst.htilde.functions[s][0])]))
+            coords.append((-1, cell, tree.mass(cell), zero.intersect(Stilde[s].point_vals[0]),
+                           _charged([(mutilde[s].atoms[0], htilde[s][0])])))
     for j in range(factor * (n - 1) + 1):
         i, inside = divmod(j, factor)
         for cell in tree.cells(i):
             s = cell[0]
-            sm = inst.s_map(s)
+            sm = S[s]
             v = sm.open_vals[i] if inside else sm.attainable_at(i)
-            terms = [] if inside else [(inst.mu.measures[s].atoms[i], inst.h.functions[s][i])]
+            terms = [] if inside else [(mu[s].atoms[i], h[s][i])]
             if hatted and i < n - 1:
-                stm = inst.st_map(s)
+                stm = Stilde[s]
                 v = v.intersect(stm.open_vals[i])
                 if inside == factor - 1:  # the slot just before t_{i+1}
                     v = v.intersect(stm.point_vals[i + 1])
-                    terms.append((inst.mutilde.measures[s].atoms[i + 1],
-                                  inst.htilde.functions[s][i + 1]))
-            yield j, cell, tree.mass(cell), v, _charged(terms)
+                    terms.append((mutilde[s].atoms[i + 1], htilde[s][i + 1]))
+            coords.append((j, cell, tree.mass(cell), v, _charged(terms)))
+    return tuple(coords)
 
 
 def _no_selection(inst: Instance) -> bool:
@@ -720,7 +738,7 @@ def interchange_det(inst: Instance, side: str = "cadlag") -> Dict:
     s, n = inst.tree.scenarios[0], inst.grid.n_slots
     if side == "cadlag":
         sm, fns, lag = inst.s_map(s), inst.h.functions[s], 0
-        coords = list(_coordinates(inst, False))
+        coords = _coordinates(inst, False)
         failing = michael_check(sm)["failing_slots"]
     elif side == "caglad":
         # a caglad path's slot i is its left limit at t_i, charged by htilde_i

@@ -5,7 +5,8 @@ materialised ``inst.refine(k)`` and the walk on it, tuple by tuple, at k = 2
 (``FINE``) and 3; the entry points that walk ``_coordinates(inst, True,
 FINE)`` against copies of their bodies on the refined instance; and
 ``eval_Fhat``, which walks ``_coordinates(inst, True)``, against its
-per-scenario body.
+per-scenario body; and the walk as one tuple per instance and form, built
+once and shared unchanged by every reader.
 """
 
 import dataclasses
@@ -20,12 +21,12 @@ from hypothesis import strategies as st
 from conftest import (_charges, _fixed_value_sets, _zero_start_cost, _zero_start_ok,
                       rand_interval, refined_pinned_start, sets_coordinates)
 
-from cadlagconvex import duality
+from cadlagconvex import cli, duality
 from cadlagconvex.duality import (FINE, Instance, _coordinate_infima, _coordinates,
                                   _off_domain, assumption_report, conj_pointwise, eval_F,
-                                  eval_Fhat, interchange_stoch, support_DS)
-from cadlagconvex.generators import (_per_cell, rand_coarse, rand_finite_dual,
-                                     rand_passing_instance)
+                                  eval_Fhat, interchange_stoch, subdiff_check, support_DS)
+from cadlagconvex.generators import (_per_cell, rand_coarse, rand_feasible_path,
+                                     rand_finite_dual, rand_passing_instance)
 from cadlagconvex.plconvex import RInterval
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, xmul, xsum
@@ -445,3 +446,107 @@ def test_instance_facts_walk_the_fine_coordinates_once(monkeypatch, kind):
             assert (support_DS(inst, d) == NEG_INF) == empty
         assert walks == [(inst, True, FINE)] * 2
         assert reports[1] is reports[0] and reports[2] is reports[0]
+
+
+# -- one walk per instance and form, shared by every reader ---------------------------
+
+FORMS = ((False, 1), (True, 1), (True, FINE), (True, 3))
+
+
+def assert_same_walk(got, want):
+    """Two walks, tuple by tuple: the same slots, cells, typed masses and
+    interval ends, and the same typed atoms on the same integrand objects."""
+    assert len(got) == len(want)
+    for (i, cell, mass, feas, terms), (wi, wcell, wmass, wfeas, wterms) in zip(got, want):
+        assert (i, cell, typed(mass)) == (wi, wcell, typed(wmass))
+        assert (typed(feas.lo), typed(feas.hi)) == (typed(wfeas.lo), typed(wfeas.hi))
+        assert [(typed(a), id(fn)) for a, fn in terms] == [(typed(a), id(fn)) for a, fn in wterms]
+
+
+def walk_instances():
+    for seed in range(8):
+        for kind in KINDS:
+            yield f"{kind}-{seed}", drawn_instance(seed, kind)[0]
+    for name, doc in PRESETS.items():
+        yield name, doc.instance
+
+
+@pytest.mark.parametrize("name,inst", walk_instances())
+def test_a_walk_is_built_once_per_instance_whatever_order_the_forms_are_asked_in(name, inst):
+    # a key without hatted or without factor hands one form another's walk,
+    # in some order of asking; a copy has an empty memo and builds again
+    fresh = {form: duality._build_coordinates(inst, *form) for form in FORMS}
+    before = {}
+    for order in itertools.permutations(FORMS):
+        x = dataclasses.replace(inst)
+        walks = {form: _coordinates(x, *form) for form in order}
+        for form in FORMS:
+            assert type(walks[form]) is tuple
+            assert_same_walk(walks[form], fresh[form])
+            assert _coordinates(x, *form) is walks[form]
+            assert walks[form] is not before.get(form)
+        before = walks
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_readers_of_one_instance_build_each_walk_once(monkeypatch, kind):
+    build, built = duality._build_coordinates, []
+
+    def counted(inst, hatted, factor):
+        built.append((id(inst), hatted, factor))
+        return build(inst, hatted, factor)
+
+    monkeypatch.setattr(duality, "_build_coordinates", counted)
+    with_path = 0
+    for seed in range(10):
+        inst, rng = drawn_instance(seed, kind)
+        d = rand_finite_dual(rng, inst)
+        try:
+            y = rand_feasible_path(rng, inst)
+        except ValueError:  # no finite-valued path to price
+            y = None
+        inst = dataclasses.replace(inst)  # no memo: the draws read the walks
+        built.clear()
+        assumption_report(inst)
+        conj_pointwise(inst, d)
+        support_DS(inst, d)
+        interchange_stoch(inst, "F")
+        interchange_stoch(inst, "Fhat")
+        if y is not None:
+            with_path += 1
+            eval_Fhat(inst, y)
+            subdiff_check(inst, y, d)
+        assert sorted(set(built)) == sorted(built)
+        assert {(id(inst), True, FINE), (id(inst), False, 1)} <= set(built)
+        if y is not None:
+            assert (id(inst), True, 1) in built
+    assert with_path
+
+
+def memoised_walks(inst, seen=None):
+    """Every walk memoised on ``inst`` and on the instances memoised on it
+    (its refinements, its constraint indicator), with its key."""
+    seen = set() if seen is None else seen
+    if id(inst) in seen:
+        return
+    seen.add(id(inst))
+    for key, value in vars(inst).get("_memo", {}).items():
+        if isinstance(key, tuple) and key[0] == "coordinates":
+            yield inst, key, value
+        elif isinstance(value, Instance):
+            yield from memoised_walks(value, seen)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_no_theorem_changes_a_shared_walk(name, capsys):
+    path = str(bundled_instance_path(name))
+    for theorem in cli.THEOREMS:
+        try:
+            cli.main(["verify", path, "--theorem", theorem])
+        except ValueError:  # interchange-det on a multi-scenario preset
+            pass
+    capsys.readouterr()
+    walks = list(memoised_walks(load_instance(path).instance))  # the document verified
+    assert ("coordinates", True, FINE) in {key for _, key, _ in walks}
+    for inst, (_, hatted, factor), walk in walks:
+        assert_same_walk(walk, duality._build_coordinates(inst, hatted, factor))
