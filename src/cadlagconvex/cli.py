@@ -188,7 +188,7 @@ def _check_jensen(idoc: InstanceDoc, args) -> Dict:
         raise SchemaError("jensen check needs at least one path")
     entries, ok = [], True
     for k, w in enumerate(idoc.paths):
-        rep = jensen_check(inst.h, inst.mu, w, projection="optional")
+        rep = jensen_check(inst.h, inst.mu, w)
         ok = ok and rep["ok"]
         entries.append({"path": k, "lhs": rep["lhs"], "rhs": rep["rhs"],
                         "ok": rep["ok"]})

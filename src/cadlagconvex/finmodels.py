@@ -101,16 +101,6 @@ def left_usc_reg(b: ScalarProcess) -> ScalarProcess:
     return ScalarProcess(b.tree, b.grid, pts, b.cells, flag)
 
 
-def left_lsc_reg(a: ScalarProcess) -> ScalarProcess:
-    """Left lower semicontinuous regularization: liminf from the left.
-
-    Coincides with :func:`left_usc_reg` on cell-constant processes; kept as a
-    separate name because the two regularizations bound different sides of
-    the bid-ask spread.
-    """
-    return left_usc_reg(a)
-
-
 def right_usc_slots(b: ScalarProcess) -> Dict[str, List[int]]:
     """Slots violating right upper semicontinuity (point below the next cell)."""
     return {s: escaping_slots(b.points[s], b.cells[s], 0, operator.ge)
@@ -223,7 +213,9 @@ def bidask_model(b: ScalarProcess, a: ScalarProcess, ybar: RandomPath) -> BidAsk
         raise ValueError(f"regularity failure: bid {bad_b}, ask {bad_a}")
     if not check_adapted(ybar):
         raise ValueError("separating path must be adapted")
-    b_vec, a_under = left_usc_reg(b), left_lsc_reg(a)
+    # the ask's left lsc regularization (liminf from the left) is the same
+    # preceding cell value as the limsup, since the data is cell-constant
+    b_vec, a_under = left_usc_reg(b), left_usc_reg(a)
     for s in b.tree.scenarios:
         vals = ybar.paths[s].values
         lefts = ybar.paths[s].left_values()

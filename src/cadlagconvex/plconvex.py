@@ -173,26 +173,16 @@ class PLConvex:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, x: Ext) -> Ext:
-        """Function value at x; +inf outside the domain closure."""
+    def eval(self, x: Q) -> Ext:
+        """Function value at a finite x; +inf outside the domain closure.
+        An infinite x is refused with ``ValueError``."""
         if not is_finite(x):
-            return self._tail_limit(x)
+            raise ValueError(f"eval needs a finite argument, got {x}")
         if not (xle(self.dom_lo, x) and xle(x, self.dom_hi)):
             return INF
         return self._finite_value(x)
 
     __call__ = eval
-
-    def _tail_limit(self, x: Ext) -> Ext:
-        # limit value at an infinite argument; +inf when outside the domain
-        up = x == INF
-        end, s = (self.dom_hi, self.slopes[-1]) if up else (self.dom_lo, -self.slopes[0])
-        if is_finite(end) or s > 0:
-            return INF
-        if s < 0:
-            return NEG_INF
-        bps = self.breakpoints  # flat outer segment: its value anywhere on it
-        return self._finite_value(bps[-1 if up else 0] if bps else self.anchor_x)
 
     def _first_knot(self) -> Q:
         if is_finite(self.dom_lo):
@@ -484,10 +474,6 @@ def support_fn(interval: RInterval) -> PLConvex:
     if interval.is_empty:
         raise ValueError("support function of the empty interval is improper")
     return indicator(interval).conjugate()
-
-
-def affine(slope, value_at_zero) -> PLConvex:
-    return pl(NEG_INF, INF, (), (slope,), Fraction(0), value_at_zero)
 
 
 def abs_fn() -> PLConvex:

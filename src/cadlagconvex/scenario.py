@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .plconvex import PLConvex, once
 from .rationals import Ext, Q, rat, xmul, xsum
@@ -37,6 +37,8 @@ class ScenarioTree:
 
     def __post_init__(self):
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        if not all(isinstance(s, str) for s in self.scenarios):  # a file keys probs by id
+            raise ValueError("scenario ids must be strings")
         object.__setattr__(self, "probs", tuple(rat(p) for p in self.probs))
         parts = tuple(
             tuple(sorted(tuple(sorted(cell)) for cell in partition))
@@ -198,7 +200,7 @@ def _validate_family(tree: ScenarioTree, grid: TimeGrid, family: Mapping) -> Non
 
 
 # ---------------------------------------------------------------------------
-# Adaptedness and projections
+# Adaptedness and the optional projection
 # ---------------------------------------------------------------------------
 
 def unmeasurable_slot(tree: ScenarioTree, points: Mapping[str, Sequence],
@@ -258,18 +260,8 @@ def check_predictable(x) -> bool:
 
 def optional_projection(w: RandomPath) -> RandomPath:
     """Slot-wise conditional expectation onto the current partition."""
-    return _project(w, lambda i: i)
-
-
-def predictable_projection(w: RandomPath) -> RandomPath:
-    """Slot-wise conditional expectation onto the previous partition."""
-    return _project(w, w.tree.pred_slot)
-
-
-def _project(w: RandomPath, which_slot: Callable[[int], int]) -> RandomPath:
     tree = w.tree
-    per_slot = [tree.cell_average(which_slot(i), w.slot_values(i))
-                for i in range(tree.n_slots)]
+    per_slot = [tree.cell_average(i, w.slot_values(i)) for i in range(tree.n_slots)]
     paths = {
         s: StepPath(w.grid, tuple(per_slot[i][s] for i in range(tree.n_slots)))
         for s in tree.scenarios
@@ -292,7 +284,7 @@ def expected_integral(h: RandomIntegrand, w: RandomPath, mu: RandomMeasure) -> E
 
 
 # ---------------------------------------------------------------------------
-# Jensen's inequality for the projections
+# Jensen's inequality for the optional projection
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -324,36 +316,30 @@ def minorant_certificate(h: RandomIntegrand) -> MinorantCertificate:
         {s: tuple(pairs[id(fn)][1] for fn in h.functions[s]) for s in h.tree.scenarios})
 
 
-def jensen_check(h: RandomIntegrand, mu: RandomMeasure, w: RandomPath,
-                 projection: str = "optional") -> Dict:
-    """Compare E I_h(w) with E I_h of the projected process.
+def jensen_check(h: RandomIntegrand, mu: RandomMeasure, w: RandomPath) -> Dict:
+    """Compare E I_h(w) with E I_h of the optional projection of w.
 
     Preconditions (verified, not assumed): the integrand and measure carry
-    the optional (resp. predictable) flag and are measurable accordingly, the
-    measure is nonnegative, and an integrable affine minorant of h exists;
-    the certificate is produced constructively.
+    the optional flag and are measurable accordingly, the measure is
+    nonnegative, and an integrable affine minorant of h exists; the
+    certificate is produced constructively.
     """
-    if projection not in ("optional", "predictable"):
-        raise ValueError("projection must be 'optional' or 'predictable'")
-    check = check_adapted if projection == "optional" else check_predictable
     problems = []
-    if h.flag != projection or not check(h):
-        problems.append(f"integrand is not {projection}")
-    if not check(mu):
-        problems.append(f"measure is not {projection}")
+    if h.flag != "optional" or not check_adapted(h):
+        problems.append("integrand is not optional")
+    if not check_adapted(mu):
+        problems.append("measure is not optional")
     if not mu.is_nonnegative:
         problems.append("measure is not nonnegative")
     if problems:
         raise ValueError("; ".join(problems))
     cert = minorant_certificate(h)
-    proj = optional_projection(w) if projection == "optional" else predictable_projection(w)
     lhs = expected_integral(h, w, mu)
-    rhs = expected_integral(h, proj, mu)
+    rhs = expected_integral(h, optional_projection(w), mu)
     return {
         "lhs": lhs,
         "rhs": rhs,
         "ok": lhs >= rhs,
-        "projection": projection,
         "minorant": cert,
     }
 

@@ -546,16 +546,6 @@ def load_instance(path: str) -> InstanceDoc:
 _quoted = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
 
 
-def _key(key) -> str:
-    """A dict key as ``json.dumps`` writes it: a str as itself, a float, int,
-    bool or ``None`` as the string of its JSON text, any other key refused."""
-    if isinstance(key, str):
-        return _quoted(key)
-    if key is None or isinstance(key, (float, int)):
-        return _quoted(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _indented(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, written without
     ``json``'s indenting encoder, which is pure Python before 3.13.
@@ -565,7 +555,7 @@ def _indented(value, indent: str = "\n") -> str:
     subclass of the last three as its base type, and any other value (a
     float, a subclass of str or int, an unknown type) by ``json.dumps(value)``,
     so it is written or refused exactly as there.  Keys are sorted as they
-    are and written by :func:`_key`, as ``json.dumps`` writes them."""
+    are; a key that is not a ``str`` is refused with ``TypeError``."""
     kind = type(value)
     if kind is str:
         return _quoted(value)
@@ -576,7 +566,7 @@ def _indented(value, indent: str = "\n") -> str:
         items = []
         for key in sorted(value):
             item = value[key]
-            items.append((_quoted(key) if type(key) is str else _key(key)) + ": " + (
+            items.append(_quoted(key) + ": " + (
                 _quoted(item) if type(item) is str else _indented(item, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:

@@ -43,6 +43,11 @@ def preset(name: str) -> InstanceDoc:
         return instance_doc_from_json(json.load(fh))
 
 
+def affine(slope, value_at_zero) -> PLConvex:
+    """x -> slope * x + value_at_zero on the whole line."""
+    return pl(NEG_INF, INF, (), (slope,), Fraction(0), value_at_zero)
+
+
 def rebuilt(x):
     """x built again from new objects, field by field: equal to x and of its
     type, but not x itself, so no identity shortcut can answer for it."""

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from conftest import preset, rand_setmap
+from conftest import affine, preset, rand_setmap
 
 from cadlagconvex.duality import (DualPair, assumption_report,
                                   bruteforce_gap_bound, conj_bruteforce,
@@ -22,7 +22,7 @@ from cadlagconvex.finmodels import (ScalarProcess, bidask_model, bidask_support,
                                     obstacle_support, vector_pairing)
 from cadlagconvex.generators import (rand_feasible_path, rand_finite_dual,
                                      rand_passing_instance, rand_plconvex, rand_tree)
-from cadlagconvex.plconvex import affine, indicator, support_fn
+from cadlagconvex.plconvex import indicator, support_fn
 from cadlagconvex.polycone import ConeMap, PolyCone, cone_hull, cs_regularity_check
 from cadlagconvex.presets import PRESET_NAMES
 from cadlagconvex.rationals import INF, NEG_INF, is_finite
@@ -257,7 +257,7 @@ def test_criterion_6_jensen():
                     vals.append(dom.nearest_to(F(rng.randint(-4, 4))))
                 w_vals[s] = tuple(vals)
         w = RandomPath(tree, grid, {s: StepPath(grid, v) for s, v in w_vals.items()})
-        rep = jensen_check(h, mu, w, projection="optional")
+        rep = jensen_check(h, mu, w)
         assert rep["ok"], "expectation of the integral may only drop under projection"
         if affine_case:
             assert rep["lhs"] == rep["rhs"]
@@ -447,7 +447,7 @@ def _collect_functionals(idoc: InstanceDoc):
     for pk, y in enumerate(idoc.paths):
         out[f"F[{pk}]"] = eval_F(inst, y)
         out[f"Fhat[{pk}]"] = eval_Fhat(inst, y)
-        rep = jensen_check(inst.h, inst.mu, y, projection="optional")
+        rep = jensen_check(inst.h, inst.mu, y)
         out[f"jensen_lhs[{pk}]"] = rep["lhs"]
         out[f"jensen_rhs[{pk}]"] = rep["rhs"]
         for dk, d in enumerate(idoc.duals):

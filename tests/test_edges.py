@@ -7,32 +7,26 @@ import pytest
 
 from cadlagconvex import cli
 from cadlagconvex.duality import conj_bruteforce, conj_pointwise
-from cadlagconvex.plconvex import (EMPTY_INTERVAL, RInterval, abs_fn, affine,
-                                   indicator, pl, restrict)
+from cadlagconvex.plconvex import (EMPTY_INTERVAL, RInterval, abs_fn, indicator, pl,
+                                   restrict)
 from cadlagconvex.presets import bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, ext, fmt, rat, xmul, xneg, xsum
 from cadlagconvex.serialize import tree_from_json
 from cadlagconvex.timegrid import TimeGrid
 
+from conftest import affine
 from test_duality import det_dual, det_instance
 
 
-class TestEvalAtInfinity:
-    def test_bounded_domain_is_infinite_outside(self):
-        box = indicator(RInterval(F(0), F(2)))
-        assert box.eval(INF) == INF and box.eval(NEG_INF) == INF
-
-    def test_positive_tail_slope_diverges_up(self):
-        assert abs_fn().eval(INF) == INF
-        assert abs_fn().eval(NEG_INF) == INF
-
-    def test_negative_tail_slope_diverges_down(self):
-        assert affine(F(1), F(0)).eval(NEG_INF) == NEG_INF
-        assert affine(F(-2), F(5)).eval(INF) == NEG_INF
-
-    def test_flat_tail_takes_knot_value(self):
-        halfline = pl(F(1), INF, (), (F(0),), F(1), F(7))
-        assert halfline.eval(INF) == 7
+@pytest.mark.parametrize("fn", [indicator(RInterval(F(0), F(2))), abs_fn(),
+                                affine(F(-2), F(5)), pl(F(1), INF, (), (F(0),), F(1), F(7))],
+                         ids=["bounded", "kinked", "falling", "flat-tailed"])
+@pytest.mark.parametrize("x", [INF, NEG_INF])
+def test_eval_refuses_an_infinite_argument(fn, x):
+    """Every caller evaluates at a finite point; an infinite one is an error,
+    not a limit, whatever the tails of the function."""
+    with pytest.raises(ValueError, match=f"^eval needs a finite argument, got {x}$"):
+        fn.eval(x)
 
 
 class TestRestrict:

@@ -14,7 +14,7 @@ from cadlagconvex.duality import (DualPair, bruteforce_gap_bound,
                                   conj_bruteforce, support_DS)
 from cadlagconvex.finmodels import (CurrencyModel, ScalarProcess, VectorMeasure,
                                     VectorPath, bidask_model, bidask_support,
-                                    currency_model, left_lsc_reg, left_usc_reg,
+                                    currency_model, left_usc_reg,
                                     obstacle_model, obstacle_support,
                                     right_usc_slots, vector_pairing)
 from cadlagconvex.polycone import ConeMap, PolyCone
@@ -57,11 +57,6 @@ class TestRegularizations:
         b = ScalarProcess(tree, G3, {"w": (0, 9, 0)}, {"w": (0, 0)}, "optional")
         reg = left_usc_reg(b)
         assert reg.points["w"][2] == 0  # the spike at t_1 never shows up
-
-    def test_lsc_equals_usc_on_cell_constant_processes(self):
-        tree = det_tree()
-        a = ScalarProcess(tree, G3, {"w": (0, 2, 5)}, {"w": (1, 4)}, "optional")
-        assert left_lsc_reg(a).points == left_usc_reg(a).points
 
     def test_predictable_flag_on_random_trees(self):
         rng = random.Random(3)

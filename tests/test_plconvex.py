@@ -15,8 +15,7 @@ from cadlagconvex import cli, generators, plconvex
 from cadlagconvex.generators import (COARSE_DENOMS, rand_passing_instance,
                                      rand_plconvex, rand_rational)
 from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval, abs_fn,
-                                   affine, indicator, max_affine, pl, restrict,
-                                   support_fn)
+                                   indicator, max_affine, pl, restrict, support_fn)
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, ext, is_finite, rat
 from cadlagconvex.scenario import (RandomIntegrand, ScenarioTree,
@@ -24,7 +23,7 @@ from cadlagconvex.scenario import (RandomIntegrand, ScenarioTree,
 from cadlagconvex.serialize import load_instance
 from cadlagconvex.timegrid import TimeGrid
 
-from conftest import (conjugate_grid_oracle, forget_last_load, inf_grid_oracle,
+from conftest import (affine, conjugate_grid_oracle, forget_last_load, inf_grid_oracle,
                       plconvex_st, rand_interval, rebuilt, recession_quotient)
 
 KINK = max_affine([(-1, 0), (2, -3)])  # max(-x, 2x - 3)
@@ -682,23 +681,19 @@ def test_is_empty_equals_its_old_expression(iv):
         assert a.is_empty is (not is_finite(a.lo) and a.lo == INF and a.hi == NEG_INF)
 
 
-_points = st.one_of(st.sampled_from([INF, NEG_INF]),
-                    st.fractions(min_value=-5, max_value=5, max_denominator=4))
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(0, 3), intervals(),
-       st.lists(_points, min_size=4, max_size=4))
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                min_size=4, max_size=4))
 def test_the_calculus_makes_no_fraction_float_comparison(seed, max_breaks, box, xs):
-    """eval (and _tail_limit), subdiff, recession, inf_over and the draws
-    compare a domain end with is_finite/xle, as RInterval does."""
+    """eval, subdiff, recession, inf_over and the draws compare a domain end
+    with is_finite/xle, as RInterval does."""
     with mixed_comparisons() as mixed:
         fn = rand_plconvex(random.Random(seed), max_breaks)
         for g in (fn, fn.conjugate()):
             for x in xs:
                 g.eval(x)
-                if is_finite(x):
-                    g.subdiff(x)
+                g.subdiff(x)
             g.recession()
             g.inf_over(box)
             g.min_on_line()
@@ -814,28 +809,9 @@ def finite_value_by_sign(fn, x):
     return val
 
 
-def last_knot(fn):
-    """Reference copy of the PLConvex._last_knot that _tail_limit once read."""
-    if is_finite(fn.dom_hi):
-        return fn.dom_hi
-    return fn.breakpoints[-1] if fn.breakpoints else fn.anchor_x
-
-
 def eval_by_sign(fn, x):
-    """Reference copy of PLConvex.eval and _tail_limit before they tested the
+    """Reference copy of PLConvex.eval at a finite x before it tested the
     domain ends with is_finite/xle, over finite_value_by_sign."""
-    if not is_finite(x):
-        if x == INF:
-            if fn.dom_hi != INF:
-                return INF
-            s = fn.slopes[-1]
-            return INF if s > 0 else (NEG_INF if s < 0 else
-                                      finite_value_by_sign(fn, last_knot(fn)))
-        if fn.dom_lo != NEG_INF:
-            return INF
-        s = fn.slopes[0]
-        return INF if s < 0 else (NEG_INF if s > 0 else
-                                  finite_value_by_sign(fn, fn._first_knot()))
     if not (fn.dom_lo <= x <= fn.dom_hi):
         return INF
     return finite_value_by_sign(fn, x)
@@ -870,11 +846,11 @@ def test_coarse_draws_equal_the_fraction_draws(seed, lo, hi):
 
 
 def _walk_points(fn):
-    """Points on both sides of the anchor: every knot, the anchor, points
-    beside and between them and beyond the ends, and both infinities."""
+    """Points on both sides of the anchor: every knot, the anchor, and points
+    beside and between them and beyond the ends."""
     ks = sorted({*fn.knots(), fn.anchor_x})
     xs = {k + d for k in ks for d in (F(-3, 2), F(-1, 3), F(0), F(1, 4), F(2))}
-    return sorted(xs) + [NEG_INF, INF]
+    return sorted(xs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -890,7 +866,7 @@ def test_eval_equals_the_signed_walk(seed, max_breaks, pick):
         for x in _walk_points(g):
             got, want = g.eval(x), eval_by_sign(g, x)
             assert (type(got), got) == (type(want), want)
-            if is_finite(x) and g.domain.contains(x):
+            if g.domain.contains(x):
                 got, want = g._finite_value(x), finite_value_by_sign(g, x)
                 assert (type(got), got) == (type(want), want)
 

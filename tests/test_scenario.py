@@ -7,17 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rebuilt
+from conftest import affine, rebuilt
 
-from cadlagconvex.plconvex import EMPTY_INTERVAL, abs_fn, affine, restrict, RInterval
+from cadlagconvex.plconvex import EMPTY_INTERVAL, abs_fn, restrict, RInterval
 from cadlagconvex.rationals import NEG_INF
 from cadlagconvex.scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                                    ScenarioTree, check_adapted,
                                    check_predictable, expected_pairing,
                                    jensen_check, minorant_certificate,
                                    optional_projection, paste,
-                                   predictable_atoms, predictable_projection,
-                                   unmeasurable_slot)
+                                   predictable_atoms, unmeasurable_slot)
 from cadlagconvex.timegrid import GridMeasure, StepPath, TimeGrid
 
 G3 = TimeGrid((0, 1, 2))
@@ -54,6 +53,13 @@ class TestMeasurability:
         assert check_adapted(y)
         assert not check_predictable(y)
 
+    @pytest.mark.parametrize("ids", [(1, 2), ("a", None), ("a", b"b")])
+    def test_scenario_ids_must_be_strings(self, ids):
+        """A file keys probabilities by scenario id, and JSON keys are strings."""
+        half = F(1, 2)
+        with pytest.raises(ValueError, match="^scenario ids must be strings$"):
+            ScenarioTree(ids, (half, half), ((ids,), tuple((s,) for s in ids)))
+
     def test_refinement_chain_enforced(self):
         with pytest.raises(ValueError):
             ScenarioTree(("a", "b"), (F(1, 2), F(1, 2)),
@@ -72,11 +78,6 @@ class TestProjections:
         ow = optional_projection(w)
         assert ow.paths["a"].values[0] == ow.paths["b"].values[0] == 3
 
-    def test_deterministic_predictable_projection(self):
-        tree = two_scenario_tree()
-        w = rpath(tree, {"a": (9, 9, 9), "b": (9, 9, 9)})
-        assert predictable_projection(w).paths == w.paths
-
     def test_tower_property(self):
         rng = random.Random(3)
         tree = two_scenario_tree()
@@ -85,7 +86,6 @@ class TestProjections:
                              for s in ("a", "b")})
             ow = optional_projection(w)
             assert optional_projection(ow).paths == ow.paths
-            assert predictable_projection(ow).paths == predictable_projection(w).paths
 
     def test_pairing_invariance_under_projection(self):
         rng = random.Random(7)
