@@ -174,10 +174,11 @@ class PLConvex:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x: Q) -> Ext:
-        """Function value at a finite x; +inf outside the domain closure.
-        An infinite x is refused with ``ValueError``."""
+        """Function value at a finite ``Fraction`` x; +inf outside the
+        domain closure.  Any other x, an infinite one or an ``int``, is
+        refused with ``ValueError``."""
         if not is_finite(x):
-            raise ValueError(f"eval needs a finite argument, got {x}")
+            raise ValueError(f"eval needs a finite Fraction, got {x!r}")
         if not (xle(self.dom_lo, x) and xle(x, self.dom_hi)):
             return INF
         return self._finite_value(x)

@@ -21,11 +21,11 @@ from test_duality import det_dual, det_instance
 @pytest.mark.parametrize("fn", [indicator(RInterval(F(0), F(2))), abs_fn(),
                                 affine(F(-2), F(5)), pl(F(1), INF, (), (F(0),), F(1), F(7))],
                          ids=["bounded", "kinked", "falling", "flat-tailed"])
-@pytest.mark.parametrize("x", [INF, NEG_INF])
+@pytest.mark.parametrize("x", [INF, NEG_INF, 2])
 def test_eval_refuses_an_infinite_argument(fn, x):
-    """Every caller evaluates at a finite point; an infinite one is an error,
-    not a limit, whatever the tails of the function."""
-    with pytest.raises(ValueError, match=f"^eval needs a finite argument, got {x}$"):
+    """Every caller evaluates at a finite Fraction; an infinite point is an
+    error, not a limit, whatever the tails of the function, and so is an int."""
+    with pytest.raises(ValueError, match=f"^eval needs a finite Fraction, got {x!r}$"):
         fn.eval(x)
 
 

@@ -55,7 +55,8 @@ class TestMeasurability:
 
     @pytest.mark.parametrize("ids", [(1, 2), ("a", None), ("a", b"b")])
     def test_scenario_ids_must_be_strings(self, ids):
-        """A file keys probabilities by scenario id, and JSON keys are strings."""
+        """A file keys probabilities by scenario id, and JSON keys are strings:
+        a tree with int ids used to be written, then refused on load."""
         half = F(1, 2)
         with pytest.raises(ValueError, match="^scenario ids must be strings$"):
             ScenarioTree(ids, (half, half), ((ids,), tuple((s,) for s in ids)))

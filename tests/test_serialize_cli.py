@@ -485,12 +485,6 @@ class TestSerialization:
         with pytest.raises(TypeError):
             serialize._indented(value)
 
-    def test_a_tree_with_int_scenario_ids_is_refused(self):
-        """A file could not carry such a tree: it was written, then refused on load."""
-        half = F(1, 2)
-        with pytest.raises(ValueError, match="^scenario ids must be strings$"):
-            ScenarioTree((1, 2), (half, half), (((1, 2),), ((1,), (2,))))
-
     def test_a_loaded_float_dim_is_written_back_unquoted(self, tmp_path):
         with open(bundled("cs"), encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -8,8 +8,14 @@ of every preset, every theorem on every preset with both ``--side`` and both
 ``--form`` variants, one ``report-diff`` and one ``--budget 1`` op.  Then it
 runs the six demos.  A function counts as run when the hook sees a call of
 its code: the code object's ``co_firstlineno`` names it, which is the line
-of its first decorator, or of its ``def`` when it has none.  Dunders are not
-listed.
+of its first decorator, or of its ``def`` when it has none.  A class counts
+as run when one of its methods, dunders included, runs.  Dunders are not
+listed themselves.
+
+The hook cannot see a class without a method of its own: a ``NamedTuple``,
+a plain dataclass or an exception is built by generated or C code.  Such a
+class must be called, to build or to raise it, somewhere in ``src/``,
+``demos/`` or ``bench/``.
 
 The demos are listed apart because they are the program's documentation,
 not its interface: a function that only a demo runs is one that no command
@@ -37,6 +43,7 @@ DEMO_ONLY = {
     "finmodels.CurrencyModel.sample_selection":
         "demo 06 draws a selection; the reference of max_sampled_pairing, which bench wraps",
     "finmodels.ScalarProcess.constant_cells": "demo 06 builds its bid, ask and bound from cells",
+    "finmodels.VectorPath": "sample_selection's selections, which demo 06 pairs with a dual",
     "finmodels.VectorPath.left_values": "vector_pairing's left limits, for demo 06's selections",
     "finmodels._band_support": "the closed form that obstacle_support and bidask_support share",
     "finmodels._band_support.terms": "one scenario's terms of that closed form",
@@ -72,6 +79,7 @@ DEMO_ONLY = {
     "scenario.predictable_atoms": "demo 04 finds the atom slots that paste splices before",
     "setmaps.SetMap.constant": "demo 03 builds a constant set map",
     "timegrid.GridMeasure.zero": "one scenario of RandomMeasure.zero",
+    "timegrid.LebesgueSplit": "lebesgue_decompose's result, a package export for demo 02",
     "timegrid.LebesgueSplit.recombine": "demo 02 shows that the Lebesgue split is exact",
     "timegrid.lebesgue_decompose": "a package export; demo 02 shows the paper's Lebesgue split",
 }
@@ -81,18 +89,30 @@ NEVER_RUN = {
 }
 
 
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _first_line(node) -> int:
+    return (node.decorator_list or [node])[0].lineno
+
+
 def definitions(path: Path) -> dict:
-    """``{co_firstlineno: qualified name}`` of each function defined in the
-    file, nested ones and methods included, dunders left out."""
+    """``{qualified name: first lines}`` of each function defined in the
+    file, nested ones and methods included, dunders left out, and of each
+    class with a method: its lines are those of its methods, dunders
+    included, so it counts as run when one of them runs."""
     found = {}
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(child, (*FUNCTION, ast.ClassDef)):
                 name = prefix + child.name
-                if not isinstance(child, ast.ClassDef) \
-                        and not (child.name.startswith("__") and child.name.endswith("__")):
-                    found[(child.decorator_list or [child])[0].lineno] = name
+                if isinstance(child, ast.ClassDef):
+                    lines = {_first_line(c) for c in child.body if isinstance(c, FUNCTION)}
+                    if lines:
+                        found[name] = lines
+                elif not (child.name.startswith("__") and child.name.endswith("__")):
+                    found[name] = {_first_line(child)}
                 visit(child, name + ".")
             else:
                 visit(child, prefix)
@@ -120,16 +140,31 @@ def profiled(run) -> set:
 
 
 def run_names(paths, seen) -> set:
-    """The qualified names, as ``module.name``, of the functions in ``paths``
-    that ``seen`` holds."""
+    """The qualified names, as ``module.name``, of the functions and classes
+    in ``paths`` that ``seen`` holds a line of."""
     real = {(os.path.realpath(file), line) for file, line in seen}
     return {f"{path.stem}.{name}" for path in paths
-            for line, name in definitions(path).items()
-            if (os.path.realpath(path), line) in real}
+            for name, lines in definitions(path).items()
+            if any((os.path.realpath(path), line) in real for line in lines)}
 
 
 def all_names(paths) -> set:
-    return {f"{path.stem}.{name}" for path in paths for name in definitions(path).values()}
+    return {f"{path.stem}.{name}" for path in paths for name in definitions(path)}
+
+
+def unbuilt_classes(paths, callers) -> set:
+    """The classes in ``paths``, as ``module.name``, that have no method and
+    whose name no call in the files ``callers`` makes."""
+    called = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return {f"{path.stem}.{node.name}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ClassDef) and node.name not in called
+            and not any(isinstance(c, FUNCTION) for c in node.body)}
 
 
 def _commands():
@@ -154,8 +189,9 @@ def _run_commands():
     for argv in _commands():
         try:
             cli.main(list(argv))
-        except ValueError:  # interchange-det on a multi-scenario preset raises
-            pass
+        except ValueError as exc:  # as the preset-cli golden records
+            if str(exc) != "deterministic interchange needs a single scenario":
+                raise
 
 
 def _run_demos():
@@ -185,6 +221,11 @@ def test_what_runs_only_in_demos_or_never_is_listed_with_a_reason(tmp_path):
     assert found["never_run"] == sorted(NEVER_RUN)
     for reason in (*DEMO_ONLY.values(), *NEVER_RUN.values()):
         assert reason.strip() and "\n" not in reason
+
+
+def test_every_class_without_a_method_is_built_or_raised():
+    callers = [path for top in ("src", "demos", "bench") for path in (ROOT / top).rglob("*.py")]
+    assert unbuilt_classes(sorted(PACKAGE.glob("*.py")), callers) == set()
 
 
 SYNTHETIC = '''\
@@ -238,10 +279,33 @@ def gen_run():
 
 def gen_idle():
     yield 2
+
+
+class Held:
+    def __init__(self):
+        self.value = 1
+
+
+class Idle:
+    def __init__(self):
+        self.value = 2
+
+
+class Raised(Exception):
+    pass
+
+
+class Unraised(Exception):
+    pass
+
+
+def raise_it():
+    raise Raised()
 '''
 
 
-def test_the_collector_counts_decorated_cached_nested_and_generator_functions(tmp_path):
+def test_the_collector_counts_decorated_cached_nested_and_generator_functions_and_classes(
+        tmp_path):
     path = tmp_path / "synthetic.py"
     path.write_text(SYNTHETIC)
 
@@ -251,15 +315,18 @@ def test_the_collector_counts_decorated_cached_nested_and_generator_functions(tm
         ns["Box"]().lazy_run
         ns["outer"]()
         list(ns["gen_run"]())
+        ns["Held"]()
 
     seen = profiled(run)
     assert run_names([path], seen) == {
         "synthetic.deco", "synthetic.deco.wrapper", "synthetic.decorated_run",
-        "synthetic.Box.lazy_run", "synthetic.outer", "synthetic.outer.nested_run",
-        "synthetic.gen_run"}
+        "synthetic.Box", "synthetic.Box.lazy_run", "synthetic.outer",
+        "synthetic.outer.nested_run", "synthetic.gen_run", "synthetic.Held"}
     assert all_names([path]) - run_names([path], seen) == {
         "synthetic.decorated_idle", "synthetic.Box.lazy_idle",
-        "synthetic.outer.nested_idle", "synthetic.gen_idle"}
+        "synthetic.outer.nested_idle", "synthetic.gen_idle", "synthetic.Idle",
+        "synthetic.raise_it"}
+    assert unbuilt_classes([path], [path]) == {"synthetic.Unraised"}
 
 
 if __name__ == "__main__":
