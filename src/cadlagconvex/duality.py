@@ -25,12 +25,14 @@ value at slot i lies in what S lets a right-continuous selection take and
 pays mu_i h_i; in the hatted form it is also the left limit at the next
 time, so Stilde cuts it and, just before t_{i+1}, mutilde_{i+1} htilde_{i+1}
 charges it.  The fine walk is ``_coordinates(inst, True, FINE)``; only the
-oracle, an honest path search, and the hatted witness build the refined
-instance.  A charge is an (atom, integrand) pair and costs the cell's mass
+oracle and an honest path search build the refined instance.  The hatted
+interchange witness is a path on the refined tree and grid, priced on the
+fine walk.  A charge is an (atom, integrand) pair and costs the cell's mass
 times the atom times the integrand at the coordinate's value; every walk
-holds only those with a positive atom.  ``eval_F`` and ``eval_Fhat`` are
-one sum over a walk, ``_price``.  Each walk is built once per instance and
-(hatted, factor) and shared, read-only, by every reader of that instance.
+holds only those with a positive atom.  ``eval_F``, ``eval_Fhat`` and the
+witness's price are one sum over a walk, ``_price``.  Each walk is built
+once per instance and (hatted, factor) and shared, read-only, by every
+reader of that instance.
 
 Each coordinate is evaluated once, on the data of the cell's first
 scenario.  That is exact: the constructors of :class:`Instance` and
@@ -247,12 +249,12 @@ class DualPair:
 # Primal evaluation (paths on the instance's own grid)
 # ---------------------------------------------------------------------------
 
-def _require_adapted_path(inst: Instance, y: RandomPath) -> None:
+def _require_adapted_path(y: RandomPath, tree: ScenarioTree, grid: TimeGrid) -> None:
     if not check_adapted(y):
         raise ValueError("path must be adapted")
-    if y.grid != inst.grid:
+    if y.grid != grid:
         raise ValueError("grid mismatch")
-    if y.tree != inst.tree:
+    if y.tree != tree:
         raise ValueError("path must be adapted to the instance's tree")
 
 
@@ -262,18 +264,20 @@ def _require_dual(inst: Instance, d: DualPair) -> None:
 
 def eval_F(inst: Instance, y: RandomPath) -> Ext:
     """E I_h(y) plus the indicator of y being a selection of S; y is adapted to inst.tree."""
-    return _price(inst, y, _coordinates(inst, False))
+    return _price(y, inst.tree, inst.grid, _coordinates(inst, False))
 
 
 def eval_Fhat(inst: Instance, y: RandomPath) -> Ext:
     """The hatted functional: adds the left-limit costs and Stilde's constraints, at 0 too."""
-    return _price(inst, y, _coordinates(inst, True))
+    return _price(y, inst.tree, inst.grid, _coordinates(inst, True))
 
 
-def _price(inst: Instance, y: RandomPath, coords) -> Ext:
+def _price(y: RandomPath, tree: ScenarioTree, grid: TimeGrid, coords) -> Ext:
     """Sum of mass x atom x integrand at y's value on each coordinate's first
-    scenario, 0 at slot -1; +inf if such a value misses its coordinate's set."""
-    _require_adapted_path(inst, y)
+    scenario, 0 at slot -1; +inf if such a value misses its coordinate's set.
+    ``y`` must be an adapted path on ``tree`` and ``grid``, those of the
+    instance whose coordinates ``coords`` walks."""
+    _require_adapted_path(y, tree, grid)
     charges = []
     for i, cell, mass, feas, terms in coords:
         x = y.paths[cell[0]].values[i] if i >= 0 else Fraction(0)
@@ -430,7 +434,7 @@ def _coordinate_infima(inst: Instance, coords):
     costs, rhs = [], []
     path = {s: [] for s in inst.tree.scenarios}
     for i, cell, mass, feas, terms in coords:
-        rhs += [xmul(mass, xmul(atom, fn.min_on_line())) for atom, fn in terms]
+        rhs += [xmul(mass, xmul(atom, fn.min_on_line)) for atom, fn in terms]
         point = None
         if feas.is_empty:
             costs.append(INF)
@@ -677,7 +681,7 @@ def subdiff_check(inst: Instance, y: RandomPath, d: DualPair,
     ``primal`` is ``eval_Fhat(inst, y)``, computed here unless passed in;
     the path is checked against the instance either way.
     """
-    _require_adapted_path(inst, y)
+    _require_adapted_path(y, inst.tree, inst.grid)
     _require_dual(inst, d)
     primal = eval_Fhat(inst, y) if primal is None else primal
     if primal == INF:
@@ -786,17 +790,20 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     separates across the tree; for the hatted form this runs on
     ``_coordinates(inst, True, FINE)``.  When every slot infimum is
     attained, the minimizers form an adapted witness, whose primal value is
-    asserted to equal the left side exactly.  For the hatted form, built only then on
-    ``inst.refine(FINE)``, it is the ``scenario.paste`` of the
-    left-limit-optimal path into the cells announcing the predictable atoms,
-    as the tests check: on the refined grid no coordinate has two charges.
+    asserted to equal the left side exactly.  For the hatted form it is a
+    path on the refined tree and grid, ``inst.tree.refine(FINE)`` and
+    ``inst.grid.refine(FINE)``, priced on the walk that gave the left side,
+    so equal to ``eval_Fhat(inst.refine(FINE), witness)`` without building
+    that instance.  It is the ``scenario.paste`` of the left-limit-optimal
+    path into the cells announcing the predictable atoms, as the tests
+    check: on the refined grid no coordinate has two charges.
     The right side charges each atom against its integrand's infimum over
     the line, the hatted form's mutilde_0 htilde_0 at the pinned start too.
     """
     if form not in ("F", "Fhat"):
         raise ValueError("form must be 'F' or 'Fhat'")
     assumptions = assumption_report(inst)
-    hatted, tree = form == "Fhat", inst.tree
+    hatted = form == "Fhat"
     coords = _coordinates(inst, hatted, FINE if hatted else 1)
     lhs, path, rhs = _coordinate_infima(inst, coords)
     out = {
@@ -811,10 +818,12 @@ def interchange_stoch(inst: Instance, form: str = "Fhat") -> Dict:
     }
     if lhs == INF or any(v is None for vals in path.values() for v in vals):
         return out
-    r = inst.refine(FINE) if hatted else inst
-    witness = RandomPath(r.tree, r.grid, {s: StepPath(r.grid, tuple(path[s]))
-                                        for s in tree.scenarios})
-    achieved = (eval_Fhat if hatted else eval_F)(r, witness)
+    tree, grid = inst.tree, inst.grid
+    if hatted:
+        tree, grid = tree.refine(FINE), grid.refine(FINE)
+    witness = RandomPath(tree, grid, {s: StepPath(grid, tuple(path[s]))
+                                      for s in tree.scenarios})
+    achieved = _price(witness, tree, grid, coords) if hatted else eval_F(inst, witness)
     assert achieved == lhs, "witness must achieve the infimum exactly"
     out["witness"] = witness
     out["witness_value"] = achieved

@@ -351,7 +351,9 @@ class PLConvex:
         x = lo if is_finite(lo) else (hi if is_finite(hi) else Fraction(0))
         return self._finite_value(x), RInterval(lo, hi)
 
+    @cached_property
     def min_on_line(self) -> Ext:
+        """The infimum over the line, -inf included; built once per object."""
         return self.inf_over(RInterval.whole_line())[0]
 
 

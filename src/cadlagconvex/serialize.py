@@ -215,6 +215,8 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 def tree_from_json(doc: dict) -> ScenarioTree:
     probs_doc = _need(doc, "probs")
     scenarios = tuple(_array(doc.get("scenarios")) or sorted(probs_doc))
+    if not all(isinstance(s, str) for s in scenarios):  # before they key probs
+        raise ValueError("scenario ids must be strings")
     probs = tuple(_rat(probs_doc[s]) for s in scenarios)
     partitions = tuple(tuple(tuple(_array(cell)) for cell in _array(part))
                        for part in _array(_need(doc, "partitions")))

@@ -105,7 +105,8 @@ def refined_pinned_start(r: Instance):
 # per-scenario sets, a charge list and the walk over both.  The reference
 # bodies of the oracle, the properness loop, the feasible path, the infima
 # and the interchange witness use these copies, on ``inst.refine(FINE)``
-# where the library walks ``_coordinates(inst, True, FINE)``;
+# where the library walks ``_coordinates(inst, True, FINE)``, the witness's
+# price included, and builds no refined instance but the oracle's;
 # ``_fixed_value_sets`` builds afresh on every call, where the library's
 # copy kept one per instance.
 

@@ -30,7 +30,7 @@ from cadlagconvex.generators import (_per_cell, rand_coarse, rand_feasible_path,
 from cadlagconvex.plconvex import RInterval
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, xmul, xsum
-from cadlagconvex.scenario import RandomMeasure, RandomPath, RandomSetMap
+from cadlagconvex.scenario import RandomMeasure, RandomPath, RandomSetMap, ScenarioTree
 from cadlagconvex.serialize import load_instance
 from cadlagconvex.setmaps import SetMap, escaping_slots
 from cadlagconvex.timegrid import GridMeasure, StepPath, eval_I
@@ -227,7 +227,7 @@ def sets_coordinate_infima(inst, sets, charges):
     """_coordinate_infima as it read the coordinates of ``inst`` from per-slot sets."""
     tree, n = inst.tree, inst.grid.n_slots
     rhs = tree.expectation({
-        s: xsum(xmul(a, fn.min_on_line()) for m, fam, _ in charges
+        s: xsum(xmul(a, fn.min_on_line) for m, fam, _ in charges
                 for a, fn in zip(m.measures[s].atoms, fam.functions[s]) if a > 0)
         for s in tree.scenarios})
     costs, infeasible = [], False
@@ -329,6 +329,72 @@ def test_the_drawn_cases_hold_both_outcomes():
             seen.add(("charged start", charged_start(inst)))
     assert seen == {(k, v) for k in ("support", "proper", "witness", "charged start")
                     for v in (True, False)}
+
+
+# -- the hatted witness, priced on the fine walk --------------------------------------
+
+def refuse_refine(inst, factor):
+    raise AssertionError("refined instance built")
+
+
+def assert_the_witness_is_priced_as_on_the_refined_instance(inst):
+    """interchange_stoch builds its Fhat witness on the refined tree and grid
+    and prices it on ``_coordinates(inst, True, FINE)``, with no refined
+    instance; the price equals eval_Fhat on ``inst.refine(FINE)``, the slow
+    reference, and the left side.  Returns whether a witness exists."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Instance, "_refine", refuse_refine)
+        rep = interchange_stoch(inst, "Fhat")
+    witness = rep["witness"]
+    if witness is None:
+        return False
+    assert witness.tree is inst.tree.refine(FINE) and witness.grid is inst.grid.refine(FINE)
+    assert same(rep["witness_value"], eval_Fhat(inst.refine(FINE), witness))
+    assert same(rep["witness_value"], rep["lhs"])
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS))
+def test_the_hatted_witness_is_priced_as_eval_Fhat_on_the_refined_instance(seed, kind):
+    # test_the_drawn_cases_hold_both_outcomes shows these draws reach witnesses
+    assert_the_witness_is_priced_as_on_the_refined_instance(drawn_instance(seed, kind)[0])
+
+
+def test_every_preset_prices_its_hatted_witness_as_eval_Fhat_on_the_refined_instance():
+    assert all(assert_the_witness_is_priced_as_on_the_refined_instance(doc.instance)
+               for doc in PRESETS.values())
+
+
+@pytest.mark.parametrize("form", ["F", "Fhat"])
+def test_the_witness_is_checked_as_an_adapted_path(form, monkeypatch):
+    # the walk reads each cell's first scenario only, so moving another
+    # scenario of the cell keeps the witness's price: only the path check sees it
+    inst = PRESETS["basic"].instance
+    infima = duality._coordinate_infima
+
+    def skewed(inst, coords):
+        lhs, path, rhs = infima(inst, coords)
+        path[inst.tree.cells(0)[0][1]][0] += 1
+        return lhs, path, rhs
+
+    monkeypatch.setattr(duality, "_coordinate_infima", skewed)
+    with pytest.raises(ValueError, match="^path must be adapted$"):
+        interchange_stoch(inst, form)
+
+
+def test_the_witness_price_refuses_a_path_on_another_tree_or_grid():
+    inst = PRESETS["basic"].instance
+    rep = interchange_stoch(inst, "Fhat")
+    witness, coords = rep["witness"], _coordinates(inst, True, FINE)
+    tree, grid = inst.tree.refine(FINE), inst.grid.refine(FINE)
+    assert same(duality._price(witness, tree, grid, coords), rep["lhs"])
+    with pytest.raises(ValueError, match="^grid mismatch$"):
+        duality._price(witness, tree, inst.grid.refine(3), coords)
+    singletons = tuple((s,) for s in tree.scenarios)
+    finer = ScenarioTree(tree.scenarios, tree.probs, (singletons,) * tree.n_slots)
+    with pytest.raises(ValueError, match="^path must be adapted to the instance's tree$"):
+        duality._price(witness, finer, grid, coords)
 
 
 # -- eval_Fhat against its per-scenario body ------------------------------------------

@@ -696,7 +696,7 @@ def test_the_calculus_makes_no_fraction_float_comparison(seed, max_breaks, box, 
                 g.subdiff(x)
             g.recession()
             g.inf_over(box)
-            g.min_on_line()
+            g.min_on_line
     assert mixed == []
 
 
@@ -752,6 +752,34 @@ def test_inf_over_equals_the_knot_oracle(fn, constraint):
     assert (type(val), val) == (type(want), want)
     assert (type(arg.lo), arg.lo, type(arg.hi), arg.hi) == \
         (type(want_arg.lo), want_arg.lo, type(want_arg.hi), want_arg.hi)
+
+
+LINE_INFIMA = [
+    (pl(NEG_INF, INF, (), (F(1),), F(0), F(0)), NEG_INF),  # affine on the line
+    (pl(NEG_INF, F(1), (), (F(1),), F(1), F(2)), NEG_INF),  # rising on a left half-line
+    (pl(NEG_INF, INF, (F(0),), (F(-1), F(0)), F(0), F(3)), F(3)),  # flat right tail
+    (pl(F(-1), INF, (F(1),), (F(-1), F(2)), F(1), F(-2)), F(-2)),  # right half-line
+    (pl(F(-1), F(1), (), (F(1),), F(-1), F(1, 2)), F(1, 2)),  # bounded
+    (pl(F(1, 2), F(1, 2), (), (F(0),), F(1, 2), F(-3)), F(-3)),  # one point
+]
+
+
+@pytest.mark.parametrize("fn, want", LINE_INFIMA,
+                         ids=["line", "left", "flat-tail", "right", "bounded", "point"])
+def test_min_on_line_on_each_domain_kind(fn, want):
+    assert (type(fn.min_on_line), fn.min_on_line) == (type(want), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flat_tailed(), plconvex_st(), conjugate_inputs()))
+def test_min_on_line_is_the_line_infimum_built_once(fn):
+    """The memo equals a fresh infimum over the line in value and type, -inf
+    included, and every read returns the one object it built."""
+    want = fn.inf_over(RInterval.whole_line())[0]
+    got = fn.min_on_line
+    assert (type(got), got) == (type(want), want)
+    assert fn.min_on_line is got
+    assert vars(fn)["min_on_line"] is got
 
 
 # -- canonical values built without pl ---------------------------------------------

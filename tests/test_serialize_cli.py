@@ -744,6 +744,9 @@ MODEL_EDITS = [
     ("basic", ("tree", "probs", "up"), True, "bad tree: not a rational: True"),
     ("obstacle", ("model", "b", "cells", "up", 1), True,
      "bad scalar process: not a rational: True"),
+    # scenario ids key the probabilities, so a non-string is named before the lookup
+    ("basic", ("tree", "scenarios"), [1, 2], "bad tree: scenario ids must be strings"),
+    ("basic", ("tree", "scenarios"), [["up"], "dn"], "bad tree: scenario ids must be strings"),
 ]
 
 OWN_THEOREM = {"basic": "interchange-stoch", "obstacle": "support-ds", "bidask": "support-ds",
@@ -1152,11 +1155,11 @@ class TestCli:
         assert not missing.exists()
 
     # refined instances built per verify call, whatever the number of dual
-    # pairs: the assumption report, support_DS and the interchange infima
-    # read the fine coordinates from the coarse instance and build none; the
-    # oracle (conjugate, support-ds) builds one, and so does the Fhat witness
+    # pairs: the assumption report, support_DS, the interchange infima and
+    # the Fhat witness's price read the fine coordinates from the coarse
+    # instance and build none; the oracle (conjugate, support-ds) builds one
     @pytest.mark.parametrize("theorem, check_builds, report_builds", [
-        ("subdiff", 0, 0), ("interchange-stoch", 1, 0), ("interchange-stoch --form F", 0, 0),
+        ("subdiff", 0, 0), ("interchange-stoch", 0, 0), ("interchange-stoch --form F", 0, 0),
         ("conjugate", 1, 0), ("support-ds", 1, 0),
     ])
     def test_verify_refines_once_per_entry_point(self, theorem, check_builds,
