@@ -55,7 +55,7 @@ from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .plconvex import RInterval, indicator, once
-from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xmul, xneg, xsum
+from .rationals import Ext, INF, NEG_INF, Q, is_finite, rat, xdot, xneg, xsum
 from .scenario import (RandomIntegrand, RandomMeasure, RandomPath,
                        RandomSetMap, ScenarioTree, check_adapted,
                        check_predictable, expected_pairing)
@@ -283,8 +283,8 @@ def _price(y: RandomPath, tree: ScenarioTree, grid: TimeGrid, coords) -> Ext:
         x = y.paths[cell[0]].values[i] if i >= 0 else Fraction(0)
         if not feas.contains(x):
             return INF
-        charges += [xmul(mass, xmul(atom, fn.eval(x))) for atom, fn in terms]
-    return xsum(charges)
+        charges += [(mass, atom, fn.eval(x)) for atom, fn in terms]
+    return xdot(charges)
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +434,21 @@ def _coordinate_infima(inst: Instance, coords):
     costs, rhs = [], []
     path = {s: [] for s in inst.tree.scenarios}
     for i, cell, mass, feas, terms in coords:
-        rhs += [xmul(mass, xmul(atom, fn.min_on_line)) for atom, fn in terms]
+        rhs += [(mass, atom, fn.min_on_line) for atom, fn in terms]
         point = None
         if feas.is_empty:
-            costs.append(INF)
+            costs.append((INF,))
         else:
             assert len(terms) <= 1, f"two charges with mass at slot {i}"
             point = feas.nearest_to(Fraction(0))
             for atom, fn in terms:
                 val, argmin = fn.inf_over(feas)
-                costs.append(xmul(mass, xmul(atom, val)))
+                costs.append((mass, atom, val))
                 point = None if argmin.is_empty else argmin.nearest_to(Fraction(0))
         if i >= 0:
             for s in cell:
                 path[s].append(point)
-    return xsum(costs), path, xsum(rhs)
+    return xdot(costs), path, xdot(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +580,7 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
 
     total: Ext = Fraction(0)  # less the cost of the pinned start, paired with no atom
     for mass, feas, terms in pinned:
-        cost = xsum([xmul(mass * atom, fn.eval(Fraction(0))) for atom, fn in terms])
+        cost = xdot([(mass, atom, fn.eval(Fraction(0))) for atom, fn in terms])
         if feas.is_empty or cost == INF:
             return NEG_INF
         total -= cost

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .duality import DualPair, Instance, indicator_integrand, make_instance
 from .plconvex import RInterval
 from .polycone import ConeMap, PolyCone, cone_hull, vdot
-from .rationals import Ext, INF, Q, rat, xmul, xsum
+from .rationals import Ext, INF, Q, rat, xdot
 from .scenario import (RandomMeasure, RandomPath, RandomSetMap, ScenarioTree,
                        check_adapted, unmeasurable_slot)
 from .setmaps import SetMap, escaping_slots
@@ -113,10 +113,6 @@ def right_lsc_slots(a: ScalarProcess) -> Dict[str, List[int]]:
             for s in a.tree.scenarios}
 
 
-def _jordan(x: Q) -> Tuple[Q, Q]:
-    return (x, Fraction(0)) if x >= 0 else (Fraction(0), -x)
-
-
 # ---------------------------------------------------------------------------
 # Bands S_t = [b_t, a_t]; the obstacle is the band with a = +inf
 # ---------------------------------------------------------------------------
@@ -135,16 +131,18 @@ def _band_support(b: ScalarProcess, b_vec: ScalarProcess, a: Optional[ScalarProc
                   a_under: Optional[ScalarProcess], d: DualPair) -> Ext:
     """E[sum of a u+ - b u- over the optional atoms plus a_under ut+ - b_vec ut-
     over the predictable atoms after t_0], with the Jordan parts u+, u- of
-    each atom.  With no ask (``a`` and ``a_under`` None) a positive part
-    costs ``xmul(INF, u+)``: +inf when it is positive, 0 when it is zero.
+    each atom: a negative atom is charged at the bid, any other at the ask,
+    as one :func:`xdot` row.  With no ask (``a`` and ``a_under`` None) that
+    row is ``(INF, u)``: +inf when u is positive, 0 when it is zero.
     """
-    def terms(s: str):
+    def rows(s: str):
         for lo, hi, m, first in ((b, a, d.u, 0), (b_vec, a_under, d.ut, 1)):
             for i, atom in enumerate(m.measures[s].atoms[first:], first):
-                plus, minus = _jordan(atom)
-                yield xmul(INF if hi is None else hi.points[s][i], plus)
-                yield -lo.points[s][i] * minus
-    return b.tree.expectation({s: xsum(terms(s)) for s in b.tree.scenarios})
+                if atom.numerator < 0:
+                    yield lo.points[s][i], atom
+                else:
+                    yield INF if hi is None else hi.points[s][i], atom
+    return b.tree.expectation({s: xdot(rows(s)) for s in b.tree.scenarios})
 
 
 def _model_instance(smap: RandomSetMap) -> Instance:

@@ -191,23 +191,29 @@ class PLConvex:
         return self.breakpoints[0] if self.breakpoints else self.anchor_x
 
     def _finite_value(self, x: Q) -> Q:
-        """Walk segments from the anchor; x must lie in the domain closure."""
+        """Walk segments from the anchor; x must lie in the domain closure.
+
+        The walk runs in integers: a breakpoint is compared with x by
+        cross-multiplying (denominators are positive), the value is kept as a
+        numerator over a running denominator, and one ``Fraction`` is built
+        at the end, equal to what the walk in ``Fraction`` arithmetic gives."""
         if x is self.anchor_x:  # where conjugate_at_slope mostly evaluates
             return self.anchor_val
         bps, slopes = self.breakpoints, self.slopes
-        prev, val = self.anchor_x, self.anchor_val
-        j = bisect_left(bps, prev)  # segment j ends at bps[j], the first >= anchor
-        if prev <= x:
-            while j < len(bps) and bps[j] < x:
-                val += slopes[j] * (bps[j] - prev)
-                prev = bps[j]
-                j += 1
+        a, v = self.anchor_x, self.anchor_val
+        xn, xd, pn, pd = x.numerator, x.denominator, a.numerator, a.denominator
+        vn, vd = v.numerator, v.denominator
+        # segment j ends at bps[j], the first >= anchor (bps[0] when canonical)
+        j = 0 if not bps or a is bps[0] else bisect_left(bps, a)
+        if pn * xd <= xn * pd:
+            while j < len(bps) and (b := bps[j]).numerator * xd < xn * b.denominator:
+                vn, vd = _walked(vn, vd, slopes[j], b.numerator, b.denominator, pn, pd)
+                pn, pd, j = b.numerator, b.denominator, j + 1
         else:
-            while j and bps[j - 1] > x:
-                val += slopes[j] * (bps[j - 1] - prev)
-                prev = bps[j - 1]
-                j -= 1
-        return val + slopes[j] * (x - prev)
+            while j and xn * (b := bps[j - 1]).denominator < b.numerator * xd:
+                vn, vd = _walked(vn, vd, slopes[j], b.numerator, b.denominator, pn, pd)
+                pn, pd, j = b.numerator, b.denominator, j - 1
+        return Fraction(*_walked(vn, vd, slopes[j], xn, xd, pn, pd))
 
     def int_pieces(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
         """``(e, alphas, slopes)``, all ``int``, e > 0: on segment j, from
@@ -355,6 +361,12 @@ class PLConvex:
     def min_on_line(self) -> Ext:
         """The infimum over the line, -inf included; built once per object."""
         return self.inf_over(RInterval.whole_line())[0]
+
+
+def _walked(vn: int, vd: int, s: Q, bn: int, bd: int, pn: int, pd: int):
+    """vn/vd + s * (bn/bd - pn/pd) as a numerator over a positive denominator."""
+    d = s.denominator * bd * pd
+    return vn * d + vd * s.numerator * (bn * pd - pn * bd), vd * d
 
 
 # ---------------------------------------------------------------------------

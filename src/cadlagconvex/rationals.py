@@ -7,6 +7,11 @@ computation either stays exact or is a genuine extended value.  They test
 ``is_finite`` (an ``isinstance`` check) before comparing with a sentinel:
 ``Fraction == float`` is over ten times slower and runs on every hot path.
 
+Sums of products, :func:`xdot` and through it :func:`xsum`, run in integers:
+each ``Fraction`` operation would reduce its result by a ``gcd``, so the
+finite terms are summed as numerators over a running common denominator and
+one ``Fraction`` is built per sum.  The values do not change.
+
 :func:`rat` reads the canonical text :func:`fmt` writes with ``int`` and any
 other string with ``Fraction(str)``, which fixes what is accepted and raised,
 except that a decimal exponent beyond :data:`MAX_EXPONENT` is refused before
@@ -152,21 +157,48 @@ def xmul(a: Ext, b: Ext) -> Ext:
     return NEG_INF if neg else INF
 
 
+def xdot(rows) -> Ext:
+    """``xsum(xmul(a, xmul(b, ...)) for (a, b, ...) in rows)``, in integers.
+
+    A row with a zero factor adds 0, even against an infinite one; a row
+    with an infinite factor adds the infinity of the product's sign, and a
+    +inf term wins over -inf terms.  Finite terms are summed as integer
+    numerators over a running common denominator (denominators are
+    positive), and one ``Fraction`` is built at the end: the value is the one
+    ``Fraction`` arithmetic gives, without a ``gcd`` per operation.  A
+    finite factor may be an ``int``: it has a numerator and a denominator.
+    """
+    num, den, saw_neg = 0, 1, False
+    for row in rows:
+        n, d, infinite = 1, 1, False
+        for f in row:
+            if type(f) is float:  # INF or NEG_INF
+                infinite = True
+                if f < 0:
+                    n = -n
+            elif f.numerator:
+                n *= f.numerator
+                d *= f.denominator
+            else:
+                break  # a zero factor: the term is 0
+        else:
+            if infinite:
+                if n > 0:
+                    return INF
+                saw_neg = True
+            elif not saw_neg:
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
+    return NEG_INF if saw_neg else Fraction(num, den)
+
+
 def xsum(terms) -> Ext:
-    """Sum of extended values where +inf dominates -inf.
+    """Sum of extended values where +inf dominates -inf: :func:`xdot` of
+    one-factor rows.
 
     Used for infima/costs of the form "any infeasible slot forces +inf":
     a +inf term wins over -inf terms.
     """
-    total = Fraction(0)
-    saw_neg = False
-    for t in terms:
-        if not is_finite(t):
-            if t == INF:
-                return INF
-            if t == NEG_INF:
-                saw_neg = True
-                continue
-        if not saw_neg:
-            total += t
-    return NEG_INF if saw_neg else total
+    return xdot((t,) for t in terms)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .plconvex import PLConvex, once
-from .rationals import Ext, Q, rat, xmul, xsum
+from .rationals import Ext, Q, rat, xdot
 from .setmaps import SetMap
 from .timegrid import (GridMeasure, StepPath, TimeGrid, eval_I, pairing,
                        refine_slots, refined_once)
@@ -80,7 +80,7 @@ class ScenarioTree:
         return once(self, cell, lambda: sum((self.prob(s) for s in cell), Fraction(0)))
 
     def expectation(self, values: Mapping[str, Ext]) -> Ext:
-        return xsum(xmul(self.prob(s), values[s]) for s in self.scenarios)
+        return xdot((p, values[s]) for s, p in zip(self.scenarios, self.probs))
 
     def cell_average(self, slot: int, values: Mapping[str, Q]) -> Dict[str, Q]:
         """Conditional expectation given the slot's partition, exact."""

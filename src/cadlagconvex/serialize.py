@@ -214,9 +214,14 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 @_wrap("tree")
 def tree_from_json(doc: dict) -> ScenarioTree:
     probs_doc = _need(doc, "probs")
+    if type(probs_doc) is not dict:
+        raise ValueError("probs must be an object keyed by scenario id")
     scenarios = tuple(_array(doc.get("scenarios")) or sorted(probs_doc))
     if not all(isinstance(s, str) for s in scenarios):  # before they key probs
         raise ValueError("scenario ids must be strings")
+    for s in scenarios:
+        if s not in probs_doc:
+            raise ValueError(f"scenario {s!r} has no probability")
     probs = tuple(_rat(probs_doc[s]) for s in scenarios)
     partitions = tuple(tuple(tuple(_array(cell)) for cell in _array(part))
                        for part in _array(_need(doc, "partitions")))

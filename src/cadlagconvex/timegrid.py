@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import index
 from typing import Callable, Optional, Sequence, Tuple
 
 from .plconvex import PLConvex, once
-from .rationals import Ext, Q, rat, xmul, xsum
+from .rationals import Ext, Q, rat, xdot
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,7 @@ class GridMeasure:
 def pairing(y: StepPath, u: GridMeasure, ut: GridMeasure) -> Q:
     """<y, (u, ut)> = integral of y du plus integral of y_- d(ut), exact."""
     _check_grid(y.grid, u, ut)
-    left = y.left_values()
-    return sum((v * a for v, a in zip(y.values, u.atoms)), Fraction(0)) + \
-        sum((w * a for w, a in zip(left, ut.atoms)), Fraction(0))
+    return xdot(chain(zip(y.values, u.atoms), zip(y.left_values(), ut.atoms)))
 
 
 @dataclass(frozen=True)
@@ -192,12 +191,7 @@ def eval_I(h: Sequence[PLConvex], y: StepPath, mu: GridMeasure) -> Ext:
         raise ValueError("mu must be nonnegative")
     if len(h) != y.grid.n_slots:
         raise ValueError("need one integrand per grid time")
-    terms = []
-    for fn, v, m in zip(h, y.values, mu.atoms):
-        if m == 0:
-            continue
-        terms.append(xmul(m, fn.eval(v)))
-    return xsum(terms)
+    return xdot((m, fn.eval(v)) for fn, v, m in zip(h, y.values, mu.atoms) if m.numerator)
 
 
 def eval_J(g: Sequence[PLConvex], theta: GridMeasure, mu: GridMeasure) -> Ext:
@@ -214,9 +208,9 @@ def eval_J(g: Sequence[PLConvex], theta: GridMeasure, mu: GridMeasure) -> Ext:
         raise ValueError("need one integrand per grid time")
     terms = []
     for fn, t, m in zip(g, theta.atoms, mu.atoms):
-        if m > 0:
-            terms.append(xmul(m, fn.eval(t / m)))
-        elif t != 0:
-            direction = Fraction(1) if t > 0 else Fraction(-1)
-            terms.append(xmul(abs(t), fn.recession().eval(direction)))
-    return xsum(terms)
+        if m.numerator:
+            terms.append((m, fn.eval(t / m)))
+        elif t.numerator:
+            direction = Fraction(1) if t.numerator > 0 else Fraction(-1)
+            terms.append((abs(t), fn.recession().eval(direction)))
+    return xdot(terms)

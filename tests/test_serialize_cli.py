@@ -747,6 +747,9 @@ MODEL_EDITS = [
     # scenario ids key the probabilities, so a non-string is named before the lookup
     ("basic", ("tree", "scenarios"), [1, 2], "bad tree: scenario ids must be strings"),
     ("basic", ("tree", "scenarios"), [["up"], "dn"], "bad tree: scenario ids must be strings"),
+    # a scenario without a probability, and probabilities not keyed by scenario id
+    ("basic", ("tree", "scenarios"), ["up", "zz"], "bad tree: scenario 'zz' has no probability"),
+    ("basic", ("tree", "probs"), [1], "bad tree: probs must be an object keyed by scenario id"),
 ]
 
 OWN_THEOREM = {"basic": "interchange-stoch", "obstacle": "support-ds", "bidask": "support-ds",

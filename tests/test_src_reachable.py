@@ -46,8 +46,7 @@ DEMO_ONLY = {
     "finmodels.VectorPath": "sample_selection's selections, which demo 06 pairs with a dual",
     "finmodels.VectorPath.left_values": "vector_pairing's left limits, for demo 06's selections",
     "finmodels._band_support": "the closed form that obstacle_support and bidask_support share",
-    "finmodels._band_support.terms": "one scenario's terms of that closed form",
-    "finmodels._jordan": "the Jordan split of an atom in that closed form",
+    "finmodels._band_support.rows": "one scenario's rows of that closed form",
     "finmodels._model_instance": "the hard-constraint instance of the obstacle and band models",
     "finmodels.bidask_model": "demo 06 shows the paper's bid-ask band; bidask.json holds its data",
     "finmodels.bidask_support": "demo 06 shows the paper's bid-ask closed form",
