@@ -46,7 +46,6 @@ of the cell's per-scenario objectives is the cell's mass times one of them.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +62,6 @@ from .setmaps import SetMap, escaping_slots, michael_check
 from .timegrid import StepPath, TimeGrid, eval_J, refined_once
 
 DEFAULT_BUDGET = 10 ** 7
-BUDGET_ENV_VAR = "CADLAG_CONVEX_BUDGET"
 FINE = 2  # refinement factor of the grid the sup/inf ranges over
 
 
@@ -74,26 +72,9 @@ class BudgetExceededError(RuntimeError):
         super().__init__(
             f"brute-force search space has {needed} lattice points, "
             f"budget is {budget}; shrink B, the lattice step or the grid, "
-            f"or raise {BUDGET_ENV_VAR}")
+            "or raise --budget")
         self.needed = needed
         self.budget = budget
-
-
-def resolve_budget(budget: Optional[int] = None) -> int:
-    """The given budget, else $CADLAG_CONVEX_BUDGET, else DEFAULT_BUDGET.
-
-    Raises ValueError for a negative budget or a non-integer variable.
-    """
-    name, value = "--budget", budget
-    if budget is None:
-        name, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR) or DEFAULT_BUDGET
-        try:
-            budget = int(value)
-        except ValueError:
-            budget = -1
-    if budget < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +498,7 @@ def _assumption_report(inst: Instance) -> Dict:
 # ---------------------------------------------------------------------------
 
 def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
-                    budget: Optional[int] = None) -> Ext:
+                    budget: int = DEFAULT_BUDGET) -> Ext:
     """Lower bound of the conjugate by an adapted lattice search.
 
     Searches adapted step paths on the once-refined grid with values in
@@ -550,7 +531,6 @@ def conj_bruteforce(inst: Instance, d: DualPair, B, delta,
     B, delta = rat(B), rat(delta)
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
-    budget = resolve_budget(budget)
     P, R, p, q = B.numerator, B.denominator, delta.numerator, delta.denominator
 
     def index(x: Q, up: bool) -> int:

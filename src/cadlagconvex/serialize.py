@@ -3,10 +3,13 @@
 All numerics are rational strings ('p/q', with 'inf'/'-inf' sentinels), so a
 file round-trips exactly.  Malformed documents raise :class:`SchemaError`.
 Where the schema has a list (a grid, atoms, breakpoints, an interval's two
-ends, a cone row), the document must hold a JSON array: a string or an object
-there is refused, not read by its characters or keys.  A JSON boolean is no
-rational, and an ``obstacle`` or ``bidask`` model section must describe the
-file's ``setmap_S`` (:func:`finmodels.band_setmap`).
+ends, a set map's intervals, a scenario's functions, a cone map's cones, a
+cone row), the document must hold a JSON array: a string or an object there
+is refused, not read by its characters or keys.  Where it has an object, the
+document must hold one, and a section keyed by scenario id must name every
+scenario of the tree.  A JSON boolean is no rational, and an ``obstacle`` or
+``bidask`` model section must describe the file's ``setmap_S``
+(:func:`finmodels.band_setmap`).
 
 Every instance file and report is written as ASCII only, indented by 2
 spaces, with sorted keys and a trailing newline: exactly
@@ -60,7 +63,7 @@ import stat
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from .duality import DualPair, Instance, make_instance
 from .plconvex import PLConvex, RInterval, pl
@@ -80,6 +83,8 @@ class SchemaError(ValueError):
 
 
 def _need(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object, not {type(doc).__name__}")
     if key not in doc:
         raise SchemaError(f"missing key {key!r}")
     return doc[key]
@@ -140,6 +145,17 @@ def _array(doc):
     if type(doc) is not list and hasattr(doc, "__iter__"):
         raise TypeError(f"expected a list, not {type(doc).__name__}")
     return doc
+
+
+def _per_scenario(doc, tree: ScenarioTree) -> Iterator[tuple]:
+    """``(s, doc[s])`` for each scenario ``s`` of ``tree``, in order, where
+    ``doc`` must be an object that holds every scenario id."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object keyed by scenario id, not {type(doc).__name__}")
+    for s in tree.scenarios:
+        if s not in doc:
+            raise ValueError(f"scenario {s!r} missing")
+        yield s, doc[s]
 
 
 def _rats(values) -> List[Fraction]:
@@ -235,7 +251,7 @@ def measure_to_json(rm: RandomMeasure) -> dict:
 @_wrap("measure")
 def measure_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomMeasure:
     return RandomMeasure(tree, grid, {
-        s: GridMeasure(grid, tuple(_rats(doc[s]))) for s in tree.scenarios})
+        s: GridMeasure(grid, tuple(_rats(atoms))) for s, atoms in _per_scenario(doc, tree)})
 
 
 def path_to_json(rp: RandomPath) -> dict:
@@ -245,7 +261,7 @@ def path_to_json(rp: RandomPath) -> dict:
 @_wrap("path")
 def path_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomPath:
     return RandomPath(tree, grid, {
-        s: StepPath(grid, tuple(_rats(doc[s]))) for s in tree.scenarios})
+        s: StepPath(grid, tuple(_rats(values))) for s, values in _per_scenario(doc, tree)})
 
 
 @_wrap("dual pair")
@@ -267,12 +283,11 @@ def setmap_to_json(rsm: RandomSetMap) -> dict:
 @_wrap("set-valued map")
 def setmap_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomSetMap:
     maps = {}
-    for s in tree.scenarios:
-        entry = doc[s]
+    for s, entry in _per_scenario(doc, tree):
         maps[s] = SetMap(
             grid,
-            tuple(interval_from_json(p) for p in _need(entry, "point_vals")),
-            tuple(interval_from_json(c) for c in _need(entry, "open_vals")))
+            tuple(interval_from_json(p) for p in _array(_need(entry, "point_vals"))),
+            tuple(interval_from_json(c) for c in _array(_need(entry, "open_vals"))))
     return RandomSetMap(tree, grid, maps)
 
 
@@ -289,8 +304,8 @@ def integrand_to_json(ri: RandomIntegrand) -> dict:
 @_wrap("integrand")
 def integrand_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> RandomIntegrand:
     fns = {
-        s: tuple(plconvex_from_json(f) for f in _need(doc, "functions")[s])
-        for s in tree.scenarios
+        s: tuple(plconvex_from_json(f) for f in _array(fs))
+        for s, fs in _per_scenario(_need(doc, "functions"), tree)
     }
     return RandomIntegrand(tree, grid, fns, _need(doc, "flag"))
 
@@ -335,8 +350,8 @@ def conemap_to_json(cm: ConeMap) -> dict:
 def conemap_from_json(doc: dict, grid: TimeGrid) -> ConeMap:
     from .polycone import ConeMap
     return ConeMap(grid,
-                   tuple(cone_from_json(k) for k in _need(doc, "point_cones")),
-                   tuple(cone_from_json(k) for k in _need(doc, "cell_cones")))
+                   tuple(cone_from_json(k) for k in _array(_need(doc, "point_cones"))),
+                   tuple(cone_from_json(k) for k in _array(_need(doc, "cell_cones"))))
 
 
 def scalar_process_to_json(sp: ScalarProcess) -> dict:
@@ -352,8 +367,8 @@ def scalar_process_from_json(doc: dict, tree: ScenarioTree, grid: TimeGrid) -> S
     from .finmodels import ScalarProcess
     return ScalarProcess(
         tree, grid,
-        {s: tuple(_rats(_need(doc, "points")[s])) for s in tree.scenarios},
-        {s: tuple(_rats(_need(doc, "cells")[s])) for s in tree.scenarios},
+        {s: tuple(_rats(v)) for s, v in _per_scenario(_need(doc, "points"), tree)},
+        {s: tuple(_rats(v)) for s, v in _per_scenario(_need(doc, "cells"), tree)},
         _need(doc, "flag"))
 
 

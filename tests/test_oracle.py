@@ -14,9 +14,10 @@ lattice-point count the budget is checked against.  The lattice radius
 import hashlib
 import json
 import math
+import os
 import random
 from fractions import Fraction as F
-from typing import List, Optional
+from typing import List
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,8 +26,8 @@ from hypothesis import strategies as st
 from conftest import _fixed_value_sets, _zero_start_cost, _zero_start_ok, preset, rand_setmap
 
 from cadlagconvex import cli, duality
-from cadlagconvex.duality import (FINE, BudgetExceededError, conj_bruteforce,
-                                  make_instance, resolve_budget)
+from cadlagconvex.duality import (DEFAULT_BUDGET, FINE, BudgetExceededError,
+                                  conj_bruteforce, make_instance)
 from cadlagconvex.generators import rand_finite_dual, rand_passing_instance
 from cadlagconvex.plconvex import PLConvex
 from cadlagconvex.presets import bundled_instance_path
@@ -35,12 +36,11 @@ from cadlagconvex.scenario import RandomSetMap
 from cadlagconvex.serialize import dump_report
 
 
-def reference_conj_bruteforce(inst, d, B, delta, budget: Optional[int] = None):
+def reference_conj_bruteforce(inst, d, B, delta, budget: int = DEFAULT_BUDGET):
     """Every-point lattice search: each coordinate's feasible lattice in full."""
     B, delta = rat(B), rat(delta)
     if B <= 0 or delta <= 0:
         raise ValueError("B and delta must be positive")
-    budget = resolve_budget(budget)
     r = inst.refine(FINE)
     rd = d.refine(FINE)
     tree, n = r.tree, r.grid.n_slots
@@ -96,7 +96,7 @@ def reference_conj_bruteforce(inst, d, B, delta, budget: Optional[int] = None):
     return total
 
 
-def outcome(search, inst, d, B, delta, budget=None):
+def outcome(search, inst, d, B, delta, budget=DEFAULT_BUDGET):
     """("value", v) or ("needed", n) when the budget is exceeded."""
     try:
         return ("value", search(inst, d, B, delta, budget=budget))
@@ -153,7 +153,7 @@ class TestCandidateSearch:
         tree = inst.tree
         assume(any(len({tree.prob(s) for s in cell}) > 1
                    for i in range(tree.n_slots) for cell in tree.cells(i)))
-        for budget in (None, 0):
+        for budget in (DEFAULT_BUDGET, 0):
             fast = outcome(conj_bruteforce, inst, d, B, delta, budget=budget)
             slow = outcome(reference_conj_bruteforce, inst, d, B, delta, budget=budget)
             assert fast == slow
@@ -328,3 +328,19 @@ def test_the_support_oracle_holds_one_function_per_distinct_interval():
             fns = [fn for fns in fam.functions.values() for fn in fns]
             assert len({id(fn) for fn in fns}) == len(by_interval), seed
     assert repeats > 0  # the draws do repeat intervals
+
+
+def test_the_budget_is_the_argument_alone(monkeypatch):
+    doc = preset("basic")
+    inst, d = doc.instance, doc.duals[0]
+    B = 2 * inst.magnitude_bound()
+    want = conj_bruteforce(inst, d, B, "1/100")
+    monkeypatch.setenv("CADLAG_CONVEX_BUDGET", "5")
+    assert conj_bruteforce(inst, d, B, "1/100") == want
+    with pytest.raises(BudgetExceededError, match=r"or raise --budget$"):
+        conj_bruteforce(inst, d, B, "1/100", budget=5)
+    package = os.path.dirname(duality.__file__)
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                assert "environ" not in fh.read(), name

@@ -62,7 +62,8 @@ BASIC_UP_0 = {"anchor": ["0", "0"], "breakpoints": ["0"], "dom": ["-2", "2"],
               "slopes": ["-1", "1"]}  # integrand_h up[0] of basic.json
 
 # malformed function documents and the messages they gave before equal
-# function documents shared one object; they must stay the same
+# function documents shared one object; they must stay the same, apart from
+# the last two, where a document that is no object is now named as such
 BAD_FUNCTIONS = [
     ({**BASIC_UP_0, "slopes": ["-1", "1x"]},
      "bad piecewise-linear function: Invalid literal for Fraction: '1x'"),
@@ -91,8 +92,8 @@ BAD_FUNCTIONS = [
      "bad piecewise-linear function: not a rational: None"),
     ({**BASIC_UP_0, "breakpoints": []},
      "bad piecewise-linear function: need exactly one slope per segment"),
-    (["-2", "2"], "missing key 'dom'"),
-    ("dom", "bad piecewise-linear function: string indices must be integers, not 'str'"),
+    (["-2", "2"], "bad piecewise-linear function: expected an object, not list"),
+    ("dom", "bad piecewise-linear function: expected an object, not str"),
 ]
 
 
@@ -750,6 +751,36 @@ MODEL_EDITS = [
     # a scenario without a probability, and probabilities not keyed by scenario id
     ("basic", ("tree", "scenarios"), ["up", "zz"], "bad tree: scenario 'zz' has no probability"),
     ("basic", ("tree", "probs"), [1], "bad tree: probs must be an object keyed by scenario id"),
+    # every section keyed by scenario id names the scenario it lacks, or that it is no object
+    ("basic", ("mu", "dn"), DROP, "bad measure: scenario 'dn' missing"),
+    ("basic", ("mu",), ["1"], "bad measure: expected an object keyed by scenario id, not list"),
+    ("basic", ("paths",), [["1"]], "bad path: expected an object keyed by scenario id, not list"),
+    ("basic", ("paths", 0, "up"), DROP, "bad path: scenario 'up' missing"),
+    ("basic", ("integrand_h", "functions", "dn"), DROP, "bad integrand: scenario 'dn' missing"),
+    ("basic", ("integrand_h", "functions"), [], "bad integrand: expected an object keyed by "
+     "scenario id, not list"),
+    ("basic", ("setmap_S", "dn"), DROP, "bad set-valued map: scenario 'dn' missing"),
+    ("basic", ("setmap_S",), ["x"], "bad set-valued map: expected an object keyed by "
+     "scenario id, not list"),
+    ("obstacle", ("model", "b", "points", "dn"), DROP, "bad scalar process: scenario 'dn' missing"),
+    ("bidask", ("model", "a", "cells"), "x", "bad scalar process: expected an object keyed by "
+     "scenario id, not str"),
+    # where the schema has an object, a list or a string is refused as no object
+    ("cs", ("model", "G"), [], "bad cone map: expected an object, not list"),
+    ("basic", ("setmap_S", "up"), [], "bad set-valued map: expected an object, not list"),
+    ("basic", ("integrand_h",), "x", "bad integrand: expected an object, not str"),
+    ("currency", ("model", "duals", 0), ["u", "ut"], "bad currency duals: expected an object, "
+     "not list"),
+    # a cone map's cone lists are lists, not read by their characters
+    ("cs", ("model", "G", "point_cones"), "x", "bad cone map: expected a list, not str"),
+    ("currency", ("model", "solvency", "cell_cones"), {"dim": 2},
+     "bad cone map: expected a list, not dict"),
+    # so are a scenario's functions and a set map's intervals
+    ("basic", ("integrand_h", "functions", "up"), "ab", "bad integrand: expected a list, not str"),
+    ("basic", ("setmap_S", "up", "point_vals"), {"a": 1},
+     "bad set-valued map: expected a list, not dict"),
+    ("basic", ("setmap_Stilde", "dn", "open_vals"), "x",
+     "bad set-valued map: expected a list, not str"),
 ]
 
 OWN_THEOREM = {"basic": "interchange-stoch", "obstacle": "support-ds", "bidask": "support-ds",
@@ -864,9 +895,13 @@ class TestCli:
         assert self.run("verify", str(fine), "--theorem", "conjugate") == 0
         capsys.readouterr()
 
-    def test_env_var_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.duality.BUDGET_ENV_VAR, "5")
-        assert self.run("verify", bundled("basic"), "--theorem", "conjugate") == 3
+    def test_only_the_budget_option_sets_the_budget(self, capsys, monkeypatch):
+        # the variable that once set it is read by nothing
+        monkeypatch.setenv("CADLAG_CONVEX_BUDGET", "5")
+        assert self.run("verify", bundled("basic"), "--theorem", "conjugate") == 0
+        capsys.readouterr()
+        assert self.run("verify", bundled("basic"), "--theorem", "conjugate",
+                        "--budget", "5") == 3
         assert_one_error_line(capsys, "budget exceeded: ")
 
     def test_dual_atom_with_zero_denominator_exits_2(self, tmp_path, capsys):
@@ -1034,11 +1069,33 @@ class TestCli:
                         "--count", "0") == 0
         assert json.loads(capsys.readouterr().out)["pass"]
 
-    @pytest.mark.parametrize("value", ["abc", "-3", "2.5"])
-    def test_bad_env_var_budget_exits_2(self, value, monkeypatch, capsys):
-        monkeypatch.setenv(cli.duality.BUDGET_ENV_VAR, value)
-        assert self.run("verify", bundled("basic"), "--theorem", "conjugate") == 2
-        assert_one_error_line(capsys, f"bad argument: {cli.duality.BUDGET_ENV_VAR}")
+    @pytest.mark.parametrize("argv, message", [
+        (("--theorem", "conjugate", "--seed", "1"), "unrecognized arguments: --seed 1"),
+        (("--theorem", "nope"), "argument --theorem: invalid choice: 'nope'"),
+        (("--theorem", "involution", "--count", "abc"),
+         "argument --count: invalid int value: 'abc'"),
+        (("--theorem", "conjugate", "--budget", "2.5"),
+         "argument --budget: invalid int value: '2.5'"),
+        (("--strict",), "the following arguments are required: --theorem"),
+    ])
+    def test_an_argument_error_prints_one_line_and_exits_2(self, argv, message, tmp_path,
+                                                           capsys):
+        report = tmp_path / "r.json"
+        assert self.run("verify", bundled("basic"), *argv, "--report", str(report)) == 2
+        assert_one_error_line(capsys, f"bad argument: {message}")
+        assert not report.exists()
+
+    def test_an_argument_error_is_cut_at_the_line_limit(self, capsys):
+        assert self.run("verify", bundled("basic"), "--theorem", "x" * 5000) == 2
+        err = capsys.readouterr().err
+        assert len(err) == cli.MAX_LINE + 1 and err.endswith("...\n")  # and the newline
+
+    def test_help_exits_0_and_lists_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("verify", "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: cadlag-convex verify") and "--seed" not in out
 
     def test_a_file_nested_100000_deep_exits_2(self, tmp_path, capsys):
         # json gives up with a RecursionError, which is no ValueError
@@ -1218,10 +1275,8 @@ class TestCli:
         inst = load_instance(bundled("basic")).instance
         own = sum(len(fns) for fam in (inst.h, inst.htilde) for fns in fam.functions.values())
         assert json.loads(capsys.readouterr().out)["lhs"] == own + 100
-        with pytest.raises(SystemExit) as exc:
-            self.run("verify", bundled("basic"), "--theorem", "no-such-theorem")
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert self.run("verify", bundled("basic"), "--theorem", "no-such-theorem") == 2
+        assert_one_error_line(capsys, "bad argument: argument --theorem: invalid choice: ")
         assert self.run("verify", bundled("basic"), "--theorem", "michael") == 0
         assert json.loads(capsys.readouterr().out)["theorem"] == "michael"
 

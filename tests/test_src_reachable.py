@@ -5,10 +5,11 @@ One fresh interpreter installs a ``sys.setprofile`` hook, then imports
 no memo from an earlier test can stand in for work.  It runs the program's
 commands in process through ``cli.main``: ``model`` and ``refine --factor 2``
 of every preset, every theorem on every preset with both ``--side`` and both
-``--form`` variants, one ``report-diff`` and one ``--budget 1`` op.  Then it
-runs the six demos.  A function counts as run when the hook sees a call of
-its code: the code object's ``co_firstlineno`` names it, which is the line
-of its first decorator, or of its ``def`` when it has none.  A class counts
+``--form`` variants, one ``report-diff``, one ``--budget 1`` op and one
+argument the parser refuses.  Then it runs the six demos.  A function counts
+as run when the hook sees a call of its code: the code object's
+``co_firstlineno`` names it, which is the line of its first decorator, or of
+its ``def`` when it has none.  A class counts
 as run when one of its methods, dunders included, runs.  Dunders are not
 listed themselves.
 
@@ -181,6 +182,7 @@ def _commands():
                        "--report", f"{name}-{theorem}.json")
     yield "report-diff", "basic-conjugate.json", "basic-support-ds.json"
     yield "verify", "basic.json", "--theorem", "conjugate", "--budget", "1"
+    yield "verify", "basic.json", "--theorem", "no-such-theorem"
 
 
 def _run_commands():
