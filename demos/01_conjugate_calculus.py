@@ -8,8 +8,7 @@ conjugate's domain.
 
 from fractions import Fraction as F
 
-from cadlagconvex import (RInterval, abs_fn, indicator, max_affine,
-                          support_fn)
+from cadlagconvex import INF, NEG_INF, RInterval, abs_fn, indicator, pl, support_fn
 
 
 def describe(name, fn):
@@ -28,7 +27,7 @@ def main():
     print("  h** == h:", star.conjugate() == h)
 
     print("\n== an asymmetric kink: max(-x, 2x - 3) ==")
-    kink = max_affine([(-1, 0), (2, -3)])
+    kink = pl(NEG_INF, INF, (1,), (-1, 2), 1, -1)  # slopes -1 then 2, kink at (1, -1)
     describe("g", kink)
     gstar = kink.conjugate()
     describe("g*", gstar)

@@ -19,14 +19,14 @@ The library provides, in exact rational arithmetic:
 """
 
 from .plconvex import EMPTY_INTERVAL, PLConvex, RInterval, abs_fn, indicator, \
-    max_affine, pl, restrict, support_fn
+    pl, restrict, support_fn
 from .rationals import INF, NEG_INF, Q, ext, fmt, rat
 from .timegrid import GridMeasure, LebesgueSplit, StepPath, TimeGrid, \
     eval_I, eval_J, lebesgue_decompose, pairing
 
 __all__ = [
     "EMPTY_INTERVAL", "PLConvex", "RInterval", "abs_fn", "indicator",
-    "max_affine", "pl", "restrict", "support_fn",
+    "pl", "restrict", "support_fn",
     "INF", "NEG_INF", "Q", "ext", "fmt", "rat",
     "GridMeasure", "LebesgueSplit", "StepPath", "TimeGrid",
     "eval_I", "eval_J", "lebesgue_decompose", "pairing",

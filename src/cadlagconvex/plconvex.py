@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 from .rationals import INF, NEG_INF, Ext, Q, ext, is_finite, rat, xle, xmul
 
@@ -495,38 +495,6 @@ def abs_fn() -> PLConvex:
     """|x|."""
     return pl(NEG_INF, INF, (Fraction(0),), (Fraction(-1), Fraction(1)),
               Fraction(0), Fraction(0))
-
-
-def max_affine(pieces: Sequence[Tuple[Q, Q]],
-               domain: Optional[RInterval] = None) -> PLConvex:
-    """Upper envelope max_k (a_k x + b_k) of finitely many affine pieces."""
-    if not pieces:
-        raise ValueError("need at least one affine piece")
-    items = sorted(((rat(a), rat(b)) for a, b in pieces))
-    # drop pieces that never attain the envelope
-    hull: list[Tuple[Q, Q]] = []
-    for a, b in items:
-        if hull and hull[-1][0] == a:
-            if b <= hull[-1][1]:
-                continue
-            hull.pop()
-        while len(hull) >= 2:
-            (a1, b1), (a2, b2) = hull[-2], hull[-1]
-            # piece 2 is dominated if it meets piece 1 right of where the new one does
-            x12 = Fraction(b2 - b1, a1 - a2)
-            x1n = Fraction(b - b1, a1 - a)
-            if x12 >= x1n:
-                hull.pop()
-            else:
-                break
-        hull.append((a, b))
-    bps = [Fraction(hull[i + 1][1] - hull[i][1], hull[i][0] - hull[i + 1][0])
-           for i in range(len(hull) - 1)]
-    slopes = [a for a, _ in hull]
-    fn = pl(NEG_INF, INF, bps, slopes, Fraction(0), max(b for _, b in hull))
-    if domain is not None:
-        fn = restrict(fn, domain)
-    return fn
 
 
 def restrict(fn: PLConvex, interval: RInterval) -> PLConvex:

@@ -1,13 +1,12 @@
 """Exact polyhedral cone calculus in small dimension.
 
-Cones are kept in generator (V) and half-space (H) form.  The double
-description sweep converts one form into the other, in integer arithmetic on
-coprime rays and normals.  It splits off the lineality space of its rows
-once and sweeps the pointed rest, so the generating set it returns is
-irredundant and no generator is tested for redundancy afterwards;
-membership is read off the half-space normals.  Everything is exact and the
-representations are reproducible.  Intended for dimension <= 4
-(:data:`MAX_DIM`, the bound on cone files) at desk scale.
+Cones are kept in generator (V) and half-space (H) form.  One conversion,
+in integer arithmetic on coprime rays and normals, turns either form into
+the other by enumerating extreme rays: C(m, dim - 1) null spaces for m
+rows, lineality pairs included.  The generating set it returns is
+irredundant; membership is read off the half-space normals.  Everything is
+exact and the representations are reproducible.  Intended for dimension
+<= 4 (:data:`MAX_DIM`, the bound on cone files) and a few dozen rows.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -50,21 +50,21 @@ def _int_ray(v: Sequence) -> Optional[IntVec]:
 
 
 def _ray_form(vectors: Iterable, dim: int, what: str) -> Tuple[Vec, ...]:
-    """The canonical rays of the nonzero vectors, sorted, without repeats;
-    sorted and deduplicated as ``int`` tuples, in C, made ``Fraction`` last."""
+    """The canonical rays of the nonzero vectors, each of ``dim`` entries,
+    sorted, without repeats; sorted and deduplicated as ``int`` tuples, in
+    C, made ``Fraction`` last."""
     rays = set()
     for v in vectors:
-        r = _int_ray(v)
-        if r is None:
-            continue  # the zero vector is never listed
-        if len(r) != dim:
+        if len(v) != dim:
             raise ValueError(f"{what} dimension mismatch")
-        rays.add(r)
+        r = _int_ray(v)
+        if r is not None:  # the zero vector is never listed
+            rays.add(r)
     return tuple(tuple(Fraction(x) for x in r) for r in sorted(rays))
 
 
 # ---------------------------------------------------------------------------
-# The double description sweep, on coprime integer rays and normals
+# The conversion, on coprime integer rays and normals
 # ---------------------------------------------------------------------------
 
 def _null_space(rows: Sequence[IntVec], dim: int) -> List[IntVec]:
@@ -100,58 +100,40 @@ def rank(rows: Sequence[IntVec], dim: int) -> int:
     return dim - len(_null_space(rows, dim))
 
 
-def _dd_sweep(rows: Sequence[IntVec], dim: int) -> List[IntVec]:
-    """Irredundant generators of {x | a . x <= 0 for every row a}: the double
-    description sweep.
+def _extreme_rays(rows: Sequence[IntVec], dim: int) -> List[IntVec]:
+    """Irredundant generators of {x | a . x <= 0 for every row a}, by
+    enumerating the extreme rays.
 
     The cone is its lineality space L, the null space of the rows, plus a
     pointed cone in the orthogonal complement of L (Rockafellar, *Convex
     Analysis*, section 18).  With b and -b appended as rows for each vector
-    b of a basis of L the rows span the space, so the sweep starts from the
-    simplicial cone of the first spanning rows and holds only extreme rays of
-    the pointed part, which do not depend on the order of the rows.  They
-    come sorted, then b, -b for each basis vector.  Projecting onto the
+    b of a basis of L the rows span the space, so the rest is generated by
+    its extreme rays: the rays in it whose active rows have rank dim - 1.
+    Each spans the null space of dim - 1 of the rows, so the candidates are
+    v and -v for each (dim - 1)-subset whose null space is the line of v:
+    C(m, dim - 1) null spaces for m rows, lineality pairs included.  The
+    rays come sorted, then b, -b for each basis vector.  Projecting onto the
     complement of L shows that none is a conic combination of the others.
     """
     lines = [w for b in _null_space(rows, dim) for w in (b, tuple(-x for x in b))]
     rows = list(rows) + lines
-    basis: List[IntVec] = []
-    for a in rows:
-        if len(basis) < dim and rank(basis + [a], dim) > len(basis):
-            basis.append(a)
-    rays = []  # ray j spans the null space of the other basis rows
-    for j, b in enumerate(basis):
-        (v,) = _null_space(basis[:j] + basis[j + 1:], dim)
-        rays.append(v if vdot(b, v) < 0 else tuple(-x for x in v))
-    processed = list(basis)
-    for a in rows:
-        inside, boundary, outside = [], [], []
-        for r in rays:
-            s = vdot(a, r)
-            (inside if s < 0 else boundary if s == 0 else outside).append((r, s))
-        new: List[IntVec] = [r for r, _ in inside] + [r for r, _ in boundary]
-        for p, sp in inside:
-            for n, sn in outside:
-                w = _coprime([sn * pi - sp * ni for pi, ni in zip(p, n)])
-                if w is not None:
-                    new.append(w)
-        processed.append(a)
-        rays = _extreme_filter(sorted(set(new)), processed, dim)
-    return rays + lines
+    rays = set()
+    for subset in combinations(rows, dim - 1):
+        null = _null_space(subset, dim)
+        if len(null) == 1:  # the subset has rank dim - 1
+            (v,) = null
+            dots = [vdot(a, v) for a in rows]
+            if max(dots) <= 0:
+                rays.add(v)
+            if min(dots) >= 0:
+                rays.add(tuple(-x for x in v))
+    return sorted(rays) + lines
 
 
-def _dd_rays(rows: Sequence[Vec], dim: int) -> Tuple[Vec, ...]:
-    """:func:`_dd_sweep` of the rational rows, as rays of ``Fraction``."""
-    return tuple(tuple(map(Fraction, r)) for r in _dd_sweep([_int_ray(a) for a in rows], dim))
-
-
-def _extreme_filter(rays: List[IntVec], rows: Sequence[IntVec],
-                    dim: int) -> List[IntVec]:
-    """Keep the extreme rays of the cone cut out by ``rows``, which span the
-    space: those whose active rows have rank dim - 1.  The cone is pointed,
-    so its extreme rays generate it."""
-    return [r for r in rays
-            if rank([a for a in rows if vdot(a, r) == 0], dim) >= dim - 1]
+def _polar_rays(rows: Sequence[Vec], dim: int) -> Tuple[Vec, ...]:
+    """:func:`_extreme_rays` of the rational rows, as rays of ``Fraction``:
+    the generators of the polar of the cone the rows generate."""
+    return tuple(tuple(map(Fraction, r)) for r in _extreme_rays([_int_ray(a) for a in rows], dim))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +164,11 @@ class PolyCone:
 
     @cached_property
     def generators(self) -> Tuple[Vec, ...]:
-        return _dd_rays(self.halfspaces, self.dim)
+        return _polar_rays(self.halfspaces, self.dim)
 
     @cached_property
     def halfspaces(self) -> Tuple[Vec, ...]:
-        return _dd_rays(self.generators, self.dim)
+        return _polar_rays(self.generators, self.dim)
 
     @classmethod
     def from_generators(cls, generators: Iterable, dim: int) -> "PolyCone":
@@ -211,7 +193,8 @@ class PolyCone:
     def member(self, x: Sequence) -> bool:
         """Exact membership: no half-space normal is positive on ``x``.
 
-        The half-spaces are swept from the generators on first use and cached.
+        The half-spaces are converted from the generators on first use and
+        cached.
         """
         vec = tuple(rat(v) for v in x)
         if len(vec) != self.dim:
@@ -257,8 +240,9 @@ def cone_hull(cones: Sequence[PolyCone]) -> PolyCone:
     """Closed conic hull of finitely many polyhedral cones.
 
     Finitely generated cones are closed, so the hull is just the cone of the
-    pooled generators.  Its half-spaces are swept from them at once and its
-    generators, irredundant, back from the half-spaces on first use.
+    pooled generators.  Its half-spaces are converted from them at once, by
+    enumerating extreme rays, and its generators, irredundant, back from the
+    half-spaces on first use.
     """
     if not cones:
         raise ValueError("hull of an empty family")
@@ -266,7 +250,7 @@ def cone_hull(cones: Sequence[PolyCone]) -> PolyCone:
     if any(k.dim != dim for k in cones):
         raise ValueError("cone dimension mismatch")
     pooled = [g for k in cones for g in k.generators]
-    return PolyCone(dim, halfspaces=_dd_rays(pooled, dim))
+    return PolyCone(dim, halfspaces=_polar_rays(pooled, dim))
 
 
 # ---------------------------------------------------------------------------

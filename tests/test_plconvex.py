@@ -15,7 +15,7 @@ from cadlagconvex import cli, generators, plconvex
 from cadlagconvex.generators import (COARSE_DENOMS, rand_passing_instance,
                                      rand_plconvex, rand_rational)
 from cadlagconvex.plconvex import (EMPTY_INTERVAL, PLConvex, RInterval, abs_fn,
-                                   indicator, max_affine, pl, restrict, support_fn)
+                                   indicator, pl, restrict, support_fn)
 from cadlagconvex.presets import PRESET_NAMES, bundled_instance_path
 from cadlagconvex.rationals import INF, NEG_INF, ext, is_finite, rat
 from cadlagconvex.scenario import (RandomIntegrand, ScenarioTree,
@@ -26,7 +26,7 @@ from cadlagconvex.timegrid import TimeGrid
 from conftest import (affine, conjugate_grid_oracle, forget_last_load, inf_grid_oracle,
                       plconvex_st, rand_interval, rebuilt, recession_quotient)
 
-KINK = max_affine([(-1, 0), (2, -3)])  # max(-x, 2x - 3)
+KINK = pl(NEG_INF, INF, (1,), (-1, 2), 1, -1)  # max(-x, 2x - 3)
 BOX02 = RInterval(F(0), F(2))
 
 
@@ -36,12 +36,6 @@ class TestEval:
 
     def test_indicator_outside(self):
         assert indicator(BOX02)(F(3)) == INF
-
-    def test_max_affine_pieces(self):
-        # both pieces evaluated, envelope takes the max
-        x = F(4)
-        expected = max(-x, 2 * x - 3)
-        assert KINK(x) == expected == 5
 
     def test_eval_matches_fields(self):
         assert KINK.breakpoints == (F(1),)
@@ -85,7 +79,7 @@ class TestRecession:
         rec = KINK.recession()
         for x in (F(1), F(-1), F(3)):
             assert rec(x) == recession_quotient(KINK, x)
-        assert rec == max_affine([(-1, 0), (2, 0)])
+        assert rec == pl(NEG_INF, INF, (0,), (-1, 2), 0, 0)  # max(-x, 2x)
 
 
 class TestSubdiff:
@@ -221,16 +215,6 @@ def test_inf_on_line_is_minus_conjugate_at_zero(fn):
         assert inf_val == NEG_INF
     else:
         assert inf_val == -star0
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4),
-                          st.fractions(min_value=-3, max_value=3, max_denominator=4)),
-                min_size=1, max_size=5),
-       st.fractions(min_value=-5, max_value=5, max_denominator=8))
-def test_max_affine_is_the_upper_envelope(pieces, x):
-    envelope = max_affine(pieces)
-    assert envelope(x) == max(a * x + b for a, b in pieces)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1027,7 +1011,8 @@ def test_int_pieces_give_the_values_of_eval(fn, xs):
 
 def test_int_pieces_read_a_hand_built_anchor_on_any_segment():
     # segment 0 is read at its right knot, which lies on it whatever the anchor
-    f = max_affine([(-1, 0), (F(1, 3), -1), (2, -3)])
+    f = pl(NEG_INF, INF, (F(3, 4), F(6, 5)), (-1, F(1, 3), 2), F(3, 4), F(-3, 4))
+    # max(-x, x/3 - 1, 2x - 3)
     for ax in (F(-5), *f.breakpoints, F(7, 2)):
         raw = PLConvex(f.dom_lo, f.dom_hi, f.breakpoints, f.slopes, ax, f.eval(ax))
         assert [piece_value(raw, x) for x in (F(-5), *f.breakpoints, F(7, 2))] == \

@@ -715,6 +715,11 @@ MODEL_EDITS = [
      "cone dim must be an integer from 1 to 4, not 5"),
     ("cs", ("model", "Gtilde", "point_cones", 0), {"dim": 200, "generators": [], "halfspaces": []},
      "cone dim must be an integer from 1 to 4, not 200"),
+    # each cone row has dim coordinates; an empty row is no zero vector
+    ("cs", ("model", "G", "point_cones", 0, "generators"), [["1", "2"], ["2", "1"], []],
+     "bad cone: generator dimension mismatch"),
+    ("cs", ("model", "G", "point_cones", 0, "halfspaces"), [["-2", "1"], ["1", "-2"], []],
+     "bad cone: half-space dimension mismatch"),
     # a string where a list belongs, once read by its characters
     ("basic", ("grid",), "012", "bad grid: expected a list, not str"),
     ("basic", ("mu",), {"up": "111", "dn": "111"}, "bad measure: expected a list, not str"),
@@ -821,6 +826,20 @@ class TestCli:
                         "--count", "100") == 0
         out = json.loads(capsys.readouterr().out)
         assert out["gap"] == 0
+
+    def test_a_file_without_the_defaulted_sections_verifies_and_refines(self, tmp_path, capsys):
+        """The loader fills in mutilde, htilde, S and Stilde when a file
+        leaves them out, and the checks that read them run on the result."""
+        doc = basic_doc()
+        for key in ("mutilde", "integrand_htilde", "setmap_S", "setmap_Stilde"):
+            del doc[key]
+        path = tmp_path / "defaulted.json"
+        path.write_text(json.dumps(doc))
+        for theorem in ("conjugate", "support-ds", "subdiff", "interchange-stoch"):
+            assert self.run("verify", str(path), "--theorem", theorem) == 0, theorem
+        assert self.run("refine", str(path), "--factor", "2",
+                        "-o", str(tmp_path / "fine.json")) == 0
+        capsys.readouterr()
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -6,12 +6,14 @@ no memo from an earlier test can stand in for work.  It runs the program's
 commands in process through ``cli.main``: ``model`` and ``refine --factor 2``
 of every preset, every theorem on every preset with both ``--side`` and both
 ``--form`` variants, one ``report-diff``, one ``--budget 1`` op and one
-argument the parser refuses.  Then it runs the six demos.  A function counts
-as run when the hook sees a call of its code: the code object's
-``co_firstlineno`` names it, which is the line of its first decorator, or of
-its ``def`` when it has none.  A class counts
-as run when one of its methods, dunders included, runs.  Dunders are not
-listed themselves.
+argument the parser refuses.  On a copy of ``basic.json`` without the
+sections the loader fills in by default (``DEFAULTED``) it runs four
+theorems and ``refine --factor 2``.  Then it runs the six demos.  A
+function counts as run when the hook sees a call of its code: the code
+object's ``co_firstlineno`` names it, which is the line of its first
+decorator, or of its ``def`` when it has none.  A class counts as run when
+one of its methods, dunders included, runs.  Dunders are not listed
+themselves.
 
 The hook cannot see a class without a method of its own: a ``NamedTuple``,
 a plain dataclass or an exception is built by generated or C code.  Such a
@@ -40,7 +42,6 @@ PACKAGE = ROOT / "src" / "cadlagconvex"
 DEMOS = ROOT / "demos"
 
 DEMO_ONLY = {
-    "duality.domain_setmap": "make_instance's default S; demo 05 builds an instance from h and mu",
     "finmodels.CurrencyModel.sample_selection":
         "demo 06 draws a selection; the reference of max_sampled_pairing, which bench wraps",
     "finmodels.ScalarProcess.constant_cells": "demo 06 builds its bid, ask and bound from cells",
@@ -65,20 +66,16 @@ DEMO_ONLY = {
         "demo 05 draws an instance; bench set-up draws its instances with it",
     "generators.rand_tree": "the tree of rand_passing_instance",
     "plconvex.abs_fn": "a package export; demos 01, 02, 04 and 05 build |x| with it",
-    "plconvex.max_affine": "a package export; demo 01 builds a max of affine pieces with it",
     "plconvex.restrict": "a package export; demo 05 restricts |x| to an interval with it",
     "polycone.ConeMap.constant": "demo 06 builds a constant solvency cone map",
     "polycone.PolyCone.from_generators": "demo 06 builds cones by generators, files by half-spaces",
     "polycone.PolyCone.halfspaces": "the half-spaces of a cone given by generators, as in demo 06",
     "polycone.PolyCone.orthant": "demo 06 takes the polar of an orthant",
     "polycone.PolyCone.zero": "demo 06's zero cone at the start",
-    "scenario.RandomMeasure.zero": "make_instance's default measures; demos 05 and 06 rely on it",
-    "scenario.RandomSetMap.vec_map": "make_instance's default Stilde; demo 05 relies on it",
     "scenario.ScenarioTree.deterministic": "demo 06's one-scenario tree",
     "scenario.paste": "demo 04 shows the paper's pasting construction; bench wraps it",
     "scenario.predictable_atoms": "demo 04 finds the atom slots that paste splices before",
     "setmaps.SetMap.constant": "demo 03 builds a constant set map",
-    "timegrid.GridMeasure.zero": "one scenario of RandomMeasure.zero",
     "timegrid.LebesgueSplit": "lebesgue_decompose's result, a package export for demo 02",
     "timegrid.LebesgueSplit.recombine": "demo 02 shows that the Lebesgue split is exact",
     "timegrid.lebesgue_decompose": "a package export; demo 02 shows the paper's Lebesgue split",
@@ -167,6 +164,17 @@ def unbuilt_classes(paths, callers) -> set:
             and not any(isinstance(c, FUNCTION) for c in node.body)}
 
 
+DEFAULTED = ("mutilde", "integrand_htilde", "setmap_S", "setmap_Stilde")
+
+
+def _without_defaulted(source, target):
+    """Write ``source`` without the sections in ``DEFAULTED`` to ``target``."""
+    with open(source, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump({k: v for k, v in doc.items() if k not in DEFAULTED}, fh)
+
+
 def _commands():
     from cadlagconvex.cli import THEOREMS
     from cadlagconvex.presets import PRESET_NAMES
@@ -181,6 +189,10 @@ def _commands():
                 yield ("verify", f"{name}.json", "--theorem", theorem, *variant,
                        "--report", f"{name}-{theorem}.json")
     yield "report-diff", "basic-conjugate.json", "basic-support-ds.json"
+    _without_defaulted("basic.json", "defaulted.json")  # written by the first commands
+    for theorem in ("conjugate", "support-ds", "subdiff", "interchange-stoch"):
+        yield "verify", "defaulted.json", "--theorem", theorem
+    yield "refine", "defaulted.json", "--factor", "2", "-o", "defaulted-x2.json"
     yield "verify", "basic.json", "--theorem", "conjugate", "--budget", "1"
     yield "verify", "basic.json", "--theorem", "no-such-theorem"
 
